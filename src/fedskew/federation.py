@@ -7,6 +7,10 @@ weights LoRA groups by normalized (1/n_k)^beta, boosting small clients.
 Client training is a pure function of (global params, partition, seeds), so
 clients may run on parallel workers; results are always aggregated in
 client-id order and outputs are bit-identical either way.
+
+Each round ends with one eval-mode forward pass of the new global model over
+the test set; every participating client's accuracy is then read off it under
+a mask of the classes that client trains on (`metrics.evaluate_clients`).
 """
 
 import time
@@ -16,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit as nk
-from .metrics import RoundLog, evaluate_client, fairness_summary
+# evaluate_client stays importable here: perfbench/tracer.py wraps it by this name
+from .metrics import RoundLog, evaluate_client, evaluate_clients, fairness_summary  # noqa: F401
 from .models import build_model
 from .models.params import ParamSet, StructuralError
 from .numkit.optim import OptimizerState, step
@@ -200,8 +205,8 @@ def run_federation(dataset, partitions, model_family: str, model_cfg,
         except (FederationError, StructuralError) as e:
             raise FederationError(f"round {t}: {e}") from e
 
-        evals = [evaluate_client(global_params, forward, p, dataset.test, dataset.max_seq_len)
-                 for p in active]
+        evals = evaluate_clients(global_params, forward, active, dataset.test,
+                                 dataset.max_seq_len)
         logs.append(RoundLog(t, evals, fairness_summary(evals),
                              [p.size for p in active], time.perf_counter() - start))
     return logs, global_params

@@ -43,28 +43,47 @@ class RoundLog:
     wall_time: float = 0.0
 
 
-def restricted_test_set(test_docs, present_classes) -> list:
-    """Test documents whose label is among the client's training classes."""
+def _class_mask(labels: np.ndarray, present_classes) -> np.ndarray:
+    """Boolean mask of the documents whose label is among `present_classes`."""
     if not present_classes:
         raise EvalError("present_classes is empty")
-    subset = [d for d in test_docs if d.label in present_classes]
-    if not subset:
+    mask = np.isin(labels, sorted(present_classes))
+    if not mask.any():
         raise EvalError(f"test set has no documents for classes {sorted(present_classes)}")
-    return subset
+    return mask
+
+
+def restricted_test_set(test_docs, present_classes) -> list:
+    """Test documents whose label is among the client's training classes."""
+    mask = _class_mask(np.array([d.label for d in test_docs], dtype=np.int64), present_classes)
+    return [d for d, keep in zip(test_docs, mask) if keep]
+
+
+def evaluate_clients(params, forward, partitions, test_docs, max_seq_len,
+                     batch_size: int = 64) -> list:
+    """Eval-mode accuracy of one model for each client, on the test set
+    restricted to that client's classes.
+
+    Every client is scored by the same model, so one forward pass over the
+    whole test set serves them all; a client's accuracy counts the correct
+    predictions under its label mask.  Argmax ties resolve to the lowest
+    class index.
+    """
+    batches = make_batches(test_docs, batch_size, 0, max_seq_len)
+    labels = np.concatenate([b.labels for b in batches]) if batches else np.empty(0, np.int64)
+    masks = [_class_mask(labels, p.present_classes) for p in partitions]
+    correct = np.concatenate(
+        [forward(params, b.token_ids, train=False).value.argmax(axis=1) == b.labels
+         for b in batches])
+    return [ClientEval(p.client_id, int(m.sum()), int((correct & m).sum()))
+            for p, m in zip(partitions, masks)]
 
 
 def evaluate_client(params, forward, client_partition, test_docs, max_seq_len,
                     batch_size: int = 64) -> ClientEval:
-    """Eval-mode accuracy on the test set restricted to the client's classes.
-
-    Argmax ties resolve to the lowest class index.
-    """
-    subset = restricted_test_set(test_docs, client_partition.present_classes)
-    correct = 0
-    for batch in make_batches(subset, batch_size, 0, max_seq_len):
-        preds = forward(params, batch.token_ids, train=False).value.argmax(axis=1)
-        correct += int((preds == batch.labels).sum())
-    return ClientEval(client_partition.client_id, len(subset), correct)
+    """`evaluate_clients` for a single client."""
+    return evaluate_clients(params, forward, [client_partition], test_docs, max_seq_len,
+                            batch_size)[0]
 
 
 def fairness_summary(evals) -> FairnessSummary:
@@ -74,9 +93,9 @@ def fairness_summary(evals) -> FairnessSummary:
     avg = float(np.mean(accs))
     worst_idx = int(np.argmin(accs))  # ties -> lowest position = lowest client id
     worst = accs[worst_idx]
-    summary = FairnessSummary(avg, worst, avg - worst, evals[worst_idx].client_id)
-    assert summary.gap >= -1e-15, "min exceeds mean"
-    return summary
+    if not avg - worst >= -1e-15:  # also rejects NaN accuracies
+        raise EvalError(f"worst accuracy {worst!r} exceeds the mean {avg!r}")
+    return FairnessSummary(avg, worst, avg - worst, evals[worst_idx].client_id)
 
 
 def convergence_check(logs, window: int = 5, tolerance: float = 0.003) -> bool:

@@ -153,13 +153,13 @@ def gelu(a) -> GradNode:
     """gelu(x) = 0.5 x (1 + tanh(c (x + 0.044715 x^3))), c = sqrt(2/pi)."""
     a = _wrap(a)
     x = a.value
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     out = 0.5 * x * (1.0 + t)
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-        dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+        dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
         return (g * dx,)
 
     return _node("gelu", out, (a,), backward)

@@ -255,3 +255,54 @@ def test_console_entry_point(tmp_path):
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "PASS" in out.stdout
+
+
+def test_string_models_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(models="textcnn"))
+    assert cli.main(["run", str(path)]) == 1
+    assert "config error: models: must be a list" in capsys.readouterr().err
+
+
+def pretrained_sweep_config(out_dir, **pretrain):
+    cfg = base_config(out_dir=str(out_dir))
+    cfg["models"] = ["textcnn", "loraformer"]
+    cfg["loraformer"] = {"layers": 1, "d_model": 8, "heads": 2, "ffn_dim": 16, "lora_rank": 2,
+                         "lora_dropout": 0.0, "backbone_mode": "pretrained-frozen"}
+    cfg["partition"]["alpha"] = [0.3, 2.0]
+    cfg["federation"]["aggregators"] = ["fedavg", "fedavgw:0.5"]
+    cfg["pretrain"] = {"steps": 3, **pretrain}
+    return cfg
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_backbone_pretrained_once_per_sweep(tmp_path, monkeypatch, jobs):
+    calls = []
+    real = cli.pretrain_backbone
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "pretrain_backbone", counting)
+    _, summaries = run_sweep(tmp_path, pretrained_sweep_config(tmp_path / "out"), jobs=jobs)
+    assert len(summaries) == 8 and all(s["status"] == "ok" for s in summaries)
+    assert len(calls) == 1
+
+
+def test_pretraining_failure_fails_only_loraformer_cells(tmp_path):
+    # a proxy drawn with the target corpus's own spec and seed repeats its documents
+    cfg = pretrained_sweep_config(tmp_path / "out", seed=11, vocab_size=40, doc_length=6,
+                                  topic_concentration=0.05)
+    _, summaries = run_sweep(tmp_path, cfg, jobs=2)
+    status = {(s["config"]["model"], s["config"]["alpha"], s["config"]["aggregator"]): s
+              for s in summaries}
+    assert len(status) == 8
+    for (model, _, _), s in status.items():
+        if model == "textcnn":
+            assert s["status"] == "ok"
+        else:
+            assert s["status"] == "error"
+            assert "DisjointnessError" in s["error"]
+            on_disk = json.loads((tmp_path / "out" / s["run_id"] / "summary.json").read_text())
+            assert on_disk["status"] == "error" and "DisjointnessError" in on_disk["traceback"]
+    assert "Failed runs" in (tmp_path / "out" / "report.md").read_text()

@@ -72,6 +72,60 @@ def test_accuracy_matches_hand_count():
     assert ev.correct_count == 7 and ev.eval_size == 10
 
 
+def per_client_forward_eval(params, forward, part, test_docs, max_seq_len):
+    """Reference: restrict the test set to the client's classes, then forward it."""
+    subset = mt.restricted_test_set(test_docs, part.present_classes)
+    correct = 0
+    for batch in td.make_batches(subset, 64, 0, max_seq_len):
+        preds = forward(params, batch.token_ids, train=False).value.argmax(axis=1)
+        correct += int((preds == batch.labels).sum())
+    return mt.ClientEval(part.client_id, len(subset), correct)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_evaluate_clients_matches_per_client_forward(seed):
+    rng = np.random.default_rng(seed)
+    num_classes, seq = 5, 6
+    test = [td.Document(int(rng.integers(0, num_classes)),
+                        tuple(int(t) for t in rng.integers(2, 30, size=rng.integers(1, seq + 1))),
+                        seq)
+            for _ in range(300)]
+    cfg = TextCnnConfig(num_classes=num_classes, embed_dim=4, filter_widths=(2, 3),
+                        filters_per_width=3)
+    zero_head, forward = build_textcnn(cfg, vocab_size=30, max_seq_len=seq, seed=seed)
+    trained = zero_head.with_tensors({
+        "fc.weight": nk.Tensor(rng.standard_normal((6, num_classes))),
+        "fc.bias": nk.Tensor(rng.standard_normal(num_classes))})
+    parts = [ClientPartition(0, [0], [4, 0, 0, 0, 0]),  # single classes
+             ClientPartition(1, [0], [0, 0, 3, 0, 0]),
+             ClientPartition(2, [0], [1, 2, 3, 4, 5])]  # every class
+    for cid in range(3, 9):
+        hist = [int(n) for n in rng.integers(0, 3, size=num_classes)]
+        hist[int(rng.integers(0, num_classes))] += 1
+        parts.append(ClientPartition(cid, [0], hist))
+    for params in (trained, zero_head):  # zero head: all-zero logits, ties go to class 0
+        fast = mt.evaluate_clients(params, forward, parts, test, seq)
+        brute = [per_client_forward_eval(params, forward, p, test, seq) for p in parts]
+        assert fast == brute
+        assert [mt.evaluate_client(params, forward, p, test, seq) for p in parts] == brute
+    zero = mt.evaluate_clients(zero_head, forward, parts[:3], test, seq)
+    share0 = sum(d.label == 0 for d in test) / len(test)
+    assert [e.accuracy for e in zero] == [1.0, 0.0, share0]
+
+
+def test_evaluate_clients_errors():
+    test = balanced_test(num_classes=2)
+    cfg = TextCnnConfig(num_classes=4, embed_dim=4, filters_per_width=3)
+    params, forward = build_textcnn(cfg, vocab_size=10, max_seq_len=4, seed=0)
+    ok = ClientPartition(0, [0], [1, 1, 0, 0])
+    for bad in (ClientPartition(1, [0], [0, 0, 0, 0]),  # no present classes
+                ClientPartition(1, [0], [0, 0, 0, 2])):  # class without test documents
+        with pytest.raises(mt.EvalError):
+            mt.evaluate_clients(params, forward, [ok, bad], test, 4)
+    with pytest.raises(mt.EvalError):
+        mt.evaluate_clients(params, forward, [ok], [], 4)
+
+
 def ev(cid, acc):
     return mt.ClientEval(cid, 1000, int(round(acc * 1000)))
 
@@ -88,6 +142,14 @@ def test_fairness_summary_paper_rows():
     s2 = two_client_summary(0.783, 0.205)
     assert s2.gap * 100 == pytest.approx(57.8, abs=0.1)
     assert s2.argmin_client_id == 1
+
+
+def test_fairness_summary_rejects_min_above_mean():
+    class NanEval:  # an accuracy no count can produce
+        client_id, accuracy = 1, float("nan")
+
+    with pytest.raises(mt.EvalError, match="exceeds the mean"):
+        mt.fairness_summary([ev(0, 0.5), NanEval()])
 
 
 def test_fairness_summary_ties_and_equal():

@@ -129,6 +129,21 @@ def test_embedding_gradient(seed):
                                                nk.embedding_lookup(t, ids))), [table])
 
 
+def test_gelu_matches_power_formula():
+    x = np.concatenate([np.linspace(-40.0, 40.0, 8001),
+                        nk.derive(0, "gelu-x").uniform(-40.0, 40.0, 4000)])
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * np.power(x, 3)))
+    want_out = 0.5 * x * (1.0 + t)
+    want_dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - np.power(t, 2)) * (
+        c * (1.0 + 3 * 0.044715 * np.power(x, 2)))
+    leaf = nk.leaf(x.copy(), name="x")
+    out = nk.gelu(leaf)
+    np.testing.assert_allclose(out.value, want_out, rtol=1e-14, atol=0)
+    grad = nk.backward(nk.ssum(out))["x"].data
+    np.testing.assert_allclose(grad, want_dx, rtol=1e-14, atol=0)
+
+
 def test_dropout_expectation_and_modes():
     rng = nk.derive(9, "dropout-test")
     x = nk.const(np.ones((100, 1000)))
