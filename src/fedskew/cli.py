@@ -50,7 +50,7 @@ _CSV_KEYS = {"train_path", "test_path", "label_column", "text_columns", "one_bas
              "num_classes", "max_vocab_size", "max_seq_len"}
 _PARTITION_KEYS = {"num_clients", "alpha", "min_samples_per_client", "max_redraws"}
 _FED_KEYS = {"rounds", "rounds_by_alpha", "batch_size", "local_epochs", "optimizer",
-             "aggregators", "participation", "client_workers"}
+             "aggregators", "participation"}
 _OPT_KEYS = {"kind", "lr", "weight_decay"}
 _METRIC_KEYS = {"convergence_window", "convergence_tolerance"}
 _TEXTCNN_KEYS = {"embed_dim", "filter_widths", "filters_per_width", "dropout"}
@@ -104,12 +104,18 @@ class ExperimentConfig:
             alphas = [alphas]
         if not alphas:
             raise ConfigError("partition.alpha: list must be nonempty")
-        self.alphas = [float(a) for a in alphas]
-        if any(a <= 0 for a in self.alphas):
-            raise ConfigError("partition.alpha: values must be > 0")
-        self.num_clients = int(part.get("num_clients", 10))
-        self.min_samples_per_client = int(part.get("min_samples_per_client", 1))
-        self.max_redraws = int(part.get("max_redraws", 100))
+        try:
+            self.alphas = [float(a) for a in alphas]
+            self.num_clients = int(part.get("num_clients", 10))
+            self.min_samples_per_client = int(part.get("min_samples_per_client", 1))
+            self.max_redraws = int(part.get("max_redraws", 100))
+            # seeded, so `fedskew run --seed` is applied to the raw config before this
+            self.partition_cfgs = {
+                a: PartitionConfig(self.num_clients, a, self.seed,
+                                   self.min_samples_per_client, self.max_redraws)
+                for a in self.alphas}
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"partition: {e}") from e
 
         fedr = dict(raw.get("federation", {}))
         _check_keys(fedr, _FED_KEYS, "federation")
@@ -118,7 +124,6 @@ class ExperimentConfig:
                                 for k, v in fedr.get("rounds_by_alpha", {}).items()}
         self.batch_size = int(fedr.get("batch_size", 32))
         self.participation = float(fedr.get("participation", 1.0))
-        self.client_workers = int(fedr.get("client_workers", 1))
         epochs = fedr.get("local_epochs", PAPER_EPOCHS)
         self.local_epochs = ({m: int(epochs) for m in ("textcnn", "loraformer")}
                              if isinstance(epochs, int) else
@@ -204,14 +209,18 @@ class ExperimentConfig:
         return LoraFormerConfig(num_classes=num_classes, **ov)
 
 
-def parse_config(path) -> ExperimentConfig:
+def read_config(path):
+    """The raw JSON of a config file."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
-    return ExperimentConfig(raw)
+
+
+def parse_config(path) -> ExperimentConfig:
+    return ExperimentConfig(read_config(path))
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +293,7 @@ def execute_run(cfg: ExperimentConfig, run: dict, dataset, partitions, out_root:
     start = time.perf_counter()
     summary = {"run_id": run["run_id"], "config": run, "status": "ok"}
     try:
-        pcfg = PartitionConfig(run["num_clients"], run["alpha"], cfg.seed,
-                               cfg.min_samples_per_client, cfg.max_redraws)
-        save_manifest(partitions, pcfg, run_dir / "partition.json")
+        save_manifest(partitions, cfg.partition_cfgs[run["alpha"]], run_dir / "partition.json")
         model_cfg = cfg.model_cfg(run["model"], dataset.num_classes)
         opt = run["optimizer"]
         fed_cfg = FedConfig(
@@ -299,7 +306,7 @@ def execute_run(cfg: ExperimentConfig, run: dict, dataset, partitions, out_root:
             raise RuntimeError(f"backbone pretraining failed: "
                                f"{type(initial).__name__}: {initial}") from initial
         logs, final = run_federation(dataset, partitions, run["model"], model_cfg, fed_cfg,
-                                     workers=cfg.client_workers, initial_params=initial)
+                                     initial_params=initial)
         mt.write_rounds_csv(logs, run_dir / "rounds.csv")
         if cfg.save_checkpoints:
             from .models import save_checkpoint
@@ -327,11 +334,8 @@ def run_experiments(cfg: ExperimentConfig, jobs: int = 1) -> list:
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     dataset = cfg.load_dataset()
-    partitions_by_alpha = {
-        alpha: dirichlet_partition(dataset, PartitionConfig(
-            cfg.num_clients, alpha, cfg.seed, cfg.min_samples_per_client, cfg.max_redraws))
-        for alpha in cfg.alphas
-    }
+    partitions_by_alpha = {alpha: dirichlet_partition(dataset, pcfg)
+                           for alpha, pcfg in cfg.partition_cfgs.items()}
     runs = plan_runs(cfg)
 
     def pretrain():
@@ -558,13 +562,13 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        cfg = parse_config(args.config)
-        if args.verb == "run":
-            if args.seed is not None:
-                cfg.seed = args.seed
-            if args.rounds is not None:
-                cfg.rounds = args.rounds
-                cfg.rounds_by_alpha = {}
+        raw = read_config(args.config)
+        if args.verb == "run" and args.seed is not None and isinstance(raw, dict):
+            raw["seed"] = args.seed
+        cfg = ExperimentConfig(raw)
+        if args.verb == "run" and args.rounds is not None:
+            cfg.rounds = args.rounds
+            cfg.rounds_by_alpha = {}
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
@@ -573,9 +577,7 @@ def main(argv=None) -> int:
         dataset = cfg.load_dataset()
         out_root = Path(cfg.out_dir)
         out_root.mkdir(parents=True, exist_ok=True)
-        for alpha in cfg.alphas:
-            pcfg = PartitionConfig(cfg.num_clients, alpha, cfg.seed,
-                                   cfg.min_samples_per_client, cfg.max_redraws)
+        for alpha, pcfg in cfg.partition_cfgs.items():
             parts = dirichlet_partition(dataset, pcfg)
             path = out_root / f"partition_alpha{alpha}.json"
             save_manifest(parts, pcfg, path)

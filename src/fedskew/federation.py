@@ -4,9 +4,10 @@ Aggregators are weight rules over client updates.  FedAvg weights every
 group by sample count n_k/N; FedAvgW keeps that for ordinary groups but
 weights LoRA groups by normalized (1/n_k)^beta, boosting small clients.
 
-Client training is a pure function of (global params, partition, seeds), so
-clients may run on parallel workers; results are always aggregated in
-client-id order and outputs are bit-identical either way.
+The frozen groups never leave the server.  A client trains from the broadcast
+params and returns only its trainable groups (`ClientUpdate.params`); the
+server averages those in client-id order and merges the result into the global
+params, whose frozen tensors are the same objects every round.
 
 Each round ends with one eval-mode forward pass of the new global model over
 the test set; every participating client's accuracy is then read off it under
@@ -14,7 +15,6 @@ a mask of the classes that client trains on (`metrics.evaluate_clients`).
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,9 +112,8 @@ def make_weights(updates, aggregator: str, beta: float = 0.0) -> AggregationWeig
 
 
 def aggregate(updates, weights: AggregationWeights) -> ParamSet:
-    """Per-group weighted average; lora groups use the lora weight vector.
-
-    Frozen groups must be identical across clients and are copied through.
+    """Per-group weighted average of the clients' trainable groups; lora groups
+    use the lora weight vector.  An update that names a frozen group is rejected.
     """
     if not updates:
         raise FederationError("no updates to aggregate")
@@ -123,13 +122,9 @@ def aggregate(updates, weights: AggregationWeights) -> ParamSet:
         template.check_congruent(u.params)
     new_tensors = {}
     for gi, group in enumerate(template):
-        values = [u.params.groups[gi].tensor.data for u in updates]
         if not group.trainable:
-            for v in values[1:]:
-                if np.abs(v - values[0]).max() > 1e-12:
-                    raise FederationError(f"frozen group {group.name!r} drifted across clients")
-            new_tensors[group.name] = nk.Tensor(values[0].copy())
-            continue
+            raise FederationError(f"update carries frozen group {group.name!r}")
+        values = [u.params.groups[gi].tensor.data for u in updates]
         wvec = weights.lora if group.lora else weights.standard
         acc = np.zeros_like(values[0])
         for w, v in zip(wvec, values):  # fixed client-id order: deterministic fp sum
@@ -143,13 +138,13 @@ def local_train(global_params: ParamSet, forward, partition, dataset,
                 seed: int, round_index: int) -> ClientUpdate:
     """E epochs of minibatch training from the broadcast params.
 
-    Optimizer state is fresh each round.  Empty clients return the global
-    params unchanged with n_k = 0.
+    The update holds only the trainable groups.  Optimizer state is fresh each
+    round.  Empty clients return the global trainable groups with n_k = 0.
     """
     if partition.size == 0:
-        return ClientUpdate(partition.client_id, 0, global_params.copy())
+        return ClientUpdate(partition.client_id, 0, global_params.trainable_subset())
     docs = [dataset.train[i] for i in partition.sample_indices]
-    params = global_params.copy()
+    params = global_params
     state = OptimizerState(opt_cfg.kind, lr=opt_cfg.lr, weight_decay=opt_cfg.weight_decay)
     cid = partition.client_id
     try:
@@ -163,18 +158,18 @@ def local_train(global_params: ParamSet, forward, partition, dataset,
                 params = params.with_tensors(step(state, params.trainable_dict(), grads))
     except nk.NumericError as e:
         raise FederationError(f"client {cid}, round {round_index}: {e}") from e
-    return ClientUpdate(cid, partition.size, params)
+    return ClientUpdate(cid, partition.size, params.trainable_subset())
 
 
 def run_federation(dataset, partitions, model_family: str, model_cfg,
-                   fed_cfg: FedConfig, workers: int = 1, initial_params=None):
+                   fed_cfg: FedConfig, initial_params=None):
     """Full protocol: returns (list of RoundLog, final ParamSet)."""
     global_params, forward = build_model(model_family, model_cfg,
                                          dataset.vocabulary.size, dataset.max_seq_len,
                                          fed_cfg.seed)
     if initial_params is not None:
         initial_params.check_congruent(global_params)
-        global_params = initial_params.copy()
+        global_params = initial_params
 
     logs = []
     for t in range(1, fed_cfg.rounds + 1):
@@ -188,22 +183,16 @@ def run_federation(dataset, partitions, model_family: str, model_cfg,
         if not active:
             raise FederationError(f"round {t}: no participating clients")
 
-        def train_one(p, _t=t):
-            return local_train(global_params, forward, p, dataset, fed_cfg.optimizer,
-                               fed_cfg.local_epochs, fed_cfg.batch_size, fed_cfg.seed, _t)
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                updates = list(pool.map(train_one, active))
-        else:
-            updates = [train_one(p) for p in active]
+        updates = [local_train(global_params, forward, p, dataset, fed_cfg.optimizer,
+                               fed_cfg.local_epochs, fed_cfg.batch_size, fed_cfg.seed, t)
+                   for p in active]
         updates.sort(key=lambda u: u.client_id)
-
         weights = make_weights(updates, fed_cfg.aggregator, fed_cfg.beta)
         try:
-            global_params = aggregate(updates, weights)
+            averaged = aggregate(updates, weights)
         except (FederationError, StructuralError) as e:
             raise FederationError(f"round {t}: {e}") from e
+        global_params = global_params.with_tensors(averaged.trainable_dict())
 
         evals = evaluate_clients(global_params, forward, active, dataset.test,
                                  dataset.max_seq_len)

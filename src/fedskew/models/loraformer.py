@@ -190,7 +190,7 @@ def pretrain_backbone(params: ParamSet, cfg: LoraFormerConfig, proxy_dataset, st
             if (d.label, d.tokens) in target_docs:
                 raise DisjointnessError("proxy corpus shares documents with the target dataset")
     if steps == 0:
-        return params.copy()
+        return params
 
     forward = make_forward(cfg)
     # backbone trainable for the proxy phase; adapters dropped (their delta is

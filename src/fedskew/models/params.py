@@ -50,21 +50,18 @@ class ParamSet:
     def names(self) -> list:
         return [g.name for g in self.groups]
 
-    def as_dict(self) -> dict:
-        return {g.name: g.tensor for g in self.groups}
-
     def trainable_dict(self) -> dict:
         return {g.name: g.tensor for g in self.groups if g.trainable}
+
+    def trainable_subset(self) -> "ParamSet":
+        """The trainable groups alone, in order: what a client sends the server."""
+        return ParamSet([g for g in self.groups if g.trainable], self.model_kind)
 
     def with_tensors(self, tensors: dict) -> "ParamSet":
         """New ParamSet with some tensors replaced; flags and order unchanged."""
         new = [replace(g, tensor=tensors[g.name]) if g.name in tensors else g
                for g in self.groups]
         return ParamSet(new, self.model_kind)
-
-    def copy(self) -> "ParamSet":
-        return ParamSet([replace(g, tensor=g.tensor.copy()) for g in self.groups],
-                        self.model_kind)
 
     def check_congruent(self, other: "ParamSet"):
         if self.model_kind != other.model_kind or len(self) != len(other):

@@ -31,17 +31,8 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
-
-    def __eq__(self, other):
-        return isinstance(other, Tensor) and np.array_equal(self.data, other.data)
-
-    def __hash__(self):
-        return hash((self.shape, self.data.tobytes()))
 
 
 def as_array(x) -> np.ndarray:

@@ -41,6 +41,10 @@ def test_unknown_key_rejected_with_path(tmp_path):
     cfg2["dataset"]["synthetic"]["vocab"] = 10
     with pytest.raises(cli.ConfigError, match="dataset.synthetic"):
         cli.parse_config(write_config(tmp_path, cfg2))
+    cfg3 = base_config()
+    cfg3["federation"]["client_workers"] = 2
+    with pytest.raises(cli.ConfigError, match="federation.*client_workers"):
+        cli.parse_config(write_config(tmp_path, cfg3))
 
 
 def test_missing_required_and_bad_values(tmp_path):
@@ -56,6 +60,11 @@ def test_missing_required_and_bad_values(tmp_path):
     cfg3["federation"]["aggregators"] = ["fedmedian"]
     with pytest.raises(cli.ConfigError, match="fedmedian"):
         cli.parse_config(write_config(tmp_path, cfg3))
+    for key, value in (("num_clients", 0), ("alpha", ["x"])):
+        cfg4 = base_config()
+        cfg4["partition"][key] = value
+        with pytest.raises(cli.ConfigError, match="partition"):
+            cli.parse_config(write_config(tmp_path, cfg4))
 
 
 def test_not_json_and_missing_file(tmp_path):
@@ -236,6 +245,8 @@ def test_cli_seed_and_rounds_flags(tmp_path):
     data = json.loads(summaries[0].read_text())
     assert data["config"]["seed"] == 99
     assert data["config"]["rounds"] == 1
+    manifest = json.loads((summaries[0].parent / "partition.json").read_text())
+    assert manifest["seed"] == 99
 
 
 def test_env_var_out_dir(tmp_path, monkeypatch):

@@ -190,19 +190,18 @@ def test_pretrain_improves_probe_and_keeps_flags():
 
     def probe_accuracy(pset):
         # linear probe: train only the head on proxy train, eval on proxy test
-        work = pset.copy()
         st = OptimizerState("adamw", lr=0.05)
         for epoch in range(5):
             for batch in td.make_batches(proxy.train, 16, epoch, proxy.max_seq_len):
-                loss = nk.softmax_cross_entropy(forward(work, batch.token_ids), batch.labels)
+                loss = nk.softmax_cross_entropy(forward(pset, batch.token_ids), batch.labels)
                 grads = nk.backward(loss)
                 head_grads = {n: g for n, g in grads.items() if n.startswith("head.")}
-                head_params = {n: t for n, t in work.trainable_dict().items()
+                head_params = {n: t for n, t in pset.trainable_dict().items()
                                if n.startswith("head.")}
-                work = work.with_tensors(adamw_step(st, head_params, head_grads))
+                pset = pset.with_tensors(adamw_step(st, head_params, head_grads))
         correct = 0
         for batch in td.make_batches(proxy.test, 32, 0, proxy.max_seq_len):
-            preds = forward(work, batch.token_ids).value.argmax(axis=1)
+            preds = forward(pset, batch.token_ids).value.argmax(axis=1)
             correct += int((preds == batch.labels).sum())
         return correct / len(proxy.test)
 
