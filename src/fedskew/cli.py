@@ -15,7 +15,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,8 @@ import numpy as np
 from . import metrics as mt
 from . import textdata as td
 from .federation import FedConfig, OptimizerCfg, run_federation
-from .models import LoraFormerConfig, TextCnnConfig, build_loraformer, pretrain_backbone
+from .models import (LoraFormerConfig, TextCnnConfig, build_loraformer, check_fits,
+                     pretrain_backbone)
 from .partition import PartitionConfig, dirichlet_partition, save_manifest, skew_report
 
 
@@ -66,8 +66,17 @@ def _check_keys(d: dict, allowed: set, where: str):
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _section(parent: dict, key: str, where: str) -> dict:
+    """`parent[key]`, which must be a JSON object when present; {} when absent."""
+    value = parent.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: must be a JSON object")
+    return value
+
+
 class ExperimentConfig:
-    """Fully resolved sweep description; every default is materialized here."""
+    """Fully resolved sweep description; every default is materialized here, and
+    every model, partition and federation setting is checked before any work starts."""
 
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
@@ -82,6 +91,7 @@ class ExperimentConfig:
             raise ConfigError("dataset: provide exactly one of 'synthetic' or 'csv'")
         _check_keys(dataset, _DATASET_KEYS, "dataset")
         self.dataset_cfg = dataset
+        num_classes, max_seq_len = self._validate_dataset()
 
         self.models = raw.get("models", ["textcnn"])
         if not isinstance(self.models, list):
@@ -93,11 +103,17 @@ class ExperimentConfig:
                 raise ConfigError(f"models: unknown family {m!r}")
         self.model_overrides = {}
         for fam, keys in (("textcnn", _TEXTCNN_KEYS), ("loraformer", _LORAFORMER_KEYS)):
-            ov = raw.get(fam, {})
+            ov = _section(raw, fam, fam)
             _check_keys(ov, keys, fam)
             self.model_overrides[fam] = ov
+        self.model_cfgs = {}  # family -> TextCnnConfig | LoraFormerConfig
+        for fam in self.models:
+            try:
+                self.model_cfgs[fam] = self._model_cfg(fam, num_classes, max_seq_len)
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"{fam}: {e}") from e
 
-        part = dict(raw.get("partition", {}))
+        part = _section(raw, "partition", "partition")
         _check_keys(part, _PARTITION_KEYS, "partition")
         alphas = part.get("alpha", [1.0])
         if not isinstance(alphas, list):
@@ -117,24 +133,44 @@ class ExperimentConfig:
         except (TypeError, ValueError) as e:
             raise ConfigError(f"partition: {e}") from e
 
-        fedr = dict(raw.get("federation", {}))
+        self._parse_federation(_section(raw, "federation", "federation"))
+
+        met = _section(raw, "metrics", "metrics")
+        _check_keys(met, _METRIC_KEYS, "metrics")
+        try:
+            self.convergence_window = int(met.get("convergence_window", 5))
+            self.convergence_tolerance = float(met.get("convergence_tolerance", 0.003))
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"metrics: {e}") from e
+
+        pre = _section(raw, "pretrain", "pretrain")
+        _check_keys(pre, _PRETRAIN_KEYS, "pretrain")
+        self.pretrain = pre
+
+    def _parse_federation(self, fedr: dict):
+        """Sets the optimizer and aggregator settings, and `fed_cfgs`: (model, alpha,
+        aggregator, beta) -> FedConfig for every sweep cell, in plan order."""
         _check_keys(fedr, _FED_KEYS, "federation")
-        self.rounds = int(fedr.get("rounds", 50))
-        self.rounds_by_alpha = {float(k): int(v)
-                                for k, v in fedr.get("rounds_by_alpha", {}).items()}
-        self.batch_size = int(fedr.get("batch_size", 32))
-        self.participation = float(fedr.get("participation", 1.0))
-        epochs = fedr.get("local_epochs", PAPER_EPOCHS)
-        self.local_epochs = ({m: int(epochs) for m in ("textcnn", "loraformer")}
-                             if isinstance(epochs, int) else
-                             {**PAPER_EPOCHS, **{k: int(v) for k, v in epochs.items()}})
-        opt = fedr.get("optimizer", PAPER_OPTIMIZERS)
+        by_alpha = _section(fedr, "rounds_by_alpha", "federation.rounds_by_alpha")
+        epochs = fedr.get("local_epochs")
+        epochs = ({m: epochs for m in PAPER_EPOCHS} if isinstance(epochs, int) else
+                  {**PAPER_EPOCHS, **_section(fedr, "local_epochs", "federation.local_epochs")})
+        try:
+            rounds = int(fedr.get("rounds", 50))
+            rounds_by_alpha = {float(k): int(v) for k, v in by_alpha.items()}
+            self.batch_size = int(fedr.get("batch_size", 32))  # pretraining uses it too
+            participation = float(fedr.get("participation", 1.0))
+            local_epochs = {m: int(n) for m, n in epochs.items()}
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"federation: {e}") from e
+        opt = _section(fedr, "optimizer", "federation.optimizer")
         if "kind" in opt:
             opt = {m: opt for m in ("textcnn", "loraformer")}
         self.optimizers = {}
         for fam in ("textcnn", "loraformer"):
-            o = {**PAPER_OPTIMIZERS[fam], **opt.get(fam, {})}
-            _check_keys(o, _OPT_KEYS, f"federation.optimizer.{fam}")
+            where = f"federation.optimizer.{fam}"
+            o = {**PAPER_OPTIMIZERS[fam], **_section(opt, fam, where)}
+            _check_keys(o, _OPT_KEYS, where)
             self.optimizers[fam] = o
 
         aggs = fedr.get("aggregators", ["fedavg"])
@@ -142,16 +178,23 @@ class ExperimentConfig:
             raise ConfigError("federation.aggregators: list must be nonempty")
         self.aggregators = [self._parse_aggregator(a) for a in aggs]
 
-        met = dict(raw.get("metrics", {}))
-        _check_keys(met, _METRIC_KEYS, "metrics")
-        self.convergence_window = int(met.get("convergence_window", 5))
-        self.convergence_tolerance = float(met.get("convergence_tolerance", 0.003))
-
-        pre = dict(raw.get("pretrain", {}))
-        _check_keys(pre, _PRETRAIN_KEYS, "pretrain")
-        self.pretrain = pre
-
-        self._validate_dataset()
+        self.fed_cfgs = {}
+        for fam in self.models:
+            o = self.optimizers[fam]
+            try:
+                opt_cfg = OptimizerCfg(o["kind"], o["lr"], o["weight_decay"])
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"federation.optimizer.{fam}: {e}") from e
+            for alpha in self.alphas:
+                for agg, beta in self.aggregators:
+                    try:
+                        self.fed_cfgs[fam, alpha, agg, beta] = FedConfig(
+                            rounds=rounds_by_alpha.get(alpha, rounds),
+                            local_epochs=local_epochs[fam], batch_size=self.batch_size,
+                            optimizer=opt_cfg, aggregator=agg, beta=beta,
+                            participation=participation, seed=self.seed)
+                    except (TypeError, ValueError) as e:
+                        raise ConfigError(f"federation: {e}") from e
 
     @staticmethod
     def _parse_aggregator(a):
@@ -159,26 +202,38 @@ class ExperimentConfig:
         if a == "fedavg":
             return ("fedavg", 0.0)
         if isinstance(a, str) and a.startswith("fedavgw:"):
-            beta = float(a.split(":", 1)[1])
-            if beta < 0:
-                raise ConfigError(f"aggregator {a!r}: beta must be >= 0")
-            return ("fedavgw", beta)
+            try:
+                return ("fedavgw", float(a.split(":", 1)[1]))
+            except ValueError:
+                pass
         raise ConfigError(f"unknown aggregator {a!r} (use 'fedavg' or 'fedavgw:<beta>')")
 
     def _validate_dataset(self):
+        """Check the dataset block; returns the (num_classes, max_seq_len) it will build."""
         if "synthetic" in self.dataset_cfg:
-            s = self.dataset_cfg["synthetic"]
+            s = _section(self.dataset_cfg, "synthetic", "dataset.synthetic")
             _check_keys(s, _SYNTH_KEYS, "dataset.synthetic")
             required = _SYNTH_KEYS - {"seed", "max_seq_len"}
             missing = required - set(s)
             if missing:
                 raise ConfigError(f"dataset.synthetic: missing keys {sorted(missing)}")
-        else:
-            c = self.dataset_cfg["csv"]
-            _check_keys(c, _CSV_KEYS, "dataset.csv")
-            missing = {"train_path", "label_column", "text_columns", "num_classes"} - set(c)
-            if missing:
-                raise ConfigError(f"dataset.csv: missing keys {sorted(missing)}")
+            return s["num_classes"], s.get("max_seq_len") or s["doc_length"]
+        c = _section(self.dataset_cfg, "csv", "dataset.csv")
+        _check_keys(c, _CSV_KEYS, "dataset.csv")
+        missing = {"train_path", "label_column", "text_columns", "num_classes"} - set(c)
+        if missing:
+            raise ConfigError(f"dataset.csv: missing keys {sorted(missing)}")
+        return c["num_classes"], c.get("max_seq_len", 64)
+
+    def _model_cfg(self, family: str, num_classes, max_seq_len):
+        ov = dict(self.model_overrides[family])
+        if family == "loraformer":
+            return LoraFormerConfig(num_classes=num_classes, **ov)
+        if "filter_widths" in ov:
+            ov["filter_widths"] = tuple(ov["filter_widths"])
+        model_cfg = TextCnnConfig(num_classes=num_classes, **ov)
+        check_fits(model_cfg, max_seq_len)
+        return model_cfg
 
     def load_dataset(self) -> td.Dataset:
         if "synthetic" in self.dataset_cfg:
@@ -198,15 +253,6 @@ class ExperimentConfig:
             max_vocab_size=c.get("max_vocab_size", 30000),
             max_seq_len=c.get("max_seq_len", 64))
         return td.load_csv(c["train_path"], schema, test_path=c.get("test_path"))
-
-    def model_cfg(self, family: str, num_classes: int):
-        if family == "textcnn":
-            ov = dict(self.model_overrides["textcnn"])
-            if "filter_widths" in ov:
-                ov["filter_widths"] = tuple(ov["filter_widths"])
-            return TextCnnConfig(num_classes=num_classes, **ov)
-        ov = dict(self.model_overrides["loraformer"])
-        return LoraFormerConfig(num_classes=num_classes, **ov)
 
 
 def read_config(path):
@@ -231,29 +277,26 @@ def parse_config(path) -> ExperimentConfig:
 def plan_runs(cfg: ExperimentConfig) -> list:
     """Cross product models x alphas x aggregators, each with a stable run id."""
     runs = []
-    for model in cfg.models:
-        for alpha in cfg.alphas:
-            for agg, beta in cfg.aggregators:
-                resolved = {
-                    "seed": cfg.seed,
-                    "dataset": cfg.dataset_cfg,
-                    "model": model,
-                    "model_overrides": cfg.model_overrides[model],
-                    "alpha": alpha,
-                    "num_clients": cfg.num_clients,
-                    "min_samples_per_client": cfg.min_samples_per_client,
-                    "aggregator": agg,
-                    "beta": beta,
-                    "rounds": cfg.rounds_by_alpha.get(alpha, cfg.rounds),
-                    "local_epochs": cfg.local_epochs[model],
-                    "batch_size": cfg.batch_size,
-                    "optimizer": cfg.optimizers[model],
-                    "participation": cfg.participation,
-                    "pretrain": cfg.pretrain if model == "loraformer" else {},
-                }
-                digest = hashlib.sha256(
-                    json.dumps(resolved, sort_keys=True).encode()).hexdigest()[:12]
-                runs.append({"run_id": digest, **resolved})
+    for (model, alpha, agg, beta), fed in cfg.fed_cfgs.items():
+        resolved = {
+            "seed": cfg.seed,
+            "dataset": cfg.dataset_cfg,
+            "model": model,
+            "model_overrides": cfg.model_overrides[model],
+            "alpha": alpha,
+            "num_clients": cfg.num_clients,
+            "min_samples_per_client": cfg.min_samples_per_client,
+            "aggregator": agg,
+            "beta": beta,
+            "rounds": fed.rounds,
+            "local_epochs": fed.local_epochs,
+            "batch_size": fed.batch_size,
+            "optimizer": cfg.optimizers[model],
+            "participation": fed.participation,
+            "pretrain": cfg.pretrain if model == "loraformer" else {},
+        }
+        digest = hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()[:12]
+        runs.append({"run_id": digest, **resolved})
     return runs
 
 
@@ -264,7 +307,7 @@ def pretrained_initial(cfg: ExperimentConfig, dataset):
     They depend only on sweep-level inputs (the pretrain settings, the dataset,
     the seed and the loraformer config), so a sweep computes them once.
     """
-    model_cfg = cfg.model_cfg("loraformer", dataset.num_classes)
+    model_cfg = cfg.model_cfgs["loraformer"]
     if model_cfg.backbone_mode != "pretrained-frozen":
         return None
     pre = cfg.pretrain
@@ -294,18 +337,12 @@ def execute_run(cfg: ExperimentConfig, run: dict, dataset, partitions, out_root:
     summary = {"run_id": run["run_id"], "config": run, "status": "ok"}
     try:
         save_manifest(partitions, cfg.partition_cfgs[run["alpha"]], run_dir / "partition.json")
-        model_cfg = cfg.model_cfg(run["model"], dataset.num_classes)
-        opt = run["optimizer"]
-        fed_cfg = FedConfig(
-            rounds=run["rounds"], local_epochs=run["local_epochs"],
-            batch_size=run["batch_size"],
-            optimizer=OptimizerCfg(opt["kind"], opt["lr"], opt.get("weight_decay", 0.0)),
-            aggregator=run["aggregator"], beta=run["beta"],
-            participation=run["participation"], seed=run["seed"])
         if isinstance(initial, Exception):
             raise RuntimeError(f"backbone pretraining failed: "
                                f"{type(initial).__name__}: {initial}") from initial
-        logs, final = run_federation(dataset, partitions, run["model"], model_cfg, fed_cfg,
+        fed_cfg = cfg.fed_cfgs[run["model"], run["alpha"], run["aggregator"], run["beta"]]
+        logs, final = run_federation(dataset, partitions, run["model"],
+                                     cfg.model_cfgs[run["model"]], fed_cfg,
                                      initial_params=initial)
         mt.write_rounds_csv(logs, run_dir / "rounds.csv")
         if cfg.save_checkpoints:
@@ -326,39 +363,91 @@ def execute_run(cfg: ExperimentConfig, run: dict, dataset, partitions, out_root:
         summary["error"] = f"{type(e).__name__}: {e}"
         summary["traceback"] = traceback.format_exc()
     summary["wall_time_s"] = time.perf_counter() - start
-    (run_dir / "summary.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
+    _write_summary(summary, out_root)
     return summary
 
 
+def _write_summary(summary: dict, out_root: Path):
+    run_dir = out_root / summary["run_id"]
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "summary.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
+
+
 def run_experiments(cfg: ExperimentConfig, jobs: int = 1) -> list:
+    """Run every sweep cell, `jobs` at a time, and write the report.  With jobs > 1
+    the cells run in forked worker processes (`_run_forked`)."""
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     dataset = cfg.load_dataset()
     partitions_by_alpha = {alpha: dirichlet_partition(dataset, pcfg)
                            for alpha, pcfg in cfg.partition_cfgs.items()}
     runs = plan_runs(cfg)
-
-    def pretrain():
-        try:
-            return pretrained_initial(cfg, dataset) if "loraformer" in cfg.models else None
-        except Exception as e:  # recorded by every loraformer run, like its own failures
-            return e
+    try:
+        initial = pretrained_initial(cfg, dataset) if "loraformer" in cfg.models else None
+    except Exception as e:  # recorded by every loraformer run, like its own failures
+        initial = e
 
     def one(run):
         return execute_run(cfg, run, dataset, partitions_by_alpha[run["alpha"]], out_root,
                            initial if run["model"] == "loraformer" else None)
 
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            # Pretrain on a worker: threads allocate from their own malloc arenas, and
-            # on the main thread the memory pretraining frees sat idle (5 MiB of peak
-            # RSS on the lora-pretrained-par benchmark workload).
-            initial = pool.submit(pretrain).result()
-            summaries = list(pool.map(one, runs))
+        summaries = _run_forked(one, runs, jobs, out_root)
     else:
-        initial = pretrain()
         summaries = [one(r) for r in runs]
     emit_report(summaries, out_root)
+    return summaries
+
+
+_worker_cell = None  # in a forked worker: run_experiments' `one`, set by _init_worker
+
+
+def _init_worker(one):
+    global _worker_cell
+    _worker_cell = one
+
+
+def _run_worker_cell(run: dict) -> dict:
+    return _worker_cell(run)
+
+
+def _run_forked(one, runs: list, jobs: int, out_root: Path) -> list:
+    """`one(run)` for every run on a pool of up to `jobs` forked processes; the
+    summaries come back in plan order.
+
+    Fork hands `one` and everything it reads (config, dataset, partitions,
+    pretrained backbone) to the workers without pickling; only run plans and
+    summaries cross the pipes.  No thread runs in this process when the pool forks
+    all of its workers, before it starts its own manager thread.  A cell that
+    raised in the pool, not in `execute_run`, lost its worker: its error summary is
+    written here, after every worker has exited.
+    """
+    import multiprocessing
+    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    futures = []
+    with ProcessPoolExecutor(max_workers=min(jobs, len(runs)),
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker, initargs=(one,)) as pool:
+        for run in runs:
+            try:
+                futures.append(pool.submit(_run_worker_cell, run))
+            except BrokenProcessPool as e:  # a worker died before this cell was queued
+                futures.append(Future())
+                futures[-1].set_exception(e)
+    summaries = []
+    for run, future in zip(runs, futures):
+        exc = future.exception()
+        if exc is None:
+            summaries.append(future.result())
+            continue
+        summary = {"run_id": run["run_id"], "config": run, "status": "error",
+                   "error": (f"worker process died: {exc}" if isinstance(exc, BrokenProcessPool)
+                             else f"{type(exc).__name__}: {exc}"),
+                   "traceback": "".join(traceback.format_exception(exc))}
+        _write_summary(summary, out_root)
+        summaries.append(summary)
     return summaries
 
 
@@ -562,13 +651,17 @@ def main(argv=None) -> int:
         return 0
 
     try:
+        if args.verb == "run" and args.jobs < 1:
+            raise ConfigError("--jobs must be >= 1")
         raw = read_config(args.config)
-        if args.verb == "run" and args.seed is not None and isinstance(raw, dict):
-            raw["seed"] = args.seed
+        if args.verb == "run" and isinstance(raw, dict):  # flags override the file
+            if args.seed is not None:
+                raw["seed"] = args.seed
+            fed = raw.setdefault("federation", {})
+            if args.rounds is not None and isinstance(fed, dict):
+                fed["rounds"] = args.rounds
+                fed.pop("rounds_by_alpha", None)
         cfg = ExperimentConfig(raw)
-        if args.verb == "run" and args.rounds is not None:
-            cfg.rounds = args.rounds
-            cfg.rounds_by_alpha = {}
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

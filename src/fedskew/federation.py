@@ -38,6 +38,9 @@ class OptimizerCfg:
     lr: float
     weight_decay: float = 0.0
 
+    def __post_init__(self):
+        OptimizerState(self.kind, self.lr, self.weight_decay)  # raises ContractError if invalid
+
 
 @dataclass(frozen=True)
 class FedConfig:
@@ -51,8 +54,8 @@ class FedConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.rounds < 1 or self.local_epochs < 1:
-            raise ValueError("rounds and local_epochs must be >= 1")
+        if min(self.rounds, self.local_epochs, self.batch_size) < 1:
+            raise ValueError("rounds, local_epochs and batch_size must be >= 1")
         if not 0 < self.participation <= 1:
             raise ValueError("participation must be in (0, 1]")
         if self.aggregator not in ("fedavg", "fedavgw"):

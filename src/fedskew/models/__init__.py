@@ -6,7 +6,7 @@ from .loraformer import (
     pretrain_backbone,
 )
 from .params import ParamGroup, ParamSet, StructuralError, load_checkpoint, save_checkpoint
-from .textcnn import TextCnnConfig, build_textcnn
+from .textcnn import TextCnnConfig, build_textcnn, check_fits
 
 
 def build_model(family: str, cfg, vocab_size: int, max_seq_len: int, seed: int):

@@ -18,10 +18,15 @@ class TextCnnConfig:
     dropout: float = 0.5
 
 
-def build_textcnn(cfg: TextCnnConfig, vocab_size: int, max_seq_len: int, seed: int):
-    """Returns (ParamSet, forward).  forward(params, token_ids, train, rng) -> logits node."""
+def check_fits(cfg: TextCnnConfig, max_seq_len: int):
+    """Every filter must fit in a padded document."""
     if max(cfg.filter_widths) > max_seq_len:
         raise ValueError(f"filter width {max(cfg.filter_widths)} exceeds sequence length {max_seq_len}")
+
+
+def build_textcnn(cfg: TextCnnConfig, vocab_size: int, max_seq_len: int, seed: int):
+    """Returns (ParamSet, forward).  forward(params, token_ids, train, rng) -> logits node."""
+    check_fits(cfg, max_seq_len)
     if vocab_size < 2:
         raise ValueError("vocabulary must include PAD and UNK")
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -65,6 +66,22 @@ def test_missing_required_and_bad_values(tmp_path):
         cfg4["partition"][key] = value
         with pytest.raises(cli.ConfigError, match="partition"):
             cli.parse_config(write_config(tmp_path, cfg4))
+    for section, value in (("federation", 5), ("partition", [1]), ("textcnn", 5)):
+        cfg5 = base_config(**{section: value})
+        with pytest.raises(cli.ConfigError, match=f"^{section}: must be a JSON object$"):
+            cli.parse_config(write_config(tmp_path, cfg5))
+    for edit, where in (
+            (lambda c: c["federation"].update(rounds=0), "federation: rounds"),
+            (lambda c: c["federation"].update(batch_size=0), "federation: rounds"),
+            (lambda c: c["federation"].update(participation=2), "federation: participation"),
+            (lambda c: c["federation"]["optimizer"]["textcnn"].update(kind="adam"),
+             "federation.optimizer.textcnn: unknown optimizer kind 'adam'"),
+            (lambda c: c["textcnn"].update(filter_widths=[2, 7]),
+             "textcnn: filter width 7 exceeds sequence length 6")):
+        cfg6 = base_config()
+        edit(cfg6)
+        with pytest.raises(cli.ConfigError, match=f"^{where}"):
+            cli.parse_config(write_config(tmp_path, cfg6))
 
 
 def test_not_json_and_missing_file(tmp_path):
@@ -160,6 +177,72 @@ def test_parallel_jobs_byte_identical(tmp_path):
         ba = (tmp_path / "seq" / a["run_id"] / "rounds.csv").read_bytes()
         bb = (tmp_path / "par" / a["run_id"] / "rounds.csv").read_bytes()
         assert ba == bb
+
+
+def test_jobs_must_be_positive(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(out_dir=str(tmp_path / "out")))
+    for jobs in ("0", "-1"):
+        assert cli.main(["run", str(path), "--jobs", jobs]) == 1
+        assert "config error: --jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_jobs_capped_at_cell_count(tmp_path, monkeypatch):
+    import concurrent.futures
+    real = concurrent.futures.ProcessPoolExecutor
+    requested = []
+
+    def recording(max_workers, **kwargs):
+        requested.append(max_workers)
+        return real(max_workers=min(max_workers, 2), **kwargs)  # never a large pool
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    cfg = base_config(out_dir=str(tmp_path / "out"))
+    cfg["partition"]["alpha"] = [0.3, 2.0]
+    assert cli.main(["run", str(write_config(tmp_path, cfg)), "--jobs", "8"]) == 0
+    assert requested == [2]
+
+
+def test_pretrained_sweep_jobs_byte_identical(tmp_path):
+    _, s_seq = run_sweep(tmp_path, pretrained_sweep_config(tmp_path / "seq"), "c1.json", jobs=1)
+    _, s_par = run_sweep(tmp_path, pretrained_sweep_config(tmp_path / "par"), "c2.json", jobs=2)
+    assert [s["run_id"] for s in s_seq] == [s["run_id"] for s in s_par]
+    assert all(s["status"] == "ok" for s in s_seq + s_par)
+    for s in s_seq:
+        for name in ("rounds.csv", "partition.json"):
+            assert ((tmp_path / "seq" / s["run_id"] / name).read_bytes()
+                    == (tmp_path / "par" / s["run_id"] / name).read_bytes())
+    for name in ("report.md", "gap_vs_alpha.csv"):
+        assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
+
+
+def alpha_sizes(parsed, alpha):
+    """Client sizes of the partition at `alpha`, to recognise that cell's run."""
+    from fedskew.partition import dirichlet_partition
+    return [p.size for p in dirichlet_partition(parsed.load_dataset(),
+                                                parsed.partition_cfgs[alpha])]
+
+
+def test_worker_death_fails_its_cell(tmp_path, monkeypatch):
+    cfg = base_config(out_dir=str(tmp_path / "out"))
+    cfg["partition"]["alpha"] = [0.3, 2.0]
+    parsed = cli.parse_config(write_config(tmp_path, cfg))
+    target_sizes = alpha_sizes(parsed, 0.3)
+    real = cli.run_federation
+
+    def die(dataset, partitions, *args, **kwargs):
+        if [p.size for p in partitions] == target_sizes:
+            os._exit(1)  # the forked worker inherits this patch
+        return real(dataset, partitions, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_federation", die)
+    summaries = cli.run_experiments(parsed, jobs=2)
+    assert len(summaries) == 2
+    dead = next(s for s in summaries if s["config"]["alpha"] == 0.3)
+    assert dead["status"] == "error" and dead["error"].startswith("worker process died: ")
+    on_disk = json.loads((tmp_path / "out" / dead["run_id"] / "summary.json").read_text())
+    assert on_disk["status"] == "error" and on_disk["error"] == dead["error"]
+    assert f"`{dead['run_id']}`" in (tmp_path / "out" / "report.md").read_text()
 
 
 def test_crash_isolation(tmp_path, monkeypatch):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fedskew import numkit as nk
-from fedskew.numkit import vectors
 
 from gradcheck import finite_diff_check
+import vectors
 
 
 def test_softmax_cross_entropy_uniform_logits():

@@ -7,8 +7,8 @@ standard-normal draws from the named stream (op, seed).
 
 import numpy as np
 
-from . import autograd as ag
-from .rng import derive
+from fedskew.numkit import autograd as ag
+from fedskew.numkit.rng import derive
 
 
 def _inputs(op: str, shapes, seed: int):
