@@ -21,6 +21,7 @@ import numpy as np
 
 from . import metrics as mt
 from . import textdata as td
+from . import validate
 from .federation import FedConfig, OptimizerCfg, run_federation
 from .models import (LoraFormerConfig, TextCnnConfig, build_loraformer, check_fits,
                      pretrain_backbone)
@@ -48,6 +49,8 @@ _SYNTH_KEYS = {"num_classes", "vocab_size", "train_docs_per_class", "test_docs_p
                "doc_length", "topic_concentration", "seed", "max_seq_len"}
 _CSV_KEYS = {"train_path", "test_path", "label_column", "text_columns", "one_based_labels",
              "num_classes", "max_vocab_size", "max_seq_len"}
+_SYNTH_REQUIRED = _SYNTH_KEYS - {"seed", "max_seq_len"}
+_CSV_REQUIRED = {"train_path", "label_column", "text_columns", "num_classes"}
 _PARTITION_KEYS = {"num_clients", "alpha", "min_samples_per_client", "max_redraws"}
 _FED_KEYS = {"rounds", "rounds_by_alpha", "batch_size", "local_epochs", "optimizer",
              "aggregators", "participation"}
@@ -76,14 +79,19 @@ def _section(parent: dict, key: str, where: str) -> dict:
 
 class ExperimentConfig:
     """Fully resolved sweep description; every default is materialized here, and
-    every model, partition and federation setting is checked before any work starts."""
+    every setting is type- and range-checked before any work starts."""
 
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         _check_keys(raw, _TOP_KEYS, "config")
-        self.seed = int(raw.get("seed", 42))
+        try:
+            self.seed = validate.integer("seed", raw.get("seed", 42), minimum=None)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
         self.out_dir = raw.get("out_dir", os.environ.get("FEDSKEW_OUT", "out"))
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ConfigError(f"out_dir: must be a nonempty path, got {self.out_dir!r}")
         self.save_checkpoints = bool(raw.get("save_checkpoints", False))
 
         dataset = raw.get("dataset")
@@ -91,7 +99,7 @@ class ExperimentConfig:
             raise ConfigError("dataset: provide exactly one of 'synthetic' or 'csv'")
         _check_keys(dataset, _DATASET_KEYS, "dataset")
         self.dataset_cfg = dataset
-        num_classes, max_seq_len = self._validate_dataset()
+        self._parse_dataset()
 
         self.models = raw.get("models", ["textcnn"])
         if not isinstance(self.models, list):
@@ -109,7 +117,7 @@ class ExperimentConfig:
         self.model_cfgs = {}  # family -> TextCnnConfig | LoraFormerConfig
         for fam in self.models:
             try:
-                self.model_cfgs[fam] = self._model_cfg(fam, num_classes, max_seq_len)
+                self.model_cfgs[fam] = self._model_cfg(fam)
             except (TypeError, ValueError) as e:
                 raise ConfigError(f"{fam}: {e}") from e
 
@@ -142,9 +150,20 @@ class ExperimentConfig:
             self.convergence_tolerance = float(met.get("convergence_tolerance", 0.003))
         except (TypeError, ValueError) as e:
             raise ConfigError(f"metrics: {e}") from e
+        if self.convergence_window < 1 or not self.convergence_tolerance >= 0:
+            raise ConfigError("metrics: convergence_window must be >= 1 and "
+                              "convergence_tolerance >= 0")
 
         pre = _section(raw, "pretrain", "pretrain")
         _check_keys(pre, _PRETRAIN_KEYS, "pretrain")
+        try:  # the defaults, some drawn from the dataset, are valid by construction
+            for key, value in pre.items():
+                if key in ("lr", "topic_concentration"):
+                    validate.positive(key, value)
+                else:
+                    validate.integer(key, value, {"steps": 0, "seed": None}.get(key, 1))
+        except ValueError as e:
+            raise ConfigError(f"pretrain: {e}") from e
         self.pretrain = pre
 
     def _parse_federation(self, fedr: dict):
@@ -174,6 +193,8 @@ class ExperimentConfig:
             self.optimizers[fam] = o
 
         aggs = fedr.get("aggregators", ["fedavg"])
+        if not isinstance(aggs, list):
+            raise ConfigError(f"federation.aggregators: must be a list of aggregators, got {aggs!r}")
         if not aggs:
             raise ConfigError("federation.aggregators: list must be nonempty")
         self.aggregators = [self._parse_aggregator(a) for a in aggs]
@@ -208,51 +229,52 @@ class ExperimentConfig:
                 pass
         raise ConfigError(f"unknown aggregator {a!r} (use 'fedavg' or 'fedavgw:<beta>')")
 
-    def _validate_dataset(self):
-        """Check the dataset block; returns the (num_classes, max_seq_len) it will build."""
-        if "synthetic" in self.dataset_cfg:
-            s = _section(self.dataset_cfg, "synthetic", "dataset.synthetic")
-            _check_keys(s, _SYNTH_KEYS, "dataset.synthetic")
-            required = _SYNTH_KEYS - {"seed", "max_seq_len"}
-            missing = required - set(s)
-            if missing:
-                raise ConfigError(f"dataset.synthetic: missing keys {sorted(missing)}")
-            return s["num_classes"], s.get("max_seq_len") or s["doc_length"]
-        c = _section(self.dataset_cfg, "csv", "dataset.csv")
-        _check_keys(c, _CSV_KEYS, "dataset.csv")
-        missing = {"train_path", "label_column", "text_columns", "num_classes"} - set(c)
+    def _parse_dataset(self):
+        """Builds `dataset_spec` (a SyntheticSpec or CsvSchema) and the `max_seq_len`
+        of the documents it gives, for `load_dataset`."""
+        kind = "synthetic" if "synthetic" in self.dataset_cfg else "csv"
+        where = f"dataset.{kind}"
+        d = _section(self.dataset_cfg, kind, where)
+        _check_keys(d, _SYNTH_KEYS if kind == "synthetic" else _CSV_KEYS, where)
+        required = _SYNTH_REQUIRED if kind == "synthetic" else _CSV_REQUIRED
+        missing = required - set(d)
         if missing:
-            raise ConfigError(f"dataset.csv: missing keys {sorted(missing)}")
-        return c["num_classes"], c.get("max_seq_len", 64)
+            raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+        try:
+            if kind == "synthetic":
+                self.dataset_spec = td.SyntheticSpec(**{k: d[k] for k in required},
+                                                     seed=d.get("seed", self.seed))
+                self.max_seq_len = validate.integer("max_seq_len",
+                                                    d.get("max_seq_len", d["doc_length"]))
+                return
+            for key in ("train_path", "test_path"):
+                if not isinstance(d.get(key, ""), str):
+                    raise ValueError(f"{key}: must be a path, got {d[key]!r}")
+            self.dataset_spec = td.CsvSchema(
+                label_column=d["label_column"], text_columns=tuple(d["text_columns"]),
+                one_based_labels=d.get("one_based_labels", True), num_classes=d["num_classes"],
+                max_vocab_size=d.get("max_vocab_size", 30000),
+                max_seq_len=d.get("max_seq_len", 64))
+            self.max_seq_len = self.dataset_spec.max_seq_len
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{where}: {e}") from e
 
-    def _model_cfg(self, family: str, num_classes, max_seq_len):
+    def _model_cfg(self, family: str):
         ov = dict(self.model_overrides[family])
+        num_classes = self.dataset_spec.num_classes
         if family == "loraformer":
             return LoraFormerConfig(num_classes=num_classes, **ov)
         if "filter_widths" in ov:
             ov["filter_widths"] = tuple(ov["filter_widths"])
         model_cfg = TextCnnConfig(num_classes=num_classes, **ov)
-        check_fits(model_cfg, max_seq_len)
+        check_fits(model_cfg, self.max_seq_len)
         return model_cfg
 
     def load_dataset(self) -> td.Dataset:
-        if "synthetic" in self.dataset_cfg:
-            s = self.dataset_cfg["synthetic"]
-            spec = td.SyntheticSpec(
-                num_classes=s["num_classes"], vocab_size=s["vocab_size"],
-                train_docs_per_class=s["train_docs_per_class"],
-                test_docs_per_class=s["test_docs_per_class"],
-                doc_length=s["doc_length"], topic_concentration=s["topic_concentration"],
-                seed=s.get("seed", self.seed))
-            return td.generate_synthetic(spec, max_seq_len=s.get("max_seq_len"))
+        if isinstance(self.dataset_spec, td.SyntheticSpec):
+            return td.generate_synthetic(self.dataset_spec, max_seq_len=self.max_seq_len)
         c = self.dataset_cfg["csv"]
-        schema = td.CsvSchema(
-            label_column=c["label_column"], text_columns=tuple(c["text_columns"]),
-            one_based_labels=c.get("one_based_labels", True),
-            num_classes=c["num_classes"],
-            max_vocab_size=c.get("max_vocab_size", 30000),
-            max_seq_len=c.get("max_seq_len", 64))
-        return td.load_csv(c["train_path"], schema, test_path=c.get("test_path"))
+        return td.load_csv(c["train_path"], self.dataset_spec, test_path=c.get("test_path"))
 
 
 def read_config(path):

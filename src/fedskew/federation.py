@@ -142,11 +142,10 @@ def local_train(global_params: ParamSet, forward, partition, dataset,
     """E epochs of minibatch training from the broadcast params.
 
     The update holds only the trainable groups.  Optimizer state is fresh each
-    round.  Empty clients return the global trainable groups with n_k = 0.
+    round.  An empty client has no batches: it returns the global trainable
+    groups with n_k = 0.
     """
-    if partition.size == 0:
-        return ClientUpdate(partition.client_id, 0, global_params.trainable_subset())
-    docs = [dataset.train[i] for i in partition.sample_indices]
+    docs = dataset.train.take(partition.sample_indices)
     params = global_params
     state = OptimizerState(opt_cfg.kind, lr=opt_cfg.lr, weight_decay=opt_cfg.weight_decay)
     cid = partition.client_id
@@ -154,7 +153,7 @@ def local_train(global_params: ParamSet, forward, partition, dataset,
         for epoch in range(local_epochs):
             shuffle_seed = nk.sub_seed(seed, "client", cid, "round", round_index, "epoch", epoch)
             rng = nk.derive(seed, "dropout", cid, round_index, epoch)
-            for batch in make_batches(docs, batch_size, shuffle_seed, dataset.max_seq_len):
+            for batch in make_batches(docs, batch_size, shuffle_seed):
                 logits = forward(params, batch.token_ids, train=True, rng=rng)
                 loss = nk.softmax_cross_entropy(logits, batch.labels)
                 grads = nk.backward(loss)
@@ -197,8 +196,7 @@ def run_federation(dataset, partitions, model_family: str, model_cfg,
             raise FederationError(f"round {t}: {e}") from e
         global_params = global_params.with_tensors(averaged.trainable_dict())
 
-        evals = evaluate_clients(global_params, forward, active, dataset.test,
-                                 dataset.max_seq_len)
+        evals = evaluate_clients(global_params, forward, active, dataset.test)
         logs.append(RoundLog(t, evals, fairness_summary(evals),
                              [p.size for p in active], time.perf_counter() - start))
     return logs, global_params

@@ -53,14 +53,12 @@ def _class_mask(labels: np.ndarray, present_classes) -> np.ndarray:
     return mask
 
 
-def restricted_test_set(test_docs, present_classes) -> list:
-    """Test documents whose label is among the client's training classes."""
-    mask = _class_mask(np.array([d.label for d in test_docs], dtype=np.int64), present_classes)
-    return [d for d, keep in zip(test_docs, mask) if keep]
+def restricted_test_set(test, present_classes):
+    """The rows of the test Split whose label is among the client's training classes."""
+    return test.take(_class_mask(test.labels, present_classes))
 
 
-def evaluate_clients(params, forward, partitions, test_docs, max_seq_len,
-                     batch_size: int = 64) -> list:
+def evaluate_clients(params, forward, partitions, test, batch_size: int = 64) -> list:
     """Eval-mode accuracy of one model for each client, on the test set
     restricted to that client's classes.
 
@@ -69,7 +67,7 @@ def evaluate_clients(params, forward, partitions, test_docs, max_seq_len,
     predictions under its label mask.  Argmax ties resolve to the lowest
     class index.
     """
-    batches = make_batches(test_docs, batch_size, 0, max_seq_len)
+    batches = make_batches(test, batch_size, 0)
     labels = np.concatenate([b.labels for b in batches]) if batches else np.empty(0, np.int64)
     masks = [_class_mask(labels, p.present_classes) for p in partitions]
     correct = np.concatenate(
@@ -79,11 +77,10 @@ def evaluate_clients(params, forward, partitions, test_docs, max_seq_len,
             for p, m in zip(partitions, masks)]
 
 
-def evaluate_client(params, forward, client_partition, test_docs, max_seq_len,
+def evaluate_client(params, forward, client_partition, test,
                     batch_size: int = 64) -> ClientEval:
     """`evaluate_clients` for a single client."""
-    return evaluate_clients(params, forward, [client_partition], test_docs, max_seq_len,
-                            batch_size)[0]
+    return evaluate_clients(params, forward, [client_partition], test, batch_size)[0]
 
 
 def fairness_summary(evals) -> FairnessSummary:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import numkit as nk
+from .. import validate
 from ..numkit.optim import OptimizerState, adamw_step
 from ..textdata import PAD_ID, make_batches
 from .params import ParamGroup, ParamSet, StructuralError
@@ -29,10 +30,12 @@ class LoraFormerConfig:
     backbone_mode: str = "random-frozen"  # or "pretrained-frozen"
 
     def __post_init__(self):
+        for name in ("num_classes", "layers", "d_model", "heads", "ffn_dim", "lora_rank"):
+            validate.integer(name, getattr(self, name))
+        validate.positive("lora_scaling", self.lora_scaling)
+        validate.fraction("lora_dropout", self.lora_dropout)
         if self.d_model % self.heads != 0:
             raise ValueError("d_model must be divisible by heads")
-        if self.lora_rank < 1:
-            raise ValueError("lora_rank must be >= 1")
         if self.backbone_mode not in ("random-frozen", "pretrained-frozen"):
             raise ValueError(f"unknown backbone mode {self.backbone_mode!r}")
 
@@ -179,16 +182,21 @@ class DisjointnessError(ValueError):
     """Proxy pretraining corpus overlaps the target dataset."""
 
 
+def _doc_keys(split) -> set:
+    """(label, unpadded token ids) of every row; PAD never occurs inside a document."""
+    return {(int(label), ids[ids != PAD_ID].tobytes())
+            for label, ids in zip(split.labels, split.token_ids)}
+
+
 def pretrain_backbone(params: ParamSet, cfg: LoraFormerConfig, proxy_dataset, steps: int,
                       seed: int, target_dataset=None, lr: float = 1e-3,
                       batch_size: int = 32) -> ParamSet:
     """Train the backbone centrally on a disjoint proxy corpus with a throwaway
     head, then freeze it again.  Adapters and the real head are untouched."""
     if target_dataset is not None:
-        target_docs = {(d.label, d.tokens) for d in target_dataset.train + target_dataset.test}
-        for d in proxy_dataset.train:
-            if (d.label, d.tokens) in target_docs:
-                raise DisjointnessError("proxy corpus shares documents with the target dataset")
+        target_docs = _doc_keys(target_dataset.train) | _doc_keys(target_dataset.test)
+        if not target_docs.isdisjoint(_doc_keys(proxy_dataset.train)):
+            raise DisjointnessError("proxy corpus shares documents with the target dataset")
     if steps == 0:
         return params
 
@@ -209,8 +217,7 @@ def pretrain_backbone(params: ParamSet, cfg: LoraFormerConfig, proxy_dataset, st
     epoch = 0
     while done < steps:
         batches = make_batches(proxy_dataset.train, batch_size,
-                               nk.sub_seed(seed, "pretrain-epoch", epoch),
-                               proxy_dataset.max_seq_len)
+                               nk.sub_seed(seed, "pretrain-epoch", epoch))
         for batch in batches:
             if done >= steps:
                 break

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import numkit as nk
+from .. import validate
 from ..textdata import PAD_ID
 from .params import ParamGroup, ParamSet
 
@@ -16,6 +17,16 @@ class TextCnnConfig:
     filter_widths: tuple = (2, 3, 4)
     filters_per_width: int = 32
     dropout: float = 0.5
+
+    def __post_init__(self):
+        for name in ("num_classes", "embed_dim", "filters_per_width"):
+            validate.integer(name, getattr(self, name))
+        if not self.filter_widths or len(set(self.filter_widths)) != len(self.filter_widths):
+            raise ValueError(f"filter_widths: must be a nonempty list of distinct widths, "
+                             f"got {self.filter_widths!r}")
+        for width in self.filter_widths:
+            validate.integer("filter_widths", width)
+        validate.fraction("dropout", self.dropout)
 
 
 def check_fits(cfg: TextCnnConfig, max_seq_len: int):

@@ -82,10 +82,6 @@ def add(a, b) -> GradNode:
     return _node("add", av + bv, (a, b), backward)
 
 
-def sub(a, b) -> GradNode:
-    return add(a, scale(b, -1.0))
-
-
 def mul(a, b) -> GradNode:
     """Elementwise product, identical shapes only."""
     a, b = _wrap(a), _wrap(b)

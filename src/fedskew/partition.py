@@ -34,6 +34,8 @@ class PartitionConfig:
             raise ValueError("num_clients must be >= 1")
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
+        if self.min_samples_per_client < 0 or self.max_redraws < 1:
+            raise ValueError("min_samples_per_client must be >= 0 and max_redraws >= 1")
 
 
 @dataclass
@@ -81,7 +83,7 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
 
 def dirichlet_partition(dataset, cfg: PartitionConfig) -> list:
     """Split dataset.train across cfg.num_clients clients by class-wise Dirichlet."""
-    labels = np.array([doc.label for doc in dataset.train])
+    labels = dataset.train.labels
     if labels.size == 0:
         raise PartitionError("empty training set")
     num_classes = dataset.num_classes
@@ -101,12 +103,10 @@ def dirichlet_partition(dataset, cfg: PartitionConfig) -> list:
             for k in range(cfg.num_clients):
                 assigned[k].extend(int(i) for i in class_idx[start : start + counts[k]])
                 start += counts[k]
-        partitions = []
-        for k in range(cfg.num_clients):
-            hist = [0] * num_classes
-            for i in assigned[k]:
-                hist[labels[i]] += 1
-            partitions.append(ClientPartition(k, sorted(assigned[k]), hist))
+        partitions = [
+            ClientPartition(k, sorted(idx),
+                            np.bincount(labels[idx], minlength=num_classes).tolist())
+            for k, idx in enumerate(assigned)]
         last_report = skew_report(partitions)
         if min(p.size for p in partitions) >= cfg.min_samples_per_client:
             return partitions

@@ -3,17 +3,22 @@
 Tokenization is deliberately simple (lowercase, punctuation stripped,
 whitespace split) so runs are reproducible from raw CSV alone.  The
 vocabulary is built from training text only.
+
+A split holds its documents as two arrays (`Split`): token ids truncated to
+`max_seq_len` and right-padded with PAD, and labels.  The loaders pad once;
+a batch is a row gather of a split.
 """
 
 import csv
 import json
 import re
-from collections import Counter, namedtuple
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import validate
 from .numkit.rng import derive
 
 PAD_ID = 0
@@ -28,13 +33,6 @@ class DataError(ValueError):
 
 def tokenize(text: str) -> list:
     return _TOKEN_RE.sub(" ", text.lower()).split()
-
-
-@dataclass(frozen=True)
-class Document:
-    label: int
-    tokens: tuple  # token ids, truncated to max_seq_len
-    raw_length: int
 
 
 @dataclass
@@ -60,19 +58,44 @@ class Vocabulary:
         return cls({t: i for i, t in enumerate(id_to_token)}, id_to_token)
 
 
+@dataclass(frozen=True)
+class Split:
+    """The N documents of a split as arrays: `token_ids` (N, max_seq_len) int64,
+    each row a document's ids right-padded with PAD (which never occurs inside a
+    document), and `labels` (N,) int64.  A batch is a Split too."""
+    token_ids: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def take(self, index) -> "Split":
+        """The rows at `index` (integer indices or a boolean mask), in that order."""
+        return Split(self.token_ids[index], self.labels[index])
+
+
+def _pad(labels, id_rows, max_seq_len: int) -> Split:
+    """A Split of documents given as label and id sequences, truncated to `max_seq_len`."""
+    token_ids = np.full((len(id_rows), max_seq_len), PAD_ID, dtype=np.int64)
+    for row, ids in zip(token_ids, id_rows):
+        ids = ids[:max_seq_len]
+        row[: len(ids)] = ids
+    return Split(token_ids, np.asarray(labels, dtype=np.int64))
+
+
 @dataclass
 class Dataset:
     name: str
     num_classes: int
-    train: list
-    test: list
+    train: Split
+    test: Split
     vocabulary: Vocabulary
     max_seq_len: int
 
     def __post_init__(self):
-        for doc in self.test:
-            if not 0 <= doc.label < self.num_classes:
-                raise DataError(f"test label {doc.label} outside [0, {self.num_classes})")
+        bad = self.test.labels[(self.test.labels < 0) | (self.test.labels >= self.num_classes)]
+        if bad.size:
+            raise DataError(f"test label {bad[0]} outside [0, {self.num_classes})")
 
 
 @dataclass(frozen=True)
@@ -84,6 +107,14 @@ class CsvSchema:
     max_vocab_size: int = 30000
     max_seq_len: int = 64
 
+    def __post_init__(self):
+        for name in ("num_classes", "max_vocab_size", "max_seq_len"):
+            validate.integer(name, getattr(self, name))
+        if not self.text_columns:
+            raise ValueError("text_columns: must be a nonempty list")
+        for column in (self.label_column, *self.text_columns):
+            validate.integer("label_column and text_columns", column, minimum=0)
+
 
 def load_csv(path, schema: CsvSchema, test_path=None, name: str = "csv") -> Dataset:
     """Load an AG-News-style CSV pair (train builds the vocabulary)."""
@@ -91,13 +122,12 @@ def load_csv(path, schema: CsvSchema, test_path=None, name: str = "csv") -> Data
     test_rows = _read_rows(test_path, schema) if test_path else []
     vocab = Vocabulary.build((toks for _, toks in train_rows), schema.max_vocab_size)
 
-    def to_docs(rows):
-        return [
-            Document(label, vocab.encode(toks[: schema.max_seq_len]), len(toks))
-            for label, toks in rows
-        ]
+    def to_split(rows):
+        return _pad([label for label, _ in rows],
+                    [vocab.encode(toks) for _, toks in rows],
+                    schema.max_seq_len)
 
-    return Dataset(name, schema.num_classes, to_docs(train_rows), to_docs(test_rows),
+    return Dataset(name, schema.num_classes, to_split(train_rows), to_split(test_rows),
                    vocab, schema.max_seq_len)
 
 
@@ -136,17 +166,20 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        if min(self.num_classes, self.vocab_size, self.train_docs_per_class,
-               self.test_docs_per_class, self.doc_length) < 1:
-            raise DataError("synthetic spec counts must be positive")
-        if self.topic_concentration <= 0:
-            raise DataError("topic_concentration must be > 0")
+        for name in ("num_classes", "vocab_size", "train_docs_per_class",
+                     "test_docs_per_class", "doc_length"):
+            validate.integer(name, getattr(self, name))
+        validate.positive("topic_concentration", self.topic_concentration)
+        validate.integer("seed", self.seed, minimum=None)
 
 
 def generate_synthetic(spec: SyntheticSpec, max_seq_len=None) -> Dataset:
     """Balanced corpus with class-conditional unigram topics drawn from a
-    symmetric Dirichlet; small concentration gives near-disjoint classes."""
-    max_seq_len = max_seq_len or spec.doc_length
+    symmetric Dirichlet; small concentration gives near-disjoint classes.
+    Each document is `spec.doc_length` tokens, stored in `max_seq_len` columns
+    (default: `doc_length`)."""
+    max_seq_len = validate.integer(
+        "max_seq_len", spec.doc_length if max_seq_len is None else max_seq_len)
     id_to_token = ["<pad>", "<unk>"] + [f"w{i}" for i in range(spec.vocab_size)]
     vocab = Vocabulary({t: i for i, t in enumerate(id_to_token)}, id_to_token)
 
@@ -156,13 +189,11 @@ def generate_synthetic(spec: SyntheticSpec, max_seq_len=None) -> Dataset:
         topics.append(rng.dirichlet(np.full(spec.vocab_size, spec.topic_concentration)))
 
     def sample_split(split, per_class):
-        docs = []
-        for c in range(spec.num_classes):
-            rng = derive(spec.seed, "synthetic-docs", split, c)
-            ids = rng.choice(spec.vocab_size, size=(per_class, spec.doc_length), p=topics[c]) + 2
-            for row in ids:
-                docs.append(Document(c, tuple(int(i) for i in row[:max_seq_len]), spec.doc_length))
-        return docs
+        ids = [derive(spec.seed, "synthetic-docs", split, c)
+               .choice(spec.vocab_size, size=(per_class, spec.doc_length), p=topics[c]) + 2
+               for c in range(spec.num_classes)]
+        return _pad(np.repeat(np.arange(spec.num_classes), per_class), np.concatenate(ids),
+                    max_seq_len)
 
     return Dataset("synthetic", spec.num_classes,
                    sample_split("train", spec.train_docs_per_class),
@@ -170,70 +201,43 @@ def generate_synthetic(spec: SyntheticSpec, max_seq_len=None) -> Dataset:
                    vocab, max_seq_len)
 
 
-Batch = namedtuple("Batch", ["token_ids", "labels"])
-
-
-def make_batches(docs, batch_size: int, seed: int, pad_to: int) -> list:
-    """Seeded shuffle, then fixed-size batches padded with PAD to `pad_to`."""
+def make_batches(docs: Split, batch_size: int, seed: int) -> list:
+    """Seeded shuffle, then Splits of `batch_size` rows (the last may be short)."""
     if batch_size < 1:
         raise DataError("batch_size must be >= 1")
-    if not docs:
-        return []
     order = derive(seed, "batch-shuffle").permutation(len(docs))
-    batches = []
-    for start in range(0, len(docs), batch_size):
-        chunk = [docs[i] for i in order[start : start + batch_size]]
-        ids = np.full((len(chunk), pad_to), PAD_ID, dtype=np.int64)
-        labels = np.empty(len(chunk), dtype=np.int64)
-        for j, doc in enumerate(chunk):
-            toks = doc.tokens[:pad_to]
-            ids[j, : len(toks)] = toks
-            labels[j] = doc.label
-        batches.append(Batch(ids, labels))
-    return batches
+    return [docs.take(order[start : start + batch_size])
+            for start in range(0, len(docs), batch_size)]
 
 
 # ---------------------------------------------------------------------------
-# bit-exact dataset serialization: JSON manifest + int32-LE token blob
+# dataset serialization: JSON manifest + the split arrays in one .npz
 # ---------------------------------------------------------------------------
+
+_SPLITS = ("train", "test")
 
 
 def save_dataset(dataset: Dataset, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    blob = []
-    manifest_docs = {}
-    for split in ("train", "test"):
-        entries = []
-        for doc in getattr(dataset, split):
-            entries.append({"label": doc.label, "len": len(doc.tokens), "raw": doc.raw_length})
-            blob.extend(doc.tokens)
-        manifest_docs[split] = entries
     manifest = {
         "name": dataset.name,
         "num_classes": dataset.num_classes,
         "max_seq_len": dataset.max_seq_len,
         "id_to_token": dataset.vocabulary.id_to_token,
-        "docs": manifest_docs,
     }
     (out_dir / "dataset.json").write_text(json.dumps(manifest), encoding="utf-8")
-    np.asarray(blob, dtype="<i4").tofile(out_dir / "tokens.bin")
+    np.savez(out_dir / "splits.npz", **{f"{split}_{field}": getattr(getattr(dataset, split), field)
+                                        for split in _SPLITS for field in ("token_ids", "labels")})
 
 
 def load_dataset(in_dir) -> Dataset:
     in_dir = Path(in_dir)
     manifest = json.loads((in_dir / "dataset.json").read_text(encoding="utf-8"))
-    tokens = np.fromfile(in_dir / "tokens.bin", dtype="<i4")
     vocab = Vocabulary({t: i for i, t in enumerate(manifest["id_to_token"])},
                        manifest["id_to_token"])
-    splits = {}
-    pos = 0
-    for split in ("train", "test"):
-        docs = []
-        for entry in manifest["docs"][split]:
-            toks = tuple(int(t) for t in tokens[pos : pos + entry["len"]])
-            pos += entry["len"]
-            docs.append(Document(entry["label"], toks, entry["raw"]))
-        splits[split] = docs
-    return Dataset(manifest["name"], manifest["num_classes"], splits["train"],
-                   splits["test"], vocab, manifest["max_seq_len"])
+    with np.load(in_dir / "splits.npz") as arrays:
+        train, test = (Split(arrays[f"{split}_token_ids"], arrays[f"{split}_labels"])
+                       for split in _SPLITS)
+    return Dataset(manifest["name"], manifest["num_classes"], train, test, vocab,
+                   manifest["max_seq_len"])

@@ -77,7 +77,29 @@ def test_missing_required_and_bad_values(tmp_path):
             (lambda c: c["federation"]["optimizer"]["textcnn"].update(kind="adam"),
              "federation.optimizer.textcnn: unknown optimizer kind 'adam'"),
             (lambda c: c["textcnn"].update(filter_widths=[2, 7]),
-             "textcnn: filter width 7 exceeds sequence length 6")):
+             "textcnn: filter width 7 exceeds sequence length 6"),
+            (lambda c: c["dataset"]["synthetic"].update(num_classes=0),
+             "dataset.synthetic: num_classes: must be an integer >= 1, got 0"),
+            (lambda c: c["dataset"]["synthetic"].update(vocab_size="x"),
+             "dataset.synthetic: vocab_size: must be an integer >= 1, got 'x'"),
+            (lambda c: c["dataset"]["synthetic"].update(topic_concentration=0),
+             "dataset.synthetic: topic_concentration: must be a finite number > 0"),
+            (lambda c: c["dataset"]["synthetic"].update(seed=1.5),
+             "dataset.synthetic: seed: must be an integer, got 1.5"),
+            (lambda c: c["dataset"]["synthetic"].update(max_seq_len=0),
+             "dataset.synthetic: max_seq_len: must be an integer >= 1, got 0"),
+            (lambda c: c.update(seed="x"), "seed: must be an integer, got 'x'"),
+            (lambda c: c.update(out_dir=0), "out_dir: must be a nonempty path"),
+            (lambda c: c.update(metrics={"convergence_window": 0}), "metrics: convergence_window"),
+            (lambda c: c["partition"].update(max_redraws=0), "partition: min_samples_per_client"),
+            (lambda c: c["textcnn"].update(dropout=1.5),
+             r"textcnn: dropout: must be a number in \[0, 1\), got 1.5"),
+            (lambda c: c["textcnn"].update(embed_dim=0), "textcnn: embed_dim: must be an integer >= 1"),
+            (lambda c: c.update(pretrain={"steps": "x"}), "pretrain: steps: must be an integer >= 0"),
+            (lambda c: c.update(models=["loraformer"], loraformer={"heads": 0}),
+             "loraformer: heads: must be an integer >= 1"),
+            (lambda c: c.update(models=["loraformer"], loraformer={"lora_dropout": -0.1}),
+             "loraformer: lora_dropout")):
         cfg6 = base_config()
         edit(cfg6)
         with pytest.raises(cli.ConfigError, match=f"^{where}"):
@@ -355,6 +377,10 @@ def test_string_models_rejected(tmp_path, capsys):
     path = write_config(tmp_path, base_config(models="textcnn"))
     assert cli.main(["run", str(path)]) == 1
     assert "config error: models: must be a list" in capsys.readouterr().err
+    cfg = base_config()
+    cfg["federation"]["aggregators"] = "fedavg"  # was read as the aggregators 'f', 'e', ...
+    assert cli.main(["run", str(write_config(tmp_path, cfg))]) == 1
+    assert "config error: federation.aggregators: must be a list" in capsys.readouterr().err
 
 
 def pretrained_sweep_config(out_dir, **pretrain):
@@ -400,3 +426,46 @@ def test_pretraining_failure_fails_only_loraformer_cells(tmp_path):
             on_disk = json.loads((tmp_path / "out" / s["run_id"] / "summary.json").read_text())
             assert on_disk["status"] == "error" and "DisjointnessError" in on_disk["traceback"]
     assert "Failed runs" in (tmp_path / "out" / "report.md").read_text()
+
+
+def key_paths(cfg, prefix=()):
+    """The path of every key in `cfg`, sections and their keys alike."""
+    for key, value in cfg.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+def mutation_base(variant, out_dir):
+    """One-round configs: the base config, or a one-cell pretrained-loraformer variant."""
+    cfg = base_config() if variant == "base" else pretrained_sweep_config(out_dir)
+    if variant == "loraformer":
+        cfg["models"] = ["loraformer"]
+        cfg["partition"]["alpha"] = [0.3]
+        cfg["federation"]["aggregators"] = ["fedavg"]
+    cfg["federation"]["rounds"] = 1
+    cfg["out_dir"] = str(out_dir)
+    return cfg
+
+
+MUTATION_VALUES = [0, -1, "x", [], {}, 1.5, None]
+MUTATIONS = (
+    [("base", path, v) for path in key_paths(base_config()) for v in MUTATION_VALUES]
+    + [("loraformer", path, v) for path in key_paths(mutation_base("loraformer", "out"))
+       if path[0] in ("loraformer", "pretrain") for v in MUTATION_VALUES])
+
+
+@pytest.mark.parametrize("variant, path, value", MUTATIONS,
+                         ids=[f"{v}:{'.'.join(p)}={x!r}" for v, p, x in MUTATIONS])
+def test_config_mutation_runs_or_is_a_config_error(tmp_path, monkeypatch, capsys, variant,
+                                                   path, value):
+    monkeypatch.chdir(tmp_path)
+    cfg = mutation_base(variant, tmp_path / "out")
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    code = cli.main(["run", str(write_config(tmp_path, cfg))])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert code == 0 or (code == 1 and err.startswith("config error: ")), err

@@ -144,7 +144,7 @@ def test_local_train_empty_client():
 def test_local_train_deterministic_and_improves_own_class():
     params, forward = build_model("textcnn", CNN_CFG, DESK.vocabulary.size,
                                   DESK.max_seq_len, seed=0)
-    labels = [d.label for d in DESK.train]
+    labels = DESK.train.labels.tolist()
     own = [i for i, l in enumerate(labels) if l == 2][:25]
     part = ClientPartition(0, own, [0, 0, 25, 0])
     a = fed.local_train(params, forward, part, DESK, OPT, 3, 8, seed=5, round_index=2)
@@ -153,8 +153,8 @@ def test_local_train_deterministic_and_improves_own_class():
         assert np.array_equal(ga.tensor.data, gb.tensor.data)
 
     def own_acc(pset):
-        docs = [DESK.train[i] for i in own]
-        batch = td.make_batches(docs, len(docs), 0, DESK.max_seq_len)[0]
+        docs = DESK.train.take(own)
+        batch = td.make_batches(docs, len(docs), 0)[0]
         preds = forward(pset, batch.token_ids).value.argmax(axis=1)
         return (preds == batch.labels).mean()
 

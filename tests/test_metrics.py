@@ -10,11 +10,17 @@ from fedskew.models import TextCnnConfig, build_textcnn
 from fedskew.partition import ClientPartition
 
 
-def balanced_test(per_class=200, num_classes=4):
-    docs = []
-    for c in range(num_classes):
-        docs.extend(td.Document(c, (2 + c,), 1) for _ in range(per_class))
-    return docs
+def padded(labels, id_rows, seq):
+    """A test Split of the given documents, right-padded with PAD to `seq`."""
+    ids = np.full((len(id_rows), seq), td.PAD_ID, dtype=np.int64)
+    for row, toks in zip(ids, id_rows):
+        row[: len(toks)] = toks
+    return td.Split(ids, np.asarray(labels, dtype=np.int64))
+
+
+def balanced_test(per_class=200, num_classes=4, seq=4):
+    labels = [c for c in range(num_classes) for _ in range(per_class)]
+    return padded(labels, [(2 + c,) for c in labels], seq)
 
 
 def test_restriction_full_and_single_class():
@@ -22,16 +28,19 @@ def test_restriction_full_and_single_class():
     restricted = mt.restricted_test_set(test, {0, 1, 2, 3})
     assert len(restricted) == 800
     only0 = mt.restricted_test_set(test, {0})
-    assert len(only0) == 200 and all(d.label == 0 for d in only0)
+    assert len(only0) == 200 and all(label == 0 for label in only0.labels)
 
 
 def test_restriction_matches_brute_force():
     rng = np.random.default_rng(0)
-    test = [td.Document(int(rng.integers(0, 6)), (2,), 1) for _ in range(500)]
+    labels = [int(rng.integers(0, 6)) for _ in range(500)]
+    test = padded(labels, [(2 + i,) for i in range(500)], 1)  # each row its own id
     present = {1, 4}
     fast = mt.restricted_test_set(test, present)
-    brute = [d for d in test if d.label in present]
-    assert fast == brute
+    brute = [(label, tuple(ids)) for label, ids in zip(test.labels.tolist(),
+                                                        test.token_ids.tolist())
+             if label in present]
+    assert list(zip(fast.labels.tolist(), map(tuple, fast.token_ids.tolist()))) == brute
 
 
 def test_restriction_errors():
@@ -52,7 +61,7 @@ def test_zero_head_single_class_restriction():
     cfg = TextCnnConfig(num_classes=4, embed_dim=4, filters_per_width=3)
     params, forward = build_textcnn(cfg, vocab_size=10, max_seq_len=4, seed=0)
     part = ClientPartition(0, [0], [5, 0, 0, 0])
-    ev = mt.evaluate_client(params, forward, part, balanced_test(), max_seq_len=4)
+    ev = mt.evaluate_client(params, forward, part, balanced_test())
     assert ev.accuracy == 1.0  # all-zero logits: argmax tie resolves to class 0
 
 
@@ -64,19 +73,19 @@ def test_accuracy_matches_hand_count():
             logits[i, max(int(row[0]) - 2, 0) % 4] = 1.0
         return nk.const(logits)
 
-    docs = [td.Document(lbl, (tok,), 1) for lbl, tok in
-            [(0, 2), (0, 3), (1, 3), (1, 3), (2, 4), (2, 2), (3, 5), (3, 5), (0, 2), (1, 2)]]
+    pairs = [(0, 2), (0, 3), (1, 3), (1, 3), (2, 4), (2, 2), (3, 5), (3, 5), (0, 2), (1, 2)]
+    docs = padded([lbl for lbl, _ in pairs], [(tok,) for _, tok in pairs], 1)
     part = ClientPartition(0, list(range(10)), [3, 3, 2, 2])
-    ev = mt.evaluate_client(None, forward, part, docs, max_seq_len=1)
+    ev = mt.evaluate_client(None, forward, part, docs)
     # hand count: docs where first-token class == label: 7 of 10
     assert ev.correct_count == 7 and ev.eval_size == 10
 
 
-def per_client_forward_eval(params, forward, part, test_docs, max_seq_len):
+def per_client_forward_eval(params, forward, part, test):
     """Reference: restrict the test set to the client's classes, then forward it."""
-    subset = mt.restricted_test_set(test_docs, part.present_classes)
+    subset = mt.restricted_test_set(test, part.present_classes)
     correct = 0
-    for batch in td.make_batches(subset, 64, 0, max_seq_len):
+    for batch in td.make_batches(subset, 64, 0):
         preds = forward(params, batch.token_ids, train=False).value.argmax(axis=1)
         correct += int((preds == batch.labels).sum())
     return mt.ClientEval(part.client_id, len(subset), correct)
@@ -86,10 +95,11 @@ def per_client_forward_eval(params, forward, part, test_docs, max_seq_len):
 def test_evaluate_clients_matches_per_client_forward(seed):
     rng = np.random.default_rng(seed)
     num_classes, seq = 5, 6
-    test = [td.Document(int(rng.integers(0, num_classes)),
-                        tuple(int(t) for t in rng.integers(2, 30, size=rng.integers(1, seq + 1))),
-                        seq)
-            for _ in range(300)]
+    labels, rows = [], []
+    for _ in range(300):  # ragged documents of 1 to seq tokens
+        labels.append(int(rng.integers(0, num_classes)))
+        rows.append(rng.integers(2, 30, size=rng.integers(1, seq + 1)))
+    test = padded(labels, rows, seq)
     cfg = TextCnnConfig(num_classes=num_classes, embed_dim=4, filter_widths=(2, 3),
                         filters_per_width=3)
     zero_head, forward = build_textcnn(cfg, vocab_size=30, max_seq_len=seq, seed=seed)
@@ -104,12 +114,12 @@ def test_evaluate_clients_matches_per_client_forward(seed):
         hist[int(rng.integers(0, num_classes))] += 1
         parts.append(ClientPartition(cid, [0], hist))
     for params in (trained, zero_head):  # zero head: all-zero logits, ties go to class 0
-        fast = mt.evaluate_clients(params, forward, parts, test, seq)
-        brute = [per_client_forward_eval(params, forward, p, test, seq) for p in parts]
+        fast = mt.evaluate_clients(params, forward, parts, test)
+        brute = [per_client_forward_eval(params, forward, p, test) for p in parts]
         assert fast == brute
-        assert [mt.evaluate_client(params, forward, p, test, seq) for p in parts] == brute
-    zero = mt.evaluate_clients(zero_head, forward, parts[:3], test, seq)
-    share0 = sum(d.label == 0 for d in test) / len(test)
+        assert [mt.evaluate_client(params, forward, p, test) for p in parts] == brute
+    zero = mt.evaluate_clients(zero_head, forward, parts[:3], test)
+    share0 = sum(label == 0 for label in labels) / len(test)
     assert [e.accuracy for e in zero] == [1.0, 0.0, share0]
 
 
@@ -121,9 +131,9 @@ def test_evaluate_clients_errors():
     for bad in (ClientPartition(1, [0], [0, 0, 0, 0]),  # no present classes
                 ClientPartition(1, [0], [0, 0, 0, 2])):  # class without test documents
         with pytest.raises(mt.EvalError):
-            mt.evaluate_clients(params, forward, [ok, bad], test, 4)
+            mt.evaluate_clients(params, forward, [ok, bad], test)
     with pytest.raises(mt.EvalError):
-        mt.evaluate_clients(params, forward, [ok], [], 4)
+        mt.evaluate_clients(params, forward, [ok], test.take([]))
 
 
 def ev(cid, acc):

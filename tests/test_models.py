@@ -192,7 +192,7 @@ def test_pretrain_improves_probe_and_keeps_flags():
         # linear probe: train only the head on proxy train, eval on proxy test
         st = OptimizerState("adamw", lr=0.05)
         for epoch in range(5):
-            for batch in td.make_batches(proxy.train, 16, epoch, proxy.max_seq_len):
+            for batch in td.make_batches(proxy.train, 16, epoch):
                 loss = nk.softmax_cross_entropy(forward(pset, batch.token_ids), batch.labels)
                 grads = nk.backward(loss)
                 head_grads = {n: g for n, g in grads.items() if n.startswith("head.")}
@@ -200,7 +200,7 @@ def test_pretrain_improves_probe_and_keeps_flags():
                                if n.startswith("head.")}
                 pset = pset.with_tensors(adamw_step(st, head_params, head_grads))
         correct = 0
-        for batch in td.make_batches(proxy.test, 32, 0, proxy.max_seq_len):
+        for batch in td.make_batches(proxy.test, 32, 0):
             preds = forward(pset, batch.token_ids).value.argmax(axis=1)
             correct += int((preds == batch.labels).sum())
         return correct / len(proxy.test)
@@ -234,7 +234,7 @@ def test_loss_decreases_centralized_both_families():
         losses = []
         step_fn = sgd_step if opt.kind == "sgd" else adamw_step
         for i in range(50):
-            batch = td.make_batches(ds.train, 16, i, ds.max_seq_len)[0]
+            batch = td.make_batches(ds.train, 16, i)[0]
             rng = nk.derive(0, "smoke-dropout", family, i)
             loss = nk.softmax_cross_entropy(forward(params, batch.token_ids, train=True, rng=rng),
                                             batch.labels)

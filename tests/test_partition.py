@@ -35,7 +35,7 @@ def test_determinism():
 
 def test_histograms_and_present_classes():
     parts = pt.dirichlet_partition(CORPUS, pt.PartitionConfig(5, 0.3, seed=1))
-    labels = [d.label for d in CORPUS.train]
+    labels = CORPUS.train.labels.tolist()
     for p in parts:
         assert sum(p.label_histogram) == p.size
         for c in range(4):

@@ -16,10 +16,11 @@ def test_load_csv_schema_application(tmp_path):
     train = tmp_path / "train.csv"
     write_csv(train, ['3,"Stocks rally","Markets rose"', '1,"a b","c"'])
     ds = td.load_csv(train, SCHEMA)
-    doc = ds.train[0]
-    assert doc.label == 2
-    words = [ds.vocabulary.id_to_token[t] for t in doc.tokens]
+    ids = ds.train.token_ids[0]
+    assert ds.train.labels[0] == 2
+    words = [ds.vocabulary.id_to_token[t] for t in ids[:4]]
     assert words == ["stocks", "rally", "markets", "rose"]
+    assert (ids[4:] == td.PAD_ID).all() and len(ids) == SCHEMA.max_seq_len
 
 
 def test_test_only_token_maps_to_unk(tmp_path):
@@ -27,8 +28,8 @@ def test_test_only_token_maps_to_unk(tmp_path):
     write_csv(train, ['1,"alpha","beta"'])
     write_csv(test, ['1,"gamma","alpha"'])
     ds = td.load_csv(train, SCHEMA, test_path=test)
-    assert ds.test[0].tokens[0] == td.UNK_ID
-    assert ds.test[0].tokens[1] != td.UNK_ID
+    assert ds.test.token_ids[0, 0] == td.UNK_ID
+    assert ds.test.token_ids[0, 1] not in (td.UNK_ID, td.PAD_ID)
 
 
 def test_vocab_cap_excludes_reserved(tmp_path):
@@ -72,9 +73,9 @@ DESK_SPEC = td.SyntheticSpec(num_classes=4, vocab_size=100, train_docs_per_class
 def test_synthetic_determinism_and_counts():
     a = td.generate_synthetic(DESK_SPEC)
     b = td.generate_synthetic(DESK_SPEC)
-    assert [d.tokens for d in a.train] == [d.tokens for d in b.train]
+    assert np.array_equal(a.train.token_ids, b.train.token_ids)
     assert len(a.train) == 100 and len(a.test) == 40
-    labels = [d.label for d in a.train]
+    labels = a.train.labels.tolist()
     assert all(labels.count(c) == 25 for c in range(4))
 
 
@@ -84,31 +85,43 @@ def test_synthetic_naive_bayes_oracle():
                             topic_concentration=0.01, seed=3)
     ds = td.generate_synthetic(spec)
     counts = np.ones((spec.num_classes, ds.vocabulary.size))  # +1 smoothing
-    for doc in ds.train:
-        for t in doc.tokens:
-            counts[doc.label, t] += 1
+    assert (ds.train.token_ids != td.PAD_ID).all()  # doc_length == max_seq_len: no padding
+    for label, ids in zip(ds.train.labels, ds.train.token_ids):
+        for t in ids:
+            counts[label, t] += 1
     log_probs = np.log(counts / counts.sum(axis=1, keepdims=True))
     correct = sum(
-        int(np.argmax([log_probs[c, list(doc.tokens)].sum() for c in range(4)]) == doc.label)
-        for doc in ds.test
+        int(np.argmax([log_probs[c, ids].sum() for c in range(4)]) == label)
+        for label, ids in zip(ds.test.labels, ds.test.token_ids)
     )
     assert correct / len(ds.test) > 0.95
 
 
 def test_make_batches_sizes_and_determinism():
     ds = td.generate_synthetic(DESK_SPEC)
-    batches = td.make_batches(ds.train[:5], 2, seed=1, pad_to=12)
+    first5 = ds.train.take(np.arange(5))
+    batches = td.make_batches(first5, 2, seed=1)
     assert [len(b.labels) for b in batches] == [2, 2, 1]
-    again = td.make_batches(ds.train[:5], 2, seed=1, pad_to=12)
+    again = td.make_batches(first5, 2, seed=1)
     for x, y in zip(batches, again):
         assert np.array_equal(x.token_ids, y.token_ids)
-    assert td.make_batches([], 4, seed=0, pad_to=8) == []
+    # a batch is a row gather: together the batches hold each row exactly once
+    rows = np.concatenate([b.token_ids for b in batches])
+    assert sorted(map(tuple, rows.tolist())) == sorted(map(tuple, first5.token_ids.tolist()))
+    assert td.make_batches(ds.train.take([]), 4, seed=0) == []
 
 
-def test_batch_padding():
-    docs = [td.Document(0, (5, 6), 2)]
-    (batch,) = td.make_batches(docs, 1, seed=0, pad_to=4)
-    assert batch.token_ids.tolist() == [[5, 6, td.PAD_ID, td.PAD_ID]]
+def test_batch_padding(tmp_path):
+    train = tmp_path / "train.csv"
+    write_csv(train, ['1,"five six",""'])
+    ds = td.load_csv(train, td.CsvSchema(0, (1, 2), True, 4, max_seq_len=4))
+    (batch,) = td.make_batches(ds.train, 1, seed=0)
+    assert batch.token_ids.tolist() == [[2, 3, td.PAD_ID, td.PAD_ID]]
+    assert batch.token_ids.dtype == batch.labels.dtype == np.int64
+    wide = td.generate_synthetic(DESK_SPEC, max_seq_len=15)  # documents of 12 tokens
+    assert (wide.train.token_ids[:, 12:] == td.PAD_ID).all()
+    assert (wide.train.token_ids[:, :12] != td.PAD_ID).all()
+    assert np.array_equal(wide.train.token_ids[:, :12], td.generate_synthetic(DESK_SPEC).train.token_ids)
 
 
 def test_shuffle_first_position_uniform():
@@ -126,7 +139,31 @@ def test_dataset_serialization_roundtrip(tmp_path):
     ds = td.generate_synthetic(DESK_SPEC)
     td.save_dataset(ds, tmp_path / "ds")
     back = td.load_dataset(tmp_path / "ds")
-    assert [d.tokens for d in back.train] == [d.tokens for d in ds.train]
-    assert [d.label for d in back.test] == [d.label for d in ds.test]
+    for split in ("train", "test"):
+        for field in ("token_ids", "labels"):
+            a, b = getattr(getattr(back, split), field), getattr(getattr(ds, split), field)
+            assert np.array_equal(a, b) and a.dtype == b.dtype == np.int64
     assert back.vocabulary.id_to_token == ds.vocabulary.id_to_token
     assert back.max_seq_len == ds.max_seq_len
+
+
+def test_ragged_csv_serialization_roundtrip(tmp_path):
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    write_csv(train, ['2,"b",""', '1,"a b c","a"', '4,"c c a b a b","d"'])
+    write_csv(test, ['3,"zz a",""', '1,"",""'])
+    ds = td.load_csv(train, td.CsvSchema(0, (1, 2), True, 4, max_seq_len=5), test_path=test)
+    # vocabulary by frequency, ties lexicographic: a=2, b=3, c=4, d=5
+    P, U = td.PAD_ID, td.UNK_ID
+    expect_train = [[3, P, P, P, P], [2, 3, 4, 2, P], [4, 4, 2, 3, 2]]  # last one truncated
+    expect_test = [[U, 2, P, P, P], [P, P, P, P, P]]
+    td.save_dataset(ds, tmp_path / "ds")
+    back = td.load_dataset(tmp_path / "ds")
+    for d in (ds, back):
+        assert d.train.token_ids.tolist() == expect_train
+        assert d.train.labels.tolist() == [1, 0, 3]
+        assert d.test.token_ids.tolist() == expect_test
+        assert d.test.labels.tolist() == [2, 0]
+        for split in (d.train, d.test):
+            assert split.token_ids.dtype == split.labels.dtype == np.int64
+        assert (d.name, d.num_classes, d.max_seq_len) == ("csv", 4, 5)
+    assert back.vocabulary.id_to_token == ds.vocabulary.id_to_token
