@@ -5,7 +5,7 @@ aggregators.  Each cell is a run with a stable content-derived id; runs
 write rounds.csv / summary.json / partition.json into private directories
 and a top-level report.md summarizes the sweep.
 
-Exit codes: 0 ok, 1 config error, 2 run failure, 3 selftest failure.
+Exit codes: 0 ok, 1 config or data error, 2 run failure, 3 selftest failure.
 """
 
 import argparse
@@ -25,11 +25,17 @@ from . import validate
 from .federation import FedConfig, OptimizerCfg, run_federation
 from .models import (LoraFormerConfig, TextCnnConfig, build_loraformer, check_fits,
                      pretrain_backbone)
-from .partition import PartitionConfig, dirichlet_partition, save_manifest, skew_report
+from .partition import (PartitionConfig, PartitionError, dirichlet_partition, save_manifest,
+                        skew_report)
 
 
 class ConfigError(ValueError):
     pass
+
+
+class InputDataError(ValueError):
+    """The data a valid config points at cannot be used: a CSV file is missing or
+    malformed, or no partition meets the config's constraints."""
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +98,11 @@ class ExperimentConfig:
         self.out_dir = raw.get("out_dir", os.environ.get("FEDSKEW_OUT", "out"))
         if not isinstance(self.out_dir, str) or not self.out_dir:
             raise ConfigError(f"out_dir: must be a nonempty path, got {self.out_dir!r}")
-        self.save_checkpoints = bool(raw.get("save_checkpoints", False))
+        try:
+            self.save_checkpoints = validate.boolean("save_checkpoints",
+                                                     raw.get("save_checkpoints", False))
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
 
         dataset = raw.get("dataset")
         if not isinstance(dataset, dict) or len(set(dataset) & _DATASET_KEYS) != 1:
@@ -130,9 +140,11 @@ class ExperimentConfig:
             raise ConfigError("partition.alpha: list must be nonempty")
         try:
             self.alphas = [float(a) for a in alphas]
-            self.num_clients = int(part.get("num_clients", 10))
-            self.min_samples_per_client = int(part.get("min_samples_per_client", 1))
-            self.max_redraws = int(part.get("max_redraws", 100))
+            # ranges are PartitionConfig's to check
+            self.num_clients = validate.integer("num_clients", part.get("num_clients", 10), None)
+            self.min_samples_per_client = validate.integer(
+                "min_samples_per_client", part.get("min_samples_per_client", 1), None)
+            self.max_redraws = validate.integer("max_redraws", part.get("max_redraws", 100), None)
             # seeded, so `fedskew run --seed` is applied to the raw config before this
             self.partition_cfgs = {
                 a: PartitionConfig(self.num_clients, a, self.seed,
@@ -146,7 +158,8 @@ class ExperimentConfig:
         met = _section(raw, "metrics", "metrics")
         _check_keys(met, _METRIC_KEYS, "metrics")
         try:
-            self.convergence_window = int(met.get("convergence_window", 5))
+            self.convergence_window = validate.integer(
+                "convergence_window", met.get("convergence_window", 5), None)
             self.convergence_tolerance = float(met.get("convergence_tolerance", 0.003))
         except (TypeError, ValueError) as e:
             raise ConfigError(f"metrics: {e}") from e
@@ -171,15 +184,18 @@ class ExperimentConfig:
         aggregator, beta) -> FedConfig for every sweep cell, in plan order."""
         _check_keys(fedr, _FED_KEYS, "federation")
         by_alpha = _section(fedr, "rounds_by_alpha", "federation.rounds_by_alpha")
-        epochs = fedr.get("local_epochs")
-        epochs = ({m: epochs for m in PAPER_EPOCHS} if isinstance(epochs, int) else
-                  {**PAPER_EPOCHS, **_section(fedr, "local_epochs", "federation.local_epochs")})
-        try:
-            rounds = int(fedr.get("rounds", 50))
-            rounds_by_alpha = {float(k): int(v) for k, v in by_alpha.items()}
-            self.batch_size = int(fedr.get("batch_size", 32))  # pretraining uses it too
+        epochs = fedr.get("local_epochs", {})
+        if not isinstance(epochs, dict):  # one count for every family
+            epochs = {m: epochs for m in PAPER_EPOCHS}
+        try:  # ranges are FedConfig's to check
+            rounds = validate.integer("rounds", fedr.get("rounds", 50), None)
+            rounds_by_alpha = {float(k): validate.integer(f"rounds_by_alpha.{k}", v, None)
+                               for k, v in by_alpha.items()}
+            # pretraining uses batch_size too
+            self.batch_size = validate.integer("batch_size", fedr.get("batch_size", 32), None)
             participation = float(fedr.get("participation", 1.0))
-            local_epochs = {m: int(n) for m, n in epochs.items()}
+            local_epochs = {m: validate.integer(f"local_epochs.{m}", n, None)
+                            for m, n in {**PAPER_EPOCHS, **epochs}.items()}
         except (TypeError, ValueError) as e:
             raise ConfigError(f"federation: {e}") from e
         opt = _section(fedr, "optimizer", "federation.optimizer")
@@ -395,14 +411,32 @@ def _write_summary(summary: dict, out_root: Path):
     (run_dir / "summary.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
 
 
+def load_data(cfg: ExperimentConfig):
+    """(dataset, {alpha: partitions}); raises InputDataError, naming the source, when
+    a data file is missing or malformed or a partition cannot meet its constraints."""
+    where = "dataset." + next(iter(cfg.dataset_cfg))
+    try:
+        dataset = cfg.load_dataset()
+    except OSError as e:
+        raise InputDataError(f"{where}: {e.strerror}: {e.filename}") from e
+    except (td.DataError, UnicodeDecodeError) as e:
+        raise InputDataError(f"{where}: {e}") from e
+    partitions_by_alpha = {}
+    for alpha, pcfg in cfg.partition_cfgs.items():
+        try:
+            partitions_by_alpha[alpha] = dirichlet_partition(dataset, pcfg)
+        except PartitionError as e:
+            raise InputDataError(f"partition.alpha {alpha}: {e}") from e
+    return dataset, partitions_by_alpha
+
+
 def run_experiments(cfg: ExperimentConfig, jobs: int = 1) -> list:
     """Run every sweep cell, `jobs` at a time, and write the report.  With jobs > 1
-    the cells run in forked worker processes (`_run_forked`)."""
+    the cells run in forked worker processes (`_run_forked`).  A data error
+    (`load_data`) is raised before anything is written."""
+    dataset, partitions_by_alpha = load_data(cfg)
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    dataset = cfg.load_dataset()
-    partitions_by_alpha = {alpha: dirichlet_partition(dataset, pcfg)
-                           for alpha, pcfg in cfg.partition_cfgs.items()}
     runs = plan_runs(cfg)
     try:
         initial = pretrained_initial(cfg, dataset) if "loraformer" in cfg.models else None
@@ -600,6 +634,26 @@ def selftest() -> bool:
                - float(nk.ssum(nk.mul(nk.gelu(nk.leaf(xm)), nk.gelu(nk.leaf(xm)))).value)) / (2 * h)
         assert abs(g[0, 0] - num) / max(abs(num), 1e-8) < 1e-4
 
+    def ngram_kernel_ok():
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((3, 6, 4))
+        x[:, 4:] = 0.0  # padding
+        kernels = [rng.standard_normal((w, 4, 3)) for w in (2, 3, 4)]
+        biases = [rng.standard_normal(3) for _ in kernels]
+        weights = rng.standard_normal(9)
+
+        def run(fused):
+            leaves = [nk.leaf(v, name=str(i)) for i, v in enumerate([x, *kernels, *biases])]
+            x_, ks, bs = leaves[0], leaves[1:4], leaves[4:]
+            out = (nk.ngram_max_pool(x_, ks, bs) if fused else nk.concat_last(
+                [nk.max_over_time(nk.relu(nk.add(nk.conv1d_valid(x_, k), b)))
+                 for k, b in zip(ks, bs)]))
+            grads = nk.backward(nk.ssum(nk.mul(out, np.tile(weights, (3, 1)))))
+            return [out.value] + [grads[str(i)].data for i in range(len(leaves))]
+
+        for got, want in zip(run(True), run(False)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def partition_ok():
         ds = td.generate_synthetic(td.SyntheticSpec(4, 40, 50, 5, 6, 0.5, 0))
         parts = dirichlet_partition(ds, PartitionConfig(5, 0.5, seed=1))
@@ -621,6 +675,7 @@ def selftest() -> bool:
 
     check("aggregation weights normalize; 118:34742 ratio = 294.4", weights_ok)
     check("analytic gradient matches finite difference", gradient_ok)
+    check("fused n-gram kernel matches unfused ops", ngram_kernel_ok)
     check("dirichlet partition exhaustive and disjoint", partition_ok)
     check("lora merge preserves logits", lora_ok)
     check("convergence rule: 0.3% over final 5 rounds", convergence_ok)
@@ -688,19 +743,22 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 1
 
-    if args.verb == "partition":
-        dataset = cfg.load_dataset()
-        out_root = Path(cfg.out_dir)
-        out_root.mkdir(parents=True, exist_ok=True)
-        for alpha, pcfg in cfg.partition_cfgs.items():
-            parts = dirichlet_partition(dataset, pcfg)
-            path = out_root / f"partition_alpha{alpha}.json"
-            save_manifest(parts, pcfg, path)
-            rep = skew_report(parts)
-            print(f"alpha={alpha}: sizes={rep.sizes} max/min={rep.max_min_ratio:.1f} -> {path}")
-        return 0
+    try:
+        if args.verb == "partition":
+            _, partitions_by_alpha = load_data(cfg)
+            out_root = Path(cfg.out_dir)
+            out_root.mkdir(parents=True, exist_ok=True)
+            for alpha, parts in partitions_by_alpha.items():
+                path = out_root / f"partition_alpha{alpha}.json"
+                save_manifest(parts, cfg.partition_cfgs[alpha], path)
+                rep = skew_report(parts)
+                print(f"alpha={alpha}: sizes={rep.sizes} max/min={rep.max_min_ratio:.1f} -> {path}")
+            return 0
+        summaries = run_experiments(cfg, jobs=args.jobs)
+    except InputDataError as e:
+        print(f"data error: {e}", file=sys.stderr)
+        return 1
 
-    summaries = run_experiments(cfg, jobs=args.jobs)
     for s in summaries:
         if s["status"] == "ok":
             fin = s["final"]

@@ -1,4 +1,5 @@
-"""TextCNN: embedding, parallel n-gram Conv1D banks, max-over-time, linear head."""
+"""TextCNN: embedding, parallel n-gram Conv1D banks with max-over-time (one fused
+`ngram_max_pool` node), linear head."""
 
 from dataclasses import dataclass
 
@@ -65,11 +66,8 @@ def build_textcnn(cfg: TextCnnConfig, vocab_size: int, max_seq_len: int, seed: i
         emb = nk.embedding_lookup(leaves["embedding"], ids)
         # PAD positions contribute zero vectors so max-pooling never picks padding
         emb = nk.mul(emb, nk.const(np.broadcast_to(pad_mask[:, :, None], emb.shape).copy()))
-        pooled = []
-        for w in cfg.filter_widths:
-            conv = nk.add(nk.conv1d_valid(emb, leaves[f"conv{w}.kernel"]), leaves[f"conv{w}.bias"])
-            pooled.append(nk.max_over_time(nk.relu(conv)))
-        features = nk.concat_last(pooled)
+        features = nk.ngram_max_pool(emb, [leaves[f"conv{w}.kernel"] for w in cfg.filter_widths],
+                                     [leaves[f"conv{w}.bias"] for w in cfg.filter_widths])
         if train and keep < 1.0:
             features = nk.dropout(features, keep, rng, train=True)
         return nk.add(nk.matmul(features, leaves["fc.weight"]), leaves["fc.bias"])

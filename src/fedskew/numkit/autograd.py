@@ -76,8 +76,10 @@ def add(a, b) -> GradNode:
         raise ShapeError(f"add: {av.shape} vs {bv.shape}")
 
     def backward(g):
-        gb = g.sum(axis=tuple(range(g.ndim - 1))) if bias else g
-        return g, gb
+        gb = None
+        if b.requires_grad:
+            gb = g.sum(axis=tuple(range(g.ndim - 1))) if bias else g
+        return g if a.requires_grad else None, gb
 
     return _node("add", av + bv, (a, b), backward)
 
@@ -89,7 +91,8 @@ def mul(a, b) -> GradNode:
         raise ShapeError(f"mul: {a.value.shape} vs {b.value.shape}")
 
     def backward(g):
-        return g * b.value, g * a.value
+        return (g * b.value if a.requires_grad else None,
+                g * a.value if b.requires_grad else None)
 
     return _node("mul", a.value * b.value, (a, b), backward)
 
@@ -121,12 +124,15 @@ def matmul(a, b) -> GradNode:
     out = av @ bv
 
     def backward(g):
-        ga = g @ np.swapaxes(bv, -1, -2)
-        if av.ndim == 2 and g.ndim > 2:
-            ga = ga.reshape(-1, av.shape[0], av.shape[1]).sum(axis=0)
-        gb = np.swapaxes(av, -1, -2) @ g
-        if bv.ndim == 2 and g.ndim > 2:
-            gb = gb.reshape(-1, bv.shape[0], bv.shape[1]).sum(axis=0)
+        ga = gb = None
+        if a.requires_grad:
+            ga = g @ np.swapaxes(bv, -1, -2)
+            if av.ndim == 2 and g.ndim > 2:
+                ga = ga.reshape(-1, av.shape[0], av.shape[1]).sum(axis=0)
+        if b.requires_grad:
+            gb = np.swapaxes(av, -1, -2) @ g
+            if bv.ndim == 2 and g.ndim > 2:
+                gb = gb.reshape(-1, bv.shape[0], bv.shape[1]).sum(axis=0)
         return ga, gb
 
     return _node("matmul", out, (a, b), backward)
@@ -172,9 +178,10 @@ def embedding_lookup(table, ids) -> GradNode:
     out = table.value[ids]
 
     def backward(g):
-        gt = np.zeros_like(table.value)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.value.shape[-1]))
-        return (gt,)
+        # row sums in id order, as np.add.at(zeros, ids, g rows) adds them
+        vocab, d = table.value.shape
+        slots = (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+        return (np.bincount(slots, weights=g.reshape(-1), minlength=vocab * d).reshape(vocab, d),)
 
     return _node("embedding_lookup", out, (table,), backward)
 
@@ -198,12 +205,14 @@ def conv1d_valid(x, kernel) -> GradNode:
         out += xv[:, i : i + out_len, :] @ kv[i]
 
     def backward(g):
-        gx = np.zeros_like(xv)
-        gk = np.zeros_like(kv)
+        gx = np.zeros_like(xv) if x.requires_grad else None
+        gk = np.zeros_like(kv) if kernel.requires_grad else None
         for i in range(width):
-            window = xv[:, i : i + out_len, :]
-            gk[i] = window.reshape(-1, xv.shape[2]).T @ g.reshape(-1, kv.shape[2])
-            gx[:, i : i + out_len, :] += g @ kv[i].T
+            if gk is not None:
+                window = xv[:, i : i + out_len, :]
+                gk[i] = window.reshape(-1, xv.shape[2]).T @ g.reshape(-1, kv.shape[2])
+            if gx is not None:
+                gx[:, i : i + out_len, :] += g @ kv[i].T
         return gx, gk
 
     return _node("conv1d_valid", out, (x, kernel), backward)
@@ -226,6 +235,85 @@ def max_over_time(x) -> GradNode:
     return _node("max_over_time", xv[b, idx, c], (x,), backward)
 
 
+def ngram_max_pool(x, kernels, biases) -> GradNode:
+    """TextCNN's filter banks as one node: for each width, in order,
+    max_over_time(relu(conv1d_valid(x, kernel) + bias)), concatenated on the last axis.
+
+    x: (batch, seq, channels); kernels[i]: (width_i, channels, filters_i);
+    biases[i]: (filters_i,) -> (batch, sum of filters_i).
+
+    Forward is one gemm of the window matrix, row (document, position) holding
+    the next `span` = max width positions zero-padded past the end, against the
+    kernels stacked into one (span*channels, sum filters) matrix with zero rows
+    below each width.  Positions past a width's valid range are set below every
+    relu output, so they never win the max; ties go to the first position, as
+    in `max_over_time`.  Backward scatters g to the winning positions under the
+    relu mask, copies it once per shift into a (document, position) x (shift,
+    filter) matrix, and takes all kernel gradients and the input gradient from
+    one gemm each.
+    """
+    x = _wrap(x)
+    kernels, biases = [_wrap(k) for k in kernels], [_wrap(b) for b in biases]
+    xv = x.value
+    if xv.ndim != 3 or not kernels or len(kernels) != len(biases):
+        raise ShapeError(f"ngram_max_pool: x {xv.shape}, {len(kernels)} kernels, "
+                         f"{len(biases)} biases")
+    n, seq, ch = xv.shape
+    for k, b in zip(kernels, biases):
+        kv = k.value
+        if kv.ndim != 3 or kv.shape[1] != ch or b.value.shape != kv.shape[2:]:
+            raise ShapeError(f"ngram_max_pool: x {xv.shape}, kernel {kv.shape}, "
+                             f"bias {b.value.shape}")
+        if kv.shape[0] > seq:
+            raise ShapeError(f"ngram_max_pool: width {kv.shape[0]} > seq {seq}")
+    widths = [k.value.shape[0] for k in kernels]
+    sizes = [k.value.shape[2] for k in kernels]
+    cols = np.cumsum([0] + sizes)
+    span, total = max(widths), int(cols[-1])
+
+    windows = np.zeros((n, seq, span * ch))
+    for s in range(span):
+        windows[:, : seq - s, s * ch : (s + 1) * ch] = xv[:, s:]
+    windows = windows.reshape(n * seq, span * ch)
+    stacked = np.zeros((span * ch, total))
+    for w, k, lo, hi in zip(widths, kernels, cols, cols[1:]):
+        stacked[: w * ch, lo:hi] = k.value.reshape(w * ch, hi - lo)
+    pre = (windows @ stacked).reshape(n, seq, total) + np.concatenate([b.value for b in biases])
+    act = pre * (pre > 0)
+    past = np.arange(seq)[:, None] > seq - np.repeat(widths, sizes)  # (position, filter)
+    act[:, past] = -1.0  # below every relu output
+    # flat index of each (document, filter)'s first max in act
+    flat = ((np.arange(n)[:, None] * seq + act.argmax(axis=1)) * total + np.arange(total))
+    out = act.reshape(-1)[flat]
+    alive = out > 0  # the relu mask at the winning position
+
+    def backward(g):
+        gpre = g * alive
+        grads = [None] * (1 + 2 * len(kernels))
+        if x.requires_grad or any(k.requires_grad for k in kernels):
+            scattered = np.zeros((n, seq, total))
+            scattered.reshape(-1)[flat] = gpre
+            # the gradient of window (document, p - s) at row (document, p), shift s
+            shifted = np.zeros((n, seq, span, total))
+            for s in range(span):
+                shifted[:, s:, s] = scattered[:, : seq - s]
+            shifted = shifted.reshape(n * seq, span * total)
+        if any(k.requires_grad for k in kernels):
+            gstacked = (xv.reshape(n * seq, ch).T @ shifted).reshape(ch, span, total)
+            for i, (w, k, lo, hi) in enumerate(zip(widths, kernels, cols, cols[1:])):
+                if k.requires_grad:
+                    grads[1 + i] = gstacked[:, :w, lo:hi].transpose(1, 0, 2)
+        if x.requires_grad:
+            by_shift = stacked.reshape(span, ch, total).transpose(0, 2, 1).reshape(span * total, ch)
+            grads[0] = (shifted @ by_shift).reshape(n, seq, ch)
+        for i, (b, lo, hi) in enumerate(zip(biases, cols, cols[1:])):
+            if b.requires_grad:
+                grads[1 + len(kernels) + i] = gpre[:, lo:hi].sum(axis=0)
+        return grads
+
+    return _node("ngram_max_pool", out, (x, *kernels, *biases), backward)
+
+
 def layernorm(x, gain, bias, eps: float = 1e-5) -> GradNode:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
@@ -241,14 +329,16 @@ def layernorm(x, gain, bias, eps: float = 1e-5) -> GradNode:
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        ggain = (g * xhat).sum(axis=lead)
-        gbias = g.sum(axis=lead)
-        gh = g * gain.value
-        gx = inv * (
-            gh
-            - gh.mean(axis=-1, keepdims=True)
-            - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
-        )
+        ggain = (g * xhat).sum(axis=lead) if gain.requires_grad else None
+        gbias = g.sum(axis=lead) if bias.requires_grad else None
+        gx = None
+        if x.requires_grad:
+            gh = g * gain.value
+            gx = inv * (
+                gh
+                - gh.mean(axis=-1, keepdims=True)
+                - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
+            )
         return gx, ggain, gbias
 
     return _node("layernorm", out, (x, gain, bias), backward)
@@ -323,7 +413,8 @@ def concat_last(parts) -> GradNode:
     splits = np.cumsum(sizes)[:-1]
 
     def backward(g):
-        return tuple(np.split(g, splits, axis=-1))
+        return tuple(gp if p.requires_grad else None
+                     for p, gp in zip(parts, np.split(g, splits, axis=-1)))
 
     return _node("concat_last", np.concatenate([p.value for p in parts], axis=-1), parts, backward)
 

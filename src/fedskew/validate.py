@@ -26,3 +26,10 @@ def fraction(name: str, value):
     if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < 1:
         raise ValueError(f"{name}: must be a number in [0, 1), got {value!r}")
     return value
+
+
+def boolean(name: str, value):
+    """A JSON true or false."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name}: must be true or false, got {value!r}")
+    return value

@@ -104,6 +104,56 @@ def test_missing_required_and_bad_values(tmp_path):
         edit(cfg6)
         with pytest.raises(cli.ConfigError, match=f"^{where}"):
             cli.parse_config(write_config(tmp_path, cfg6))
+    # integer keys take JSON integers only, and save_checkpoints a JSON boolean
+    integer_keys = [("federation", "rounds"), ("federation", "rounds_by_alpha", "0.5"),
+                    ("federation", "batch_size"), ("federation", "local_epochs"),
+                    ("federation", "local_epochs", "textcnn"), ("partition", "num_clients"),
+                    ("partition", "min_samples_per_client"), ("partition", "max_redraws"),
+                    ("metrics", "convergence_window")]
+    for path in integer_keys:
+        for value in (1.5, "3", True):
+            cfg7 = base_config()
+            parent = cfg7
+            for key in path[:-1]:
+                if not isinstance(parent.get(key), dict):
+                    parent[key] = {}
+                parent = parent[key]
+            parent[path[-1]] = value
+            name = ".".join(path[1:])
+            if name == "local_epochs":  # one count for every family, checked per family
+                name = "local_epochs.textcnn"
+            with pytest.raises(cli.ConfigError,
+                               match=f"^{path[0]}: {name}: must be an integer, got {value!r}$"):
+                cli.parse_config(write_config(tmp_path, cfg7))
+    for value in ("no", 1, None):
+        with pytest.raises(cli.ConfigError,
+                           match=f"^save_checkpoints: must be true or false, got {value!r}$"):
+            cli.parse_config(write_config(tmp_path, base_config(save_checkpoints=value)))
+
+
+@pytest.mark.parametrize("verb", ["run", "partition"])
+def test_data_errors_exit_1_before_any_cell(tmp_path, capsys, verb):
+    def csv_config(name):
+        return base_config(dataset={"csv": {
+            "train_path": str(tmp_path / name), "label_column": 0, "text_columns": [1],
+            "num_classes": 3, "max_seq_len": 6}})
+
+    (tmp_path / "bad.csv").write_text("1,a b c\nx,d e f\n")
+    too_many = base_config()
+    too_many["partition"]["min_samples_per_client"] = 1000
+    cases = [(csv_config("absent.csv"), "data error: dataset.csv: No such file or directory: "
+                                        f"{tmp_path / 'absent.csv'}\n"),
+             (csv_config("bad.csv"), f"data error: dataset.csv: {tmp_path / 'bad.csv'}:2: "
+                                     "non-integer label 'x'\n"),
+             (too_many, "data error: partition.alpha 0.5: no partition met "
+                        "min_samples_per_client=1000 after 100 redraws")]
+    for i, (cfg, message) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        cfg["out_dir"] = str(out)
+        assert cli.main([verb, str(write_config(tmp_path, cfg))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err, err
+        assert not out.exists()
 
 
 def test_not_json_and_missing_file(tmp_path):

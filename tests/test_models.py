@@ -68,6 +68,22 @@ def test_textcnn_pad_position_has_no_effect():
     np.testing.assert_array_equal(forward(mutated, ids).value, base)
 
 
+def test_textcnn_step_graph_is_seven_nodes():
+    params, forward = build_textcnn(CNN_CFG, VOCAB, SEQ, seed=1)
+    ids = rand_batch(np.random.default_rng(2))
+    loss = nk.softmax_cross_entropy(forward(params, ids, train=True, rng=nk.derive(0, "d")),
+                                    np.array([0, 1, 2]))
+    ops, seen, stack = [], set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops += [node.op] if node.op not in ("leaf", "const") else []
+            stack.extend(node.parents)
+    assert sorted(ops) == ["add", "dropout", "embedding_lookup", "matmul", "mul",
+                           "ngram_max_pool", "softmax_cross_entropy"]
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_textcnn_gradient_check(seed):
     params, forward = build_textcnn(CNN_CFG, VOCAB, SEQ, seed=seed)

@@ -99,6 +99,11 @@ OP_CASES = [
                               nk.masked_mean_pool(x, np.array([[1, 1, 0, 0], [1, 1, 1, 1]]))))),
     ("concat", lambda r: [r.standard_normal((2, 3)), r.standard_normal((2, 4))],
      lambda a, b: nk.ssum(nk.mul(nk.concat_last([a, b]), nk.concat_last([a, b])))),
+    ("ngram_max_pool", lambda r: [r.standard_normal((2, 6, 3)), r.standard_normal((2, 3, 2)),
+                                  r.standard_normal((4, 3, 3)), r.standard_normal(2),
+                                  r.standard_normal(3)],
+     lambda x, k2, k4, b2, b4: nk.ssum(nk.mul(nk.ngram_max_pool(x, [k2, k4], [b2, b4]),
+                                             nk.ngram_max_pool(x, [k2, k4], [b2, b4])))),
     ("reshape_transpose", lambda r: [r.standard_normal((2, 3, 4))],
      lambda x: nk.ssum(nk.mul(nk.transpose(nk.reshape(x, (2, 4, 3)), (1, 0, 2)),
                               nk.transpose(nk.reshape(x, (2, 4, 3)), (1, 0, 2))))),
@@ -207,3 +212,90 @@ def test_vector_file_roundtrip(tmp_path):
     lines[0] = f"{op};3x3;{seed};1.23456789012"
     path.write_text("\n".join(lines) + "\n")
     assert len(vectors.check_vectors(path)) == 1
+
+
+def unfused_ngram_max_pool(x, kernels, biases):
+    """The per-width op chain that `ngram_max_pool` fuses."""
+    return nk.concat_last([nk.max_over_time(nk.relu(nk.add(nk.conv1d_valid(x, k), b)))
+                           for k, b in zip(kernels, biases)])
+
+
+def ngram_case(rng, widths, batch=4, seq=7, channels=3, filters=(2, 3, 4)):
+    """Inputs with PAD rows (zero embeddings) at the end of every document, a document
+    that is all PAD, whose windows tie at exactly the bias, and one filter whose relu
+    is dead everywhere."""
+    x = rng.standard_normal((batch, seq, channels))
+    x[:, seq - 2:] = 0.0
+    x[-1] = 0.0
+    kernels = [rng.standard_normal((w, channels, filters[i % 3])) for i, w in enumerate(widths)]
+    biases = [rng.uniform(0.1, 1.0, k.shape[2]) for k in kernels]
+    kernels[0][:, :, 0] = 0.0
+    biases[0][0] = -1.0  # filter 0 outputs -1 everywhere: every window is a dead tie
+    return [x, *kernels, *biases]
+
+
+@pytest.mark.parametrize("widths,seq", [((2, 3, 4), 7), ((2, 5), 7), ((3,), 7), ((2, 7), 7),
+                                        ((4,), 4)])
+@pytest.mark.parametrize("seed", range(3))
+def test_ngram_max_pool_matches_unfused_ops(widths, seq, seed):
+    rng = np.random.default_rng(5000 + seed)
+    values = ngram_case(rng, widths, seq=seq)
+    weights = rng.standard_normal(sum(v.shape[2] for v in values[1:1 + len(widths)]))
+
+    def run(op):
+        leaves = [nk.leaf(v, name=f"p{i}") for i, v in enumerate(values)]
+        out = op(leaves[0], leaves[1:1 + len(widths)], leaves[1 + len(widths):])
+        grads = nk.backward(nk.ssum(nk.mul(out, np.broadcast_to(weights, out.shape).copy())))
+        return out.value, [grads[f"p{i}"].data for i in range(len(values))]
+
+    fused, fused_grads = run(nk.ngram_max_pool)
+    want, want_grads = run(unfused_ngram_max_pool)
+    for got, ref in zip([fused, *fused_grads], [want, *want_grads]):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the all-PAD document ties at the bias; both route its gradient to position 0
+    np.testing.assert_array_equal(fused_grads[0][-1] != 0, want_grads[0][-1] != 0)
+    assert np.all(fused[:, 0] == 0.0) and np.all(fused_grads[1][:, :, 0] == 0.0)
+
+
+def test_ngram_max_pool_rejects_bad_shapes():
+    x = np.zeros((2, 4, 3))
+    with pytest.raises(nk.ShapeError):
+        nk.ngram_max_pool(x, [np.zeros((5, 3, 2))], [np.zeros(2)])  # wider than seq
+    with pytest.raises(nk.ShapeError):
+        nk.ngram_max_pool(x, [np.zeros((2, 4, 2))], [np.zeros(2)])  # channel mismatch
+    with pytest.raises(nk.ShapeError):
+        nk.ngram_max_pool(x, [np.zeros((2, 3, 2))], [np.zeros(3)])  # bias size
+    with pytest.raises(nk.ShapeError):
+        nk.ngram_max_pool(x, [], [])
+
+
+def test_embedding_backward_matches_add_at_bitwise():
+    rng = np.random.default_rng(7)
+    for case in range(20):
+        vocab, dim = rng.integers(2, 9), rng.integers(1, 5)
+        table = rng.standard_normal((vocab, dim))
+        ids = rng.integers(0, min(vocab, 3), size=(3, 5))  # few ids: many repeats
+        g = rng.standard_normal((3, 5, dim)) * 10.0 ** rng.integers(-8, 8, size=(3, 5, 1))
+        g[0, 0] = -0.0
+        node = nk.embedding_lookup(nk.leaf(table, name="t"), ids)
+        (got,) = node._backward(g)
+        want = np.zeros_like(table)
+        np.add.at(want, ids.reshape(-1), g.reshape(-1, dim))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_const_operand_gradient_is_not_computed():
+    rng = np.random.default_rng(8)
+    x = nk.leaf(rng.standard_normal((3, 4)), name="x")
+    c = nk.const(rng.standard_normal((3, 4)))
+    g = np.ones((3, 4))
+    assert nk.mul(x, c)._backward(g)[1] is None
+    assert nk.mul(c, x)._backward(g)[0] is None
+    w = nk.const(rng.standard_normal((4, 2)))
+    ga, gb = nk.matmul(x, w)._backward(np.ones((3, 2)))
+    assert ga.shape == (3, 4) and gb is None
+    gx, ggain, gbias = nk.layernorm(x, nk.const(np.ones(4)), nk.const(np.zeros(4)))._backward(g)
+    assert gx.shape == (3, 4) and ggain is None and gbias is None
+    gx, ggain, gbias = nk.layernorm(c, nk.leaf(np.ones(4)), nk.leaf(np.zeros(4)))._backward(g)
+    assert gx is None and ggain.shape == gbias.shape == (4,)
