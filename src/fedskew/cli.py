@@ -15,6 +15,8 @@ import os
 import sys
 import time
 import traceback
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +25,8 @@ from . import metrics as mt
 from . import textdata as td
 from . import validate
 from .federation import FedConfig, OptimizerCfg, run_federation
-from .models import (LoraFormerConfig, TextCnnConfig, build_loraformer, check_fits,
-                     pretrain_backbone)
+from .models import (LoraFormerConfig, PretrainConfig, TextCnnConfig, build_loraformer,
+                     check_fits, pretrain_backbone)
 from .partition import (PartitionConfig, PartitionError, dirichlet_partition, save_manifest,
                         skew_report)
 
@@ -47,250 +49,202 @@ PAPER_OPTIMIZERS = {
     "loraformer": {"kind": "adamw", "lr": 5e-5, "weight_decay": 0.01},
 }
 PAPER_EPOCHS = {"textcnn": 5, "loraformer": 1}
-
-_TOP_KEYS = {"seed", "out_dir", "dataset", "models", "textcnn", "loraformer",
-             "partition", "federation", "metrics", "save_checkpoints", "pretrain"}
-_DATASET_KEYS = {"synthetic", "csv"}
-_SYNTH_KEYS = {"num_classes", "vocab_size", "train_docs_per_class", "test_docs_per_class",
-               "doc_length", "topic_concentration", "seed", "max_seq_len"}
-_CSV_KEYS = {"train_path", "test_path", "label_column", "text_columns", "one_based_labels",
-             "num_classes", "max_vocab_size", "max_seq_len"}
-_SYNTH_REQUIRED = _SYNTH_KEYS - {"seed", "max_seq_len"}
-_CSV_REQUIRED = {"train_path", "label_column", "text_columns", "num_classes"}
-_PARTITION_KEYS = {"num_clients", "alpha", "min_samples_per_client", "max_redraws"}
-_FED_KEYS = {"rounds", "rounds_by_alpha", "batch_size", "local_epochs", "optimizer",
-             "aggregators", "participation"}
-_OPT_KEYS = {"kind", "lr", "weight_decay"}
-_METRIC_KEYS = {"convergence_window", "convergence_tolerance"}
-_TEXTCNN_KEYS = {"embed_dim", "filter_widths", "filters_per_width", "dropout"}
-_LORAFORMER_KEYS = {"layers", "d_model", "heads", "ffn_dim", "lora_rank", "lora_scaling",
-                    "lora_dropout", "backbone_mode"}
-_PRETRAIN_KEYS = {"steps", "lr", "vocab_size", "docs_per_class", "doc_length",
-                  "topic_concentration", "seed"}
+MODEL_CONFIGS = {"textcnn": TextCnnConfig, "loraformer": LoraFormerConfig}
+DATASET_SPECS = {"synthetic": td.SyntheticSpec, "csv": td.CsvSchema}
 
 
-def _check_keys(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+@contextmanager
+def _at(where: str, renamed=None):
+    """Turns a TypeError, ValueError or OverflowError raised in the block into
+    ConfigError("<where>: …").  A check names the field it checks; `renamed` maps a
+    field to the key its value came from, which the message names instead."""
+    try:
+        yield
+    except (TypeError, ValueError, OverflowError) as e:
+        name, _, rest = str(e).partition(": ")
+        message = f"{renamed[name]}: {rest}" if name in (renamed or {}) else str(e)
+        raise ConfigError(f"{where}: {message}" if where else message) from e
 
 
-def _section(parent: dict, key: str, where: str) -> dict:
-    """`parent[key]`, which must be a JSON object when present; {} when absent."""
-    value = parent.get(key, {})
+def _object(value, where: str, keys=None) -> dict:
+    """`value`, which must be a JSON object, with keys only from `keys` when given.
+    `where` is its key path; "" is the config's root."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{where}: must be a JSON object")
+        raise ConfigError(f"{where or 'config'}: must be a JSON object")
+    unknown = set(value) - set(value if keys is None else keys)
+    if unknown:
+        raise ConfigError(f"{where or 'config'}: unknown keys {sorted(unknown)}")
     return value
 
 
+def _settable(cls, section, where: str, fixed=()) -> list:
+    """The fields of dataclass `cls` but the `fixed` ones: `section` may set no other
+    key, and must set each of them that has no default."""
+    settable = [f for f in fields(cls) if f.name not in fixed]
+    _object(section, where, [f.name for f in settable])
+    missing = [f.name for f in settable if f.name not in section
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{where or 'config'}: missing keys {missing}")
+    return settable
+
+
+def _from_json(f, value):
+    """`value` as the type of field `f`: JSON has no tuple, and reads 1 as an int."""
+    if value is None and f.default is None:  # a None default is derived, never given
+        raise ValueError(f"{f.name}: must be left out or given a value, got None")
+    if f.type is tuple and isinstance(value, list):
+        return tuple(value)
+    return float(value) if f.type is float and type(value) is int else value
+
+
+def _build(cls, section, where: str, renamed=None, **fixed):
+    """`cls(**fixed, **section)` for the section at key path `where`; `_settable` checks
+    its keys and `cls` its values."""
+    settable = _settable(cls, section, where, fixed)
+    with _at(where, renamed):
+        return cls(**fixed, **{f.name: _from_json(f, section[f.name])
+                               for f in settable if f.name in section})
+
+
+def _axis(value, where: str) -> list:
+    """A sweep axis: a nonempty JSON list."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where}: must be a list with at least one entry, got {value!r}")
+    return value
+
+
+def _aggregator(a) -> tuple:
+    """(aggregator, beta) of 'fedavg' or 'fedavgw:<beta>'."""
+    if a == "fedavg":
+        return ("fedavg", 0.0)
+    if isinstance(a, str) and a.startswith("fedavgw:"):
+        try:
+            return ("fedavgw", float(a.split(":", 1)[1]))
+        except ValueError:
+            pass
+    raise ConfigError(f"federation.aggregators: unknown aggregator {a!r} "
+                      "(use 'fedavg' or 'fedavgw:<beta>')")
+
+
+@dataclass(frozen=True)
+class _TopLevel:
+    """The top level of a config file: sweep-wide settings, the model families, and
+    one JSON object per section."""
+    dataset: dict
+    seed: int = 42
+    out_dir: str = field(default_factory=lambda: os.environ.get("FEDSKEW_OUT", "out"))
+    save_checkpoints: bool = False
+    models: list = field(default_factory=lambda: ["textcnn"])
+    textcnn: dict = field(default_factory=dict)
+    loraformer: dict = field(default_factory=dict)
+    partition: dict = field(default_factory=dict)
+    federation: dict = field(default_factory=dict)
+    metrics: dict = field(default_factory=dict)
+    pretrain: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        validate.integer("seed", self.seed, minimum=None)
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ValueError(f"out_dir: must be a nonempty path, got {self.out_dir!r}")
+        validate.boolean("save_checkpoints", self.save_checkpoints)
+
+
 class ExperimentConfig:
-    """Fully resolved sweep description; every default is materialized here, and
-    every setting is type- and range-checked before any work starts."""
+    """A sweep, checked in full before any work starts.  Each section of the JSON
+    builds the typed config that owns its keys, defaults and checks; this class reads
+    the JSON's shape: the sweep axes (`models`, `partition.alpha`,
+    `federation.aggregators`) and the per-family and per-alpha keys."""
 
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        _check_keys(raw, _TOP_KEYS, "config")
-        try:
-            self.seed = validate.integer("seed", raw.get("seed", 42), minimum=None)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        self.out_dir = raw.get("out_dir", os.environ.get("FEDSKEW_OUT", "out"))
-        if not isinstance(self.out_dir, str) or not self.out_dir:
-            raise ConfigError(f"out_dir: must be a nonempty path, got {self.out_dir!r}")
-        try:
-            self.save_checkpoints = validate.boolean("save_checkpoints",
-                                                     raw.get("save_checkpoints", False))
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        top = _build(_TopLevel, raw, "")
+        self.seed, self.out_dir = top.seed, top.out_dir
+        self.save_checkpoints = top.save_checkpoints
 
-        dataset = raw.get("dataset")
-        if not isinstance(dataset, dict) or len(set(dataset) & _DATASET_KEYS) != 1:
+        if not (isinstance(top.dataset, dict) and len(top.dataset) == 1
+                and next(iter(top.dataset)) in DATASET_SPECS):
             raise ConfigError("dataset: provide exactly one of 'synthetic' or 'csv'")
-        _check_keys(dataset, _DATASET_KEYS, "dataset")
-        self.dataset_cfg = dataset
-        self._parse_dataset()
-
-        self.models = raw.get("models", ["textcnn"])
-        if not isinstance(self.models, list):
-            raise ConfigError(f"models: must be a list of model families, got {self.models!r}")
-        if not self.models:
-            raise ConfigError("models: list must be nonempty")
-        for m in self.models:
-            if m not in ("textcnn", "loraformer"):
-                raise ConfigError(f"models: unknown family {m!r}")
-        self.model_overrides = {}
-        for fam, keys in (("textcnn", _TEXTCNN_KEYS), ("loraformer", _LORAFORMER_KEYS)):
-            ov = _section(raw, fam, fam)
-            _check_keys(ov, keys, fam)
-            self.model_overrides[fam] = ov
-        self.model_cfgs = {}  # family -> TextCnnConfig | LoraFormerConfig
-        for fam in self.models:
-            try:
-                self.model_cfgs[fam] = self._model_cfg(fam)
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"{fam}: {e}") from e
-
-        part = _section(raw, "partition", "partition")
-        _check_keys(part, _PARTITION_KEYS, "partition")
-        alphas = part.get("alpha", [1.0])
-        if not isinstance(alphas, list):
-            alphas = [alphas]
-        if not alphas:
-            raise ConfigError("partition.alpha: list must be nonempty")
-        try:
-            self.alphas = [float(a) for a in alphas]
-            # ranges are PartitionConfig's to check
-            self.num_clients = validate.integer("num_clients", part.get("num_clients", 10), None)
-            self.min_samples_per_client = validate.integer(
-                "min_samples_per_client", part.get("min_samples_per_client", 1), None)
-            self.max_redraws = validate.integer("max_redraws", part.get("max_redraws", 100), None)
-            # seeded, so `fedskew run --seed` is applied to the raw config before this
-            self.partition_cfgs = {
-                a: PartitionConfig(self.num_clients, a, self.seed,
-                                   self.min_samples_per_client, self.max_redraws)
-                for a in self.alphas}
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"partition: {e}") from e
-
-        self._parse_federation(_section(raw, "federation", "federation"))
-
-        met = _section(raw, "metrics", "metrics")
-        _check_keys(met, _METRIC_KEYS, "metrics")
-        try:
-            self.convergence_window = validate.integer(
-                "convergence_window", met.get("convergence_window", 5), None)
-            self.convergence_tolerance = float(met.get("convergence_tolerance", 0.003))
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"metrics: {e}") from e
-        if self.convergence_window < 1 or not self.convergence_tolerance >= 0:
-            raise ConfigError("metrics: convergence_window must be >= 1 and "
-                              "convergence_tolerance >= 0")
-
-        pre = _section(raw, "pretrain", "pretrain")
-        _check_keys(pre, _PRETRAIN_KEYS, "pretrain")
-        try:  # the defaults, some drawn from the dataset, are valid by construction
-            for key, value in pre.items():
-                if key in ("lr", "topic_concentration"):
-                    validate.positive(key, value)
-                else:
-                    validate.integer(key, value, {"steps": 0, "seed": None}.get(key, 1))
-        except ValueError as e:
-            raise ConfigError(f"pretrain: {e}") from e
-        self.pretrain = pre
-
-    def _parse_federation(self, fedr: dict):
-        """Sets the optimizer and aggregator settings, and `fed_cfgs`: (model, alpha,
-        aggregator, beta) -> FedConfig for every sweep cell, in plan order."""
-        _check_keys(fedr, _FED_KEYS, "federation")
-        by_alpha = _section(fedr, "rounds_by_alpha", "federation.rounds_by_alpha")
-        epochs = fedr.get("local_epochs", {})
-        if not isinstance(epochs, dict):  # one count for every family
-            epochs = {m: epochs for m in PAPER_EPOCHS}
-        try:  # ranges are FedConfig's to check
-            rounds = validate.integer("rounds", fedr.get("rounds", 50), None)
-            rounds_by_alpha = {float(k): validate.integer(f"rounds_by_alpha.{k}", v, None)
-                               for k, v in by_alpha.items()}
-            # pretraining uses batch_size too
-            self.batch_size = validate.integer("batch_size", fedr.get("batch_size", 32), None)
-            participation = float(fedr.get("participation", 1.0))
-            local_epochs = {m: validate.integer(f"local_epochs.{m}", n, None)
-                            for m, n in {**PAPER_EPOCHS, **epochs}.items()}
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"federation: {e}") from e
-        opt = _section(fedr, "optimizer", "federation.optimizer")
-        if "kind" in opt:
-            opt = {m: opt for m in ("textcnn", "loraformer")}
-        self.optimizers = {}
-        for fam in ("textcnn", "loraformer"):
-            where = f"federation.optimizer.{fam}"
-            o = {**PAPER_OPTIMIZERS[fam], **_section(opt, fam, where)}
-            _check_keys(o, _OPT_KEYS, where)
-            self.optimizers[fam] = o
-
-        aggs = fedr.get("aggregators", ["fedavg"])
-        if not isinstance(aggs, list):
-            raise ConfigError(f"federation.aggregators: must be a list of aggregators, got {aggs!r}")
-        if not aggs:
-            raise ConfigError("federation.aggregators: list must be nonempty")
-        self.aggregators = [self._parse_aggregator(a) for a in aggs]
-
-        self.fed_cfgs = {}
-        for fam in self.models:
-            o = self.optimizers[fam]
-            try:
-                opt_cfg = OptimizerCfg(o["kind"], o["lr"], o["weight_decay"])
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"federation.optimizer.{fam}: {e}") from e
-            for alpha in self.alphas:
-                for agg, beta in self.aggregators:
-                    try:
-                        self.fed_cfgs[fam, alpha, agg, beta] = FedConfig(
-                            rounds=rounds_by_alpha.get(alpha, rounds),
-                            local_epochs=local_epochs[fam], batch_size=self.batch_size,
-                            optimizer=opt_cfg, aggregator=agg, beta=beta,
-                            participation=participation, seed=self.seed)
-                    except (TypeError, ValueError) as e:
-                        raise ConfigError(f"federation: {e}") from e
-
-    @staticmethod
-    def _parse_aggregator(a):
-        """'fedavg' or 'fedavgw:<beta>'."""
-        if a == "fedavg":
-            return ("fedavg", 0.0)
-        if isinstance(a, str) and a.startswith("fedavgw:"):
-            try:
-                return ("fedavgw", float(a.split(":", 1)[1]))
-            except ValueError:
-                pass
-        raise ConfigError(f"unknown aggregator {a!r} (use 'fedavg' or 'fedavgw:<beta>')")
-
-    def _parse_dataset(self):
-        """Builds `dataset_spec` (a SyntheticSpec or CsvSchema) and the `max_seq_len`
-        of the documents it gives, for `load_dataset`."""
-        kind = "synthetic" if "synthetic" in self.dataset_cfg else "csv"
+        self.dataset_cfg = top.dataset
+        (kind, spec), = top.dataset.items()
         where = f"dataset.{kind}"
-        d = _section(self.dataset_cfg, kind, where)
-        _check_keys(d, _SYNTH_KEYS if kind == "synthetic" else _CSV_KEYS, where)
-        required = _SYNTH_REQUIRED if kind == "synthetic" else _CSV_REQUIRED
-        missing = required - set(d)
-        if missing:
-            raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-        try:
-            if kind == "synthetic":
-                self.dataset_spec = td.SyntheticSpec(**{k: d[k] for k in required},
-                                                     seed=d.get("seed", self.seed))
-                self.max_seq_len = validate.integer("max_seq_len",
-                                                    d.get("max_seq_len", d["doc_length"]))
-                return
-            for key in ("train_path", "test_path"):
-                if not isinstance(d.get(key, ""), str):
-                    raise ValueError(f"{key}: must be a path, got {d[key]!r}")
-            self.dataset_spec = td.CsvSchema(
-                label_column=d["label_column"], text_columns=tuple(d["text_columns"]),
-                one_based_labels=d.get("one_based_labels", True), num_classes=d["num_classes"],
-                max_vocab_size=d.get("max_vocab_size", 30000),
-                max_seq_len=d.get("max_seq_len", 64))
-            self.max_seq_len = self.dataset_spec.max_seq_len
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"{where}: {e}") from e
+        if kind == "synthetic":
+            spec = {"seed": self.seed, **_object(spec, where)}
+        self.dataset_spec = _build(DATASET_SPECS[kind], spec, where)
 
-    def _model_cfg(self, family: str):
-        ov = dict(self.model_overrides[family])
-        num_classes = self.dataset_spec.num_classes
-        if family == "loraformer":
-            return LoraFormerConfig(num_classes=num_classes, **ov)
-        if "filter_widths" in ov:
-            ov["filter_widths"] = tuple(ov["filter_widths"])
-        model_cfg = TextCnnConfig(num_classes=num_classes, **ov)
-        check_fits(model_cfg, self.max_seq_len)
-        return model_cfg
+        part = _object(top.partition, "partition")
+        # seeded, so `fedskew run --seed` is applied to the raw config before this
+        self.partition_cfgs = {}
+        for alpha in _axis(part.get("alpha", [PartitionConfig.alpha]), "partition.alpha"):
+            pcfg = _build(PartitionConfig, {**part, "alpha": alpha}, "partition", seed=self.seed)
+            self.partition_cfgs[pcfg.alpha] = pcfg
+        self.alphas = list(self.partition_cfgs)
+        self.num_clients, self.min_samples_per_client, self.max_redraws = (
+            pcfg.num_clients, pcfg.min_samples_per_client, pcfg.max_redraws)
+
+        self.models = _axis(top.models, "models")
+        for m in self.models:
+            if not isinstance(m, str) or m not in MODEL_CONFIGS:
+                raise ConfigError(f"models: unknown family {m!r}")
+        self._parse_families(top)
+        self.convergence = _build(mt.ConvergenceRule, top.metrics, "metrics")
+        self.pretrain = top.pretrain
+        self.pretrain_cfg = _build(PretrainConfig,
+                                   {"seed": self.seed + 1, **_object(top.pretrain, "pretrain")},
+                                   "pretrain")
+
+    def _parse_families(self, top):
+        """Sets, per model family, `model_cfgs` and `optimizers` (the merged JSON of its
+        optimizer), and `fed_cfgs`: (model, alpha, aggregator, beta) -> FedConfig for
+        every sweep cell, in plan order.  A family not in `models` is not built, but its
+        keys are checked."""
+        fedr = dict(_object(top.federation, "federation"))  # FedConfig owns what is not popped
+        by_alpha = _object(fedr.pop("rounds_by_alpha", {}), "federation.rounds_by_alpha")
+        with _at("federation.rounds_by_alpha"):
+            rounds_key = {float(key): key for key in by_alpha}  # alpha -> its key
+        _object(by_alpha, "federation.rounds_by_alpha",
+                [key for alpha, key in rounds_key.items() if alpha in self.partition_cfgs])
+        epochs = fedr.pop("local_epochs", {})
+        if not isinstance(epochs, dict):  # one count for every family
+            epochs = dict.fromkeys(MODEL_CONFIGS, epochs)
+        epochs = {**PAPER_EPOCHS, **_object(epochs, "federation.local_epochs", MODEL_CONFIGS)}
+        optimizers = _object(fedr.pop("optimizer", {}), "federation.optimizer", MODEL_CONFIGS)
+        self.optimizers = {fam: {**PAPER_OPTIMIZERS[fam], **_object(
+            optimizers.get(fam, {}), f"federation.optimizer.{fam}")} for fam in MODEL_CONFIGS}
+        aggregators = [_aggregator(a) for a in _axis(fedr.pop("aggregators", ["fedavg"]),
+                                                     "federation.aggregators")]
+
+        self.model_overrides = {fam: getattr(top, fam) for fam in MODEL_CONFIGS}
+        for fam in [fam for fam in MODEL_CONFIGS if fam not in self.models]:
+            _settable(MODEL_CONFIGS[fam], self.model_overrides[fam], fam, fixed=("num_classes",))
+            _settable(OptimizerCfg, self.optimizers[fam], f"federation.optimizer.{fam}")
+        self.model_cfgs, self.fed_cfgs = {}, {}
+        for fam in self.models:
+            self.model_cfgs[fam] = _build(MODEL_CONFIGS[fam], self.model_overrides[fam], fam,
+                                          num_classes=self.dataset_spec.num_classes)
+            base = _build(FedConfig, fedr, "federation", {"local_epochs": f"local_epochs.{fam}"},
+                          optimizer=_build(OptimizerCfg, self.optimizers[fam],
+                                           f"federation.optimizer.{fam}"),
+                          local_epochs=epochs[fam], seed=self.seed,
+                          aggregator="fedavg", beta=0.0)  # each cell sets its own
+            self.batch_size = base.batch_size  # the same for every family; pretraining uses it
+            for alpha in self.alphas:
+                key = rounds_key.get(alpha)
+                rounds = base.rounds if key is None else by_alpha[key]
+                for i, (agg, beta) in enumerate(aggregators):
+                    with _at("federation", {"rounds": f"rounds_by_alpha.{key}",
+                                            "beta": f"aggregators.{i}: beta"}):
+                        self.fed_cfgs[fam, alpha, agg, beta] = replace(
+                            base, rounds=rounds, aggregator=agg, beta=beta)
+        if "textcnn" in self.model_cfgs:
+            with _at("textcnn"):
+                check_fits(self.model_cfgs["textcnn"], self.dataset_spec.max_seq_len)
 
     def load_dataset(self) -> td.Dataset:
         if isinstance(self.dataset_spec, td.SyntheticSpec):
-            return td.generate_synthetic(self.dataset_spec, max_seq_len=self.max_seq_len)
-        c = self.dataset_cfg["csv"]
-        return td.load_csv(c["train_path"], self.dataset_spec, test_path=c.get("test_path"))
+            return td.generate_synthetic(self.dataset_spec)
+        return td.load_csv(self.dataset_spec)
 
 
 def read_config(path):
@@ -348,21 +302,12 @@ def pretrained_initial(cfg: ExperimentConfig, dataset):
     model_cfg = cfg.model_cfgs["loraformer"]
     if model_cfg.backbone_mode != "pretrained-frozen":
         return None
-    pre = cfg.pretrain
-    proxy_spec = td.SyntheticSpec(
-        num_classes=dataset.num_classes,
-        vocab_size=pre.get("vocab_size", max(dataset.vocabulary.size - 2, 2)),
-        train_docs_per_class=pre.get("docs_per_class", 100),
-        test_docs_per_class=1,
-        doc_length=pre.get("doc_length", dataset.max_seq_len),
-        topic_concentration=pre.get("topic_concentration", 0.2),
-        seed=pre.get("seed", cfg.seed + 1))
-    proxy = td.generate_synthetic(proxy_spec, max_seq_len=dataset.max_seq_len)
+    pre = cfg.pretrain_cfg
+    proxy = td.generate_synthetic(pre.proxy_spec(dataset))
     params, _ = build_loraformer(model_cfg, dataset.vocabulary.size, dataset.max_seq_len,
                                  cfg.seed)
-    return pretrain_backbone(params, model_cfg, proxy, steps=pre.get("steps", 200),
-                             seed=pre.get("seed", cfg.seed + 1), target_dataset=dataset,
-                             lr=pre.get("lr", 1e-3), batch_size=cfg.batch_size)
+    return pretrain_backbone(params, model_cfg, proxy, steps=pre.steps, seed=pre.seed,
+                             target_dataset=dataset, lr=pre.lr, batch_size=cfg.batch_size)
 
 
 def execute_run(cfg: ExperimentConfig, run: dict, dataset, partitions, out_root: Path,
@@ -386,13 +331,13 @@ def execute_run(cfg: ExperimentConfig, run: dict, dataset, partitions, out_root:
         if cfg.save_checkpoints:
             from .models import save_checkpoint
             save_checkpoint(final, run_dir / "final")
-        last = logs[-1].summary
+        last, rule = logs[-1].summary, cfg.convergence
         summary.update({
             "final": {"avg": last.avg, "worst": last.worst, "gap": last.gap,
                       "argmin_client": last.argmin_client_id},
-            "converged": mt.convergence_check(logs, cfg.convergence_window,
-                                              cfg.convergence_tolerance)
-            if len(logs) >= cfg.convergence_window else None,
+            "converged": mt.convergence_check(logs, rule.convergence_window,
+                                              rule.convergence_tolerance)
+            if len(logs) >= rule.convergence_window else None,
             "gap_series": [l.summary.gap for l in logs],
             "skew": skew_report(partitions).to_dict(),
         })

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit as nk
+from . import validate
 # evaluate_client stays importable here: perfbench/tracer.py wraps it by this name
 from .metrics import RoundLog, evaluate_client, evaluate_clients, fairness_summary  # noqa: F401
 from .models import build_model
@@ -39,29 +40,34 @@ class OptimizerCfg:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        OptimizerState(self.kind, self.lr, self.weight_decay)  # raises ContractError if invalid
+        validate.positive("lr", self.lr)
+        validate.nonnegative("weight_decay", self.weight_decay)
+        OptimizerState(self.kind, self.lr, self.weight_decay)  # raises ContractError on a bad kind
+
+
+def check_beta(beta: float) -> float:
+    """FedAvgW's exponent: a finite number >= 0 (0 weights LoRA groups like FedAvg)."""
+    return validate.nonnegative("beta", beta)
 
 
 @dataclass(frozen=True)
 class FedConfig:
-    rounds: int
-    local_epochs: int
-    batch_size: int
     optimizer: OptimizerCfg
+    local_epochs: int
+    rounds: int = 50
+    batch_size: int = 32
     aggregator: str = "fedavg"  # "fedavg" | "fedavgw"
     beta: float = 0.0
     participation: float = 1.0
     seed: int = 42
 
     def __post_init__(self):
-        if min(self.rounds, self.local_epochs, self.batch_size) < 1:
-            raise ValueError("rounds, local_epochs and batch_size must be >= 1")
-        if not 0 < self.participation <= 1:
-            raise ValueError("participation must be in (0, 1]")
+        for name in ("rounds", "local_epochs", "batch_size"):
+            validate.integer(name, getattr(self, name))
+        validate.share("participation", self.participation)
         if self.aggregator not in ("fedavg", "fedavgw"):
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        check_beta(self.beta)
 
 
 @dataclass(frozen=True)
@@ -78,8 +84,8 @@ class AggregationWeights:
 
     def __post_init__(self):
         for name, w in (("standard", self.standard), ("lora", self.lora)):
-            if (w < 0).any():
-                raise ValueError(f"{name} weights must be nonnegative")
+            if not (np.isfinite(w).all() and (w >= 0).all()):
+                raise ValueError(f"{name} weights must be finite and nonnegative, got {w!r}")
             if abs(w.sum() - 1.0) > 1e-12:
                 raise ValueError(f"{name} weights sum to {w.sum()!r}, not 1")
 
@@ -100,8 +106,7 @@ def fedavg_weights(updates) -> AggregationWeights:
 
 
 def fedavgw_weights(updates, beta: float) -> AggregationWeights:
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    check_beta(beta)
     n = np.array([u.n_k for u in updates], dtype=np.float64)
     if (n <= 0).any():
         raise FederationError("fedavgw requires n_k > 0 for every participant")

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import validate
 from .textdata import make_batches
 
 ROUNDS_CSV_HEADER = ["round", "client_id", "n_k", "eval_size", "accuracy",
@@ -95,7 +96,20 @@ def fairness_summary(evals) -> FairnessSummary:
     return FairnessSummary(avg, worst, avg - worst, evals[worst_idx].client_id)
 
 
-def convergence_check(logs, window: int = 5, tolerance: float = 0.003) -> bool:
+@dataclass(frozen=True)
+class ConvergenceRule:
+    """The `window` and `tolerance` a sweep passes to `convergence_check`; the
+    defaults are the paper's rule, 0.3% over the final 5 rounds."""
+    convergence_window: int = 5
+    convergence_tolerance: float = 0.003
+
+    def __post_init__(self):
+        validate.integer("convergence_window", self.convergence_window)
+        validate.nonnegative("convergence_tolerance", self.convergence_tolerance)
+
+
+def convergence_check(logs, window: int = ConvergenceRule.convergence_window,
+                      tolerance: float = ConvergenceRule.convergence_tolerance) -> bool:
     """True iff the average-accuracy spread over the last `window` rounds <= tolerance."""
     series = [l.summary.avg if isinstance(l, RoundLog) else float(l) for l in logs]
     if len(series) < window:

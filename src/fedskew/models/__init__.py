@@ -1,6 +1,7 @@
 from .loraformer import (
     DisjointnessError,
     LoraFormerConfig,
+    PretrainConfig,
     build_loraformer,
     merge_lora,
     pretrain_backbone,

@@ -13,7 +13,7 @@ import numpy as np
 from .. import numkit as nk
 from .. import validate
 from ..numkit.optim import OptimizerState, adamw_step
-from ..textdata import PAD_ID, make_batches
+from ..textdata import PAD_ID, SyntheticSpec, make_batches
 from .params import ParamGroup, ParamSet, StructuralError
 
 
@@ -186,6 +186,35 @@ def _doc_keys(split) -> set:
     """(label, unpadded token ids) of every row; PAD never occurs inside a document."""
     return {(int(label), ids[ids != PAD_ID].tobytes())
             for label, ids in zip(split.labels, split.token_ids)}
+
+
+@dataclass(frozen=True)
+class PretrainConfig:
+    """`pretrain_backbone`'s settings and its synthetic proxy corpus, of
+    `docs_per_class` documents per class of the target dataset."""
+    seed: int
+    steps: int = 200
+    lr: float = 1e-3
+    vocab_size: int = None  # None: the target vocabulary's word count, at least 2
+    docs_per_class: int = 100
+    doc_length: int = None  # None: the target's max_seq_len
+    topic_concentration: float = 0.2
+
+    def __post_init__(self):
+        validate.integer("seed", self.seed, minimum=None)
+        validate.integer("steps", self.steps, minimum=0)
+        validate.positive("lr", self.lr)
+        for name in ("vocab_size", "docs_per_class", "doc_length"):
+            if getattr(self, name) is not None:
+                validate.integer(name, getattr(self, name))
+        validate.positive("topic_concentration", self.topic_concentration)
+
+    def proxy_spec(self, target) -> SyntheticSpec:
+        """The proxy corpus's spec for the target dataset; None sizes follow the target."""
+        return SyntheticSpec(target.num_classes,
+                             self.vocab_size or max(target.vocabulary.size - 2, 2),
+                             self.docs_per_class, 1, self.doc_length or target.max_seq_len,
+                             self.topic_concentration, self.seed, target.max_seq_len)
 
 
 def pretrain_backbone(params: ParamSet, cfg: LoraFormerConfig, proxy_dataset, steps: int,

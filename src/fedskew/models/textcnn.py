@@ -22,7 +22,8 @@ class TextCnnConfig:
     def __post_init__(self):
         for name in ("num_classes", "embed_dim", "filters_per_width"):
             validate.integer(name, getattr(self, name))
-        if not self.filter_widths or len(set(self.filter_widths)) != len(self.filter_widths):
+        if (not isinstance(self.filter_widths, tuple) or not self.filter_widths
+                or len(set(self.filter_widths)) != len(self.filter_widths)):
             raise ValueError(f"filter_widths: must be a nonempty list of distinct widths, "
                              f"got {self.filter_widths!r}")
         for width in self.filter_widths:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import validate
 from .numkit.rng import derive
 
 
@@ -23,19 +24,18 @@ class PartitionError(RuntimeError):
 
 @dataclass(frozen=True)
 class PartitionConfig:
-    num_clients: int
-    alpha: float
-    seed: int
+    num_clients: int = 10
+    alpha: float = 1.0
+    seed: int = 42
     min_samples_per_client: int = 1
     max_redraws: int = 100
 
     def __post_init__(self):
-        if self.num_clients < 1:
-            raise ValueError("num_clients must be >= 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
-        if self.min_samples_per_client < 0 or self.max_redraws < 1:
-            raise ValueError("min_samples_per_client must be >= 0 and max_redraws >= 1")
+        validate.integer("num_clients", self.num_clients)
+        validate.positive("alpha", self.alpha)
+        validate.integer("seed", self.seed, minimum=None)
+        validate.integer("min_samples_per_client", self.min_samples_per_client, minimum=0)
+        validate.integer("max_redraws", self.max_redraws)
 
 
 @dataclass

@@ -14,7 +14,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -100,26 +100,34 @@ class Dataset:
 
 @dataclass(frozen=True)
 class CsvSchema:
+    """An AG-News-style CSV dataset: its files, the columns that hold the label and
+    the text, and the vocabulary and sequence-length limits."""
+    train_path: str
     label_column: int
     text_columns: tuple
-    one_based_labels: bool
     num_classes: int
+    test_path: str = None  # None: no test split
+    one_based_labels: bool = True
     max_vocab_size: int = 30000
     max_seq_len: int = 64
 
     def __post_init__(self):
-        for name in ("num_classes", "max_vocab_size", "max_seq_len"):
-            validate.integer(name, getattr(self, name))
-        if not self.text_columns:
-            raise ValueError("text_columns: must be a nonempty list")
+        for name, path in (("train_path", self.train_path), ("test_path", self.test_path)):
+            if not isinstance(path, (str, PurePath)) and (name, path) != ("test_path", None):
+                raise ValueError(f"{name}: must be a path, got {path!r}")
+        if not isinstance(self.text_columns, tuple) or not self.text_columns:
+            raise ValueError(f"text_columns: must be a nonempty list, got {self.text_columns!r}")
         for column in (self.label_column, *self.text_columns):
             validate.integer("label_column and text_columns", column, minimum=0)
+        validate.boolean("one_based_labels", self.one_based_labels)
+        for name in ("num_classes", "max_vocab_size", "max_seq_len"):
+            validate.integer(name, getattr(self, name))
 
 
-def load_csv(path, schema: CsvSchema, test_path=None, name: str = "csv") -> Dataset:
+def load_csv(schema: CsvSchema, name: str = "csv") -> Dataset:
     """Load an AG-News-style CSV pair (train builds the vocabulary)."""
-    train_rows = _read_rows(path, schema)
-    test_rows = _read_rows(test_path, schema) if test_path else []
+    train_rows = _read_rows(schema.train_path, schema)
+    test_rows = _read_rows(schema.test_path, schema) if schema.test_path else []
     vocab = Vocabulary.build((toks for _, toks in train_rows), schema.max_vocab_size)
 
     def to_split(rows):
@@ -164,6 +172,7 @@ class SyntheticSpec:
     doc_length: int
     topic_concentration: float
     seed: int
+    max_seq_len: int = None  # None: doc_length
 
     def __post_init__(self):
         for name in ("num_classes", "vocab_size", "train_docs_per_class",
@@ -171,15 +180,16 @@ class SyntheticSpec:
             validate.integer(name, getattr(self, name))
         validate.positive("topic_concentration", self.topic_concentration)
         validate.integer("seed", self.seed, minimum=None)
+        if self.max_seq_len is None:
+            object.__setattr__(self, "max_seq_len", self.doc_length)
+        validate.integer("max_seq_len", self.max_seq_len)
 
 
-def generate_synthetic(spec: SyntheticSpec, max_seq_len=None) -> Dataset:
+def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Balanced corpus with class-conditional unigram topics drawn from a
     symmetric Dirichlet; small concentration gives near-disjoint classes.
-    Each document is `spec.doc_length` tokens, stored in `max_seq_len` columns
-    (default: `doc_length`)."""
-    max_seq_len = validate.integer(
-        "max_seq_len", spec.doc_length if max_seq_len is None else max_seq_len)
+    Each document is `spec.doc_length` tokens, stored in `spec.max_seq_len`
+    columns."""
     id_to_token = ["<pad>", "<unk>"] + [f"w{i}" for i in range(spec.vocab_size)]
     vocab = Vocabulary({t: i for i, t in enumerate(id_to_token)}, id_to_token)
 
@@ -193,12 +203,12 @@ def generate_synthetic(spec: SyntheticSpec, max_seq_len=None) -> Dataset:
                .choice(spec.vocab_size, size=(per_class, spec.doc_length), p=topics[c]) + 2
                for c in range(spec.num_classes)]
         return _pad(np.repeat(np.arange(spec.num_classes), per_class), np.concatenate(ids),
-                    max_seq_len)
+                    spec.max_seq_len)
 
     return Dataset("synthetic", spec.num_classes,
                    sample_split("train", spec.train_docs_per_class),
                    sample_split("test", spec.test_docs_per_class),
-                   vocab, max_seq_len)
+                   vocab, spec.max_seq_len)
 
 
 def make_batches(docs: Split, batch_size: int, seed: int) -> list:

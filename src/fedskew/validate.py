@@ -1,5 +1,6 @@
 """Type and range checks for config values.  Each returns the value it checked
-or raises ValueError("<name>: must be …"), so a caller can prefix a key path."""
+or raises ValueError("<name>: must be …"), so a caller can prefix a key path.
+A number is a finite int or float, never a bool or a string."""
 
 import math
 from numbers import Integral, Real
@@ -14,18 +15,29 @@ def integer(name: str, value, minimum=1):
     return value
 
 
-def positive(name: str, value):
-    """A finite real number > 0."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
-        raise ValueError(f"{name}: must be a finite number > 0, got {value!r}")
+def _number(name: str, value, in_range, wanted: str):
+    if (isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value)
+            or not in_range(value)):
+        raise ValueError(f"{name}: must be {wanted}, got {value!r}")
     return value
+
+
+def positive(name: str, value):
+    return _number(name, value, lambda v: v > 0, "a finite number > 0")
+
+
+def nonnegative(name: str, value):
+    return _number(name, value, lambda v: v >= 0, "a finite number >= 0")
 
 
 def fraction(name: str, value):
-    """A real number in [0, 1), such as a dropout rate."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < 1:
-        raise ValueError(f"{name}: must be a number in [0, 1), got {value!r}")
-    return value
+    """Such as a dropout rate."""
+    return _number(name, value, lambda v: 0 <= v < 1, "a number in [0, 1)")
+
+
+def share(name: str, value):
+    """Such as the share of clients that take part in a round."""
+    return _number(name, value, lambda v: 0 < v <= 1, "a number in (0, 1]")
 
 
 def boolean(name: str, value):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,7 +73,8 @@ def test_missing_required_and_bad_values(tmp_path):
             cli.parse_config(write_config(tmp_path, cfg5))
     for edit, where in (
             (lambda c: c["federation"].update(rounds=0), "federation: rounds"),
-            (lambda c: c["federation"].update(batch_size=0), "federation: rounds"),
+            (lambda c: c["federation"].update(batch_size=0),
+             "federation: batch_size: must be an integer >= 1, got 0$"),
             (lambda c: c["federation"].update(participation=2), "federation: participation"),
             (lambda c: c["federation"]["optimizer"]["textcnn"].update(kind="adam"),
              "federation.optimizer.textcnn: unknown optimizer kind 'adam'"),
@@ -91,7 +93,8 @@ def test_missing_required_and_bad_values(tmp_path):
             (lambda c: c.update(seed="x"), "seed: must be an integer, got 'x'"),
             (lambda c: c.update(out_dir=0), "out_dir: must be a nonempty path"),
             (lambda c: c.update(metrics={"convergence_window": 0}), "metrics: convergence_window"),
-            (lambda c: c["partition"].update(max_redraws=0), "partition: min_samples_per_client"),
+            (lambda c: c["partition"].update(max_redraws=0),
+             "partition: max_redraws: must be an integer >= 1, got 0$"),
             (lambda c: c["textcnn"].update(dropout=1.5),
              r"textcnn: dropout: must be a number in \[0, 1\), got 1.5"),
             (lambda c: c["textcnn"].update(embed_dim=0), "textcnn: embed_dim: must be an integer >= 1"),
@@ -99,7 +102,22 @@ def test_missing_required_and_bad_values(tmp_path):
             (lambda c: c.update(models=["loraformer"], loraformer={"heads": 0}),
              "loraformer: heads: must be an integer >= 1"),
             (lambda c: c.update(models=["loraformer"], loraformer={"lora_dropout": -0.1}),
-             "loraformer: lora_dropout")):
+             "loraformer: lora_dropout"),
+            (lambda c: c["federation"].update(aggregators=["fedavg", "fedavgw:nan"]),
+             "federation: aggregators.1: beta: must be a finite number >= 0, got nan$"),
+            (lambda c: c["federation"].update(aggregators=["fedavgw:inf"]),
+             "federation: aggregators.0: beta: must be a finite number >= 0, got inf$"),
+            (lambda c: c["federation"].update(aggregators=["fedavgw:-1"]),
+             "federation: aggregators.0: beta: must be a finite number >= 0, got -1.0$"),
+            (lambda c: c["federation"].update(local_epochs={"textcnn": 2, "lorafromer": 3}),
+             r"federation.local_epochs: unknown keys \['lorafromer'\]$"),
+            (lambda c: c["federation"].update(rounds_by_alpha={"0.7": 3}),
+             r"federation.rounds_by_alpha: unknown keys \['0.7'\]$"),
+            # the two removed shapes: a scalar alpha, and one optimizer for every family
+            (lambda c: c["partition"].update(alpha=0.5),
+             "partition.alpha: must be a list with at least one entry, got 0.5$"),
+            (lambda c: c["federation"].update(optimizer={"kind": "sgd", "lr": 0.1}),
+             r"federation.optimizer: unknown keys \['kind', 'lr'\]$")):
         cfg6 = base_config()
         edit(cfg6)
         with pytest.raises(cli.ConfigError, match=f"^{where}"):
@@ -122,13 +140,37 @@ def test_missing_required_and_bad_values(tmp_path):
             name = ".".join(path[1:])
             if name == "local_epochs":  # one count for every family, checked per family
                 name = "local_epochs.textcnn"
-            with pytest.raises(cli.ConfigError,
-                               match=f"^{path[0]}: {name}: must be an integer, got {value!r}$"):
+            minimum = 0 if name == "min_samples_per_client" else 1
+            with pytest.raises(cli.ConfigError, match=f"^{path[0]}: {name}: must be an integer "
+                                                      f">= {minimum}, got {value!r}$"):
                 cli.parse_config(write_config(tmp_path, cfg7))
+    # float keys take finite JSON numbers only
+    for edit, key, bound in (
+            (lambda c, v: c["federation"].update(participation=v), "federation: participation",
+             r"a number in \(0, 1\]"),
+            (lambda c, v: c["partition"].update(alpha=[0.5, v]), "partition: alpha",
+             "a finite number > 0"),
+            (lambda c, v: c.update(metrics={"convergence_tolerance": v}),
+             "metrics: convergence_tolerance", "a finite number >= 0"),
+            (lambda c, v: c["federation"]["optimizer"]["textcnn"].update(lr=v),
+             "federation.optimizer.textcnn: lr", "a finite number > 0"),
+            (lambda c, v: c["federation"]["optimizer"]["textcnn"].update(weight_decay=v),
+             "federation.optimizer.textcnn: weight_decay", "a finite number >= 0")):
+        for value in ("0.5", True, float("nan"), float("inf")):
+            cfg8 = base_config()
+            edit(cfg8, value)
+            with pytest.raises(cli.ConfigError, match=f"^{key}: must be {bound}, got {value!r}$"):
+                cli.parse_config(write_config(tmp_path, cfg8))
     for value in ("no", 1, None):
         with pytest.raises(cli.ConfigError,
                            match=f"^save_checkpoints: must be true or false, got {value!r}$"):
             cli.parse_config(write_config(tmp_path, base_config(save_checkpoints=value)))
+        csv = {"train_path": "train.csv", "label_column": 0, "text_columns": [1],
+               "num_classes": 3, "one_based_labels": value}
+        with pytest.raises(cli.ConfigError,
+                           match=f"^dataset.csv: one_based_labels: must be true or false, "
+                                 f"got {value!r}$"):
+            cli.parse_config(write_config(tmp_path, base_config(dataset={"csv": csv})))
 
 
 @pytest.mark.parametrize("verb", ["run", "partition"])
@@ -180,6 +222,27 @@ def test_run_id_changes_with_config(tmp_path):
     changed = base_config(seed=12)
     b = cli.parse_config(write_config(tmp_path, changed, "b.json"))
     assert cli.plan_runs(a)[0]["run_id"] != cli.plan_runs(b)[0]["run_id"]
+
+
+def test_run_ids_pinned(tmp_path):
+    """Run ids name the output directories, so reading a config must keep them."""
+    def ids(cfg):
+        return [r["run_id"] for r in cli.plan_runs(cli.ExperimentConfig(cfg))]
+
+    assert ids(base_config()) == ["8ba9647875e9"]
+    assert ids(pretrained_sweep_config(tmp_path)) == [
+        "eaf9e0ee3d2a", "3a011dad34ba", "515924df642e", "d2a185b5d178",
+        "ca8bfe1eeeaf", "21ec5632221f", "da76b864b13e", "3462e7294d96"]
+    integer_alpha, float_alpha = base_config(), base_config()
+    integer_alpha["partition"]["alpha"] = [1]
+    float_alpha["partition"]["alpha"] = [1.0]
+    assert ids(integer_alpha) == ids(float_alpha)
+
+
+def test_readme_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    config = readme.split("cat > sweep.json <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
+    assert len(cli.plan_runs(cli.ExperimentConfig(json.loads(config)))) == 4
 
 
 def test_sweep_cross_product_counts(tmp_path):

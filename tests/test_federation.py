@@ -38,8 +38,11 @@ def test_fedavgw_weights():
     np.testing.assert_allclose(w2.lora, [0.9449, 0.0551], atol=5e-5)
     w3 = fed.fedavgw_weights([upd(i, 10 * (i + 1), [[0.0]]) for i in range(4)], beta=0.0)
     np.testing.assert_allclose(w3.lora, 0.25, atol=1e-15)
-    with pytest.raises(ValueError):
-        fed.fedavgw_weights([upd(0, 1, [[0.0]])], beta=-0.1)
+    for beta in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="beta: must be a finite number >= 0"):
+            fed.fedavgw_weights([upd(0, 1, [[0.0]])], beta=beta)
+    with pytest.raises(ValueError, match="lora weights must be finite and nonnegative"):
+        fed.AggregationWeights(np.array([0.5, 0.5]), np.array([np.nan, np.nan]))
 
 
 def test_weights_sum_to_one_and_monotone():

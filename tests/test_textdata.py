@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,7 +7,9 @@ from scipy import stats
 from fedskew import textdata as td
 
 
-SCHEMA = td.CsvSchema(label_column=0, text_columns=(1, 2), one_based_labels=True, num_classes=4)
+def schema(train, test=None, **kw):
+    return td.CsvSchema(train_path=train, label_column=0, text_columns=(1, 2), num_classes=4,
+                        test_path=test, **kw)
 
 
 def write_csv(path, rows):
@@ -15,19 +19,19 @@ def write_csv(path, rows):
 def test_load_csv_schema_application(tmp_path):
     train = tmp_path / "train.csv"
     write_csv(train, ['3,"Stocks rally","Markets rose"', '1,"a b","c"'])
-    ds = td.load_csv(train, SCHEMA)
+    ds = td.load_csv(schema(train))
     ids = ds.train.token_ids[0]
     assert ds.train.labels[0] == 2
     words = [ds.vocabulary.id_to_token[t] for t in ids[:4]]
     assert words == ["stocks", "rally", "markets", "rose"]
-    assert (ids[4:] == td.PAD_ID).all() and len(ids) == SCHEMA.max_seq_len
+    assert (ids[4:] == td.PAD_ID).all() and len(ids) == schema(train).max_seq_len
 
 
 def test_test_only_token_maps_to_unk(tmp_path):
     train, test = tmp_path / "train.csv", tmp_path / "test.csv"
     write_csv(train, ['1,"alpha","beta"'])
     write_csv(test, ['1,"gamma","alpha"'])
-    ds = td.load_csv(train, SCHEMA, test_path=test)
+    ds = td.load_csv(schema(train, test))
     assert ds.test.token_ids[0, 0] == td.UNK_ID
     assert ds.test.token_ids[0, 1] not in (td.UNK_ID, td.PAD_ID)
 
@@ -35,8 +39,7 @@ def test_test_only_token_maps_to_unk(tmp_path):
 def test_vocab_cap_excludes_reserved(tmp_path):
     train = tmp_path / "train.csv"
     write_csv(train, ['1,"a a b b c",""'])
-    schema = td.CsvSchema(0, (1, 2), True, 4, max_vocab_size=2)
-    ds = td.load_csv(train, schema)
+    ds = td.load_csv(schema(train, max_vocab_size=2))
     assert ds.vocabulary.id_to_token == ["<pad>", "<unk>", "a", "b"]
 
 
@@ -44,15 +47,15 @@ def test_load_csv_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     write_csv(bad, ['1,"x","y"', 'oops,"x","y"'])
     with pytest.raises(td.DataError, match="2"):
-        td.load_csv(bad, SCHEMA)
+        td.load_csv(schema(bad))
     out_of_range = tmp_path / "range.csv"
     write_csv(out_of_range, ['9,"x","y"'])
     with pytest.raises(td.DataError, match="label"):
-        td.load_csv(out_of_range, SCHEMA)
+        td.load_csv(schema(out_of_range))
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(td.DataError, match="no rows"):
-        td.load_csv(empty, SCHEMA)
+        td.load_csv(schema(empty))
 
 
 def test_vocabulary_never_sees_test_text(tmp_path):
@@ -60,8 +63,8 @@ def test_vocabulary_never_sees_test_text(tmp_path):
     write_csv(train, ['1,"foo bar","baz"'])
     write_csv(test_a, ['1,"quux","zap"'])
     write_csv(test_b, ['1,"different","words entirely"'])
-    va = td.load_csv(train, SCHEMA, test_path=test_a).vocabulary.id_to_token
-    vb = td.load_csv(train, SCHEMA, test_path=test_b).vocabulary.id_to_token
+    va = td.load_csv(schema(train, test_a)).vocabulary.id_to_token
+    vb = td.load_csv(schema(train, test_b)).vocabulary.id_to_token
     assert va == vb
 
 
@@ -114,11 +117,11 @@ def test_make_batches_sizes_and_determinism():
 def test_batch_padding(tmp_path):
     train = tmp_path / "train.csv"
     write_csv(train, ['1,"five six",""'])
-    ds = td.load_csv(train, td.CsvSchema(0, (1, 2), True, 4, max_seq_len=4))
+    ds = td.load_csv(schema(train, max_seq_len=4))
     (batch,) = td.make_batches(ds.train, 1, seed=0)
     assert batch.token_ids.tolist() == [[2, 3, td.PAD_ID, td.PAD_ID]]
     assert batch.token_ids.dtype == batch.labels.dtype == np.int64
-    wide = td.generate_synthetic(DESK_SPEC, max_seq_len=15)  # documents of 12 tokens
+    wide = td.generate_synthetic(replace(DESK_SPEC, max_seq_len=15))  # documents of 12 tokens
     assert (wide.train.token_ids[:, 12:] == td.PAD_ID).all()
     assert (wide.train.token_ids[:, :12] != td.PAD_ID).all()
     assert np.array_equal(wide.train.token_ids[:, :12], td.generate_synthetic(DESK_SPEC).train.token_ids)
@@ -151,7 +154,7 @@ def test_ragged_csv_serialization_roundtrip(tmp_path):
     train, test = tmp_path / "train.csv", tmp_path / "test.csv"
     write_csv(train, ['2,"b",""', '1,"a b c","a"', '4,"c c a b a b","d"'])
     write_csv(test, ['3,"zz a",""', '1,"",""'])
-    ds = td.load_csv(train, td.CsvSchema(0, (1, 2), True, 4, max_seq_len=5), test_path=test)
+    ds = td.load_csv(schema(train, test, max_seq_len=5))
     # vocabulary by frequency, ties lexicographic: a=2, b=3, c=4, d=5
     P, U = td.PAD_ID, td.UNK_ID
     expect_train = [[3, P, P, P, P], [2, 3, 4, 2, P], [4, 4, 2, 3, 2]]  # last one truncated
