@@ -16,7 +16,7 @@ import sys
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +95,12 @@ def _from_json(f, value):
         raise ValueError(f"{f.name}: must be left out or given a value, got None")
     if f.type is tuple and isinstance(value, list):
         return tuple(value)
-    return float(value) if f.type is float and type(value) is int else value
+    if f.type is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError as e:  # an int past the float range, such as 10**400
+            raise OverflowError(f"{f.name}: {e}") from e
+    return value
 
 
 def _build(cls, section, where: str, renamed=None, **fixed):
@@ -107,11 +112,23 @@ def _build(cls, section, where: str, renamed=None, **fixed):
                                for f in settable if f.name in section})
 
 
-def _axis(value, where: str) -> list:
-    """A sweep axis: a nonempty JSON list."""
+def _axis(value, where: str, parse) -> list:
+    """A sweep axis: a nonempty JSON list of entries that differ once `parse` has read
+    them, so 1 and 1.0 are one entry; returns the parsed entries."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where}: must be a list with at least one entry, got {value!r}")
-    return value
+    parsed = []
+    for entry in value:
+        parsed.append(parse(entry))
+        if parsed[-1] in parsed[:-1]:
+            raise ConfigError(f"{where}: duplicate entry {entry!r}")
+    return parsed
+
+
+def _family(m) -> str:
+    if not isinstance(m, str) or m not in MODEL_CONFIGS:
+        raise ConfigError(f"models: unknown family {m!r}")
+    return m
 
 
 def _aggregator(a) -> tuple:
@@ -154,7 +171,8 @@ class ExperimentConfig:
     """A sweep, checked in full before any work starts.  Each section of the JSON
     builds the typed config that owns its keys, defaults and checks; this class reads
     the JSON's shape: the sweep axes (`models`, `partition.alpha`,
-    `federation.aggregators`) and the per-family and per-alpha keys."""
+    `federation.aggregators`) and the per-family and per-alpha keys.  `runs` holds the
+    plan of every sweep cell, in the order the sweep runs them."""
 
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
@@ -175,30 +193,26 @@ class ExperimentConfig:
 
         part = _object(top.partition, "partition")
         # seeded, so `fedskew run --seed` is applied to the raw config before this
-        self.partition_cfgs = {}
-        for alpha in _axis(part.get("alpha", [PartitionConfig.alpha]), "partition.alpha"):
-            pcfg = _build(PartitionConfig, {**part, "alpha": alpha}, "partition", seed=self.seed)
-            self.partition_cfgs[pcfg.alpha] = pcfg
+        pcfgs = _axis(part.get("alpha", [PartitionConfig.alpha]), "partition.alpha",
+                      lambda alpha: _build(PartitionConfig, {**part, "alpha": alpha},
+                                           "partition", seed=self.seed))
+        self.partition_cfgs = {pcfg.alpha: pcfg for pcfg in pcfgs}
         self.alphas = list(self.partition_cfgs)
         self.num_clients, self.min_samples_per_client, self.max_redraws = (
-            pcfg.num_clients, pcfg.min_samples_per_client, pcfg.max_redraws)
+            pcfgs[0].num_clients, pcfgs[0].min_samples_per_client, pcfgs[0].max_redraws)
 
-        self.models = _axis(top.models, "models")
-        for m in self.models:
-            if not isinstance(m, str) or m not in MODEL_CONFIGS:
-                raise ConfigError(f"models: unknown family {m!r}")
+        self.models = _axis(top.models, "models", _family)
         self._parse_families(top)
         self.convergence = _build(mt.ConvergenceRule, top.metrics, "metrics")
-        self.pretrain = top.pretrain
         self.pretrain_cfg = _build(PretrainConfig,
                                    {"seed": self.seed + 1, **_object(top.pretrain, "pretrain")},
                                    "pretrain")
 
     def _parse_families(self, top):
-        """Sets, per model family, `model_cfgs` and `optimizers` (the merged JSON of its
-        optimizer), and `fed_cfgs`: (model, alpha, aggregator, beta) -> FedConfig for
-        every sweep cell, in plan order.  A family not in `models` is not built, but its
-        keys are checked."""
+        """Sets `model_cfgs` per model family, and per sweep cell, in plan order, its
+        plan in `runs` (a dict whose `run_id` hashes the rest) and its FedConfig in
+        `fed_cfgs[run_id]`.  A family not in `models` is not built, but its keys are
+        checked."""
         fedr = dict(_object(top.federation, "federation"))  # FedConfig owns what is not popped
         by_alpha = _object(fedr.pop("rounds_by_alpha", {}), "federation.rounds_by_alpha")
         with _at("federation.rounds_by_alpha"):
@@ -210,21 +224,20 @@ class ExperimentConfig:
             epochs = dict.fromkeys(MODEL_CONFIGS, epochs)
         epochs = {**PAPER_EPOCHS, **_object(epochs, "federation.local_epochs", MODEL_CONFIGS)}
         optimizers = _object(fedr.pop("optimizer", {}), "federation.optimizer", MODEL_CONFIGS)
-        self.optimizers = {fam: {**PAPER_OPTIMIZERS[fam], **_object(
+        optimizers = {fam: {**PAPER_OPTIMIZERS[fam], **_object(
             optimizers.get(fam, {}), f"federation.optimizer.{fam}")} for fam in MODEL_CONFIGS}
-        aggregators = [_aggregator(a) for a in _axis(fedr.pop("aggregators", ["fedavg"]),
-                                                     "federation.aggregators")]
+        aggregators = _axis(fedr.pop("aggregators", ["fedavg"]), "federation.aggregators",
+                            _aggregator)
 
-        self.model_overrides = {fam: getattr(top, fam) for fam in MODEL_CONFIGS}
         for fam in [fam for fam in MODEL_CONFIGS if fam not in self.models]:
-            _settable(MODEL_CONFIGS[fam], self.model_overrides[fam], fam, fixed=("num_classes",))
-            _settable(OptimizerCfg, self.optimizers[fam], f"federation.optimizer.{fam}")
-        self.model_cfgs, self.fed_cfgs = {}, {}
+            _settable(MODEL_CONFIGS[fam], getattr(top, fam), fam, fixed=("num_classes",))
+            _settable(OptimizerCfg, optimizers[fam], f"federation.optimizer.{fam}")
+        self.model_cfgs, self.fed_cfgs, self.runs = {}, {}, []
         for fam in self.models:
-            self.model_cfgs[fam] = _build(MODEL_CONFIGS[fam], self.model_overrides[fam], fam,
+            self.model_cfgs[fam] = _build(MODEL_CONFIGS[fam], getattr(top, fam), fam,
                                           num_classes=self.dataset_spec.num_classes)
             base = _build(FedConfig, fedr, "federation", {"local_epochs": f"local_epochs.{fam}"},
-                          optimizer=_build(OptimizerCfg, self.optimizers[fam],
+                          optimizer=_build(OptimizerCfg, optimizers[fam],
                                            f"federation.optimizer.{fam}"),
                           local_epochs=epochs[fam], seed=self.seed,
                           aggregator="fedavg", beta=0.0)  # each cell sets its own
@@ -235,8 +248,19 @@ class ExperimentConfig:
                 for i, (agg, beta) in enumerate(aggregators):
                     with _at("federation", {"rounds": f"rounds_by_alpha.{key}",
                                             "beta": f"aggregators.{i}: beta"}):
-                        self.fed_cfgs[fam, alpha, agg, beta] = replace(
-                            base, rounds=rounds, aggregator=agg, beta=beta)
+                        fed = replace(base, rounds=rounds, aggregator=agg, beta=beta)
+                    plan = {"seed": self.seed, "dataset": top.dataset, "model": fam,
+                            "model_overrides": getattr(top, fam), "alpha": alpha,
+                            "num_clients": self.num_clients,
+                            "min_samples_per_client": self.min_samples_per_client,
+                            "aggregator": agg, "beta": beta, "rounds": fed.rounds,
+                            "local_epochs": fed.local_epochs, "batch_size": fed.batch_size,
+                            "optimizer": optimizers[fam], "participation": fed.participation,
+                            "pretrain": top.pretrain if fam == "loraformer" else {}}
+                    run_id = hashlib.sha256(
+                        json.dumps(plan, sort_keys=True).encode()).hexdigest()[:12]
+                    self.runs.append({"run_id": run_id, **plan})
+                    self.fed_cfgs[run_id] = fed
         if "textcnn" in self.model_cfgs:
             with _at("textcnn"):
                 check_fits(self.model_cfgs["textcnn"], self.dataset_spec.max_seq_len)
@@ -264,32 +288,6 @@ def parse_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # sweep planning / execution
 # ---------------------------------------------------------------------------
-
-
-def plan_runs(cfg: ExperimentConfig) -> list:
-    """Cross product models x alphas x aggregators, each with a stable run id."""
-    runs = []
-    for (model, alpha, agg, beta), fed in cfg.fed_cfgs.items():
-        resolved = {
-            "seed": cfg.seed,
-            "dataset": cfg.dataset_cfg,
-            "model": model,
-            "model_overrides": cfg.model_overrides[model],
-            "alpha": alpha,
-            "num_clients": cfg.num_clients,
-            "min_samples_per_client": cfg.min_samples_per_client,
-            "aggregator": agg,
-            "beta": beta,
-            "rounds": fed.rounds,
-            "local_epochs": fed.local_epochs,
-            "batch_size": fed.batch_size,
-            "optimizer": cfg.optimizers[model],
-            "participation": fed.participation,
-            "pretrain": cfg.pretrain if model == "loraformer" else {},
-        }
-        digest = hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()[:12]
-        runs.append({"run_id": digest, **resolved})
-    return runs
 
 
 def pretrained_initial(cfg: ExperimentConfig, dataset):
@@ -323,9 +321,8 @@ def execute_run(cfg: ExperimentConfig, run: dict, dataset, partitions, out_root:
         if isinstance(initial, Exception):
             raise RuntimeError(f"backbone pretraining failed: "
                                f"{type(initial).__name__}: {initial}") from initial
-        fed_cfg = cfg.fed_cfgs[run["model"], run["alpha"], run["aggregator"], run["beta"]]
         logs, final = run_federation(dataset, partitions, run["model"],
-                                     cfg.model_cfgs[run["model"]], fed_cfg,
+                                     cfg.model_cfgs[run["model"]], cfg.fed_cfgs[run["run_id"]],
                                      initial_params=initial)
         mt.write_rounds_csv(logs, run_dir / "rounds.csv")
         if cfg.save_checkpoints:
@@ -339,7 +336,7 @@ def execute_run(cfg: ExperimentConfig, run: dict, dataset, partitions, out_root:
                                               rule.convergence_tolerance)
             if len(logs) >= rule.convergence_window else None,
             "gap_series": [l.summary.gap for l in logs],
-            "skew": skew_report(partitions).to_dict(),
+            "skew": asdict(skew_report(partitions)),
         })
     except Exception as e:  # crash isolation: record, let the sweep continue
         summary["status"] = "error"
@@ -382,7 +379,6 @@ def run_experiments(cfg: ExperimentConfig, jobs: int = 1) -> list:
     dataset, partitions_by_alpha = load_data(cfg)
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    runs = plan_runs(cfg)
     try:
         initial = pretrained_initial(cfg, dataset) if "loraformer" in cfg.models else None
     except Exception as e:  # recorded by every loraformer run, like its own failures
@@ -393,9 +389,9 @@ def run_experiments(cfg: ExperimentConfig, jobs: int = 1) -> list:
                            initial if run["model"] == "loraformer" else None)
 
     if jobs > 1:
-        summaries = _run_forked(one, runs, jobs, out_root)
+        summaries = _run_forked(one, cfg.runs, jobs, out_root)
     else:
-        summaries = [one(r) for r in runs]
+        summaries = [one(r) for r in cfg.runs]
     emit_report(summaries, out_root)
     return summaries
 

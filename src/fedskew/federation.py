@@ -14,7 +14,6 @@ the test set; every participating client's accuracy is then read off it under
 a mask of the classes that client trains on (`metrics.evaluate_clients`).
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,12 +112,6 @@ def fedavgw_weights(updates, beta: float) -> AggregationWeights:
     return AggregationWeights(_normalize(n), _normalize((1.0 / n) ** beta))
 
 
-def make_weights(updates, aggregator: str, beta: float = 0.0) -> AggregationWeights:
-    if aggregator == "fedavg":
-        return fedavg_weights(updates)
-    return fedavgw_weights(updates, beta)
-
-
 def aggregate(updates, weights: AggregationWeights) -> ParamSet:
     """Per-group weighted average of the clients' trainable groups; lora groups
     use the lora weight vector.  An update that names a frozen group is rejected.
@@ -180,7 +173,6 @@ def run_federation(dataset, partitions, model_family: str, model_cfg,
 
     logs = []
     for t in range(1, fed_cfg.rounds + 1):
-        start = time.perf_counter()
         active = [p for p in partitions if p.size > 0]
         if fed_cfg.participation < 1.0:
             count = max(1, round(fed_cfg.participation * len(active)))
@@ -194,7 +186,8 @@ def run_federation(dataset, partitions, model_family: str, model_cfg,
                                fed_cfg.local_epochs, fed_cfg.batch_size, fed_cfg.seed, t)
                    for p in active]
         updates.sort(key=lambda u: u.client_id)
-        weights = make_weights(updates, fed_cfg.aggregator, fed_cfg.beta)
+        weights = (fedavg_weights(updates) if fed_cfg.aggregator == "fedavg"
+                   else fedavgw_weights(updates, fed_cfg.beta))
         try:
             averaged = aggregate(updates, weights)
         except (FederationError, StructuralError) as e:
@@ -202,6 +195,5 @@ def run_federation(dataset, partitions, model_family: str, model_cfg,
         global_params = global_params.with_tensors(averaged.trainable_dict())
 
         evals = evaluate_clients(global_params, forward, active, dataset.test)
-        logs.append(RoundLog(t, evals, fairness_summary(evals),
-                             [p.size for p in active], time.perf_counter() - start))
+        logs.append(RoundLog(t, evals, fairness_summary(evals), [p.size for p in active]))
     return logs, global_params

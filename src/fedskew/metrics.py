@@ -41,7 +41,6 @@ class RoundLog:
     evals: list
     summary: FairnessSummary
     client_sizes: list  # n_k per participating client, aligned with evals
-    wall_time: float = 0.0
 
 
 def _class_mask(labels: np.ndarray, present_classes) -> np.ndarray:

@@ -103,13 +103,12 @@ def make_forward(cfg: LoraFormerConfig):
         lora = f"{prefix}.{letter}_lora"
         if f"{lora}.A" in leaves:
             path = nk.dropout(x, keep, rng, train=train) if keep < 1.0 else x
-            delta = nk.matmul(nk.matmul(path, nk.transpose_last2(leaves[f"{lora}.A"])),
-                              nk.transpose_last2(leaves[f"{lora}.B"]))
+            delta = nk.matmul(nk.matmul(path, nk.transpose(leaves[f"{lora}.A"], (1, 0))),
+                              nk.transpose(leaves[f"{lora}.B"], (1, 0)))
             out = nk.add(out, nk.scale(delta, scaling))
         return out
 
-    def forward(params: ParamSet, token_ids, train: bool = False, rng=None,
-                head: str = "head", return_pooled: bool = False):
+    def forward(params: ParamSet, token_ids, train: bool = False, rng=None, head: str = "head"):
         leaves = {g.name: nk.leaf(g.tensor.data, name=g.name, trainable=g.trainable)
                   for g in params}
         ids = np.asarray(token_ids)
@@ -140,8 +139,6 @@ def make_forward(cfg: LoraFormerConfig):
             h = nk.add(h, nk.add(ffn, leaves[f"{p}.ffn.b2"]))
         h = nk.layernorm(h, leaves["ln_f.gain"], leaves["ln_f.bias"])
         pooled = nk.masked_mean_pool(h, pad_mask.astype(np.float64))
-        if return_pooled:
-            return pooled
         return nk.add(nk.matmul(pooled, leaves[f"{head}.weight"]), leaves[f"{head}.bias"])
 
     return forward

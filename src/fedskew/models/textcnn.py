@@ -22,12 +22,12 @@ class TextCnnConfig:
     def __post_init__(self):
         for name in ("num_classes", "embed_dim", "filters_per_width"):
             validate.integer(name, getattr(self, name))
-        if (not isinstance(self.filter_widths, tuple) or not self.filter_widths
-                or len(set(self.filter_widths)) != len(self.filter_widths)):
+        widths = self.filter_widths if isinstance(self.filter_widths, tuple) else ()
+        for width in widths:  # before the distinctness check, which hashes each width
+            validate.integer("filter_widths", width)
+        if not widths or len(set(widths)) != len(widths):
             raise ValueError(f"filter_widths: must be a nonempty list of distinct widths, "
                              f"got {self.filter_widths!r}")
-        for width in self.filter_widths:
-            validate.integer("filter_widths", width)
         validate.fraction("dropout", self.dropout)
 
 

@@ -23,7 +23,7 @@ class ContractError(ValueError):
 class GradNode:
     """One value in the computation graph."""
 
-    __slots__ = ("op", "value", "parents", "_backward", "requires_grad", "name", "grad")
+    __slots__ = ("op", "value", "parents", "_backward", "requires_grad", "name")
 
     def __init__(self, op, value, parents=(), backward=None, requires_grad=None, name=None):
         self.op = op
@@ -34,7 +34,6 @@ class GradNode:
             requires_grad = any(p.requires_grad for p in self.parents)
         self.requires_grad = requires_grad
         self.name = name
-        self.grad = None
 
     @property
     def shape(self):
@@ -367,22 +366,14 @@ def scaled_dot_attention(q, k, v, key_mask=None) -> GradNode:
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     d_head = q.value.shape[-1]
-    scores = scale(matmul(q, transpose_last2(k)), 1.0 / math.sqrt(d_head))
+    n = k.value.ndim
+    scores = scale(matmul(q, transpose(k, (*range(n - 2), n - 1, n - 2))), 1.0 / math.sqrt(d_head))
     additive = None
     if key_mask is not None:
         key_mask = np.asarray(key_mask, dtype=bool)
         additive = np.where(key_mask, 0.0, -1e30)[..., None, :]
         additive = np.broadcast_to(additive, scores.value.shape)
     return matmul(softmax(scores, additive), v)
-
-
-def transpose_last2(x) -> GradNode:
-    x = _wrap(x)
-
-    def backward(g):
-        return (np.swapaxes(g, -1, -2),)
-
-    return _node("transpose_last2", np.swapaxes(x.value, -1, -2), (x,), backward)
 
 
 def reshape(x, shape) -> GradNode:
@@ -397,6 +388,7 @@ def reshape(x, shape) -> GradNode:
 
 
 def transpose(x, axes) -> GradNode:
+    """`x` with its axes permuted; `axes` lists each axis once, as a number >= 0."""
     x = _wrap(x)
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
@@ -513,12 +505,14 @@ def backward(loss: GradNode) -> dict:
             stack.append((p, False))
 
     grads = {id(loss): np.ones_like(loss.value)}
+    out = {}
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        node.grad = g
-        if node._backward is None:
+        if node._backward is None:  # a leaf: every gradient into it has arrived
+            if node.op == "leaf" and node.name is not None:
+                out[node.name] = Tensor(g)
             continue
         parent_grads = node._backward(g)
         for p, pg in zip(node.parents, parent_grads):
@@ -532,9 +526,4 @@ def backward(loss: GradNode) -> dict:
                 grads[id(p)] = grads[id(p)] + pg
             else:
                 grads[id(p)] = pg
-
-    out = {}
-    for node in order:
-        if node.op == "leaf" and node.name is not None and node.grad is not None:
-            out[node.name] = Tensor(node.grad)
     return out

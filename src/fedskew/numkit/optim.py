@@ -1,5 +1,6 @@
 """SGD and decoupled-weight-decay Adam over named parameter dicts."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -7,15 +8,14 @@ import numpy as np
 from .autograd import ContractError
 from .tensor import Tensor
 
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # AdamW's moment decays and denominator floor
+
 
 @dataclass
 class OptimizerState:
     kind: str  # "sgd" | "adamw"
     lr: float
     weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -23,10 +23,11 @@ class OptimizerState:
     def __post_init__(self):
         if self.kind not in ("sgd", "adamw"):
             raise ContractError(f"unknown optimizer kind {self.kind!r}")
-        if self.lr <= 0:
-            raise ContractError("learning rate must be positive")
-        if self.weight_decay < 0:
-            raise ContractError("weight decay must be nonnegative")
+        if not 0 < self.lr < math.inf:  # False for NaN too
+            raise ContractError(f"learning rate must be finite and positive, got {self.lr!r}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ContractError(f"weight decay must be finite and nonnegative, "
+                                f"got {self.weight_decay!r}")
 
 
 def sgd_step(state: OptimizerState, params: dict, grads: dict) -> dict:
@@ -53,13 +54,13 @@ def adamw_step(state: OptimizerState, params: dict, grads: dict) -> dict:
         if m is None:
             m = np.zeros_like(p.data)
             v = np.zeros_like(p.data)
-        m = state.beta1 * m + (1 - state.beta1) * g
-        v = state.beta2 * v + (1 - state.beta2) * g * g
+        m = BETA1 * m + (1 - BETA1) * g
+        v = BETA2 * v + (1 - BETA2) * g * g
         state.m[name] = m
         state.v[name] = v
-        m_hat = m / (1 - state.beta1**t)
-        v_hat = v / (1 - state.beta2**t)
-        update = m_hat / (np.sqrt(v_hat) + state.epsilon)
+        m_hat = m / (1 - BETA1**t)
+        v_hat = v / (1 - BETA2**t)
+        update = m_hat / (np.sqrt(v_hat) + EPSILON)
         out[name] = Tensor(p.data - state.lr * update - state.lr * state.weight_decay * p.data)
     return out
 

@@ -7,7 +7,7 @@ exhaustive and disjoint.  Smaller alpha gives more extreme skew.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,15 +60,6 @@ class SkewReport:
     max_size: int
     max_min_ratio: float
     class_entropies: list
-
-    def to_dict(self) -> dict:
-        return {
-            "sizes": self.sizes,
-            "min_size": self.min_size,
-            "max_size": self.max_size,
-            "max_min_ratio": self.max_min_ratio,
-            "class_entropies": self.class_entropies,
-        }
 
 
 def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
@@ -145,7 +136,7 @@ def save_manifest(partitions, cfg: PartitionConfig, path):
              "label_histogram": p.label_histogram}
             for p in partitions
         ],
-        "skew": skew_report(partitions).to_dict(),
+        "skew": asdict(skew_report(partitions)),
     }
     Path(path).write_text(json.dumps(manifest), encoding="utf-8")
 

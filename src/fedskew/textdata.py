@@ -10,11 +10,10 @@ a batch is a row gather of a split.
 """
 
 import csv
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path, PurePath
+from pathlib import PurePath
 
 import numpy as np
 
@@ -85,7 +84,6 @@ def _pad(labels, id_rows, max_seq_len: int) -> Split:
 
 @dataclass
 class Dataset:
-    name: str
     num_classes: int
     train: Split
     test: Split
@@ -124,7 +122,7 @@ class CsvSchema:
             validate.integer(name, getattr(self, name))
 
 
-def load_csv(schema: CsvSchema, name: str = "csv") -> Dataset:
+def load_csv(schema: CsvSchema) -> Dataset:
     """Load an AG-News-style CSV pair (train builds the vocabulary)."""
     train_rows = _read_rows(schema.train_path, schema)
     test_rows = _read_rows(schema.test_path, schema) if schema.test_path else []
@@ -135,8 +133,8 @@ def load_csv(schema: CsvSchema, name: str = "csv") -> Dataset:
                     [vocab.encode(toks) for _, toks in rows],
                     schema.max_seq_len)
 
-    return Dataset(name, schema.num_classes, to_split(train_rows), to_split(test_rows),
-                   vocab, schema.max_seq_len)
+    return Dataset(schema.num_classes, to_split(train_rows), to_split(test_rows), vocab,
+                   schema.max_seq_len)
 
 
 def _read_rows(path, schema: CsvSchema):
@@ -205,7 +203,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         return _pad(np.repeat(np.arange(spec.num_classes), per_class), np.concatenate(ids),
                     spec.max_seq_len)
 
-    return Dataset("synthetic", spec.num_classes,
+    return Dataset(spec.num_classes,
                    sample_split("train", spec.train_docs_per_class),
                    sample_split("test", spec.test_docs_per_class),
                    vocab, spec.max_seq_len)
@@ -218,36 +216,3 @@ def make_batches(docs: Split, batch_size: int, seed: int) -> list:
     order = derive(seed, "batch-shuffle").permutation(len(docs))
     return [docs.take(order[start : start + batch_size])
             for start in range(0, len(docs), batch_size)]
-
-
-# ---------------------------------------------------------------------------
-# dataset serialization: JSON manifest + the split arrays in one .npz
-# ---------------------------------------------------------------------------
-
-_SPLITS = ("train", "test")
-
-
-def save_dataset(dataset: Dataset, out_dir):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "name": dataset.name,
-        "num_classes": dataset.num_classes,
-        "max_seq_len": dataset.max_seq_len,
-        "id_to_token": dataset.vocabulary.id_to_token,
-    }
-    (out_dir / "dataset.json").write_text(json.dumps(manifest), encoding="utf-8")
-    np.savez(out_dir / "splits.npz", **{f"{split}_{field}": getattr(getattr(dataset, split), field)
-                                        for split in _SPLITS for field in ("token_ids", "labels")})
-
-
-def load_dataset(in_dir) -> Dataset:
-    in_dir = Path(in_dir)
-    manifest = json.loads((in_dir / "dataset.json").read_text(encoding="utf-8"))
-    vocab = Vocabulary({t: i for i, t in enumerate(manifest["id_to_token"])},
-                       manifest["id_to_token"])
-    with np.load(in_dir / "splits.npz") as arrays:
-        train, test = (Split(arrays[f"{split}_token_ids"], arrays[f"{split}_labels"])
-                       for split in _SPLITS)
-    return Dataset(manifest["name"], manifest["num_classes"], train, test, vocab,
-                   manifest["max_seq_len"])

@@ -117,7 +117,22 @@ def test_missing_required_and_bad_values(tmp_path):
             (lambda c: c["partition"].update(alpha=0.5),
              "partition.alpha: must be a list with at least one entry, got 0.5$"),
             (lambda c: c["federation"].update(optimizer={"kind": "sgd", "lr": 0.1}),
-             r"federation.optimizer: unknown keys \['kind', 'lr'\]$")):
+             r"federation.optimizer: unknown keys \['kind', 'lr'\]$"),
+            # a sweep axis names each cell once, compared as parsed: 1 is 1.0
+            (lambda c: c["partition"].update(alpha=[0.5, 0.5]),
+             "partition.alpha: duplicate entry 0.5$"),
+            (lambda c: c["partition"].update(alpha=[1, 1.0]),
+             "partition.alpha: duplicate entry 1.0$"),
+            (lambda c: c["federation"].update(aggregators=["fedavg", "fedavg"]),
+             "federation.aggregators: duplicate entry 'fedavg'$"),
+            (lambda c: c["federation"].update(aggregators=["fedavgw:0.5", "fedavgw:0.50"]),
+             "federation.aggregators: duplicate entry 'fedavgw:0.50'$"),
+            (lambda c: c.update(models=["textcnn", "textcnn"]),
+             "models: duplicate entry 'textcnn'$"),
+            (lambda c: c["textcnn"].update(filter_widths=[[1]]),
+             r"textcnn: filter_widths: must be an integer >= 1, got \[1\]$"),
+            (lambda c: c["partition"].update(alpha=[10**400]),
+             "partition: alpha: int too large to convert to float$")):
         cfg6 = base_config()
         edit(cfg6)
         with pytest.raises(cli.ConfigError, match=f"^{where}"):
@@ -214,20 +229,20 @@ def test_run_id_stable_under_key_order(tmp_path):
     shuffled = dict(reversed(list(cfg.items())))
     shuffled["federation"] = dict(reversed(list(cfg["federation"].items())))
     b = cli.parse_config(write_config(tmp_path, shuffled, "b.json"))
-    assert [r["run_id"] for r in cli.plan_runs(a)] == [r["run_id"] for r in cli.plan_runs(b)]
+    assert [r["run_id"] for r in a.runs] == [r["run_id"] for r in b.runs]
 
 
 def test_run_id_changes_with_config(tmp_path):
     a = cli.parse_config(write_config(tmp_path, base_config(), "a.json"))
     changed = base_config(seed=12)
     b = cli.parse_config(write_config(tmp_path, changed, "b.json"))
-    assert cli.plan_runs(a)[0]["run_id"] != cli.plan_runs(b)[0]["run_id"]
+    assert a.runs[0]["run_id"] != b.runs[0]["run_id"]
 
 
 def test_run_ids_pinned(tmp_path):
     """Run ids name the output directories, so reading a config must keep them."""
     def ids(cfg):
-        return [r["run_id"] for r in cli.plan_runs(cli.ExperimentConfig(cfg))]
+        return [r["run_id"] for r in cli.ExperimentConfig(cfg).runs]
 
     assert ids(base_config()) == ["8ba9647875e9"]
     assert ids(pretrained_sweep_config(tmp_path)) == [
@@ -242,7 +257,7 @@ def test_run_ids_pinned(tmp_path):
 def test_readme_config_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     config = readme.split("cat > sweep.json <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
-    assert len(cli.plan_runs(cli.ExperimentConfig(json.loads(config)))) == 4
+    assert len(cli.ExperimentConfig(json.loads(config)).runs) == 4
 
 
 def test_sweep_cross_product_counts(tmp_path):
@@ -251,7 +266,7 @@ def test_sweep_cross_product_counts(tmp_path):
     cfg["partition"]["alpha"] = [0.1, 5.0]
     cfg["federation"]["aggregators"] = ["fedavg", "fedavgw:0.5"]
     parsed = cli.parse_config(write_config(tmp_path, cfg))
-    runs = cli.plan_runs(parsed)
+    runs = parsed.runs
     assert len(runs) == 8
     assert len({r["run_id"] for r in runs}) == 8
 
@@ -261,9 +276,26 @@ def test_rounds_by_alpha_override(tmp_path):
     cfg["partition"]["alpha"] = [0.1, 5.0]
     cfg["federation"]["rounds"] = 7
     cfg["federation"]["rounds_by_alpha"] = {"0.1": 3}
-    runs = cli.plan_runs(cli.parse_config(write_config(tmp_path, cfg)))
+    runs = cli.parse_config(write_config(tmp_path, cfg)).runs
     by_alpha = {r["alpha"]: r["rounds"] for r in runs}
     assert by_alpha == {0.1: 3, 5.0: 7}
+
+
+def test_each_cell_runs_its_plan(tmp_path):
+    cfg = pretrained_sweep_config(tmp_path)
+    cfg["federation"].update(rounds_by_alpha={"0.3": 3}, local_epochs={"textcnn": 2},
+                             participation=0.5)
+    parsed = cli.ExperimentConfig(cfg)
+    assert len(parsed.runs) == 8 and list(parsed.fed_cfgs) == [r["run_id"] for r in parsed.runs]
+    for run in parsed.runs:
+        fed = parsed.fed_cfgs[run["run_id"]]
+        assert ((fed.rounds, fed.aggregator, fed.beta, fed.local_epochs, fed.batch_size,
+                 fed.participation)
+                == tuple(run[k] for k in ("rounds", "aggregator", "beta", "local_epochs",
+                                          "batch_size", "participation")))
+    assert {(r["model"], r["alpha"], r["rounds"], r["local_epochs"]) for r in parsed.runs} == {
+        (m, a, 3 if a == 0.3 else 2, 2 if m == "textcnn" else 1)
+        for m in ("textcnn", "loraformer") for a in (0.3, 2.0)}
 
 
 def run_sweep(tmp_path, cfg, name="cfg.json", jobs=1):

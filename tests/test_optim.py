@@ -96,3 +96,7 @@ def test_state_validation():
         OptimizerState("sgd", lr=-1.0)
     with pytest.raises(nk.ContractError):
         OptimizerState("sgd", lr=0.1, weight_decay=-0.5)
+    nan, inf = float("nan"), float("inf")
+    for lr, weight_decay in ((nan, 0.0), (inf, 0.0), (0.1, nan), (0.1, inf)):
+        with pytest.raises(nk.ContractError, match="must be finite"):
+            OptimizerState("adamw", lr=lr, weight_decay=weight_decay)
