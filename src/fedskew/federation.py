@@ -139,12 +139,14 @@ def local_train(global_params: ParamSet, forward, partition, dataset,
                 seed: int, round_index: int) -> ClientUpdate:
     """E epochs of minibatch training from the broadcast params.
 
-    The update holds only the trainable groups.  Optimizer state is fresh each
-    round.  An empty client has no batches: it returns the global trainable
-    groups with n_k = 0.
+    The trainable groups train as one flat vector, which the update's tensors
+    view read-only; the update holds only those groups.  Optimizer state is
+    fresh each round.  An empty client has no batches: it returns a copy of the
+    global trainable groups with n_k = 0.
     """
     docs = dataset.train.take(partition.sample_indices)
-    params = global_params
+    flat = nk.FlatParams(global_params.trainable_dict())
+    params = global_params.with_tensors(flat.tensors)
     state = OptimizerState(opt_cfg.kind, lr=opt_cfg.lr, weight_decay=opt_cfg.weight_decay)
     cid = partition.client_id
     try:
@@ -154,10 +156,10 @@ def local_train(global_params: ParamSet, forward, partition, dataset,
             for batch in make_batches(docs, batch_size, shuffle_seed):
                 logits = forward(params, batch.token_ids, train=True, rng=rng)
                 loss = nk.softmax_cross_entropy(logits, batch.labels)
-                grads = nk.backward(loss)
-                params = params.with_tensors(step(state, params.trainable_dict(), grads))
+                step(state, flat.vector, flat.gather(nk.backward(loss)))
     except nk.NumericError as e:
         raise FederationError(f"client {cid}, round {round_index}: {e}") from e
+    flat.freeze()
     return ClientUpdate(cid, partition.size, params.trainable_subset())
 
 

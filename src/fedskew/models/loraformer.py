@@ -3,7 +3,8 @@ on the attention query/value projections.
 
 The backbone (embeddings, attention, FFN, layernorms) never trains in the
 federated phase; only the rank-r adapters and the classifier head do.
-Adapters start at exactly zero effect (B = 0).
+Adapters start at exactly zero effect (B = 0).  Each encoder layer is one
+`numkit.lora_encoder_layer` node.
 """
 
 from dataclasses import dataclass
@@ -98,16 +99,6 @@ def make_forward(cfg: LoraFormerConfig):
     scaling = cfg.lora_scaling / cfg.lora_rank
     keep = 1.0 - cfg.lora_dropout
 
-    def projection(leaves, x, prefix, letter, train, rng):
-        out = nk.add(nk.matmul(x, leaves[f"{prefix}.w{letter}"]), leaves[f"{prefix}.b{letter}"])
-        lora = f"{prefix}.{letter}_lora"
-        if f"{lora}.A" in leaves:
-            path = nk.dropout(x, keep, rng, train=train) if keep < 1.0 else x
-            delta = nk.matmul(nk.matmul(path, nk.transpose(leaves[f"{lora}.A"], (1, 0))),
-                              nk.transpose(leaves[f"{lora}.B"], (1, 0)))
-            out = nk.add(out, nk.scale(delta, scaling))
-        return out
-
     def forward(params: ParamSet, token_ids, train: bool = False, rng=None, head: str = "head"):
         leaves = {g.name: nk.leaf(g.tensor.data, name=g.name, trainable=g.trainable)
                   for g in params}
@@ -117,26 +108,12 @@ def make_forward(cfg: LoraFormerConfig):
         pos_ids = np.broadcast_to(np.arange(seq), (batch, seq))
         h = nk.add(nk.embedding_lookup(leaves["tok_emb"], ids),
                    nk.embedding_lookup(leaves["pos_emb"], pos_ids))
-        dh = cfg.d_model // cfg.heads
-
-        def split_heads(x):
-            return nk.transpose(nk.reshape(x, (batch, seq, cfg.heads, dh)), (0, 2, 1, 3))
-
         for i in range(cfg.layers):
-            p = f"layer{i}"
-            a_in = nk.layernorm(h, leaves[f"{p}.ln1.gain"], leaves[f"{p}.ln1.bias"])
-            q = projection(leaves, a_in, f"{p}.attn", "q", train, rng)
-            k = nk.add(nk.matmul(a_in, leaves[f"{p}.attn.wk"]), leaves[f"{p}.attn.bk"])
-            v = projection(leaves, a_in, f"{p}.attn", "v", train, rng)
-            attn = nk.scaled_dot_attention(split_heads(q), split_heads(k), split_heads(v),
-                                           key_mask=pad_mask[:, None, :])
-            merged = nk.reshape(nk.transpose(attn, (0, 2, 1, 3)), (batch, seq, cfg.d_model))
-            h = nk.add(h, nk.add(nk.matmul(merged, leaves[f"{p}.attn.wo"]), leaves[f"{p}.attn.bo"]))
-            f_in = nk.layernorm(h, leaves[f"{p}.ln2.gain"], leaves[f"{p}.ln2.bias"])
-            ffn = nk.matmul(nk.gelu(nk.add(nk.matmul(f_in, leaves[f"{p}.ffn.w1"]),
-                                           leaves[f"{p}.ffn.b1"])),
-                            leaves[f"{p}.ffn.w2"])
-            h = nk.add(h, nk.add(ffn, leaves[f"{p}.ffn.b2"]))
+            prefix = f"layer{i}."
+            weights = {name[len(prefix):]: node for name, node in leaves.items()
+                       if name.startswith(prefix)}
+            h = nk.lora_encoder_layer(h, weights, cfg.heads, pad_mask, scaling, keep,
+                                      rng=rng, train=train)
         h = nk.layernorm(h, leaves["ln_f.gain"], leaves["ln_f.bias"])
         pooled = nk.masked_mean_pool(h, pad_mask.astype(np.float64))
         return nk.add(nk.matmul(pooled, leaves[f"{head}.weight"]), leaves[f"{head}.bias"])
@@ -229,14 +206,14 @@ def pretrain_backbone(params: ParamSet, cfg: LoraFormerConfig, proxy_dataset, st
     forward = make_forward(cfg)
     # backbone trainable for the proxy phase; adapters dropped (their delta is
     # zero at init and they must not absorb proxy gradients)
-    work_groups = [ParamGroup(g.name, g.tensor, True, False)
-                   for g in params if not g.lora and not g.name.startswith("head.")]
-    proxy_head = [
-        ParamGroup("proxy_head.weight",
-                   nk.Tensor(np.zeros((cfg.d_model, proxy_dataset.num_classes))), True, False),
-        ParamGroup("proxy_head.bias", nk.Tensor(np.zeros(proxy_dataset.num_classes)), True, False),
-    ]
-    work = ParamSet(work_groups + proxy_head, "loraformer")
+    backbone = {g.name: g.tensor for g in params
+                if not g.lora and not g.name.startswith("head.")}
+    classes = proxy_dataset.num_classes
+    proxy_head = {"proxy_head.weight": nk.Tensor(np.zeros((cfg.d_model, classes))),
+                  "proxy_head.bias": nk.Tensor(np.zeros(classes))}
+    flat = nk.FlatParams({**backbone, **proxy_head})
+    work = ParamSet([ParamGroup(name, t, True, False) for name, t in flat.tensors.items()],
+                    "loraformer")
 
     state = OptimizerState("adamw", lr=lr, weight_decay=0.01)
     done = 0
@@ -250,11 +227,8 @@ def pretrain_backbone(params: ParamSet, cfg: LoraFormerConfig, proxy_dataset, st
             rng = nk.derive(seed, "pretrain-dropout", done)
             logits = forward(work, batch.token_ids, train=True, rng=rng, head="proxy_head")
             loss = nk.softmax_cross_entropy(logits, batch.labels)
-            grads = nk.backward(loss)
-            work = work.with_tensors(adamw_step(state, work.trainable_dict(), grads))
+            adamw_step(state, flat.vector, flat.gather(nk.backward(loss)))
             done += 1
         epoch += 1
-
-    trained = {g.name: work.get(g.name).tensor for g in params
-               if not g.lora and not g.name.startswith("head.")}
-    return params.with_tensors(trained)
+    flat.freeze()
+    return params.with_tensors({name: flat.tensors[name] for name in backbone})

@@ -150,18 +150,25 @@ def relu(a) -> GradNode:
 _GELU_C = math.sqrt(2.0 / math.pi)  # tanh approximation constant
 
 
+def _gelu(x):
+    """gelu(x) and the tanh it reads, which the derivative reuses."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
+def _gelu_dx(x, t):
+    dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+
+
 def gelu(a) -> GradNode:
     """gelu(x) = 0.5 x (1 + tanh(c (x + 0.044715 x^3))), c = sqrt(2/pi)."""
     a = _wrap(a)
     x = a.value
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    out, t = _gelu(x)
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-        dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        return (g * dx,)
+        return (g * _gelu_dx(x, t),)
 
     return _node("gelu", out, (a,), backward)
 
@@ -313,34 +320,46 @@ def ngram_max_pool(x, kernels, biases) -> GradNode:
     return _node("ngram_max_pool", out, (x, *kernels, *biases), backward)
 
 
+def _layernorm(xv, gain, bias, eps):
+    """(output, xhat, 1/std) of a layernorm of `xv` over its last axis.  The
+    variance sums the squares of the centred input, as np.var does, bitwise."""
+    xc = xv - xv.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / xv.shape[-1] + eps)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def _layernorm_dx(g, gain, xhat, inv):
+    gh = g * gain
+    return inv * (gh - gh.mean(axis=-1, keepdims=True)
+                  - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+
+
 def layernorm(x, gain, bias, eps: float = 1e-5) -> GradNode:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    xv = x.value
-    d = xv.shape[-1]
+    d = x.value.shape[-1]
     if gain.value.shape != (d,) or bias.value.shape != (d,):
         raise ShapeError("layernorm gain/bias must match the last axis")
-    mu = xv.mean(axis=-1, keepdims=True)
-    var = xv.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xv - mu) * inv
-    out = xhat * gain.value + bias.value
+    out, xhat, inv = _layernorm(x.value, gain.value, bias.value, eps)
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
         ggain = (g * xhat).sum(axis=lead) if gain.requires_grad else None
         gbias = g.sum(axis=lead) if bias.requires_grad else None
-        gx = None
-        if x.requires_grad:
-            gh = g * gain.value
-            gx = inv * (
-                gh
-                - gh.mean(axis=-1, keepdims=True)
-                - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
-            )
+        gx = _layernorm_dx(g, gain.value, xhat, inv) if x.requires_grad else None
         return gx, ggain, gbias
 
     return _node("layernorm", out, (x, gain, bias), backward)
+
+
+def _softmax(logits):
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_dx(g, y):
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
 
 def softmax(x, additive_mask=None) -> GradNode:
@@ -349,12 +368,10 @@ def softmax(x, additive_mask=None) -> GradNode:
     logits = x.value
     if additive_mask is not None:
         logits = logits + additive_mask
-    m = logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits - m)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax(logits)
 
     def backward(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+        return (_softmax_dx(g, y),)
 
     return _node("softmax", y, (x,), backward)
 
@@ -474,6 +491,198 @@ def softmax_cross_entropy(logits, labels) -> GradNode:
         return (gl * (g / lv.shape[0]),)
 
     return _node("softmax_cross_entropy", np.asarray(loss), (logits,), backward)
+
+
+ENCODER_LAYER_KEYS = ("ln1.gain", "ln1.bias", "attn.wq", "attn.bq", "attn.wk", "attn.bk",
+                      "attn.wv", "attn.bv", "attn.wo", "attn.bo", "ln2.gain", "ln2.bias",
+                      "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
+ENCODER_ADAPTER_KEYS = ("attn.q_lora.A", "attn.q_lora.B", "attn.v_lora.A", "attn.v_lora.B")
+
+
+def lora_encoder_layer(x, weights: dict, heads: int, key_mask, scaling: float = 1.0,
+                       keep_prob: float = 1.0, rng=None, train: bool = False) -> GradNode:
+    """One pre-LN transformer encoder layer with LoRA on q and v, as one node:
+
+        a = layernorm(x; ln1)
+        q = a wq + bq + scaling (drop(a) A_q^T) B_q^T
+        k = a wk + bk
+        v = a wv + bv + scaling (drop(a) A_v^T) B_v^T
+        h = x + attention(q, k, v; `heads` heads, keys where key_mask is False excluded) wo + bo
+        out = h + gelu(layernorm(h; ln2) w1 + b1) w2 + b2
+
+    x: (batch, seq, d); key_mask: (batch, seq) boolean.  `weights` holds every
+    ENCODER_LAYER_KEYS name, and the A (rank, d) / B (d, rank) pair of
+    ENCODER_ADAPTER_KEYS for q or v when that projection has an adapter.  In
+    training with keep_prob < 1 each adapter's input is dropped out, q's mask
+    drawn from `rng` before v's.
+
+    The forward runs the float operations of the op chain `encoder_layer_ops`
+    in the same order, so its output is bitwise equal.  The backward computes
+    only the gradients some operand requires, and takes each weight gradient
+    as one gemm over all (batch, seq) rows, where the chain sums per-document
+    products: the gradients agree to rounding, not bitwise.
+    """
+    x = _wrap(x)
+    w = {k: _wrap(v) for k, v in weights.items()}
+    xv = x.value
+    if xv.ndim != 3:
+        raise ShapeError(f"lora_encoder_layer: x must be (batch, seq, d), got {xv.shape}")
+    n, s, d = xv.shape
+    adapters = [p for p in "qv" if f"attn.{p}_lora.A" in w]
+    keys = list(ENCODER_LAYER_KEYS) + [f"attn.{p}_lora.{m}" for p in adapters for m in "AB"]
+    if sorted(keys) != sorted(w):
+        raise ContractError(f"lora_encoder_layer: weights {sorted(w)}, expected {sorted(keys)}")
+    f = w["ffn.w1"].value.shape[-1]
+    want = dict.fromkeys(keys, (d,))
+    want.update({f"attn.w{p}": (d, d) for p in "qkvo"})
+    want.update({"ffn.w1": (d, f), "ffn.b1": (f,), "ffn.w2": (f, d)})
+    for p in adapters:
+        rank = w[f"attn.{p}_lora.A"].value.shape[0]
+        want.update({f"attn.{p}_lora.A": (rank, d), f"attn.{p}_lora.B": (d, rank)})
+    bad = [k for k in keys if w[k].value.shape != want[k]]
+    key_mask = np.asarray(key_mask, dtype=bool)
+    if bad or heads < 1 or d % heads or key_mask.shape != (n, s):
+        raise ShapeError(f"lora_encoder_layer: x {xv.shape}, {heads} heads, key_mask "
+                         f"{key_mask.shape}, weights of the wrong shape "
+                         f"{[(k, w[k].value.shape) for k in bad]}")
+    if not 0.0 < keep_prob <= 1.0:
+        raise ContractError(f"keep_prob must be in (0, 1], got {keep_prob}")
+    drop = train and keep_prob < 1.0
+    val = {k: node.value for k, node in w.items()}
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+
+    def split(t):  # (n, s, d) -> (n, heads, s, dh)
+        return t.reshape(n, s, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(t):  # (n, heads, s, dh) -> (n, s, d)
+        return t.transpose(0, 2, 1, 3).reshape(n, s, d)
+
+    a, xhat1, inv1 = _layernorm(xv, val["ln1.gain"], val["ln1.bias"], 1e-5)
+    proj, masks, paths, lows = {}, {}, {}, {}
+    for p in "qkv":
+        proj[p] = a @ val[f"attn.w{p}"] + val[f"attn.b{p}"]
+        if p in adapters:
+            if drop:
+                masks[p] = (rng.random(a.shape) < keep_prob) / keep_prob
+            paths[p] = a * masks[p] if drop else a
+            lows[p] = paths[p] @ val[f"attn.{p}_lora.A"].T
+            proj[p] = proj[p] + (lows[p] @ val[f"attn.{p}_lora.B"].T) * scaling
+    qh, kh, vh = split(proj["q"]), split(proj["k"]), split(proj["v"])
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * c
+    if not key_mask.all():  # adding the all-zero mask would change no bit
+        scores = scores + np.where(key_mask, 0.0, -1e30)[:, None, None, :]
+    y = _softmax(scores)
+    merged = merge(y @ vh)
+    h = xv + (merged @ val["attn.wo"] + val["attn.bo"])
+    fin, xhat2, inv2 = _layernorm(h, val["ln2.gain"], val["ln2.bias"], 1e-5)
+    z = fin @ val["ffn.w1"] + val["ffn.b1"]
+    act, t = _gelu(z)
+    out = h + (act @ val["ffn.w2"] + val["ffn.b2"])
+
+    def backward(g):
+        req = {k: node.requires_grad for k, node in w.items()}
+        grads = {}
+
+        def rows(m):
+            return m.reshape(-1, m.shape[-1])
+
+        def linear(weight, bias, inp, gout):  # out = inp @ weight + bias
+            if req[weight]:
+                grads[weight] = rows(inp).T @ rows(gout)
+            if req[bias]:
+                grads[bias] = gout.sum(axis=(0, 1))
+
+        def affine(ln, gout, xhat):
+            if req[f"{ln}.gain"]:
+                grads[f"{ln}.gain"] = (gout * xhat).sum(axis=(0, 1))
+            if req[f"{ln}.bias"]:
+                grads[f"{ln}.bias"] = gout.sum(axis=(0, 1))
+
+        need_a = x.requires_grad or req["ln1.gain"] or req["ln1.bias"]
+        need = {p: need_a or req[f"attn.w{p}"] or req[f"attn.b{p}"]
+                or any(req.get(f"attn.{p}_lora.{m}", False) for m in "AB") for p in "qkv"}
+        need_h = need["q"] or need["k"] or need["v"] or req["attn.wo"] or req["attn.bo"]
+        need_fin = need_h or req["ln2.gain"] or req["ln2.bias"]
+        linear("ffn.w2", "ffn.b2", act, g)
+        if need_fin or req["ffn.w1"] or req["ffn.b1"]:
+            dz = (g @ val["ffn.w2"].T) * _gelu_dx(z, t)
+            linear("ffn.w1", "ffn.b1", fin, dz)
+        gx = None
+        if need_fin:
+            dfin = dz @ val["ffn.w1"].T
+            affine("ln2", dfin, xhat2)
+        if need_h:
+            gh = g + _layernorm_dx(dfin, val["ln2.gain"], xhat2, inv2)
+            linear("attn.wo", "attn.bo", merged, gh)
+            gx = gh if x.requires_grad else None
+        if need["q"] or need["k"] or need["v"]:
+            dattn = split(gh @ val["attn.wo"].T)
+            dproj = {}
+            if need["v"]:
+                dproj["v"] = merge(y.transpose(0, 1, 3, 2) @ dattn)
+            if need["q"] or need["k"]:
+                dscores = _softmax_dx(dattn @ vh.transpose(0, 1, 3, 2), y) * c
+                if need["q"]:
+                    dproj["q"] = merge(dscores @ kh)
+                if need["k"]:
+                    dproj["k"] = merge(dscores.transpose(0, 1, 3, 2) @ qh)
+            da = 0.0
+            for p, dp in dproj.items():
+                linear(f"attn.w{p}", f"attn.b{p}", a, dp)
+                if need_a:
+                    da = da + dp @ val[f"attn.w{p}"].T
+                if p not in adapters:
+                    continue
+                ka, kb = f"attn.{p}_lora.A", f"attn.{p}_lora.B"
+                ddelta = dp * scaling
+                if req[kb]:
+                    grads[kb] = rows(ddelta).T @ rows(lows[p])
+                if req[ka] or need_a:
+                    dlow = ddelta @ val[kb]
+                    if req[ka]:
+                        grads[ka] = rows(dlow).T @ rows(paths[p])
+                    if need_a:
+                        dpath = dlow @ val[ka]
+                        da = da + (dpath * masks[p] if drop else dpath)
+            if need_a:
+                affine("ln1", da, xhat1)
+                if x.requires_grad:
+                    gx = gx + _layernorm_dx(da, val["ln1.gain"], xhat1, inv1)
+        return (gx, *(grads.get(k) for k in keys))
+
+    return _node("lora_encoder_layer", out, (x, *(w[k] for k in keys)), backward)
+
+
+def encoder_layer_ops(x, weights: dict, heads: int, key_mask, scaling: float = 1.0,
+                      keep_prob: float = 1.0, rng=None, train: bool = False) -> GradNode:
+    """`lora_encoder_layer` as a chain of the ops above: its reference in tests."""
+    w = weights
+    n, s, d = _wrap(x).value.shape
+
+    def split_heads(t):
+        return transpose(reshape(t, (n, s, heads, d // heads)), (0, 2, 1, 3))
+
+    def projection(a, p):
+        out = add(matmul(a, w[f"attn.w{p}"]), w[f"attn.b{p}"])
+        if f"attn.{p}_lora.A" in w:
+            path = dropout(a, keep_prob, rng, train=train) if keep_prob < 1.0 else a
+            delta = matmul(matmul(path, transpose(w[f"attn.{p}_lora.A"], (1, 0))),
+                           transpose(w[f"attn.{p}_lora.B"], (1, 0)))
+            out = add(out, scale(delta, scaling))
+        return out
+
+    a = layernorm(x, w["ln1.gain"], w["ln1.bias"])
+    q = projection(a, "q")
+    k = projection(a, "k")
+    v = projection(a, "v")
+    attn = scaled_dot_attention(split_heads(q), split_heads(k), split_heads(v),
+                                key_mask=np.asarray(key_mask)[:, None, :])
+    merged = reshape(transpose(attn, (0, 2, 1, 3)), (n, s, d))
+    h = add(x, add(matmul(merged, w["attn.wo"]), w["attn.bo"]))
+    fin = layernorm(h, w["ln2.gain"], w["ln2.bias"])
+    ffn = matmul(gelu(add(matmul(fin, w["ffn.w1"]), w["ffn.b1"])), w["ffn.w2"])
+    return add(h, add(ffn, w["ffn.b2"]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
-"""SGD and decoupled-weight-decay Adam over named parameter dicts."""
+"""SGD and decoupled-weight-decay Adam over one flat parameter vector, updated in place."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autograd import ContractError
-from .tensor import Tensor
+from .tensor import NumericError, ShapeError, Tensor
 
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # AdamW's moment decays and denominator floor
 
@@ -17,8 +17,8 @@ class OptimizerState:
     lr: float
     weight_decay: float = 0.0
     step_count: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray = None  # AdamW's moments, shaped like the vector from the first step on
+    v: np.ndarray = None
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adamw"):
@@ -30,46 +30,68 @@ class OptimizerState:
                                 f"got {self.weight_decay!r}")
 
 
-def sgd_step(state: OptimizerState, params: dict, grads: dict) -> dict:
-    """p <- p - lr * g for every trainable parameter."""
-    if state.kind != "sgd":
-        raise ContractError("sgd_step called with non-sgd state")
-    _require_grads(params, grads)
-    state.step_count += 1
-    return {name: Tensor(p.data - state.lr * grads[name].data) for name, p in params.items()}
+class FlatParams:
+    """Named tensors packed, in order, into one contiguous float64 `vector`.
+
+    `tensors` maps each name to a read-only view of its slice, so whatever
+    holds them reads each step's values without a copy.  Only the optimizer
+    writes the vector; `freeze` makes it read-only once training is over.
+    """
+
+    def __init__(self, tensors: dict):
+        self.names = list(tensors)
+        self.vector = np.concatenate([t.data.reshape(-1) for t in tensors.values()])
+        self.tensors = {}
+        lo = 0
+        for name, t in tensors.items():
+            self.tensors[name] = Tensor(self.vector[lo : lo + t.size].reshape(t.shape))
+            lo += t.size
+
+    def gather(self, grads: dict) -> np.ndarray:
+        """The gradients of `names` from {name: Tensor}, packed like the vector."""
+        missing = [n for n in self.names if n not in grads]
+        if missing:
+            raise ContractError(f"missing gradients for trainable parameters: {missing}")
+        return np.concatenate([grads[n].data.reshape(-1) for n in self.names])
+
+    def freeze(self):
+        self.vector.setflags(write=False)
 
 
-def adamw_step(state: OptimizerState, params: dict, grads: dict) -> dict:
-    """AdamW: bias-corrected moments plus decoupled weight decay."""
-    if state.kind != "adamw":
-        raise ContractError("adamw_step called with non-adamw state")
-    _require_grads(params, grads)
-    state.step_count += 1
+def sgd_step(state: OptimizerState, flat: np.ndarray, grad: np.ndarray):
+    """flat <- flat - lr * grad, in place."""
+    _begin(state, "sgd", flat, grad)
+    flat -= state.lr * grad
+    _check_finite(flat)
+
+
+def adamw_step(state: OptimizerState, flat: np.ndarray, grad: np.ndarray):
+    """AdamW, in place: bias-corrected moments plus decoupled weight decay."""
+    _begin(state, "adamw", flat, grad)
     t = state.step_count
-    out = {}
-    for name, p in params.items():
-        g = grads[name].data
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = BETA1 * m + (1 - BETA1) * g
-        v = BETA2 * v + (1 - BETA2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1 - BETA1**t)
-        v_hat = v / (1 - BETA2**t)
-        update = m_hat / (np.sqrt(v_hat) + EPSILON)
-        out[name] = Tensor(p.data - state.lr * update - state.lr * state.weight_decay * p.data)
-    return out
+    if state.m is None:
+        state.m, state.v = np.zeros_like(flat), np.zeros_like(flat)
+    state.m = BETA1 * state.m + (1 - BETA1) * grad
+    state.v = BETA2 * state.v + (1 - BETA2) * grad * grad
+    m_hat = state.m / (1 - BETA1**t)
+    v_hat = state.v / (1 - BETA2**t)
+    update = m_hat / (np.sqrt(v_hat) + EPSILON)
+    flat[...] = flat - state.lr * update - state.lr * state.weight_decay * flat
+    _check_finite(flat)
 
 
-def step(state: OptimizerState, params: dict, grads: dict) -> dict:
-    return sgd_step(state, params, grads) if state.kind == "sgd" else adamw_step(state, params, grads)
+def step(state: OptimizerState, flat: np.ndarray, grad: np.ndarray):
+    (sgd_step if state.kind == "sgd" else adamw_step)(state, flat, grad)
 
 
-def _require_grads(params: dict, grads: dict):
-    missing = [n for n in params if n not in grads]
-    if missing:
-        raise ContractError(f"missing gradients for trainable parameters: {missing}")
+def _begin(state: OptimizerState, kind: str, flat: np.ndarray, grad: np.ndarray):
+    if state.kind != kind:
+        raise ContractError(f"{kind}_step called with {state.kind} state")
+    if grad.shape != flat.shape:
+        raise ShapeError(f"gradient {grad.shape} vs parameter vector {flat.shape}")
+    state.step_count += 1
+
+
+def _check_finite(flat: np.ndarray):
+    if not np.isfinite(flat).all():
+        raise NumericError("non-finite parameter after an optimizer step")

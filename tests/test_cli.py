@@ -470,7 +470,16 @@ def test_report_ratio_formatting():
     with tempfile.TemporaryDirectory() as d:
         cli.emit_report(summaries, d)
         report = Path(d, "report.md").read_text()
+        # a single client holds every class: the gap is 0 at both levels, which is no
+        # reduction, and a later gap of 0 (from 0 or not) has no ratio
+        cli.emit_report([fake("textcnn", 0.1, 0.9, 0.9), fake("textcnn", 1.0, 0.95, 0.95),
+                         fake("loraformer", 0.1, 0.9, 0.5), fake("loraformer", 1.0, 0.95, 0.95)],
+                        d)
+        zero_gap = Path(d, "report.md").read_text()
     assert "8.7x" in report
+    assert "| textcnn | 0.1 -> 1.0 | n/a |" in zero_gap
+    assert "| loraformer | 0.1 -> 1.0 | n/a |" in zero_gap
+    assert "inf" not in zero_gap
     assert "| 0.1 | textcnn | 86.6 | 54.5 | 32.1 |" in report or \
         "| 0.1 | textcnn | 86.6 | 54.5 | 32.2 |" in report
 

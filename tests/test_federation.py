@@ -220,3 +220,34 @@ def test_iid_partition_small_gap_textcnn():
     cfg = fed_cfg(rounds=6, local_epochs=3, optimizer=fed.OptimizerCfg("sgd", lr=0.3))
     logs, _ = fed.run_federation(DESK, parts, "textcnn", CNN_CFG, cfg)
     assert logs[-1].summary.gap < 0.10
+
+
+def test_local_train_update_is_read_only():
+    params, forward = build_model("textcnn", CNN_CFG, DESK.vocabulary.size,
+                                  DESK.max_seq_len, seed=0)
+    part = ClientPartition(1, list(range(20)), [20, 0, 0, 0])
+    out = fed.local_train(params, forward, part, DESK, OPT, 1, 8, seed=1, round_index=1)
+    for g in out.params:
+        for arr in (g.tensor.data, g.tensor.data.base):  # the view and the trained vector
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+
+def test_local_train_nan_gradient_names_client_and_round(monkeypatch):
+    from types import SimpleNamespace
+
+    params, forward = build_model("textcnn", CNN_CFG, DESK.vocabulary.size,
+                                  DESK.max_seq_len, seed=0)
+    real = nk.backward
+
+    def nan_backward(loss):
+        grads = real(loss)
+        bad = grads["fc.bias"].data.copy()
+        bad[0] = np.nan
+        return {**grads, "fc.bias": SimpleNamespace(data=bad)}
+
+    monkeypatch.setattr(nk, "backward", nan_backward)
+    part = ClientPartition(4, list(range(20)), [20, 0, 0, 0])
+    with pytest.raises(fed.FederationError, match=r"^client 4, round 3: non-finite"):
+        fed.local_train(params, forward, part, DESK, OPT, 1, 8, seed=1, round_index=3)

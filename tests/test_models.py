@@ -21,6 +21,7 @@ from fedskew.models import (
 from fedskew.numkit.optim import OptimizerState, adamw_step, sgd_step
 
 from gradcheck import finite_diff_check
+from test_optim import stepped
 
 VOCAB = 30
 SEQ = 10
@@ -59,7 +60,7 @@ def test_textcnn_pad_position_has_no_effect():
     loss = nk.softmax_cross_entropy(forward(params, ids), np.array([0, 1, 2]))
     grads = nk.backward(loss)
     st = OptimizerState("sgd", lr=0.5)
-    params = params.with_tensors(sgd_step(st, params.trainable_dict(), grads))
+    params = params.with_tensors(stepped(sgd_step, st, params.trainable_dict(), grads))
     base = forward(params, ids).value
     # PAD rows of the embedding table must not leak into the logits
     emb = params.get("embedding").tensor.data.copy()
@@ -73,6 +74,12 @@ def test_textcnn_step_graph_is_seven_nodes():
     ids = rand_batch(np.random.default_rng(2))
     loss = nk.softmax_cross_entropy(forward(params, ids, train=True, rng=nk.derive(0, "d")),
                                     np.array([0, 1, 2]))
+    assert step_graph_ops(loss) == ["add", "dropout", "embedding_lookup", "matmul", "mul",
+                                    "ngram_max_pool", "softmax_cross_entropy"]
+
+
+def step_graph_ops(loss) -> list:
+    """The op of every node a step's loss depends on, leaves and constants left out."""
     ops, seen, stack = [], set(), [loss]
     while stack:
         node = stack.pop()
@@ -80,8 +87,19 @@ def test_textcnn_step_graph_is_seven_nodes():
             seen.add(id(node))
             ops += [node.op] if node.op not in ("leaf", "const") else []
             stack.extend(node.parents)
-    assert sorted(ops) == ["add", "dropout", "embedding_lookup", "matmul", "mul",
-                           "ngram_max_pool", "softmax_cross_entropy"]
+    return sorted(ops)
+
+
+def test_loraformer_step_graph_is_nine_nodes():
+    cfg = LoraFormerConfig(num_classes=4, layers=1, d_model=8, heads=2, ffn_dim=16,
+                           lora_rank=2, lora_dropout=0.1)
+    params, forward = build_loraformer(cfg, VOCAB, SEQ, seed=1)
+    ids = rand_batch(np.random.default_rng(2))
+    loss = nk.softmax_cross_entropy(forward(params, ids, train=True, rng=nk.derive(0, "d")),
+                                    np.array([0, 1, 2]))
+    assert step_graph_ops(loss) == ["add", "add", "embedding_lookup", "embedding_lookup",
+                                    "layernorm", "lora_encoder_layer", "masked_mean_pool",
+                                    "matmul", "softmax_cross_entropy"]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -214,7 +232,7 @@ def test_pretrain_improves_probe_and_keeps_flags():
                 head_grads = {n: g for n, g in grads.items() if n.startswith("head.")}
                 head_params = {n: t for n, t in pset.trainable_dict().items()
                                if n.startswith("head.")}
-                pset = pset.with_tensors(adamw_step(st, head_params, head_grads))
+                pset = pset.with_tensors(stepped(adamw_step, st, head_params, head_grads))
         correct = 0
         for batch in td.make_batches(proxy.test, 32, 0):
             preds = forward(pset, batch.token_ids).value.argmax(axis=1)
@@ -255,7 +273,7 @@ def test_loss_decreases_centralized_both_families():
             loss = nk.softmax_cross_entropy(forward(params, batch.token_ids, train=True, rng=rng),
                                             batch.labels)
             grads = nk.backward(loss)
-            params = params.with_tensors(step_fn(opt, params.trainable_dict(), grads))
+            params = params.with_tensors(stepped(step_fn, opt, params.trainable_dict(), grads))
             losses.append(float(loss.value))
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
 

@@ -69,6 +69,28 @@ def test_nonfinite_output_raises():
         nk.mul(big, big)
 
 
+def encoder_weights(rng, d=4, ffn=5, rank=2, adapters=True):
+    """Random weights of one `lora_encoder_layer`, with q and v adapters if `adapters`."""
+    shapes = {"attn.wq": (d, d), "attn.wk": (d, d), "attn.wv": (d, d), "attn.wo": (d, d),
+              "ffn.w1": (d, ffn), "ffn.b1": (ffn,), "ffn.w2": (ffn, d),
+              "attn.q_lora.A": (rank, d), "attn.q_lora.B": (d, rank),
+              "attn.v_lora.A": (rank, d), "attn.v_lora.B": (d, rank)}
+    keys = nk.autograd.ENCODER_LAYER_KEYS + (nk.autograd.ENCODER_ADAPTER_KEYS if adapters else ())
+    return {k: rng.normal(0, 0.5, shapes.get(k, (d,))) for k in keys}
+
+
+FD_KEYS = [k for k in nk.autograd.ENCODER_LAYER_KEYS + nk.autograd.ENCODER_ADAPTER_KEYS
+           if k != "attn.bk"]
+
+
+def encoder_fd_loss(x, *weights):
+    """Squared output of a layer over a padded batch.  attn.bk stays a constant: its
+    gradient is zero but for rounding, below what a finite difference resolves."""
+    layer = nk.lora_encoder_layer(x, {**dict(zip(FD_KEYS, weights)), "attn.bk": np.full(4, 0.3)},
+                                  2, np.array([[True, True, False], [True, True, True]]), 1.5)
+    return nk.ssum(nk.mul(layer, layer))
+
+
 OP_CASES = [
     ("matmul", lambda r: [r.standard_normal((3, 4)), r.standard_normal((4, 2))],
      lambda a, b: nk.ssum(nk.matmul(a, b))),
@@ -104,6 +126,9 @@ OP_CASES = [
                                   r.standard_normal(3)],
      lambda x, k2, k4, b2, b4: nk.ssum(nk.mul(nk.ngram_max_pool(x, [k2, k4], [b2, b4]),
                                              nk.ngram_max_pool(x, [k2, k4], [b2, b4])))),
+    ("lora_encoder_layer",
+     lambda r: [r.standard_normal((2, 3, 4))] + [encoder_weights(r)[k] for k in FD_KEYS],
+     encoder_fd_loss),
     ("reshape_transpose", lambda r: [r.standard_normal((2, 3, 4))],
      lambda x: nk.ssum(nk.mul(nk.transpose(nk.reshape(x, (2, 4, 3)), (1, 0, 2)),
                               nk.transpose(nk.reshape(x, (2, 4, 3)), (1, 0, 2))))),
@@ -299,3 +324,63 @@ def test_const_operand_gradient_is_not_computed():
     assert gx.shape == (3, 4) and ggain is None and gbias is None
     gx, ggain, gbias = nk.layernorm(c, nk.leaf(np.ones(4)), nk.leaf(np.zeros(4)))._backward(g)
     assert gx is None and ggain.shape == gbias.shape == (4,)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("lora_dropout", [0.0, 0.1])
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("mode", ["pretraining", "federated"])
+def test_lora_encoder_layer_matches_unfused_ops(layers, lora_dropout, train, mode):
+    """Pretraining trains the whole backbone without adapters, so every operand needs a
+    gradient; a federated step trains only the adapters (and a head above the layers)."""
+    rng = np.random.default_rng(6000 + layers)
+    x = rng.standard_normal((4, 6, 8))
+    key_mask = np.arange(6) < np.array([[6], [4], [1], [0]])  # PAD rows; the last is all PAD
+    stack = [encoder_weights(rng, d=8, ffn=12, rank=3, adapters=mode == "federated")
+             for _ in range(layers)]
+    weights = rng.standard_normal(x.shape)
+
+    def run(layer):
+        h = nk.leaf(x, name="x", trainable=mode == "pretraining")
+        dropout_rng = nk.derive(6, "encoder-dropout")
+        for i, values in enumerate(stack):
+            leaves = {k: nk.leaf(v, name=f"{i}.{k}",
+                                 trainable=mode == "pretraining" or "lora" in k)
+                      for k, v in values.items()}
+            h = layer(h, leaves, 2, key_mask, 8 / 3, 1.0 - lora_dropout, rng=dropout_rng,
+                      train=train)
+        return h.value, nk.backward(nk.ssum(nk.mul(h, weights)))
+
+    got, got_grads = run(nk.lora_encoder_layer)
+    want, want_grads = run(nk.encoder_layer_ops)
+    assert got.tobytes() == want.tobytes()
+    assert sorted(got_grads) == sorted(want_grads) and want_grads
+    for name, g in want_grads.items():
+        err = np.abs(got_grads[name].data - g.data).max()
+        if name.endswith("attn.bk"):  # zero but for rounding, on both sides
+            assert err <= 1e-12, name
+        else:
+            assert err <= 1e-12 * np.abs(g.data).max(), name
+
+
+def test_lora_encoder_layer_rejects_bad_shapes():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((2, 3, 4))
+    weights = encoder_weights(rng)
+    mask = np.ones((2, 3), dtype=bool)
+    assert nk.lora_encoder_layer(x, weights, 2, mask).shape == x.shape
+    with pytest.raises(nk.ShapeError):
+        nk.lora_encoder_layer(x, {**weights, "attn.wq": np.zeros((4, 3))}, 2, mask)
+    with pytest.raises(nk.ShapeError):
+        nk.lora_encoder_layer(x, {**weights, "attn.q_lora.B": np.zeros((4, 3))}, 2, mask)
+    with pytest.raises(nk.ShapeError):
+        nk.lora_encoder_layer(x, weights, 3, mask)  # 3 heads do not divide d = 4
+    with pytest.raises(nk.ShapeError):
+        nk.lora_encoder_layer(x, weights, 2, np.ones((2, 4), dtype=bool))
+    with pytest.raises(nk.ShapeError):
+        nk.lora_encoder_layer(x[0], weights, 2, mask[0])
+    with pytest.raises(nk.ContractError):
+        nk.lora_encoder_layer(x, {k: v for k, v in weights.items() if k != "ffn.b2"}, 2, mask)
+    with pytest.raises(nk.ContractError):  # an adapter without its B
+        nk.lora_encoder_layer(x, {k: v for k, v in weights.items() if k != "attn.v_lora.B"},
+                              2, mask)

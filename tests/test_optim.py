@@ -2,23 +2,30 @@ import numpy as np
 import pytest
 
 from fedskew import numkit as nk
-from fedskew.numkit import OptimizerState, adamw_step, sgd_step
+from fedskew.numkit import FlatParams, OptimizerState, adamw_step, sgd_step
 
 
 def t(x):
     return nk.Tensor(np.asarray(x, dtype=np.float64))
 
 
+def stepped(step_fn, state, params: dict, grads: dict) -> dict:
+    """One flat `step_fn` on {name: Tensor} params; returns the updated tensors by name."""
+    flat = FlatParams(params)
+    step_fn(state, flat.vector, flat.gather(grads))
+    return flat.tensors
+
+
 def test_sgd_single_step():
     st = OptimizerState("sgd", lr=0.01)
-    out = sgd_step(st, {"p": t([1.0])}, {"p": t([0.5])})
+    out = stepped(sgd_step, st, {"p": t([1.0])}, {"p": t([0.5])})
     assert out["p"].data[0] == pytest.approx(0.995)
     assert st.step_count == 1
 
 
 def test_sgd_zero_gradient_noop():
     st = OptimizerState("sgd", lr=0.1)
-    out = sgd_step(st, {"p": t([2.0, 3.0])}, {"p": t([0.0, 0.0])})
+    out = stepped(sgd_step, st, {"p": t([2.0, 3.0])}, {"p": t([0.0, 0.0])})
     np.testing.assert_array_equal(out["p"].data, [2.0, 3.0])
 
 
@@ -26,28 +33,28 @@ def test_sgd_linearity_for_constant_gradient():
     st = OptimizerState("sgd", lr=0.1)
     p = {"p": t([1.0])}
     g = {"p": t([0.3])}
-    twice = sgd_step(st, sgd_step(st, p, g), g)
+    twice = stepped(sgd_step, st, stepped(sgd_step, st, p, g), g)
     st2 = OptimizerState("sgd", lr=0.2)
-    once = sgd_step(st2, p, g)
+    once = stepped(sgd_step, st2, p, g)
     np.testing.assert_allclose(twice["p"].data, once["p"].data)
 
 
 def test_sgd_missing_gradient_raises():
     st = OptimizerState("sgd", lr=0.1)
     with pytest.raises(nk.ContractError):
-        sgd_step(st, {"p": t([1.0])}, {})
+        stepped(sgd_step, st, {"p": t([1.0])}, {})
 
 
 def test_adamw_first_step_magnitude():
     st = OptimizerState("adamw", lr=0.05, weight_decay=0.0)
-    out = adamw_step(st, {"p": t([1.0])}, {"p": t([0.37])})
+    out = stepped(adamw_step, st, {"p": t([1.0])}, {"p": t([0.37])})
     # bias-corrected first step moves by ~lr in the gradient direction
     assert out["p"].data[0] == pytest.approx(1.0 - 0.05, rel=1e-6)
 
 
 def test_adamw_pure_decay():
     st = OptimizerState("adamw", lr=0.1, weight_decay=0.01)
-    out = adamw_step(st, {"p": t([1.0])}, {"p": t([0.0])})
+    out = stepped(adamw_step, st, {"p": t([1.0])}, {"p": t([0.0])})
     assert out["p"].data[0] == pytest.approx(0.999)
 
 
@@ -74,7 +81,7 @@ def test_adamw_trajectory_matches_reference():
     for _ in range(10):
         g = 2.0 * p.data[0]  # f(p) = p^2
         grads.append(g)
-        p = adamw_step(st, {"p": p}, {"p": t([g])})["p"]
+        p = stepped(adamw_step, st, {"p": p}, {"p": t([g])})["p"]
         mine.append(p.data[0])
     # reference recomputes the same trajectory from the recorded gradients
     ref = _reference_adamw(1.0, grads, lr, wd)
@@ -85,7 +92,7 @@ def test_step_count_monotone():
     st = OptimizerState("adamw", lr=0.1)
     p = {"p": t([1.0])}
     for expected in (1, 2, 3):
-        p = adamw_step(st, p, {"p": t([0.1])})
+        p = stepped(adamw_step, st, p, {"p": t([0.1])})
         assert st.step_count == expected
 
 
@@ -100,3 +107,49 @@ def test_state_validation():
     for lr, weight_decay in ((nan, 0.0), (inf, 0.0), (0.1, nan), (0.1, inf)):
         with pytest.raises(nk.ContractError, match="must be finite"):
             OptimizerState("adamw", lr=lr, weight_decay=weight_decay)
+
+
+def _reference_step(state, params: dict, grads: dict) -> dict:
+    """The per-group update the flat step replaced, kept as its reference."""
+    state.step_count += 1
+    if state.kind == "sgd":
+        return {name: p - state.lr * grads[name] for name, p in params.items()}
+    t = state.step_count
+    out = {}
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m.get(name, np.zeros_like(p))
+        v = state.v.get(name, np.zeros_like(p))
+        m = 0.9 * m + (1 - 0.9) * g
+        v = 0.999 * v + (1 - 0.999) * g * g
+        state.m[name], state.v[name] = m, v
+        update = (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+        out[name] = p - state.lr * update - state.lr * state.weight_decay * p
+    return out
+
+
+@pytest.mark.parametrize("kind,weight_decay", [("sgd", 0.0), ("adamw", 0.01)])
+def test_flat_step_bitwise_equals_per_group_reference(kind, weight_decay):
+    rng = np.random.default_rng(12)
+    shapes = {"w": (3, 4), "b": (4,), "table": (5, 2, 3)}
+    params = {n: rng.standard_normal(s) for n, s in shapes.items()}
+    flat_state = OptimizerState(kind, lr=0.05, weight_decay=weight_decay)
+    ref_state = OptimizerState(kind, lr=0.05, weight_decay=weight_decay)
+    ref_state.m, ref_state.v = {}, {}
+    flat = FlatParams({n: t(p) for n, p in params.items()})
+    ref = params
+    for _ in range(10):
+        grads = {n: rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)
+                 for n, s in shapes.items()}
+        step_fn = sgd_step if kind == "sgd" else adamw_step
+        step_fn(flat_state, flat.vector, flat.gather({n: t(g) for n, g in grads.items()}))
+        ref = _reference_step(ref_state, ref, grads)
+    for name in shapes:
+        assert flat.tensors[name].data.tobytes() == ref[name].tobytes()
+    assert flat_state.step_count == ref_state.step_count == 10
+
+
+def test_flat_step_rejects_nonfinite_result():
+    flat = FlatParams({"p": t([1.0, 2.0])})
+    with pytest.raises(nk.NumericError), np.errstate(over="ignore"):
+        sgd_step(OptimizerState("sgd", lr=1e308), flat.vector, np.array([0.0, 1e10]))
