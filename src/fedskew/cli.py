@@ -3,7 +3,8 @@
 A single JSON config describes a sweep: dataset x models x alphas x
 aggregators.  Each cell is a run with a stable content-derived id; runs
 write rounds.csv / summary.json / partition.json into private directories
-and a top-level report.md summarizes the sweep.
+and report.md, built from the summaries, covers the sweep.  `--jobs N` forks one
+process per cell, N at a time; a cell whose process dies fails alone.
 
 Exit codes: 0 ok, 1 config or data error, 2 run failure, 3 selftest failure.
 """
@@ -12,6 +13,7 @@ import argparse
 import hashlib
 import json
 import os
+import signal
 import sys
 import time
 import traceback
@@ -373,8 +375,8 @@ def load_data(cfg: ExperimentConfig):
 
 
 def run_experiments(cfg: ExperimentConfig, jobs: int = 1) -> list:
-    """Run every sweep cell, `jobs` at a time, and write the report.  With jobs > 1
-    the cells run in forked worker processes (`_run_forked`).  A data error
+    """Run every sweep cell, `jobs` at a time (jobs > 1: `_run_forked`), and write the
+    report from the cells' summary.json files, read back in plan order.  A data error
     (`load_data`) is raised before anything is written."""
     dataset, partitions_by_alpha = load_data(cfg)
     out_root = Path(cfg.out_dir)
@@ -385,67 +387,47 @@ def run_experiments(cfg: ExperimentConfig, jobs: int = 1) -> list:
         initial = e
 
     def one(run):
-        return execute_run(cfg, run, dataset, partitions_by_alpha[run["alpha"]], out_root,
-                           initial if run["model"] == "loraformer" else None)
+        execute_run(cfg, run, dataset, partitions_by_alpha[run["alpha"]], out_root,
+                    initial if run["model"] == "loraformer" else None)
 
     if jobs > 1:
-        summaries = _run_forked(one, cfg.runs, jobs, out_root)
+        _run_forked(one, cfg.runs, jobs, out_root)
     else:
-        summaries = [one(r) for r in cfg.runs]
+        for run in cfg.runs:
+            one(run)
+    summaries = [json.loads((out_root / r["run_id"] / "summary.json").read_text(encoding="utf-8"))
+                 for r in cfg.runs]
     emit_report(summaries, out_root)
     return summaries
 
 
-_worker_cell = None  # in a forked worker: run_experiments' `one`, set by _init_worker
-
-
-def _init_worker(one):
-    global _worker_cell
-    _worker_cell = one
-
-
-def _run_worker_cell(run: dict) -> dict:
-    return _worker_cell(run)
-
-
-def _run_forked(one, runs: list, jobs: int, out_root: Path) -> list:
-    """`one(run)` for every run on a pool of up to `jobs` forked processes; the
-    summaries come back in plan order.
+def _run_forked(one, runs: list, jobs: int, out_root: Path):
+    """`one(run)` for every run, each in its own forked process, at most `jobs` at a
+    time.  Returns once every child has been reaped.
 
     Fork hands `one` and everything it reads (config, dataset, partitions,
-    pretrained backbone) to the workers without pickling; only run plans and
-    summaries cross the pipes.  No thread runs in this process when the pool forks
-    all of its workers, before it starts its own manager thread.  A cell that
-    raised in the pool, not in `execute_run`, lost its worker: its error summary is
-    written here, after every worker has exited.
+    pretrained backbone) to the children without pickling; a child's only result is
+    the summary.json that `execute_run` writes.  A child that exits nonzero did not
+    finish its cell: its error summary is written here, and the other cells run on.
     """
     import multiprocessing
-    from concurrent.futures import Future, ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    futures = []
-    with ProcessPoolExecutor(max_workers=min(jobs, len(runs)),
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_init_worker, initargs=(one,)) as pool:
-        for run in runs:
-            try:
-                futures.append(pool.submit(_run_worker_cell, run))
-            except BrokenProcessPool as e:  # a worker died before this cell was queued
-                futures.append(Future())
-                futures[-1].set_exception(e)
-    summaries = []
-    for run, future in zip(runs, futures):
-        exc = future.exception()
-        if exc is None:
-            summaries.append(future.result())
-            continue
-        summary = {"run_id": run["run_id"], "config": run, "status": "error",
-                   "error": (f"worker process died: {exc}" if isinstance(exc, BrokenProcessPool)
-                             else f"{type(exc).__name__}: {exc}"),
-                   "traceback": "".join(traceback.format_exception(exc))}
-        _write_summary(summary, out_root)
-        summaries.append(summary)
-    return summaries
+    from multiprocessing.connection import wait
+    fork = multiprocessing.get_context("fork")
+    killed_by = {-s.value: f"killed by {s.name}" for s in signal.Signals}
+    pending, running = list(runs), {}
+    while pending or running:
+        while pending and len(running) < jobs:
+            run = pending.pop(0)
+            proc = fork.Process(target=one, args=(run,))
+            proc.start()
+            running[proc.sentinel] = proc, run
+        for sentinel in wait(list(running)):
+            proc, run = running.pop(sentinel)
+            proc.join()
+            if proc.exitcode:
+                cause = killed_by.get(proc.exitcode, f"exit code {proc.exitcode}")
+                _write_summary({"run_id": run["run_id"], "config": run, "status": "error",
+                                "error": f"worker process died: {cause}"}, out_root)
 
 
 # ---------------------------------------------------------------------------

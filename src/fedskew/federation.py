@@ -45,7 +45,7 @@ class OptimizerCfg:
 
 
 def check_beta(beta: float) -> float:
-    """FedAvgW's exponent: a finite number >= 0 (0 weights LoRA groups like FedAvg)."""
+    """FedAvgW's exponent: a finite number >= 0 (0 gives each client LoRA weight 1/K)."""
     return validate.nonnegative("beta", beta)
 
 

@@ -139,11 +139,3 @@ def save_manifest(partitions, cfg: PartitionConfig, path):
         "skew": asdict(skew_report(partitions)),
     }
     Path(path).write_text(json.dumps(manifest), encoding="utf-8")
-
-
-def load_manifest(path) -> list:
-    manifest = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [
-        ClientPartition(c["client_id"], list(c["indices"]), list(c["label_histogram"]))
-        for c in manifest["clients"]
-    ]

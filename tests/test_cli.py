@@ -354,20 +354,35 @@ def test_jobs_must_be_positive(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def record_starts(monkeypatch):
+    """The number of live children of this process as each forked cell starts."""
+    import multiprocessing.context
+    real = multiprocessing.context.ForkProcess.start
+    alive = []
+
+    def start(self):
+        real(self)
+        alive.append(len(multiprocessing.active_children()))
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
+    return alive
+
+
 def test_jobs_capped_at_cell_count(tmp_path, monkeypatch):
-    import concurrent.futures
-    real = concurrent.futures.ProcessPoolExecutor
-    requested = []
-
-    def recording(max_workers, **kwargs):
-        requested.append(max_workers)
-        return real(max_workers=min(max_workers, 2), **kwargs)  # never a large pool
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    alive = record_starts(monkeypatch)
     cfg = base_config(out_dir=str(tmp_path / "out"))
     cfg["partition"]["alpha"] = [0.3, 2.0]
     assert cli.main(["run", str(write_config(tmp_path, cfg)), "--jobs", "8"]) == 0
-    assert requested == [2]
+    assert len(alive) == 2
+
+
+def test_jobs_bound_live_cells(tmp_path, monkeypatch):
+    alive = record_starts(monkeypatch)
+    cfg = base_config(out_dir=str(tmp_path / "out"))
+    cfg["partition"]["alpha"] = [0.3, 1.0, 2.0, 5.0]
+    assert cli.main(["run", str(write_config(tmp_path, cfg)), "--jobs", "2"]) == 0
+    assert len(alive) == 4
+    assert max(alive) <= 2
 
 
 def test_pretrained_sweep_jobs_byte_identical(tmp_path):
@@ -390,26 +405,45 @@ def alpha_sizes(parsed, alpha):
                                                 parsed.partition_cfgs[alpha])]
 
 
-def test_worker_death_fails_its_cell(tmp_path, monkeypatch):
+def run_with_dying_cell(tmp_path, monkeypatch, die):
+    """A 2-cell sweep at --jobs 2 whose α 0.3 cell calls `die()` in its forked child;
+    returns the summaries of the dying cell and of the α 2.0 cell."""
     cfg = base_config(out_dir=str(tmp_path / "out"))
     cfg["partition"]["alpha"] = [0.3, 2.0]
     parsed = cli.parse_config(write_config(tmp_path, cfg))
     target_sizes = alpha_sizes(parsed, 0.3)
     real = cli.run_federation
 
-    def die(dataset, partitions, *args, **kwargs):
+    def dying(dataset, partitions, *args, **kwargs):
         if [p.size for p in partitions] == target_sizes:
-            os._exit(1)  # the forked worker inherits this patch
+            die()  # the forked child inherits this patch
         return real(dataset, partitions, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_federation", die)
+    monkeypatch.setattr(cli, "run_federation", dying)
     summaries = cli.run_experiments(parsed, jobs=2)
     assert len(summaries) == 2
     dead = next(s for s in summaries if s["config"]["alpha"] == 0.3)
-    assert dead["status"] == "error" and dead["error"].startswith("worker process died: ")
+    healthy = next(s for s in summaries if s["config"]["alpha"] == 2.0)
     on_disk = json.loads((tmp_path / "out" / dead["run_id"] / "summary.json").read_text())
     assert on_disk["status"] == "error" and on_disk["error"] == dead["error"]
     assert f"`{dead['run_id']}`" in (tmp_path / "out" / "report.md").read_text()
+    return dead, healthy
+
+
+def test_worker_death_fails_its_cell(tmp_path, monkeypatch):
+    dead, healthy = run_with_dying_cell(tmp_path, monkeypatch, lambda: os._exit(1))
+    assert dead["status"] == "error"
+    assert dead["error"] == "worker process died: exit code 1"
+    assert healthy["status"] == "ok"
+
+
+def test_worker_killed_by_signal_fails_its_cell(tmp_path, monkeypatch):
+    import signal
+    dead, healthy = run_with_dying_cell(
+        tmp_path, monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    assert dead["status"] == "error"
+    assert dead["error"] == "worker process died: killed by SIGKILL"
+    assert healthy["status"] == "ok"
 
 
 def test_crash_isolation(tmp_path, monkeypatch):

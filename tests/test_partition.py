@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,6 @@ def test_manifest_roundtrip(tmp_path):
     parts = pt.dirichlet_partition(CORPUS, cfg)
     path = tmp_path / "partition.json"
     pt.save_manifest(parts, cfg, path)
-    back = pt.load_manifest(path)
-    assert [p.sample_indices for p in back] == [p.sample_indices for p in parts]
-    assert [p.label_histogram for p in back] == [p.label_histogram for p in parts]
+    back = json.loads(path.read_text(encoding="utf-8"))["clients"]
+    assert [c["indices"] for c in back] == [p.sample_indices for p in parts]
+    assert [c["label_histogram"] for c in back] == [p.label_histogram for p in parts]
