@@ -549,7 +549,7 @@ def selftest() -> bool:
         x = rng.standard_normal((3, 4))
         l = nk.leaf(x, name="x")
         loss = nk.ssum(nk.mul(nk.gelu(l), nk.gelu(l)))
-        g = nk.backward(loss)["x"].data
+        g = nk.backward(loss)["x"]
         h = 1e-5
         xp, xm = x.copy(), x.copy()
         xp[0, 0] += h
@@ -558,24 +558,24 @@ def selftest() -> bool:
                - float(nk.ssum(nk.mul(nk.gelu(nk.leaf(xm)), nk.gelu(nk.leaf(xm)))).value)) / (2 * h)
         assert abs(g[0, 0] - num) / max(abs(num), 1e-8) < 1e-4
 
-    def ngram_kernel_ok():
+    def textcnn_ok():
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((3, 6, 4))
-        x[:, 4:] = 0.0  # padding
-        kernels = [rng.standard_normal((w, 4, 3)) for w in (2, 3, 4)]
-        biases = [rng.standard_normal(3) for _ in kernels]
-        weights = rng.standard_normal(9)
+        # PAD rows, an all-PAD document, a dead filter and one tied at its bias everywhere
+        ids = rng.integers(1, 7, size=(4, 6)) * (np.arange(6) < np.array([[6], [4], [4], [0]]))
+        kernels = [rng.standard_normal((w, 4, 3)) for w in (2, 3, 6)]
+        kernels[0][:, :, :2] = 0.0
+        values = [rng.standard_normal((7, 4)), *kernels, np.array([-1.0, 0.5, 0.2]),
+                  *rng.uniform(0.1, 1.0, (2, 3)), rng.standard_normal((9, 2)),
+                  rng.standard_normal(2)]
 
-        def run(fused):
-            leaves = [nk.leaf(v, name=str(i)) for i, v in enumerate([x, *kernels, *biases])]
-            x_, ks, bs = leaves[0], leaves[1:4], leaves[4:]
-            out = (nk.ngram_max_pool(x_, ks, bs) if fused else nk.concat_last(
-                [nk.max_over_time(nk.relu(nk.add(nk.conv1d_valid(x_, k), b)))
-                 for k, b in zip(ks, bs)]))
-            grads = nk.backward(nk.ssum(nk.mul(out, np.tile(weights, (3, 1)))))
-            return [out.value] + [grads[str(i)].data for i in range(len(leaves))]
+        def run(op):
+            p = [nk.leaf(v, name=str(i)) for i, v in enumerate(values)]
+            out = op(p[0], ids, 0, p[1:4], p[4:7], p[7], p[8], 0.7,
+                     nk.derive(0, "selftest-dropout"), True)
+            grads = nk.backward(nk.ssum(nk.mul(out, out)))
+            return [out.value] + [grads[str(i)] for i in range(len(values))]
 
-        for got, want in zip(run(True), run(False)):
+        for got, want in zip(run(nk.textcnn_logits), run(nk.textcnn_logits_ops)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def encoder_layer_ok():
@@ -601,9 +601,9 @@ def selftest() -> bool:
         want, want_grads = run(nk.encoder_layer_ops)
         assert got.tobytes() == want.tobytes()
         for name, g in want_grads.items():
-            err = np.abs(got_grads[name].data - g.data).max()
+            err = np.abs(got_grads[name] - g).max()
             # attn.bk's gradient is zero but for rounding: the softmax ignores a per-query shift
-            assert err <= 1e-12 * (1.0 if name == "attn.bk" else np.abs(g.data).max()), name
+            assert err <= 1e-12 * (1.0 if name == "attn.bk" else np.abs(g).max()), name
 
     def partition_ok():
         ds = td.generate_synthetic(td.SyntheticSpec(4, 40, 50, 5, 6, 0.5, 0))
@@ -626,7 +626,7 @@ def selftest() -> bool:
 
     check("aggregation weights normalize; 118:34742 ratio = 294.4", weights_ok)
     check("analytic gradient matches finite difference", gradient_ok)
-    check("fused n-gram kernel matches unfused ops", ngram_kernel_ok)
+    check("fused TextCNN forward matches unfused ops", textcnn_ok)
     check("fused encoder layer matches unfused ops", encoder_layer_ok)
     check("dirichlet partition exhaustive and disjoint", partition_ok)
     check("lora merge preserves logits", lora_ok)
@@ -703,8 +703,8 @@ def main(argv=None) -> int:
             for alpha, parts in partitions_by_alpha.items():
                 path = out_root / f"partition_alpha{alpha}.json"
                 save_manifest(parts, cfg.partition_cfgs[alpha], path)
-                rep = skew_report(parts)
-                print(f"alpha={alpha}: sizes={rep.sizes} max/min={rep.max_min_ratio:.1f} -> {path}")
+                ratio = skew_report(parts).max_min_ratio or float("inf")  # None: an empty client
+                print(f"alpha={alpha}: sizes={[p.size for p in parts]} max/min={ratio:.1f} -> {path}")
             return 0
         summaries = run_experiments(cfg, jobs=args.jobs)
     except InputDataError as e:

@@ -100,8 +100,7 @@ def make_forward(cfg: LoraFormerConfig):
     keep = 1.0 - cfg.lora_dropout
 
     def forward(params: ParamSet, token_ids, train: bool = False, rng=None, head: str = "head"):
-        leaves = {g.name: nk.leaf(g.tensor.data, name=g.name, trainable=g.trainable)
-                  for g in params}
+        leaves = params.leaves
         ids = np.asarray(token_ids)
         batch, seq = ids.shape
         pad_mask = ids != PAD_ID
@@ -224,8 +223,8 @@ def pretrain_backbone(params: ParamSet, cfg: LoraFormerConfig, proxy_dataset, st
         for batch in batches:
             if done >= steps:
                 break
-            rng = nk.derive(seed, "pretrain-dropout", done)
-            logits = forward(work, batch.token_ids, train=True, rng=rng, head="proxy_head")
+            # no adapters, so no dropout mask and no rng
+            logits = forward(work, batch.token_ids, train=True, head="proxy_head")
             loss = nk.softmax_cross_entropy(logits, batch.labels)
             adamw_step(state, flat.vector, flat.gather(nk.backward(loss)))
             done += 1

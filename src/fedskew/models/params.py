@@ -2,11 +2,12 @@
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from ..numkit.tensor import Tensor
+from ..numkit import Tensor, leaf
 
 
 class StructuralError(ValueError):
@@ -30,7 +31,7 @@ class ParamSet:
         names = [g.name for g in groups]
         if len(set(names)) != len(names):
             raise StructuralError("duplicate parameter names")
-        self.groups = list(groups)
+        self.groups = tuple(groups)
         self.model_kind = model_kind
         self._by_name = {g.name: g for g in self.groups}
 
@@ -45,6 +46,13 @@ class ParamSet:
 
     def has(self, name: str) -> bool:
         return name in self._by_name
+
+    @cached_property
+    def leaves(self) -> dict:
+        """{name: autodiff leaf of its array}, built once: the groups never change, and the
+        optimizer updates a trainable array in place, so every step reads the same leaves."""
+        return {g.name: leaf(g.tensor.data, name=g.name, trainable=g.trainable)
+                for g in self.groups}
 
     @property
     def names(self) -> list:

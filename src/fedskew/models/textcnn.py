@@ -1,5 +1,5 @@
-"""TextCNN: embedding, parallel n-gram Conv1D banks with max-over-time (one fused
-`ngram_max_pool` node), linear head."""
+"""TextCNN: embedding, parallel n-gram Conv1D banks with max-over-time, dropout and a
+linear head, all one `numkit.textcnn_logits` node."""
 
 from dataclasses import dataclass
 
@@ -60,17 +60,10 @@ def build_textcnn(cfg: TextCnnConfig, vocab_size: int, max_seq_len: int, seed: i
     keep = 1.0 - cfg.dropout
 
     def forward(params: ParamSet, token_ids, train: bool = False, rng=None):
-        leaves = {g.name: nk.leaf(g.tensor.data, name=g.name, trainable=g.trainable)
-                  for g in params}
-        ids = np.asarray(token_ids)
-        pad_mask = (ids != PAD_ID).astype(np.float64)
-        emb = nk.embedding_lookup(leaves["embedding"], ids)
-        # PAD positions contribute zero vectors so max-pooling never picks padding
-        emb = nk.mul(emb, nk.const(np.broadcast_to(pad_mask[:, :, None], emb.shape).copy()))
-        features = nk.ngram_max_pool(emb, [leaves[f"conv{w}.kernel"] for w in cfg.filter_widths],
-                                     [leaves[f"conv{w}.bias"] for w in cfg.filter_widths])
-        if train and keep < 1.0:
-            features = nk.dropout(features, keep, rng, train=True)
-        return nk.add(nk.matmul(features, leaves["fc.weight"]), leaves["fc.bias"])
+        p = params.leaves
+        return nk.textcnn_logits(p["embedding"], token_ids, PAD_ID,
+                                 [p[f"conv{w}.kernel"] for w in cfg.filter_widths],
+                                 [p[f"conv{w}.bias"] for w in cfg.filter_widths],
+                                 p["fc.weight"], p["fc.bias"], keep, rng, train)
 
     return params, forward

@@ -9,11 +9,14 @@ vector) and 2-D weights against batched activations in matmul; everything
 else must match shapes exactly.
 """
 
+import functools
+import itertools
 import math
+import threading
 
 import numpy as np
 
-from .tensor import NumericError, ShapeError, Tensor, as_array
+from .tensor import NumericError, ShapeError, as_array
 
 
 class ContractError(ValueError):
@@ -38,9 +41,6 @@ class GradNode:
     @property
     def shape(self):
         return self.value.shape
-
-    def __repr__(self):
-        return f"GradNode(op={self.op!r}, shape={self.value.shape})"
 
 
 def leaf(value, name=None, trainable=True) -> GradNode:
@@ -173,23 +173,31 @@ def gelu(a) -> GradNode:
     return _node("gelu", out, (a,), backward)
 
 
+def _ids(ids, vocab: int) -> np.ndarray:
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":
+        raise ContractError("embedding ids must be integers")
+    if ids.min(initial=0) < 0 or ids.max(initial=0) >= vocab:
+        raise ShapeError("embedding id out of range")
+    return ids
+
+
+def _row_sums(ids, g, shape) -> np.ndarray:
+    """The gradient of table[ids] for a table of `shape`: the rows of g summed into their
+    ids' rows in id order, as np.add.at(zeros, ids, g rows) adds them."""
+    slots = (ids.reshape(-1, 1) * shape[1] + np.arange(shape[1])).reshape(-1)
+    return np.bincount(slots, weights=g.reshape(-1), minlength=shape[0] * shape[1]).reshape(shape)
+
+
 def embedding_lookup(table, ids) -> GradNode:
     """Gather rows of `table` (V, D) at integer `ids` (any shape)."""
     table = _wrap(table)
-    ids = np.asarray(ids)
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise ContractError("embedding ids must be integers")
-    if ids.min(initial=0) < 0 or ids.max(initial=0) >= table.value.shape[0]:
-        raise ShapeError("embedding id out of range")
-    out = table.value[ids]
+    ids = _ids(ids, len(table.value))
 
     def backward(g):
-        # row sums in id order, as np.add.at(zeros, ids, g rows) adds them
-        vocab, d = table.value.shape
-        slots = (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
-        return (np.bincount(slots, weights=g.reshape(-1), minlength=vocab * d).reshape(vocab, d),)
+        return (_row_sums(ids, g, table.value.shape),)
 
-    return _node("embedding_lookup", out, (table,), backward)
+    return _node("embedding_lookup", table.value[ids], (table,), backward)
 
 
 def conv1d_valid(x, kernel) -> GradNode:
@@ -241,83 +249,117 @@ def max_over_time(x) -> GradNode:
     return _node("max_over_time", xv[b, idx, c], (x,), backward)
 
 
-def ngram_max_pool(x, kernels, biases) -> GradNode:
-    """TextCNN's filter banks as one node: for each width, in order,
-    max_over_time(relu(conv1d_valid(x, kernel) + bias)), concatenated on the last axis.
+_scratch = threading.local()  # the arrays of `_zeros`, one set per thread
 
-    x: (batch, seq, channels); kernels[i]: (width_i, channels, filters_i);
-    biases[i]: (filters_i,) -> (batch, sum of filters_i).
 
-    Forward is one gemm of the window matrix, row (document, position) holding
-    the next `span` = max width positions zero-padded past the end, against the
-    kernels stacked into one (span*channels, sum filters) matrix with zero rows
-    below each width.  Positions past a width's valid range are set below every
-    relu output, so they never win the max; ties go to the first position, as
-    in `max_over_time`.  Backward scatters g to the winning positions under the
-    relu mask, copies it once per shift into a (document, position) x (shift,
-    filter) matrix, and takes all kernel gradients and the input gradient from
-    one gemm each.
-    """
-    x = _wrap(x)
+def _zeros(name, shape) -> np.ndarray:
+    """The first shape[0] rows of grow-only scratch array `name`, zero when made.  A caller
+    leaves zero what it expects to find zero, and keeps nothing in it past its call."""
+    buf = _scratch.__dict__.get(name)
+    if buf is None or buf.shape[1:] != shape[1:] or len(buf) < shape[0]:
+        rows = max(shape[0], 0 if buf is None else len(buf))
+        buf = _scratch.__dict__[name] = np.zeros((rows, *shape[1:]))
+    return buf[: shape[0]]
+
+
+@functools.lru_cache(maxsize=64)
+def _pool_indices(n, seq, widths, cols):
+    """Shared, never written: (position, filter)s past each width's range, row offsets, filters."""
+    past = np.arange(seq)[:, None] > seq - np.repeat(widths, np.diff(cols))
+    return past, np.arange(n)[:, None] * seq, np.arange(cols[-1])
+
+
+def textcnn_logits(table, ids, pad_id: int, kernels, biases, weight, bias,
+                   keep_prob: float = 1.0, rng=None, train: bool = False) -> GradNode:
+    """TextCNN's forward pass, the op chain `textcnn_logits_ops`, as one node: x = table[ids]
+    zeroed where ids == pad_id, features = concat over widths of max_over_time(relu(
+    conv1d_valid(x, kernel) + bias)), logits = dropout(features) @ weight + bias.
+
+    The filter banks are one gemm of the window matrix, row (document, position) holding the
+    next max-width positions zero-padded past the end, against the kernels stacked with zero
+    rows below each width; positions past a width's range never win the max, and ties go to
+    the first position.  Backward takes the kernel and input gradients from one gemm each,
+    so the node agrees with the chain to rounding."""
+    table, weight, bias = _wrap(table), _wrap(weight), _wrap(bias)
     kernels, biases = [_wrap(k) for k in kernels], [_wrap(b) for b in biases]
-    xv = x.value
-    if xv.ndim != 3 or not kernels or len(kernels) != len(biases):
-        raise ShapeError(f"ngram_max_pool: x {xv.shape}, {len(kernels)} kernels, "
-                         f"{len(biases)} biases")
-    n, seq, ch = xv.shape
-    for k, b in zip(kernels, biases):
-        kv = k.value
-        if kv.ndim != 3 or kv.shape[1] != ch or b.value.shape != kv.shape[2:]:
-            raise ShapeError(f"ngram_max_pool: x {xv.shape}, kernel {kv.shape}, "
-                             f"bias {b.value.shape}")
-        if kv.shape[0] > seq:
-            raise ShapeError(f"ngram_max_pool: width {kv.shape[0]} > seq {seq}")
-    widths = [k.value.shape[0] for k in kernels]
-    sizes = [k.value.shape[2] for k in kernels]
-    cols = np.cumsum([0] + sizes)
-    span, total = max(widths), int(cols[-1])
+    tv, kv = table.value, [k.value for k in kernels]
+    ids = _ids(ids, len(tv))
+    if (ids.ndim != 2 or tv.ndim != 2 or not kernels or len(kernels) != len(biases)
+            or any(k.ndim != 3 or k.shape[1] != tv.shape[1] or len(k) > ids.shape[1]
+                   or b.value.shape != k.shape[2:] for k, b in zip(kv, biases))
+            or bias.value.ndim != 1
+            or weight.value.shape != (sum(b.value.size for b in biases), len(bias.value))):
+        raise ShapeError(f"textcnn_logits: ids {ids.shape}, table {tv.shape}, kernels "
+                         f"{[k.shape for k in kv]}, or a bias or the head of the wrong shape")
+    (n, seq), ch, widths = ids.shape, tv.shape[1], tuple(len(k) for k in kv)
+    cols = (0, *itertools.accumulate(k.shape[2] for k in kv))
+    span, total = max(widths), cols[-1]
+    if not 0.0 < keep_prob <= 1.0:
+        raise ContractError(f"keep_prob must be in (0, 1], got {keep_prob}")
 
-    windows = np.zeros((n, seq, span * ch))
+    keep = (ids != pad_id)[:, :, None]
+    padded = not keep.all()  # x * 1.0 is x: a batch without PAD skips the product
+    x = tv[ids] * keep if padded else tv[ids]
+    past, rows, filters = _pool_indices(n, seq, widths, cols)
+    windows = _zeros("windows", (n, seq, span, ch))
     for s in range(span):
-        windows[:, : seq - s, s * ch : (s + 1) * ch] = xv[:, s:]
-    windows = windows.reshape(n * seq, span * ch)
+        windows[:, : seq - s, s] = x[:, s:]
     stacked = np.zeros((span * ch, total))
-    for w, k, lo, hi in zip(widths, kernels, cols, cols[1:]):
-        stacked[: w * ch, lo:hi] = k.value.reshape(w * ch, hi - lo)
-    pre = (windows @ stacked).reshape(n, seq, total) + np.concatenate([b.value for b in biases])
-    act = pre * (pre > 0)
-    past = np.arange(seq)[:, None] > seq - np.repeat(widths, sizes)  # (position, filter)
-    act[:, past] = -1.0  # below every relu output
-    # flat index of each (document, filter)'s first max in act
-    flat = ((np.arange(n)[:, None] * seq + act.argmax(axis=1)) * total + np.arange(total))
-    out = act.reshape(-1)[flat]
-    alive = out > 0  # the relu mask at the winning position
+    for w, k, lo, hi in zip(widths, kv, cols, cols[1:]):
+        stacked[: w * ch, lo:hi] = k.reshape(w * ch, hi - lo)
+    act = np.matmul(windows.reshape(n * seq, span * ch), stacked,
+                    out=_zeros("act", (n * seq, total))).reshape(n, seq, total)
+    act += np.concatenate([b.value for b in biases])
+    act *= act > 0
+    np.copyto(act, -1.0, where=past)  # below every relu output
+    flat = (rows + act.argmax(axis=1)) * total + filters  # each (document, filter)'s first max
+    features = act.reshape(-1)[flat]
+    alive = features > 0  # the relu mask at the winning position
+    drop = train and keep_prob < 1.0
+    if drop:
+        mask = (rng.random(features.shape) < keep_prob) / keep_prob
+        features *= mask
 
     def backward(g):
-        gpre = g * alive
-        grads = [None] * (1 + 2 * len(kernels))
-        if x.requires_grad or any(k.requires_grad for k in kernels):
-            scattered = np.zeros((n, seq, total))
+        grads = [None] * (1 + len(kernels) + len(biases))
+        need_x, need_k = table.requires_grad, any(k.requires_grad for k in kernels)
+        if need_x or need_k or any(b.requires_grad for b in biases):
+            gpre = ((g @ weight.value.T) * mask if drop else g @ weight.value.T) * alive
+        if need_x or need_k:
+            scattered = _zeros("scattered", (n, seq, total))
             scattered.reshape(-1)[flat] = gpre
             # the gradient of window (document, p - s) at row (document, p), shift s
-            shifted = np.zeros((n, seq, span, total))
+            shifted = _zeros("shifted", (n, seq, span, total))
             for s in range(span):
                 shifted[:, s:, s] = scattered[:, : seq - s]
+            scattered.reshape(-1)[flat] = 0.0
             shifted = shifted.reshape(n * seq, span * total)
-        if any(k.requires_grad for k in kernels):
-            gstacked = (xv.reshape(n * seq, ch).T @ shifted).reshape(ch, span, total)
-            for i, (w, k, lo, hi) in enumerate(zip(widths, kernels, cols, cols[1:])):
-                if k.requires_grad:
-                    grads[1 + i] = gstacked[:, :w, lo:hi].transpose(1, 0, 2)
-        if x.requires_grad:
+        if need_k:
+            gstacked = (x.reshape(n * seq, ch).T @ shifted).reshape(ch, span, total)
+        if need_x:
             by_shift = stacked.reshape(span, ch, total).transpose(0, 2, 1).reshape(span * total, ch)
-            grads[0] = (shifted @ by_shift).reshape(n, seq, ch)
-        for i, (b, lo, hi) in enumerate(zip(biases, cols, cols[1:])):
+            gx = (shifted @ by_shift).reshape(n, seq, ch)
+            grads[0] = _row_sums(ids, gx * keep if padded else gx, tv.shape)
+        for i, (w, k, b, lo, hi) in enumerate(zip(widths, kernels, biases, cols, cols[1:])):
+            if k.requires_grad:
+                grads[1 + i] = gstacked[:, :w, lo:hi].transpose(1, 0, 2)
             if b.requires_grad:
                 grads[1 + len(kernels) + i] = gpre[:, lo:hi].sum(axis=0)
-        return grads
+        return (*grads, features.T @ g if weight.requires_grad else None,
+                g.sum(axis=0) if bias.requires_grad else None)
 
-    return _node("ngram_max_pool", out, (x, *kernels, *biases), backward)
+    return _node("textcnn_logits", features @ weight.value + bias.value,
+                 (table, *kernels, *biases, weight, bias), backward)
+
+
+def textcnn_logits_ops(table, ids, pad_id: int, kernels, biases, weight, bias,
+                       keep_prob: float = 1.0, rng=None, train: bool = False) -> GradNode:
+    """`textcnn_logits` as a chain of the ops below: its reference in tests."""
+    x = embedding_lookup(table, ids)
+    x = mul(x, np.broadcast_to((np.asarray(ids) != pad_id)[:, :, None], x.shape) * 1.0)
+    features = concat_last([max_over_time(relu(add(conv1d_valid(x, k), b)))
+                            for k, b in zip(kernels, biases)])
+    return add(matmul(dropout(features, keep_prob, rng, train), weight), bias)
 
 
 def _layernorm(xv, gain, bias, eps):
@@ -693,25 +735,22 @@ def encoder_layer_ops(x, weights: dict, heads: int, key_mask, scaling: float = 1
 def backward(loss: GradNode) -> dict:
     """Gradients of a scalar loss w.r.t. every named trainable leaf.
 
-    Returns {leaf name: Tensor}; frozen leaves are absent.
+    Returns {leaf name: array}; frozen leaves are absent.
     """
     if loss.value.ndim != 0 and loss.value.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.value.shape}")
 
     order = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [(loss, False)] if loss.requires_grad else []
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
-            continue
-        if id(node) in seen or not node.requires_grad:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            stack.append((p, False))
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node.parents if p.requires_grad)
 
     grads = {id(loss): np.ones_like(loss.value)}
     out = {}
@@ -721,18 +760,14 @@ def backward(loss: GradNode) -> dict:
             continue
         if node._backward is None:  # a leaf: every gradient into it has arrived
             if node.op == "leaf" and node.name is not None:
-                out[node.name] = Tensor(g)
+                out[node.name] = g
             continue
         parent_grads = node._backward(g)
         for p, pg in zip(node.parents, parent_grads):
             if not p.requires_grad or pg is None:
                 continue
             if pg.shape != p.value.shape:
-                raise ShapeError(
-                    f"gradient shape {pg.shape} != value shape {p.value.shape} (op {node.op})"
-                )
-            if id(p) in grads:
-                grads[id(p)] = grads[id(p)] + pg
-            else:
-                grads[id(p)] = pg
+                raise ShapeError(f"gradient shape {pg.shape} != value shape {p.value.shape} "
+                                 f"(op {node.op})")
+            grads[id(p)] = grads[id(p)] + pg if id(p) in grads else pg
     return out

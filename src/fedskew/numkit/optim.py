@@ -48,11 +48,15 @@ class FlatParams:
             lo += t.size
 
     def gather(self, grads: dict) -> np.ndarray:
-        """The gradients of `names` from {name: Tensor}, packed like the vector."""
+        """The gradients of `names` from {name: array}, packed like the vector."""
         missing = [n for n in self.names if n not in grads]
         if missing:
             raise ContractError(f"missing gradients for trainable parameters: {missing}")
-        return np.concatenate([grads[n].data.reshape(-1) for n in self.names])
+        packed = np.concatenate([grads[n].reshape(-1) for n in self.names])
+        if not np.isfinite(packed).all():
+            bad = next(n for n in self.names if not np.isfinite(grads[n]).all())
+            raise NumericError(f"non-finite gradient for {bad!r}")
+        return packed
 
     def freeze(self):
         self.vector.setflags(write=False)

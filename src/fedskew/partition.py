@@ -58,7 +58,7 @@ class SkewReport:
     sizes: list
     min_size: int
     max_size: int
-    max_min_ratio: float
+    max_min_ratio: float  # None when a client holds no data
     class_entropies: list
 
 
@@ -123,7 +123,7 @@ def skew_report(partitions) -> SkewReport:
                     ent -= q * math.log(q)
         entropies.append(ent)
     mn, mx = min(sizes), max(sizes)
-    return SkewReport(sizes, mn, mx, (mx / mn) if mn > 0 else math.inf, entropies)
+    return SkewReport(sizes, mn, mx, (mx / mn) if mn > 0 else None, entropies)
 
 
 def save_manifest(partitions, cfg: PartitionConfig, path):

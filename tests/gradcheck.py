@@ -20,7 +20,7 @@ def finite_diff_check(fn, inputs, h=1e-5, rtol=1e-4, names=None):
 
     worst = 0.0
     for x, name in zip(inputs, names):
-        analytic = grads[name].data
+        analytic = grads[name]
         numeric = np.zeros_like(x, dtype=np.float64)
         flat = x.reshape(-1)
         for i in range(flat.size):

@@ -321,6 +321,28 @@ def test_end_to_end_outputs(tmp_path):
     assert len(gcsv) == 2
 
 
+def test_json_outputs_strict_with_an_empty_client(tmp_path, capsys):
+    """A client with no data has no max/min size ratio: the JSON files say null, which
+    RFC 8259 allows, where they said Infinity."""
+    cfg = base_config(out_dir=str(tmp_path / "out"))
+    cfg["partition"].update(num_clients=40, alpha=[0.05], min_samples_per_client=0)
+    cfg["federation"]["rounds"] = 1
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", str(path)]) == 0
+    assert cli.main(["partition", str(path)]) == 0
+    assert "max/min=inf ->" in capsys.readouterr().out
+
+    def strict(p):
+        return json.loads(p.read_text(), parse_constant=lambda c: pytest.fail(f"{p}: {c}"))
+
+    (run_dir,) = [p.parent for p in (tmp_path / "out").glob("*/summary.json")]
+    summary, manifest = strict(run_dir / "summary.json"), strict(run_dir / "partition.json")
+    assert summary["status"] == "ok" and 0 in summary["skew"]["sizes"]
+    assert summary["skew"]["max_min_ratio"] is None
+    assert manifest["skew"]["max_min_ratio"] is None
+    assert strict(tmp_path / "out" / "partition_alpha0.05.json")["skew"]["max_min_ratio"] is None
+
+
 def test_rerun_byte_identical_rounds_csv(tmp_path):
     cfg = base_config(out_dir=str(tmp_path / "out1"))
     _, s1 = run_sweep(tmp_path, cfg, "c1.json")

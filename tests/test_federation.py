@@ -235,19 +235,18 @@ def test_local_train_update_is_read_only():
 
 
 def test_local_train_nan_gradient_names_client_and_round(monkeypatch):
-    from types import SimpleNamespace
-
     params, forward = build_model("textcnn", CNN_CFG, DESK.vocabulary.size,
                                   DESK.max_seq_len, seed=0)
     real = nk.backward
 
     def nan_backward(loss):
         grads = real(loss)
-        bad = grads["fc.bias"].data.copy()
+        bad = grads["fc.bias"].copy()
         bad[0] = np.nan
-        return {**grads, "fc.bias": SimpleNamespace(data=bad)}
+        return {**grads, "fc.bias": bad}
 
     monkeypatch.setattr(nk, "backward", nan_backward)
     part = ClientPartition(4, list(range(20)), [20, 0, 0, 0])
-    with pytest.raises(fed.FederationError, match=r"^client 4, round 3: non-finite"):
+    want = r"^client 4, round 3: non-finite gradient for 'fc.bias'$"
+    with pytest.raises(fed.FederationError, match=want):
         fed.local_train(params, forward, part, DESK, OPT, 1, 8, seed=1, round_index=3)

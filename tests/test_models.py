@@ -69,13 +69,26 @@ def test_textcnn_pad_position_has_no_effect():
     np.testing.assert_array_equal(forward(mutated, ids).value, base)
 
 
-def test_textcnn_step_graph_is_seven_nodes():
+def test_textcnn_step_graph_is_two_nodes():
     params, forward = build_textcnn(CNN_CFG, VOCAB, SEQ, seed=1)
     ids = rand_batch(np.random.default_rng(2))
     loss = nk.softmax_cross_entropy(forward(params, ids, train=True, rng=nk.derive(0, "d")),
                                     np.array([0, 1, 2]))
-    assert step_graph_ops(loss) == ["add", "dropout", "embedding_lookup", "matmul", "mul",
-                                    "ngram_max_pool", "softmax_cross_entropy"]
+    assert step_graph_ops(loss) == ["softmax_cross_entropy", "textcnn_logits"]
+
+
+def test_paramset_leaves_built_once_and_see_inplace_steps():
+    params, forward = build_textcnn(CNN_CFG, VOCAB, SEQ, seed=1)
+    flat = nk.FlatParams(params.trainable_dict())
+    params = params.with_tensors(flat.tensors)
+    assert params.leaves is params.leaves
+    ids = rand_batch(np.random.default_rng(3))
+    loss = nk.softmax_cross_entropy(forward(params, ids), np.array([0, 1, 2]))
+    sgd_step(OptimizerState("sgd", lr=0.5), flat.vector, flat.gather(nk.backward(loss)))
+    fresh = params.with_tensors(params.trainable_dict())  # same arrays, new leaves
+    assert fresh.leaves is not params.leaves
+    assert forward(params, ids).value.tobytes() == forward(fresh, ids).value.tobytes()
+    assert np.abs(forward(params, ids).value).max() > 0  # the stepped head, not the zero one
 
 
 def step_graph_ops(loss) -> list:
@@ -212,6 +225,20 @@ def test_pretrain_zero_steps_is_identity():
     for a, b in zip(params, out):
         assert np.array_equal(a.tensor.data, b.tensor.data)
         assert (a.trainable, a.lora) == (b.trainable, b.lora)
+
+
+def test_pretrain_ignores_lora_dropout():
+    """Pretraining drops the adapters, so no dropout mask is drawn: the backbone trains
+    bitwise the same at any lora_dropout."""
+    proxy = make_proxy()
+    out = []
+    for rate in (0.0, 0.3):
+        cfg = LoraFormerConfig(num_classes=4, layers=2, d_model=8, heads=2, ffn_dim=16,
+                               lora_rank=2, lora_dropout=rate)
+        params, _ = build_loraformer(cfg, VOCAB, SEQ, seed=6)
+        out.append(pretrain_backbone(params, cfg, proxy, steps=5, seed=2))
+    for a, b in zip(*out):
+        assert a.tensor.data.tobytes() == b.tensor.data.tobytes(), a.name
 
 
 def test_pretrain_improves_probe_and_keeps_flags():

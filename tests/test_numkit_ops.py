@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def test_backward_quadratic():
     x = nk.leaf([1.0, 2.0, 3.0], name="x")
     loss = nk.ssum(nk.mul(x, x))
     grads = nk.backward(loss)
-    np.testing.assert_allclose(grads["x"].data, [2.0, 4.0, 6.0])
+    np.testing.assert_allclose(grads["x"], [2.0, 4.0, 6.0])
 
 
 def test_backward_frozen_leaf_absent():
@@ -91,6 +92,8 @@ def encoder_fd_loss(x, *weights):
     return nk.ssum(nk.mul(layer, layer))
 
 
+FD_IDS = np.array([[1, 2, 3, 4, 2, 0], [4, 3, 1, 0, 0, 0]])  # the second document is padded
+
 OP_CASES = [
     ("matmul", lambda r: [r.standard_normal((3, 4)), r.standard_normal((4, 2))],
      lambda a, b: nk.ssum(nk.matmul(a, b))),
@@ -121,11 +124,12 @@ OP_CASES = [
                               nk.masked_mean_pool(x, np.array([[1, 1, 0, 0], [1, 1, 1, 1]]))))),
     ("concat", lambda r: [r.standard_normal((2, 3)), r.standard_normal((2, 4))],
      lambda a, b: nk.ssum(nk.mul(nk.concat_last([a, b]), nk.concat_last([a, b])))),
-    ("ngram_max_pool", lambda r: [r.standard_normal((2, 6, 3)), r.standard_normal((2, 3, 2)),
+    ("textcnn_logits", lambda r: [r.standard_normal((5, 3)), r.standard_normal((2, 3, 2)),
                                   r.standard_normal((4, 3, 3)), r.standard_normal(2),
-                                  r.standard_normal(3)],
-     lambda x, k2, k4, b2, b4: nk.ssum(nk.mul(nk.ngram_max_pool(x, [k2, k4], [b2, b4]),
-                                             nk.ngram_max_pool(x, [k2, k4], [b2, b4])))),
+                                  r.standard_normal(3), r.standard_normal((5, 2)),
+                                  r.standard_normal(2)],
+     lambda t, k2, k4, b2, b4, w, b: nk.ssum(nk.mul(*[nk.textcnn_logits(
+         t, FD_IDS, 0, [k2, k4], [b2, b4], w, b)] * 2))),
     ("lora_encoder_layer",
      lambda r: [r.standard_normal((2, 3, 4))] + [encoder_weights(r)[k] for k in FD_KEYS],
      encoder_fd_loss),
@@ -170,7 +174,7 @@ def test_gelu_matches_power_formula():
     leaf = nk.leaf(x.copy(), name="x")
     out = nk.gelu(leaf)
     np.testing.assert_allclose(out.value, want_out, rtol=1e-14, atol=0)
-    grad = nk.backward(nk.ssum(out))["x"].data
+    grad = nk.backward(nk.ssum(out))["x"]
     np.testing.assert_allclose(grad, want_dx, rtol=1e-14, atol=0)
 
 
@@ -211,7 +215,7 @@ def test_forward_determinism():
         x = nk.leaf(nk.derive(3, "det-x").standard_normal((4, 6)), name="x")
         h = nk.dropout(nk.relu(nk.matmul(x, nk.const(np.eye(6)))), 0.8, rng)
         loss = nk.ssum(nk.mul(h, h))
-        return float(loss.value), nk.backward(loss)["x"].data
+        return float(loss.value), nk.backward(loss)["x"]
 
     l1, g1 = run()
     l2, g2 = run()
@@ -239,60 +243,107 @@ def test_vector_file_roundtrip(tmp_path):
     assert len(vectors.check_vectors(path)) == 1
 
 
-def unfused_ngram_max_pool(x, kernels, biases):
-    """The per-width op chain that `ngram_max_pool` fuses."""
-    return nk.concat_last([nk.max_over_time(nk.relu(nk.add(nk.conv1d_valid(x, k), b)))
-                           for k, b in zip(kernels, biases)])
-
-
-def ngram_case(rng, widths, batch=4, seq=7, channels=3, filters=(2, 3, 4)):
-    """Inputs with PAD rows (zero embeddings) at the end of every document, a document
-    that is all PAD, whose windows tie at exactly the bias, and one filter whose relu
-    is dead everywhere."""
-    x = rng.standard_normal((batch, seq, channels))
-    x[:, seq - 2:] = 0.0
-    x[-1] = 0.0
+def textcnn_case(rng, widths, batch=5, seq=7, vocab=9, channels=3, classes=3,
+                 filters=(2, 3, 4), pad=True):
+    """Operands of `textcnn_logits`.  With `pad`, the batch holds PAD rows at the end of
+    every document but the first and a document that is all PAD.  Filter 0 of the first
+    width is dead (relu 0 everywhere) and filter 1 ties at its bias at every position, so
+    its max goes to the first window, which the other windows do not equal."""
+    ids = rng.integers(1, vocab, size=(batch, seq))
+    if pad:
+        ids[1:, seq - 2:] = 0
+        ids[-1] = 0
     kernels = [rng.standard_normal((w, channels, filters[i % 3])) for i, w in enumerate(widths)]
     biases = [rng.uniform(0.1, 1.0, k.shape[2]) for k in kernels]
-    kernels[0][:, :, 0] = 0.0
-    biases[0][0] = -1.0  # filter 0 outputs -1 everywhere: every window is a dead tie
-    return [x, *kernels, *biases]
+    kernels[0][:, :, :2] = 0.0
+    biases[0][0] = -1.0
+    head = rng.standard_normal((sum(k.shape[2] for k in kernels), classes))
+    return ids, [rng.standard_normal((vocab, channels)), *kernels, *biases, head,
+                 rng.standard_normal(classes)]
+
+
+def run_textcnn(op, ids, values, frozen=(), keep_prob=1.0, train=False):
+    """op's logits and gradients (by operand index) of a weighted sum of them."""
+    k = (len(values) - 3) // 2
+    leaves = [nk.leaf(v, name=f"p{i}", trainable=i not in frozen) for i, v in enumerate(values)]
+    out = op(leaves[0], ids, 0, leaves[1:1 + k], leaves[1 + k:1 + 2 * k], leaves[-2],
+             leaves[-1], keep_prob, nk.derive(7, "textcnn-dropout"), train)
+    weights = np.random.default_rng(len(ids)).standard_normal(out.shape)
+    grads = nk.backward(nk.ssum(nk.mul(out, weights)))
+    return out.value, [grads.get(f"p{i}") for i in range(len(values))]
 
 
 @pytest.mark.parametrize("widths,seq", [((2, 3, 4), 7), ((2, 5), 7), ((3,), 7), ((2, 7), 7),
                                         ((4,), 4)])
-@pytest.mark.parametrize("seed", range(3))
-def test_ngram_max_pool_matches_unfused_ops(widths, seq, seed):
-    rng = np.random.default_rng(5000 + seed)
-    values = ngram_case(rng, widths, seq=seq)
-    weights = rng.standard_normal(sum(v.shape[2] for v in values[1:1 + len(widths)]))
-
-    def run(op):
-        leaves = [nk.leaf(v, name=f"p{i}") for i, v in enumerate(values)]
-        out = op(leaves[0], leaves[1:1 + len(widths)], leaves[1 + len(widths):])
-        grads = nk.backward(nk.ssum(nk.mul(out, np.broadcast_to(weights, out.shape).copy())))
-        return out.value, [grads[f"p{i}"].data for i in range(len(values))]
-
-    fused, fused_grads = run(nk.ngram_max_pool)
-    want, want_grads = run(unfused_ngram_max_pool)
-    for got, ref in zip([fused, *fused_grads], [want, *want_grads]):
-        assert got.shape == ref.shape
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    # the all-PAD document ties at the bias; both route its gradient to position 0
-    np.testing.assert_array_equal(fused_grads[0][-1] != 0, want_grads[0][-1] != 0)
-    assert np.all(fused[:, 0] == 0.0) and np.all(fused_grads[1][:, :, 0] == 0.0)
+@pytest.mark.parametrize("keep_prob,train", [(1.0, True), (0.5, True), (0.5, False)])
+@pytest.mark.parametrize("pad", [True, False])
+@pytest.mark.parametrize("seed", range(2))
+def test_textcnn_logits_matches_op_chain(widths, seq, keep_prob, train, pad, seed):
+    ids, values = textcnn_case(np.random.default_rng(5000 + seed), widths, seq=seq, pad=pad)
+    got, got_grads = run_textcnn(nk.textcnn_logits, ids, values, (), keep_prob, train)
+    want, want_grads = run_textcnn(nk.textcnn_logits_ops, ids, values, (), keep_prob, train)
+    for a, b in zip([got, *got_grads], [want, *want_grads]):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    if keep_prob == 1.0 or not train:
+        assert np.abs(got_grads[1][:, :, 1]).max() > 0  # the tied filter trains
+    assert np.all(got_grads[1][:, :, 0] == 0.0) and got_grads[1 + len(widths)][0] == 0.0
+    assert np.all(got_grads[0][0] == 0.0)  # PAD's row: every PAD position is masked
 
 
-def test_ngram_max_pool_rejects_bad_shapes():
-    x = np.zeros((2, 4, 3))
-    with pytest.raises(nk.ShapeError):
-        nk.ngram_max_pool(x, [np.zeros((5, 3, 2))], [np.zeros(2)])  # wider than seq
-    with pytest.raises(nk.ShapeError):
-        nk.ngram_max_pool(x, [np.zeros((2, 4, 2))], [np.zeros(2)])  # channel mismatch
-    with pytest.raises(nk.ShapeError):
-        nk.ngram_max_pool(x, [np.zeros((2, 3, 2))], [np.zeros(3)])  # bias size
-    with pytest.raises(nk.ShapeError):
-        nk.ngram_max_pool(x, [], [])
+@pytest.mark.parametrize("frozen", [(0,), (1, 2), (0, 1, 2, 3, 4), (5, 6), (0, 5, 6)])
+def test_textcnn_logits_frozen_operands(frozen):
+    """Frozen operands get no gradient; the others get the op chain's."""
+    ids, values = textcnn_case(np.random.default_rng(5100), (2, 3))
+    got, got_grads = run_textcnn(nk.textcnn_logits, ids, values, frozen, 0.5, True)
+    want, want_grads = run_textcnn(nk.textcnn_logits_ops, ids, values, frozen, 0.5, True)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for i, (a, b) in enumerate(zip(got_grads, want_grads)):
+        assert (a is None) == (b is None) == (i in frozen)
+        if b is not None:
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_textcnn_logits_independent_of_call_history(monkeypatch):
+    """Its scratch arrays grow and are reused; batches of 64, 32, 11 and 64 documents in
+    turn give bitwise what each gives on a fresh workspace."""
+    rng = np.random.default_rng(5200)
+    cases = [textcnn_case(rng, (2, 3, 4), batch=b, seq=9) for b in (64, 32, 11, 64)]
+    history = [run_textcnn(nk.textcnn_logits, ids, v, (), 0.5, True) for ids, v in cases]
+    for (ids, values), (out, grads) in zip(cases, history):
+        monkeypatch.setattr(nk.autograd, "_scratch", threading.local())
+        fresh, fresh_grads = run_textcnn(nk.textcnn_logits, ids, values, (), 0.5, True)
+        assert out.tobytes() == fresh.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, fresh_grads))
+
+
+def test_textcnn_logits_rejects_bad_shapes():
+    ids = np.ones((2, 4), dtype=int)
+    table, k, b = np.zeros((5, 3)), np.zeros((2, 3, 2)), np.zeros(2)
+    w, c = np.zeros((2, 4)), np.zeros(4)
+    assert nk.textcnn_logits(table, ids, 0, [k], [b], w, c).shape == (2, 4)
+    for args in ((table, ids, 0, [np.zeros((5, 3, 2))], [b], w, c),  # wider than seq
+                 (table, ids, 0, [np.zeros((2, 4, 2))], [b], w, c),  # channel mismatch
+                 (table, ids, 0, [k], [np.zeros(3)], w, c),  # bias size
+                 (table, ids, 0, [], [], w, c),
+                 (table, ids, 0, [k], [b], np.zeros((3, 4)), c),  # head rows
+                 (table, ids, 0, [k], [b], w, np.zeros(3)),  # head bias
+                 (table, ids[0], 0, [k], [b], w, c),  # ids not (batch, seq)
+                 (table, ids + 4, 0, [k], [b], w, c)):  # id out of range
+        with pytest.raises(nk.ShapeError):
+            nk.textcnn_logits(*args)
+    with pytest.raises(nk.ContractError):
+        nk.textcnn_logits(table, ids * 1.0, 0, [k], [b], w, c)
+    with pytest.raises(nk.ContractError):
+        nk.textcnn_logits(table, ids, 0, [k], [b], w, c, keep_prob=0.0)
+
+
+def test_textcnn_logits_nonfinite_raises():
+    ids = np.ones((2, 4), dtype=int)
+    with pytest.raises(nk.NumericError, match="textcnn_logits"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        nk.textcnn_logits(np.full((5, 3), 1e300), ids, 0, [np.full((2, 3, 2), 1e300)],
+                          [np.zeros(2)], np.ones((2, 4)), np.zeros(4))
 
 
 def test_embedding_backward_matches_add_at_bitwise():
@@ -356,11 +407,11 @@ def test_lora_encoder_layer_matches_unfused_ops(layers, lora_dropout, train, mod
     assert got.tobytes() == want.tobytes()
     assert sorted(got_grads) == sorted(want_grads) and want_grads
     for name, g in want_grads.items():
-        err = np.abs(got_grads[name].data - g.data).max()
+        err = np.abs(got_grads[name] - g).max()
         if name.endswith("attn.bk"):  # zero but for rounding, on both sides
             assert err <= 1e-12, name
         else:
-            assert err <= 1e-12 * np.abs(g.data).max(), name
+            assert err <= 1e-12 * np.abs(g).max(), name
 
 
 def test_lora_encoder_layer_rejects_bad_shapes():

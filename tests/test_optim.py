@@ -18,21 +18,21 @@ def stepped(step_fn, state, params: dict, grads: dict) -> dict:
 
 def test_sgd_single_step():
     st = OptimizerState("sgd", lr=0.01)
-    out = stepped(sgd_step, st, {"p": t([1.0])}, {"p": t([0.5])})
+    out = stepped(sgd_step, st, {"p": t([1.0])}, {"p": np.array([0.5])})
     assert out["p"].data[0] == pytest.approx(0.995)
     assert st.step_count == 1
 
 
 def test_sgd_zero_gradient_noop():
     st = OptimizerState("sgd", lr=0.1)
-    out = stepped(sgd_step, st, {"p": t([2.0, 3.0])}, {"p": t([0.0, 0.0])})
+    out = stepped(sgd_step, st, {"p": t([2.0, 3.0])}, {"p": np.zeros(2)})
     np.testing.assert_array_equal(out["p"].data, [2.0, 3.0])
 
 
 def test_sgd_linearity_for_constant_gradient():
     st = OptimizerState("sgd", lr=0.1)
     p = {"p": t([1.0])}
-    g = {"p": t([0.3])}
+    g = {"p": np.array([0.3])}
     twice = stepped(sgd_step, st, stepped(sgd_step, st, p, g), g)
     st2 = OptimizerState("sgd", lr=0.2)
     once = stepped(sgd_step, st2, p, g)
@@ -47,14 +47,14 @@ def test_sgd_missing_gradient_raises():
 
 def test_adamw_first_step_magnitude():
     st = OptimizerState("adamw", lr=0.05, weight_decay=0.0)
-    out = stepped(adamw_step, st, {"p": t([1.0])}, {"p": t([0.37])})
+    out = stepped(adamw_step, st, {"p": t([1.0])}, {"p": np.array([0.37])})
     # bias-corrected first step moves by ~lr in the gradient direction
     assert out["p"].data[0] == pytest.approx(1.0 - 0.05, rel=1e-6)
 
 
 def test_adamw_pure_decay():
     st = OptimizerState("adamw", lr=0.1, weight_decay=0.01)
-    out = stepped(adamw_step, st, {"p": t([1.0])}, {"p": t([0.0])})
+    out = stepped(adamw_step, st, {"p": t([1.0])}, {"p": np.array([0.0])})
     assert out["p"].data[0] == pytest.approx(0.999)
 
 
@@ -81,7 +81,7 @@ def test_adamw_trajectory_matches_reference():
     for _ in range(10):
         g = 2.0 * p.data[0]  # f(p) = p^2
         grads.append(g)
-        p = stepped(adamw_step, st, {"p": p}, {"p": t([g])})["p"]
+        p = stepped(adamw_step, st, {"p": p}, {"p": np.array([g])})["p"]
         mine.append(p.data[0])
     # reference recomputes the same trajectory from the recorded gradients
     ref = _reference_adamw(1.0, grads, lr, wd)
@@ -92,7 +92,7 @@ def test_step_count_monotone():
     st = OptimizerState("adamw", lr=0.1)
     p = {"p": t([1.0])}
     for expected in (1, 2, 3):
-        p = stepped(adamw_step, st, p, {"p": t([0.1])})
+        p = stepped(adamw_step, st, p, {"p": np.array([0.1])})
         assert st.step_count == expected
 
 
@@ -142,7 +142,7 @@ def test_flat_step_bitwise_equals_per_group_reference(kind, weight_decay):
         grads = {n: rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)
                  for n, s in shapes.items()}
         step_fn = sgd_step if kind == "sgd" else adamw_step
-        step_fn(flat_state, flat.vector, flat.gather({n: t(g) for n, g in grads.items()}))
+        step_fn(flat_state, flat.vector, flat.gather(grads))
         ref = _reference_step(ref_state, ref, grads)
     for name in shapes:
         assert flat.tensors[name].data.tobytes() == ref[name].tobytes()
@@ -153,3 +153,11 @@ def test_flat_step_rejects_nonfinite_result():
     flat = FlatParams({"p": t([1.0, 2.0])})
     with pytest.raises(nk.NumericError), np.errstate(over="ignore"):
         sgd_step(OptimizerState("sgd", lr=1e308), flat.vector, np.array([0.0, 1e10]))
+
+
+def test_gather_rejects_nonfinite_gradient_naming_its_group():
+    flat = FlatParams({"w": t([[1.0, 2.0]]), "b": t([0.0])})
+    assert flat.gather({"w": np.array([[3.0, 4.0]]), "b": np.array([5.0])}).tolist() == [3, 4, 5]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(nk.NumericError, match=r"^non-finite gradient for 'b'$"):
+            flat.gather({"w": np.array([[3.0, 4.0]]), "b": np.array([bad])})
