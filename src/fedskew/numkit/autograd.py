@@ -253,20 +253,22 @@ _scratch = threading.local()  # the arrays of `_zeros`, one set per thread
 
 
 def _zeros(name, shape) -> np.ndarray:
-    """The first shape[0] rows of grow-only scratch array `name`, zero when made.  A caller
-    leaves zero what it expects to find zero, and keeps nothing in it past its call."""
+    """The first shape[0] rows of grow-only scratch array `name`, zero when made and kept for
+    its thread's life.  Callers leave zero what they expect zero, and keep nothing past a call."""
     buf = _scratch.__dict__.get(name)
     if buf is None or buf.shape[1:] != shape[1:] or len(buf) < shape[0]:
-        rows = max(shape[0], 0 if buf is None else len(buf))
-        buf = _scratch.__dict__[name] = np.zeros((rows, *shape[1:]))
+        buf = _scratch.__dict__[name] = np.zeros(shape)
     return buf[: shape[0]]
 
 
 @functools.lru_cache(maxsize=64)
 def _pool_indices(n, seq, widths, cols):
-    """Shared, never written: (position, filter)s past each width's range, row offsets, filters."""
-    past = np.arange(seq)[:, None] > seq - np.repeat(widths, np.diff(cols))
-    return past, np.arange(n)[:, None] * seq, np.arange(cols[-1])
+    """Shared, read-only: (position, filter)s past each width's range, row offsets, filters."""
+    arrays = (np.arange(seq)[:, None] > seq - np.repeat(widths, np.diff(cols)),
+              np.arange(n)[:, None] * seq, np.arange(cols[-1]))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def textcnn_logits(table, ids, pad_id: int, kernels, biases, weight, bias,
@@ -278,8 +280,7 @@ def textcnn_logits(table, ids, pad_id: int, kernels, biases, weight, bias,
     The filter banks are one gemm of the window matrix, row (document, position) holding the
     next max-width positions zero-padded past the end, against the kernels stacked with zero
     rows below each width; positions past a width's range never win the max, and ties go to
-    the first position.  Backward takes the kernel and input gradients from one gemm each,
-    so the node agrees with the chain to rounding."""
+    the first position.  Backward takes the kernel and input gradients from one gemm each."""
     table, weight, bias = _wrap(table), _wrap(weight), _wrap(bias)
     kernels, biases = [_wrap(k) for k in kernels], [_wrap(b) for b in biases]
     tv, kv = table.value, [k.value for k in kernels]
@@ -298,8 +299,7 @@ def textcnn_logits(table, ids, pad_id: int, kernels, biases, weight, bias,
         raise ContractError(f"keep_prob must be in (0, 1], got {keep_prob}")
 
     keep = (ids != pad_id)[:, :, None]
-    padded = not keep.all()  # x * 1.0 is x: a batch without PAD skips the product
-    x = tv[ids] * keep if padded else tv[ids]
+    x = tv[ids] * keep
     past, rows, filters = _pool_indices(n, seq, widths, cols)
     windows = _zeros("windows", (n, seq, span, ch))
     for s in range(span):
@@ -339,7 +339,7 @@ def textcnn_logits(table, ids, pad_id: int, kernels, biases, weight, bias,
         if need_x:
             by_shift = stacked.reshape(span, ch, total).transpose(0, 2, 1).reshape(span * total, ch)
             gx = (shifted @ by_shift).reshape(n, seq, ch)
-            grads[0] = _row_sums(ids, gx * keep if padded else gx, tv.shape)
+            grads[0] = _row_sums(ids, gx * keep, tv.shape)
         for i, (w, k, b, lo, hi) in enumerate(zip(widths, kernels, biases, cols, cols[1:])):
             if k.requires_grad:
                 grads[1 + i] = gstacked[:, :w, lo:hi].transpose(1, 0, 2)

@@ -317,6 +317,13 @@ def test_textcnn_logits_independent_of_call_history(monkeypatch):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, fresh_grads))
 
 
+def test_textcnn_pool_indices_are_read_only():
+    """Every call of one shape shares these arrays, so a write must fail at once."""
+    for a in nk.autograd._pool_indices(3, 5, (2, 3), (0, 4, 6)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
 def test_textcnn_logits_rejects_bad_shapes():
     ids = np.ones((2, 4), dtype=int)
     table, k, b = np.zeros((5, 3)), np.zeros((2, 3, 2)), np.zeros(2)
