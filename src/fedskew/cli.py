@@ -26,9 +26,10 @@ import numpy as np
 from . import metrics as mt
 from . import textdata as td
 from . import validate
-from .federation import FedConfig, OptimizerCfg, run_federation
+from .federation import FedConfig, run_federation
 from .models import (LoraFormerConfig, PretrainConfig, TextCnnConfig, build_loraformer,
                      check_fits, pretrain_backbone)
+from .numkit import OptimizerCfg
 from .partition import (PartitionConfig, PartitionError, dirichlet_partition, save_manifest,
                         skew_report)
 
@@ -334,7 +335,8 @@ def execute_run(cfg: ExperimentConfig, run: dict, dataset, partitions, out_root:
         summary.update({
             "final": {"avg": last.avg, "worst": last.worst, "gap": last.gap,
                       "argmin_client": last.argmin_client_id},
-            "converged": mt.convergence_check(logs, rule.convergence_window,
+            "converged": mt.convergence_check([l.summary.avg for l in logs],
+                                              rule.convergence_window,
                                               rule.convergence_tolerance)
             if len(logs) >= rule.convergence_window else None,
             "gap_series": [l.summary.gap for l in logs],

@@ -24,24 +24,12 @@ from . import validate
 from .metrics import RoundLog, evaluate_client, evaluate_clients, fairness_summary  # noqa: F401
 from .models import build_model
 from .models.params import ParamSet, StructuralError
-from .numkit.optim import OptimizerState, step
+from .numkit.optim import OptimizerCfg, step
 from .textdata import make_batches
 
 
 class FederationError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class OptimizerCfg:
-    kind: str
-    lr: float
-    weight_decay: float = 0.0
-
-    def __post_init__(self):
-        validate.positive("lr", self.lr)
-        validate.nonnegative("weight_decay", self.weight_decay)
-        OptimizerState(self.kind, self.lr, self.weight_decay)  # raises ContractError on a bad kind
 
 
 def check_beta(beta: float) -> float:
@@ -145,9 +133,8 @@ def local_train(global_params: ParamSet, forward, partition, dataset,
     global trainable groups with n_k = 0.
     """
     docs = dataset.train.take(partition.sample_indices)
-    flat = nk.FlatParams(global_params.trainable_dict())
+    flat = nk.FlatParams(global_params.trainable_dict(), opt_cfg)
     params = global_params.with_tensors(flat.tensors)
-    state = OptimizerState(opt_cfg.kind, lr=opt_cfg.lr, weight_decay=opt_cfg.weight_decay)
     cid = partition.client_id
     try:
         for epoch in range(local_epochs):
@@ -156,7 +143,7 @@ def local_train(global_params: ParamSet, forward, partition, dataset,
             for batch in make_batches(docs, batch_size, shuffle_seed):
                 logits = forward(params, batch.token_ids, train=True, rng=rng)
                 loss = nk.softmax_cross_entropy(logits, batch.labels)
-                step(state, flat.vector, flat.gather(nk.backward(loss)))
+                step(flat, nk.backward(loss))
     except nk.NumericError as e:
         raise FederationError(f"client {cid}, round {round_index}: {e}") from e
     flat.freeze()

@@ -107,10 +107,10 @@ class ConvergenceRule:
         validate.nonnegative("convergence_tolerance", self.convergence_tolerance)
 
 
-def convergence_check(logs, window: int = ConvergenceRule.convergence_window,
+def convergence_check(series, window: int = ConvergenceRule.convergence_window,
                       tolerance: float = ConvergenceRule.convergence_tolerance) -> bool:
-    """True iff the average-accuracy spread over the last `window` rounds <= tolerance."""
-    series = [l.summary.avg if isinstance(l, RoundLog) else float(l) for l in logs]
+    """True iff the spread of the last `window` values of a per-round average-accuracy
+    series is <= tolerance."""
     if len(series) < window:
         raise EvalError(f"need at least {window} rounds, have {len(series)}")
     tail = series[-window:]

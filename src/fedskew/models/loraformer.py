@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import numkit as nk
 from .. import validate
-from ..numkit.optim import OptimizerState, adamw_step
+from ..numkit.optim import OptimizerCfg, adamw_step
 from ..textdata import PAD_ID, SyntheticSpec, make_batches
 from .params import ParamGroup, ParamSet, StructuralError
 
@@ -99,7 +99,7 @@ def make_forward(cfg: LoraFormerConfig):
     scaling = cfg.lora_scaling / cfg.lora_rank
     keep = 1.0 - cfg.lora_dropout
 
-    def forward(params: ParamSet, token_ids, train: bool = False, rng=None, head: str = "head"):
+    def forward(params: ParamSet, token_ids, train: bool = False, rng=None):
         leaves = params.leaves
         ids = np.asarray(token_ids)
         batch, seq = ids.shape
@@ -115,7 +115,7 @@ def make_forward(cfg: LoraFormerConfig):
                                       rng=rng, train=train)
         h = nk.layernorm(h, leaves["ln_f.gain"], leaves["ln_f.bias"])
         pooled = nk.masked_mean_pool(h, pad_mask.astype(np.float64))
-        return nk.add(nk.matmul(pooled, leaves[f"{head}.weight"]), leaves[f"{head}.bias"])
+        return nk.add(nk.matmul(pooled, leaves["head.weight"]), leaves["head.bias"])
 
     return forward
 
@@ -207,14 +207,13 @@ def pretrain_backbone(params: ParamSet, cfg: LoraFormerConfig, proxy_dataset, st
     # zero at init and they must not absorb proxy gradients)
     backbone = {g.name: g.tensor for g in params
                 if not g.lora and not g.name.startswith("head.")}
-    classes = proxy_dataset.num_classes
-    proxy_head = {"proxy_head.weight": nk.Tensor(np.zeros((cfg.d_model, classes))),
-                  "proxy_head.bias": nk.Tensor(np.zeros(classes))}
-    flat = nk.FlatParams({**backbone, **proxy_head})
+    classes = proxy_dataset.num_classes  # a throwaway head under the real head's names
+    proxy_head = {"head.weight": nk.Tensor(np.zeros((cfg.d_model, classes))),
+                  "head.bias": nk.Tensor(np.zeros(classes))}
+    flat = nk.FlatParams({**backbone, **proxy_head}, OptimizerCfg("adamw", lr, 0.01))
     work = ParamSet([ParamGroup(name, t, True, False) for name, t in flat.tensors.items()],
                     "loraformer")
 
-    state = OptimizerState("adamw", lr=lr, weight_decay=0.01)
     done = 0
     epoch = 0
     while done < steps:
@@ -224,9 +223,9 @@ def pretrain_backbone(params: ParamSet, cfg: LoraFormerConfig, proxy_dataset, st
             if done >= steps:
                 break
             # no adapters, so no dropout mask and no rng
-            logits = forward(work, batch.token_ids, train=True, head="proxy_head")
+            logits = forward(work, batch.token_ids, train=True)
             loss = nk.softmax_cross_entropy(logits, batch.labels)
-            adamw_step(state, flat.vector, flat.gather(nk.backward(loss)))
+            adamw_step(flat, nk.backward(loss))
             done += 1
         epoch += 1
     flat.freeze()

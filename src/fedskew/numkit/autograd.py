@@ -280,7 +280,8 @@ def textcnn_logits(table, ids, pad_id: int, kernels, biases, weight, bias,
     The filter banks are one gemm of the window matrix, row (document, position) holding the
     next max-width positions zero-padded past the end, against the kernels stacked with zero
     rows below each width; positions past a width's range never win the max, and ties go to
-    the first position.  Backward takes the kernel and input gradients from one gemm each."""
+    the first position.  Backward takes the kernel and input gradients from one gemm each; it
+    computes every operand's gradient, and `backward` drops those of frozen operands."""
     table, weight, bias = _wrap(table), _wrap(weight), _wrap(bias)
     kernels, biases = [_wrap(k) for k in kernels], [_wrap(b) for b in biases]
     tv, kv = table.value, [k.value for k in kernels]
@@ -321,32 +322,23 @@ def textcnn_logits(table, ids, pad_id: int, kernels, biases, weight, bias,
         features *= mask
 
     def backward(g):
-        grads = [None] * (1 + len(kernels) + len(biases))
-        need_x, need_k = table.requires_grad, any(k.requires_grad for k in kernels)
-        if need_x or need_k or any(b.requires_grad for b in biases):
-            gpre = ((g @ weight.value.T) * mask if drop else g @ weight.value.T) * alive
-        if need_x or need_k:
-            scattered = _zeros("scattered", (n, seq, total))
-            scattered.reshape(-1)[flat] = gpre
-            # the gradient of window (document, p - s) at row (document, p), shift s
-            shifted = _zeros("shifted", (n, seq, span, total))
-            for s in range(span):
-                shifted[:, s:, s] = scattered[:, : seq - s]
-            scattered.reshape(-1)[flat] = 0.0
-            shifted = shifted.reshape(n * seq, span * total)
-        if need_k:
-            gstacked = (x.reshape(n * seq, ch).T @ shifted).reshape(ch, span, total)
-        if need_x:
-            by_shift = stacked.reshape(span, ch, total).transpose(0, 2, 1).reshape(span * total, ch)
-            gx = (shifted @ by_shift).reshape(n, seq, ch)
-            grads[0] = _row_sums(ids, gx * keep, tv.shape)
-        for i, (w, k, b, lo, hi) in enumerate(zip(widths, kernels, biases, cols, cols[1:])):
-            if k.requires_grad:
-                grads[1 + i] = gstacked[:, :w, lo:hi].transpose(1, 0, 2)
-            if b.requires_grad:
-                grads[1 + len(kernels) + i] = gpre[:, lo:hi].sum(axis=0)
-        return (*grads, features.T @ g if weight.requires_grad else None,
-                g.sum(axis=0) if bias.requires_grad else None)
+        gpre = ((g @ weight.value.T) * mask if drop else g @ weight.value.T) * alive
+        scattered = _zeros("scattered", (n, seq, total))
+        scattered.reshape(-1)[flat] = gpre
+        # the gradient of window (document, p - s) at row (document, p), shift s
+        shifted = _zeros("shifted", (n, seq, span, total))
+        for s in range(span):
+            shifted[:, s:, s] = scattered[:, : seq - s]
+        scattered.reshape(-1)[flat] = 0.0
+        shifted = shifted.reshape(n * seq, span * total)
+        gstacked = (x.reshape(n * seq, ch).T @ shifted).reshape(ch, span, total)
+        by_shift = stacked.reshape(span, ch, total).transpose(0, 2, 1).reshape(span * total, ch)
+        gx = (shifted @ by_shift).reshape(n, seq, ch)
+        bounds = list(zip(widths, cols, cols[1:]))
+        return (_row_sums(ids, gx * keep, tv.shape),
+                *(gstacked[:, :w, lo:hi].transpose(1, 0, 2) for w, lo, hi in bounds),
+                *(gpre[:, lo:hi].sum(axis=0) for _, lo, hi in bounds),
+                features.T @ g, g.sum(axis=0))
 
     return _node("textcnn_logits", features @ weight.value + bias.value,
                  (table, *kernels, *biases, weight, bias), backward)
@@ -611,9 +603,7 @@ def lora_encoder_layer(x, weights: dict, heads: int, key_mask, scaling: float = 
             lows[p] = paths[p] @ val[f"attn.{p}_lora.A"].T
             proj[p] = proj[p] + (lows[p] @ val[f"attn.{p}_lora.B"].T) * scaling
     qh, kh, vh = split(proj["q"]), split(proj["k"]), split(proj["v"])
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * c
-    if not key_mask.all():  # adding the all-zero mask would change no bit
-        scores = scores + np.where(key_mask, 0.0, -1e30)[:, None, None, :]
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * c + np.where(key_mask, 0.0, -1e30)[:, None, None, :]
     y = _softmax(scores)
     merged = merge(y @ vh)
     h = xv + (merged @ val["attn.wo"] + val["attn.bo"])

@@ -1,44 +1,42 @@
 """SGD and decoupled-weight-decay Adam over one flat parameter vector, updated in place."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .. import validate
 from .autograd import ContractError
 from .tensor import NumericError, ShapeError, Tensor
 
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # AdamW's moment decays and denominator floor
 
 
-@dataclass
-class OptimizerState:
+@dataclass(frozen=True)
+class OptimizerCfg:
+    """Its fields are the keys of a config's `federation.optimizer.<family>`, so the
+    state a run accumulates lives in `FlatParams`."""
     kind: str  # "sgd" | "adamw"
     lr: float
     weight_decay: float = 0.0
-    step_count: int = 0
-    m: np.ndarray = None  # AdamW's moments, shaped like the vector from the first step on
-    v: np.ndarray = None
 
     def __post_init__(self):
+        validate.positive("lr", self.lr)
+        validate.nonnegative("weight_decay", self.weight_decay)
         if self.kind not in ("sgd", "adamw"):
             raise ContractError(f"unknown optimizer kind {self.kind!r}")
-        if not 0 < self.lr < math.inf:  # False for NaN too
-            raise ContractError(f"learning rate must be finite and positive, got {self.lr!r}")
-        if not 0 <= self.weight_decay < math.inf:
-            raise ContractError(f"weight decay must be finite and nonnegative, "
-                                f"got {self.weight_decay!r}")
 
 
 class FlatParams:
-    """Named tensors packed, in order, into one contiguous float64 `vector`.
+    """Named tensors packed, in order, into one contiguous float64 `vector`, with the
+    state of training them under `cfg`: the step count and AdamW's moments.
 
     `tensors` maps each name to a read-only view of its slice, so whatever
     holds them reads each step's values without a copy.  Only the optimizer
     writes the vector; `freeze` makes it read-only once training is over.
     """
 
-    def __init__(self, tensors: dict):
+    def __init__(self, tensors: dict, cfg: OptimizerCfg):
+        self.cfg = cfg
         self.names = list(tensors)
         self.vector = np.concatenate([t.data.reshape(-1) for t in tensors.values()])
         self.tensors = {}
@@ -46,6 +44,9 @@ class FlatParams:
         for name, t in tensors.items():
             self.tensors[name] = Tensor(self.vector[lo : lo + t.size].reshape(t.shape))
             lo += t.size
+        self.step_count = 0
+        if cfg.kind == "adamw":
+            self.m, self.v = np.zeros_like(self.vector), np.zeros_like(self.vector)
 
     def gather(self, grads: dict) -> np.ndarray:
         """The gradients of `names` from {name: array}, packed like the vector."""
@@ -53,6 +54,8 @@ class FlatParams:
         if missing:
             raise ContractError(f"missing gradients for trainable parameters: {missing}")
         packed = np.concatenate([grads[n].reshape(-1) for n in self.names])
+        if packed.shape != self.vector.shape:
+            raise ShapeError(f"gradients {packed.shape} vs parameter vector {self.vector.shape}")
         if not np.isfinite(packed).all():
             bad = next(n for n in self.names if not np.isfinite(grads[n]).all())
             raise NumericError(f"non-finite gradient for {bad!r}")
@@ -62,40 +65,38 @@ class FlatParams:
         self.vector.setflags(write=False)
 
 
-def sgd_step(state: OptimizerState, flat: np.ndarray, grad: np.ndarray):
-    """flat <- flat - lr * grad, in place."""
-    _begin(state, "sgd", flat, grad)
-    flat -= state.lr * grad
-    _check_finite(flat)
+def sgd_step(flat: FlatParams, grads: dict):
+    """vector <- vector - lr * grad, in place; `grads` is what `backward` returns."""
+    grad = _begin(flat, "sgd", grads)
+    flat.vector -= flat.cfg.lr * grad
+    _check_finite(flat.vector)
 
 
-def adamw_step(state: OptimizerState, flat: np.ndarray, grad: np.ndarray):
+def adamw_step(flat: FlatParams, grads: dict):
     """AdamW, in place: bias-corrected moments plus decoupled weight decay."""
-    _begin(state, "adamw", flat, grad)
-    t = state.step_count
-    if state.m is None:
-        state.m, state.v = np.zeros_like(flat), np.zeros_like(flat)
-    state.m = BETA1 * state.m + (1 - BETA1) * grad
-    state.v = BETA2 * state.v + (1 - BETA2) * grad * grad
-    m_hat = state.m / (1 - BETA1**t)
-    v_hat = state.v / (1 - BETA2**t)
+    grad = _begin(flat, "adamw", grads)
+    t, lr, vec = flat.step_count, flat.cfg.lr, flat.vector
+    flat.m = BETA1 * flat.m + (1 - BETA1) * grad
+    flat.v = BETA2 * flat.v + (1 - BETA2) * grad * grad
+    m_hat = flat.m / (1 - BETA1**t)
+    v_hat = flat.v / (1 - BETA2**t)
     update = m_hat / (np.sqrt(v_hat) + EPSILON)
-    flat[...] = flat - state.lr * update - state.lr * state.weight_decay * flat
-    _check_finite(flat)
+    vec[...] = vec - lr * update - lr * flat.cfg.weight_decay * vec
+    _check_finite(vec)
 
 
-def step(state: OptimizerState, flat: np.ndarray, grad: np.ndarray):
-    (sgd_step if state.kind == "sgd" else adamw_step)(state, flat, grad)
+def step(flat: FlatParams, grads: dict):
+    (sgd_step if flat.cfg.kind == "sgd" else adamw_step)(flat, grads)
 
 
-def _begin(state: OptimizerState, kind: str, flat: np.ndarray, grad: np.ndarray):
-    if state.kind != kind:
-        raise ContractError(f"{kind}_step called with {state.kind} state")
-    if grad.shape != flat.shape:
-        raise ShapeError(f"gradient {grad.shape} vs parameter vector {flat.shape}")
-    state.step_count += 1
+def _begin(flat: FlatParams, kind: str, grads: dict) -> np.ndarray:
+    if flat.cfg.kind != kind:
+        raise ContractError(f"{kind}_step called on {flat.cfg.kind} parameters")
+    grad = flat.gather(grads)
+    flat.step_count += 1
+    return grad
 
 
-def _check_finite(flat: np.ndarray):
-    if not np.isfinite(flat).all():
+def _check_finite(vector: np.ndarray):
+    if not np.isfinite(vector).all():
         raise NumericError("non-finite parameter after an optimizer step")

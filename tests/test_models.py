@@ -18,7 +18,7 @@ from fedskew.models import (
     pretrain_backbone,
     save_checkpoint,
 )
-from fedskew.numkit.optim import OptimizerState, adamw_step, sgd_step
+from fedskew.numkit.optim import OptimizerCfg, adamw_step, sgd_step
 
 from gradcheck import finite_diff_check
 from test_optim import stepped
@@ -59,8 +59,8 @@ def test_textcnn_pad_position_has_no_effect():
     ids = rand_batch(np.random.default_rng(1))
     loss = nk.softmax_cross_entropy(forward(params, ids), np.array([0, 1, 2]))
     grads = nk.backward(loss)
-    st = OptimizerState("sgd", lr=0.5)
-    params = params.with_tensors(stepped(sgd_step, st, params.trainable_dict(), grads))
+    params = params.with_tensors(stepped(sgd_step, OptimizerCfg("sgd", lr=0.5),
+                                         params.trainable_dict(), grads))
     base = forward(params, ids).value
     # PAD rows of the embedding table must not leak into the logits
     emb = params.get("embedding").tensor.data.copy()
@@ -79,12 +79,12 @@ def test_textcnn_step_graph_is_two_nodes():
 
 def test_paramset_leaves_built_once_and_see_inplace_steps():
     params, forward = build_textcnn(CNN_CFG, VOCAB, SEQ, seed=1)
-    flat = nk.FlatParams(params.trainable_dict())
+    flat = nk.FlatParams(params.trainable_dict(), OptimizerCfg("sgd", lr=0.5))
     params = params.with_tensors(flat.tensors)
     assert params.leaves is params.leaves
     ids = rand_batch(np.random.default_rng(3))
     loss = nk.softmax_cross_entropy(forward(params, ids), np.array([0, 1, 2]))
-    sgd_step(OptimizerState("sgd", lr=0.5), flat.vector, flat.gather(nk.backward(loss)))
+    sgd_step(flat, nk.backward(loss))
     fresh = params.with_tensors(params.trainable_dict())  # same arrays, new leaves
     assert fresh.leaves is not params.leaves
     assert forward(params, ids).value.tobytes() == forward(fresh, ids).value.tobytes()
@@ -247,19 +247,18 @@ def test_pretrain_improves_probe_and_keeps_flags():
     trained = pretrain_backbone(params, LF_CFG, proxy, steps=60, seed=2)
     for a, b in zip(params, trained):
         assert (a.name, a.trainable, a.lora) == (b.name, b.trainable, b.lora)
-    assert "proxy_head.weight" not in trained.names
+    for name in ("head.weight", "head.bias"):  # the throwaway head shares only their names
+        assert trained.get(name).tensor is params.get(name).tensor
 
     def probe_accuracy(pset):
         # linear probe: train only the head on proxy train, eval on proxy test
-        st = OptimizerState("adamw", lr=0.05)
+        head = nk.FlatParams({n: t for n, t in pset.trainable_dict().items()
+                              if n.startswith("head.")}, OptimizerCfg("adamw", lr=0.05))
+        pset = pset.with_tensors(head.tensors)
         for epoch in range(5):
             for batch in td.make_batches(proxy.train, 16, epoch):
                 loss = nk.softmax_cross_entropy(forward(pset, batch.token_ids), batch.labels)
-                grads = nk.backward(loss)
-                head_grads = {n: g for n, g in grads.items() if n.startswith("head.")}
-                head_params = {n: t for n, t in pset.trainable_dict().items()
-                               if n.startswith("head.")}
-                pset = pset.with_tensors(stepped(adamw_step, st, head_params, head_grads))
+                adamw_step(head, nk.backward(loss))
         correct = 0
         for batch in td.make_batches(proxy.test, 32, 0):
             preds = forward(pset, batch.token_ids).value.argmax(axis=1)
@@ -289,18 +288,18 @@ def test_loss_decreases_centralized_both_families():
                             test_docs_per_class=5, doc_length=SEQ,
                             topic_concentration=0.05, seed=8)
     ds = td.generate_synthetic(spec)
-    for family, cfg, opt in (("textcnn", CNN_CFG, OptimizerState("sgd", lr=0.2)),
-                             ("loraformer", LF_CFG, OptimizerState("adamw", lr=0.01))):
+    for family, cfg, opt in (("textcnn", CNN_CFG, OptimizerCfg("sgd", lr=0.2)),
+                             ("loraformer", LF_CFG, OptimizerCfg("adamw", lr=0.01))):
         params, forward = build_model(family, cfg, ds.vocabulary.size, ds.max_seq_len, seed=10)
+        flat = nk.FlatParams(params.trainable_dict(), opt)
+        params = params.with_tensors(flat.tensors)
         losses = []
-        step_fn = sgd_step if opt.kind == "sgd" else adamw_step
         for i in range(50):
             batch = td.make_batches(ds.train, 16, i)[0]
             rng = nk.derive(0, "smoke-dropout", family, i)
             loss = nk.softmax_cross_entropy(forward(params, batch.token_ids, train=True, rng=rng),
                                             batch.labels)
-            grads = nk.backward(loss)
-            params = params.with_tensors(stepped(step_fn, opt, params.trainable_dict(), grads))
+            nk.step(flat, nk.backward(loss))
             losses.append(float(loss.value))
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
 

@@ -1,60 +1,71 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from fedskew import numkit as nk
-from fedskew.numkit import FlatParams, OptimizerState, adamw_step, sgd_step
+from fedskew.numkit import FlatParams, OptimizerCfg, adamw_step, sgd_step
 
 
 def t(x):
     return nk.Tensor(np.asarray(x, dtype=np.float64))
 
 
-def stepped(step_fn, state, params: dict, grads: dict) -> dict:
-    """One flat `step_fn` on {name: Tensor} params; returns the updated tensors by name."""
-    flat = FlatParams(params)
-    step_fn(state, flat.vector, flat.gather(grads))
+def stepped(step_fn, cfg, params: dict, grads: dict) -> dict:
+    """One `step_fn` under `cfg` on fresh {name: Tensor} params; returns the updated tensors."""
+    flat = FlatParams(params, cfg)
+    step_fn(flat, grads)
     return flat.tensors
 
 
 def test_sgd_single_step():
-    st = OptimizerState("sgd", lr=0.01)
-    out = stepped(sgd_step, st, {"p": t([1.0])}, {"p": np.array([0.5])})
-    assert out["p"].data[0] == pytest.approx(0.995)
-    assert st.step_count == 1
+    flat = FlatParams({"p": t([1.0])}, OptimizerCfg("sgd", lr=0.01))
+    sgd_step(flat, {"p": np.array([0.5])})
+    assert flat.tensors["p"].data[0] == pytest.approx(0.995)
+    assert flat.step_count == 1
 
 
 def test_sgd_zero_gradient_noop():
-    st = OptimizerState("sgd", lr=0.1)
-    out = stepped(sgd_step, st, {"p": t([2.0, 3.0])}, {"p": np.zeros(2)})
+    cfg = OptimizerCfg("sgd", lr=0.1)
+    out = stepped(sgd_step, cfg, {"p": t([2.0, 3.0])}, {"p": np.zeros(2)})
     np.testing.assert_array_equal(out["p"].data, [2.0, 3.0])
 
 
 def test_sgd_linearity_for_constant_gradient():
-    st = OptimizerState("sgd", lr=0.1)
+    cfg = OptimizerCfg("sgd", lr=0.1)
     p = {"p": t([1.0])}
     g = {"p": np.array([0.3])}
-    twice = stepped(sgd_step, st, stepped(sgd_step, st, p, g), g)
-    st2 = OptimizerState("sgd", lr=0.2)
-    once = stepped(sgd_step, st2, p, g)
+    twice = stepped(sgd_step, cfg, stepped(sgd_step, cfg, p, g), g)
+    once = stepped(sgd_step, OptimizerCfg("sgd", lr=0.2), p, g)
     np.testing.assert_allclose(twice["p"].data, once["p"].data)
 
 
 def test_sgd_missing_gradient_raises():
-    st = OptimizerState("sgd", lr=0.1)
     with pytest.raises(nk.ContractError):
-        stepped(sgd_step, st, {"p": t([1.0])}, {})
+        stepped(sgd_step, OptimizerCfg("sgd", lr=0.1), {"p": t([1.0])}, {})
+
+
+def test_step_rejects_parameters_of_the_other_kind():
+    adamw = FlatParams({"p": t([1.0])}, OptimizerCfg("adamw", lr=0.1))
+    with pytest.raises(nk.ContractError, match="sgd_step called on adamw parameters"):
+        sgd_step(adamw, {"p": np.array([0.5])})
+    sgd = FlatParams({"p": t([1.0])}, OptimizerCfg("sgd", lr=0.1))
+    with pytest.raises(nk.ContractError, match="adamw_step called on sgd parameters"):
+        adamw_step(sgd, {"p": np.array([0.5])})
+    assert adamw.step_count == sgd.step_count == 0
+    assert adamw.tensors["p"].data[0] == sgd.tensors["p"].data[0] == 1.0
 
 
 def test_adamw_first_step_magnitude():
-    st = OptimizerState("adamw", lr=0.05, weight_decay=0.0)
-    out = stepped(adamw_step, st, {"p": t([1.0])}, {"p": np.array([0.37])})
+    cfg = OptimizerCfg("adamw", lr=0.05, weight_decay=0.0)
+    out = stepped(adamw_step, cfg, {"p": t([1.0])}, {"p": np.array([0.37])})
     # bias-corrected first step moves by ~lr in the gradient direction
     assert out["p"].data[0] == pytest.approx(1.0 - 0.05, rel=1e-6)
 
 
 def test_adamw_pure_decay():
-    st = OptimizerState("adamw", lr=0.1, weight_decay=0.01)
-    out = stepped(adamw_step, st, {"p": t([1.0])}, {"p": np.array([0.0])})
+    cfg = OptimizerCfg("adamw", lr=0.1, weight_decay=0.01)
+    out = stepped(adamw_step, cfg, {"p": t([1.0])}, {"p": np.array([0.0])})
     assert out["p"].data[0] == pytest.approx(0.999)
 
 
@@ -74,14 +85,14 @@ def _reference_adamw(p, grads, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
 
 def test_adamw_trajectory_matches_reference():
     lr, wd = 0.1, 0.01
-    st = OptimizerState("adamw", lr=lr, weight_decay=wd)
-    p = t([1.0])
+    flat = FlatParams({"p": t([1.0])}, OptimizerCfg("adamw", lr=lr, weight_decay=wd))
+    p = flat.tensors["p"]
     grads = []
     mine = []
     for _ in range(10):
         g = 2.0 * p.data[0]  # f(p) = p^2
         grads.append(g)
-        p = stepped(adamw_step, st, {"p": p}, {"p": np.array([g])})["p"]
+        adamw_step(flat, {"p": np.array([g])})
         mine.append(p.data[0])
     # reference recomputes the same trajectory from the recorded gradients
     ref = _reference_adamw(1.0, grads, lr, wd)
@@ -89,42 +100,42 @@ def test_adamw_trajectory_matches_reference():
 
 
 def test_step_count_monotone():
-    st = OptimizerState("adamw", lr=0.1)
-    p = {"p": t([1.0])}
+    flat = FlatParams({"p": t([1.0])}, OptimizerCfg("adamw", lr=0.1))
     for expected in (1, 2, 3):
-        p = stepped(adamw_step, st, p, {"p": np.array([0.1])})
-        assert st.step_count == expected
+        adamw_step(flat, {"p": np.array([0.1])})
+        assert flat.step_count == expected
 
 
-def test_state_validation():
-    with pytest.raises(nk.ContractError):
-        OptimizerState("rmsprop", lr=0.1)
-    with pytest.raises(nk.ContractError):
-        OptimizerState("sgd", lr=-1.0)
-    with pytest.raises(nk.ContractError):
-        OptimizerState("sgd", lr=0.1, weight_decay=-0.5)
+def test_cfg_validation():
+    with pytest.raises(nk.ContractError, match="unknown optimizer kind 'rmsprop'"):
+        OptimizerCfg("rmsprop", lr=0.1)
+    with pytest.raises(ValueError, match=r"^lr: must be a finite number > 0, got -1\.0$"):
+        OptimizerCfg("sgd", lr=-1.0)
+    with pytest.raises(ValueError, match=r"^weight_decay: must be a finite number >= 0"):
+        OptimizerCfg("sgd", lr=0.1, weight_decay=-0.5)
     nan, inf = float("nan"), float("inf")
     for lr, weight_decay in ((nan, 0.0), (inf, 0.0), (0.1, nan), (0.1, inf)):
-        with pytest.raises(nk.ContractError, match="must be finite"):
-            OptimizerState("adamw", lr=lr, weight_decay=weight_decay)
+        with pytest.raises(ValueError, match="must be a finite number"):
+            OptimizerCfg("adamw", lr=lr, weight_decay=weight_decay)
+    assert [f.name for f in fields(OptimizerCfg)] == ["kind", "lr", "weight_decay"]
 
 
-def _reference_step(state, params: dict, grads: dict) -> dict:
+def _reference_step(state: dict, cfg, params: dict, grads: dict) -> dict:
     """The per-group update the flat step replaced, kept as its reference."""
-    state.step_count += 1
-    if state.kind == "sgd":
-        return {name: p - state.lr * grads[name] for name, p in params.items()}
-    t = state.step_count
+    state["step_count"] += 1
+    if cfg.kind == "sgd":
+        return {name: p - cfg.lr * grads[name] for name, p in params.items()}
+    t = state["step_count"]
     out = {}
     for name, p in params.items():
         g = grads[name]
-        m = state.m.get(name, np.zeros_like(p))
-        v = state.v.get(name, np.zeros_like(p))
+        m = state["m"].get(name, np.zeros_like(p))
+        v = state["v"].get(name, np.zeros_like(p))
         m = 0.9 * m + (1 - 0.9) * g
         v = 0.999 * v + (1 - 0.999) * g * g
-        state.m[name], state.v[name] = m, v
+        state["m"][name], state["v"][name] = m, v
         update = (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
-        out[name] = p - state.lr * update - state.lr * state.weight_decay * p
+        out[name] = p - cfg.lr * update - cfg.lr * cfg.weight_decay * p
     return out
 
 
@@ -133,31 +144,33 @@ def test_flat_step_bitwise_equals_per_group_reference(kind, weight_decay):
     rng = np.random.default_rng(12)
     shapes = {"w": (3, 4), "b": (4,), "table": (5, 2, 3)}
     params = {n: rng.standard_normal(s) for n, s in shapes.items()}
-    flat_state = OptimizerState(kind, lr=0.05, weight_decay=weight_decay)
-    ref_state = OptimizerState(kind, lr=0.05, weight_decay=weight_decay)
-    ref_state.m, ref_state.v = {}, {}
-    flat = FlatParams({n: t(p) for n, p in params.items()})
+    cfg = OptimizerCfg(kind, lr=0.05, weight_decay=weight_decay)
+    ref_state = {"step_count": 0, "m": {}, "v": {}}
+    flat = FlatParams({n: t(p) for n, p in params.items()}, cfg)
     ref = params
     for _ in range(10):
         grads = {n: rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)
                  for n, s in shapes.items()}
         step_fn = sgd_step if kind == "sgd" else adamw_step
-        step_fn(flat_state, flat.vector, flat.gather(grads))
-        ref = _reference_step(ref_state, ref, grads)
+        step_fn(flat, grads)
+        ref = _reference_step(ref_state, cfg, ref, grads)
     for name in shapes:
         assert flat.tensors[name].data.tobytes() == ref[name].tobytes()
-    assert flat_state.step_count == ref_state.step_count == 10
+    assert flat.step_count == ref_state["step_count"] == 10
 
 
 def test_flat_step_rejects_nonfinite_result():
-    flat = FlatParams({"p": t([1.0, 2.0])})
+    flat = FlatParams({"p": t([1.0, 2.0])}, OptimizerCfg("sgd", lr=1e308))
     with pytest.raises(nk.NumericError), np.errstate(over="ignore"):
-        sgd_step(OptimizerState("sgd", lr=1e308), flat.vector, np.array([0.0, 1e10]))
+        sgd_step(flat, {"p": np.array([0.0, 1e10])})
 
 
 def test_gather_rejects_nonfinite_gradient_naming_its_group():
-    flat = FlatParams({"w": t([[1.0, 2.0]]), "b": t([0.0])})
+    flat = FlatParams({"w": t([[1.0, 2.0]]), "b": t([0.0])}, OptimizerCfg("sgd", lr=1.0))
     assert flat.gather({"w": np.array([[3.0, 4.0]]), "b": np.array([5.0])}).tolist() == [3, 4, 5]
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(nk.NumericError, match=r"^non-finite gradient for 'b'$"):
             flat.gather({"w": np.array([[3.0, 4.0]]), "b": np.array([bad])})
+        with pytest.raises(nk.NumericError, match=r"^non-finite gradient for 'b'$"):
+            sgd_step(flat, {"w": np.array([[3.0, 4.0]]), "b": np.array([bad])})
+    assert flat.step_count == 0 and flat.vector.tolist() == [1.0, 2.0, 0.0]
