@@ -39,8 +39,8 @@ class ConfigError(ValueError):
 
 
 class InputDataError(ValueError):
-    """The data a valid config points at cannot be used: a CSV file is missing or
-    malformed, or no partition meets the config's constraints."""
+    """The data a valid config points at cannot be used: a CSV file is missing or malformed,
+    no partition meets the config's constraints, or the model cannot embed the proxy's words."""
 
 
 # ---------------------------------------------------------------------------
@@ -294,21 +294,15 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def pretrained_initial(cfg: ExperimentConfig, dataset):
-    """The pretrained-frozen loraformer params every loraformer run of the sweep
-    starts from, or None when the backbone stays random.
+    """The pretrained-frozen loraformer params every loraformer run of the sweep starts from.
 
     They depend only on sweep-level inputs (the pretrain settings, the dataset,
     the seed and the loraformer config), so a sweep computes them once.
     """
     model_cfg = cfg.model_cfgs["loraformer"]
-    if model_cfg.backbone_mode != "pretrained-frozen":
-        return None
-    pre = cfg.pretrain_cfg
-    proxy = td.generate_synthetic(pre.proxy_spec(dataset))
     params, _ = build_loraformer(model_cfg, dataset.vocabulary.size, dataset.max_seq_len,
                                  cfg.seed)
-    return pretrain_backbone(params, model_cfg, proxy, steps=pre.steps, seed=pre.seed,
-                             target_dataset=dataset, lr=pre.lr, batch_size=cfg.batch_size)
+    return pretrain_backbone(params, model_cfg, cfg.pretrain_cfg, dataset, cfg.batch_size)
 
 
 def execute_run(cfg: ExperimentConfig, run: dict, dataset, partitions, out_root: Path,
@@ -379,12 +373,19 @@ def load_data(cfg: ExperimentConfig):
 def run_experiments(cfg: ExperimentConfig, jobs: int = 1) -> list:
     """Run every sweep cell, `jobs` at a time (jobs > 1: `_run_forked`), and write the
     report from the cells' summary.json files, read back in plan order.  A data error
-    (`load_data`) is raised before anything is written."""
+    (`load_data`, or a proxy vocabulary too large to embed) is raised before anything is written."""
     dataset, partitions_by_alpha = load_data(cfg)
+    lora = cfg.model_cfgs.get("loraformer")
+    pretrains = lora is not None and lora.backbone_mode == "pretrained-frozen"
+    if pretrains:
+        try:
+            cfg.pretrain_cfg.proxy_spec(dataset)  # raises if the model cannot embed its words
+        except ValueError as e:
+            raise InputDataError(f"pretrain.{e}") from e
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     try:
-        initial = pretrained_initial(cfg, dataset) if "loraformer" in cfg.models else None
+        initial = pretrained_initial(cfg, dataset) if pretrains else None
     except Exception as e:  # recorded by every loraformer run, like its own failures
         initial = e
 

@@ -122,10 +122,9 @@ def aggregate(updates, weights: AggregationWeights) -> ParamSet:
     return template.with_tensors(new_tensors)
 
 
-def local_train(global_params: ParamSet, forward, partition, dataset,
-                opt_cfg: OptimizerCfg, local_epochs: int, batch_size: int,
-                seed: int, round_index: int) -> ClientUpdate:
-    """E epochs of minibatch training from the broadcast params.
+def local_train(global_params: ParamSet, forward, partition, dataset, fed_cfg: FedConfig,
+                round_index: int) -> ClientUpdate:
+    """`fed_cfg.local_epochs` epochs of minibatch training from the broadcast params.
 
     The trainable groups train as one flat vector, which the update's tensors
     view read-only; the update holds only those groups.  Optimizer state is
@@ -133,14 +132,14 @@ def local_train(global_params: ParamSet, forward, partition, dataset,
     global trainable groups with n_k = 0.
     """
     docs = dataset.train.take(partition.sample_indices)
-    flat = nk.FlatParams(global_params.trainable_dict(), opt_cfg)
+    flat = nk.FlatParams(global_params.trainable_dict(), fed_cfg.optimizer)
     params = global_params.with_tensors(flat.tensors)
-    cid = partition.client_id
+    cid, seed = partition.client_id, fed_cfg.seed
     try:
-        for epoch in range(local_epochs):
+        for epoch in range(fed_cfg.local_epochs):
             shuffle_seed = nk.sub_seed(seed, "client", cid, "round", round_index, "epoch", epoch)
             rng = nk.derive(seed, "dropout", cid, round_index, epoch)
-            for batch in make_batches(docs, batch_size, shuffle_seed):
+            for batch in make_batches(docs, fed_cfg.batch_size, shuffle_seed):
                 logits = forward(params, batch.token_ids, train=True, rng=rng)
                 loss = nk.softmax_cross_entropy(logits, batch.labels)
                 step(flat, nk.backward(loss))
@@ -171,9 +170,7 @@ def run_federation(dataset, partitions, model_family: str, model_cfg,
         if not active:
             raise FederationError(f"round {t}: no participating clients")
 
-        updates = [local_train(global_params, forward, p, dataset, fed_cfg.optimizer,
-                               fed_cfg.local_epochs, fed_cfg.batch_size, fed_cfg.seed, t)
-                   for p in active]
+        updates = [local_train(global_params, forward, p, dataset, fed_cfg, t) for p in active]
         updates.sort(key=lambda u: u.client_id)
         weights = (fedavg_weights(updates) if fed_cfg.aggregator == "fedavg"
                    else fedavgw_weights(updates, fed_cfg.beta))

@@ -10,6 +10,7 @@ from .textdata import make_batches
 
 ROUNDS_CSV_HEADER = ["round", "client_id", "n_k", "eval_size", "accuracy",
                      "avg_acc", "worst_acc", "gap", "argmin_client"]
+EVAL_BATCH_SIZE = 64  # test rows per eval-mode forward pass
 
 
 class EvalError(ValueError):
@@ -58,7 +59,7 @@ def restricted_test_set(test, present_classes):
     return test.take(_class_mask(test.labels, present_classes))
 
 
-def evaluate_clients(params, forward, partitions, test, batch_size: int = 64) -> list:
+def evaluate_clients(params, forward, partitions, test) -> list:
     """Eval-mode accuracy of one model for each client, on the test set
     restricted to that client's classes.
 
@@ -67,7 +68,7 @@ def evaluate_clients(params, forward, partitions, test, batch_size: int = 64) ->
     predictions under its label mask.  Argmax ties resolve to the lowest
     class index.
     """
-    batches = make_batches(test, batch_size, 0)
+    batches = make_batches(test, EVAL_BATCH_SIZE, 0)
     labels = np.concatenate([b.labels for b in batches]) if batches else np.empty(0, np.int64)
     masks = [_class_mask(labels, p.present_classes) for p in partitions]
     correct = np.concatenate(
@@ -77,10 +78,9 @@ def evaluate_clients(params, forward, partitions, test, batch_size: int = 64) ->
             for p, m in zip(partitions, masks)]
 
 
-def evaluate_client(params, forward, client_partition, test,
-                    batch_size: int = 64) -> ClientEval:
+def evaluate_client(params, forward, client_partition, test) -> ClientEval:
     """`evaluate_clients` for a single client."""
-    return evaluate_clients(params, forward, [client_partition], test, batch_size)[0]
+    return evaluate_clients(params, forward, [client_partition], test)[0]
 
 
 def fairness_summary(evals) -> FairnessSummary:

@@ -7,6 +7,7 @@ Adapters start at exactly zero effect (B = 0).  Each encoder layer is one
 `numkit.lora_encoder_layer` node.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,8 +15,10 @@ import numpy as np
 from .. import numkit as nk
 from .. import validate
 from ..numkit.optim import OptimizerCfg, adamw_step
-from ..textdata import PAD_ID, SyntheticSpec, make_batches
+from ..textdata import PAD_ID, SyntheticSpec, generate_synthetic, make_batches
 from .params import ParamGroup, ParamSet, StructuralError
+
+PRETRAIN_WEIGHT_DECAY = 0.01  # AdamW's decoupled weight decay while the backbone pretrains
 
 
 @dataclass(frozen=True)
@@ -163,8 +166,9 @@ def _doc_keys(split) -> set:
 
 @dataclass(frozen=True)
 class PretrainConfig:
-    """`pretrain_backbone`'s settings and its synthetic proxy corpus, of
-    `docs_per_class` documents per class of the target dataset."""
+    """`pretrain_backbone`'s settings and its synthetic proxy corpus, of `docs_per_class`
+    documents per class of the target.  `optimizer`, the AdamW config built once from `lr`,
+    is not a field, so it is not a config key."""
     seed: int
     steps: int = 200
     lr: float = 1e-3
@@ -176,57 +180,54 @@ class PretrainConfig:
     def __post_init__(self):
         validate.integer("seed", self.seed, minimum=None)
         validate.integer("steps", self.steps, minimum=0)
-        validate.positive("lr", self.lr)
+        object.__setattr__(self, "optimizer",
+                           OptimizerCfg("adamw", self.lr, PRETRAIN_WEIGHT_DECAY))
         for name in ("vocab_size", "docs_per_class", "doc_length"):
             if getattr(self, name) is not None:
                 validate.integer(name, getattr(self, name))
         validate.positive("topic_concentration", self.topic_concentration)
 
     def proxy_spec(self, target) -> SyntheticSpec:
-        """The proxy corpus's spec for the target dataset; None sizes follow the target."""
-        return SyntheticSpec(target.num_classes,
-                             self.vocab_size or max(target.vocabulary.size - 2, 2),
-                             self.docs_per_class, 1, self.doc_length or target.max_seq_len,
+        """The proxy corpus's spec for the target dataset; None sizes follow the target.
+        A model of the target has one embedding row per entry of its vocabulary."""
+        vocab_size = self.vocab_size or max(target.vocabulary.size - 2, 2)
+        if vocab_size + 2 > target.vocabulary.size:  # proxy ids are 2 .. vocab_size + 1
+            raise ValueError(f"vocab_size: must be at most {target.vocabulary.size - 2}, the "
+                             f"target vocabulary's word count, got {vocab_size}")
+        return SyntheticSpec(target.num_classes, vocab_size, self.docs_per_class, 1,
+                             self.doc_length or target.max_seq_len,
                              self.topic_concentration, self.seed, target.max_seq_len)
 
 
-def pretrain_backbone(params: ParamSet, cfg: LoraFormerConfig, proxy_dataset, steps: int,
-                      seed: int, target_dataset=None, lr: float = 1e-3,
-                      batch_size: int = 32) -> ParamSet:
-    """Train the backbone centrally on a disjoint proxy corpus with a throwaway
-    head, then freeze it again.  Adapters and the real head are untouched."""
-    if target_dataset is not None:
-        target_docs = _doc_keys(target_dataset.train) | _doc_keys(target_dataset.test)
-        if not target_docs.isdisjoint(_doc_keys(proxy_dataset.train)):
-            raise DisjointnessError("proxy corpus shares documents with the target dataset")
-    if steps == 0:
-        return params
+def pretrain_backbone(params: ParamSet, cfg: LoraFormerConfig, pre: PretrainConfig, target,
+                      batch_size: int) -> ParamSet:
+    """Train the backbone for `pre.steps` steps, with a throwaway head, on the proxy
+    corpus `pre` specifies for the target, which must share no document with it; then
+    freeze it again.  Adapters and the real head are untouched."""
+    proxy = generate_synthetic(pre.proxy_spec(target))
+    target_docs = _doc_keys(target.train) | _doc_keys(target.test)
+    if not target_docs.isdisjoint(_doc_keys(proxy.train)):
+        raise DisjointnessError("proxy corpus shares documents with the target dataset")
 
     forward = make_forward(cfg)
     # backbone trainable for the proxy phase; adapters dropped (their delta is
     # zero at init and they must not absorb proxy gradients)
     backbone = {g.name: g.tensor for g in params
                 if not g.lora and not g.name.startswith("head.")}
-    classes = proxy_dataset.num_classes  # a throwaway head under the real head's names
+    classes = proxy.num_classes  # a throwaway head under the real head's names
     proxy_head = {"head.weight": nk.Tensor(np.zeros((cfg.d_model, classes))),
                   "head.bias": nk.Tensor(np.zeros(classes))}
-    flat = nk.FlatParams({**backbone, **proxy_head}, OptimizerCfg("adamw", lr, 0.01))
+    flat = nk.FlatParams({**backbone, **proxy_head}, pre.optimizer)
     work = ParamSet([ParamGroup(name, t, True, False) for name, t in flat.tensors.items()],
                     "loraformer")
 
-    done = 0
-    epoch = 0
-    while done < steps:
-        batches = make_batches(proxy_dataset.train, batch_size,
-                               nk.sub_seed(seed, "pretrain-epoch", epoch))
-        for batch in batches:
-            if done >= steps:
-                break
-            # no adapters, so no dropout mask and no rng
-            logits = forward(work, batch.token_ids, train=True)
-            loss = nk.softmax_cross_entropy(logits, batch.labels)
-            adamw_step(flat, nk.backward(loss))
-            done += 1
-        epoch += 1
+    # epoch after epoch of reshuffled batches, each epoch batched only once it is reached
+    epochs = (make_batches(proxy.train, batch_size, nk.sub_seed(pre.seed, "pretrain-epoch", e))
+              for e in itertools.count())
+    for batch in itertools.islice(itertools.chain.from_iterable(epochs), pre.steps):
+        # no adapters, so no dropout mask and no rng
+        logits = forward(work, batch.token_ids, train=True)
+        loss = nk.softmax_cross_entropy(logits, batch.labels)
+        adamw_step(flat, nk.backward(loss))
     flat.freeze()
     return params.with_tensors({name: flat.tensors[name] for name in backbone})

@@ -638,6 +638,28 @@ def test_pretraining_failure_fails_only_loraformer_cells(tmp_path):
     assert "Failed runs" in (tmp_path / "out" / "report.md").read_text()
 
 
+def test_proxy_vocabulary_past_the_embedding_table_exits_1(tmp_path, capsys):
+    # proxy ids run to vocab_size + 1, past the 42 embedding rows of the target's 40 words
+    cfg = pretrained_sweep_config(tmp_path / "out", vocab_size=100)
+    assert cli.main(["run", str(write_config(tmp_path, cfg))]) == 1
+    err = capsys.readouterr().err
+    assert err == ("data error: pretrain.vocab_size: must be at most 40, the target "
+                   "vocabulary's word count, got 100\n"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_pretrain_keys_report_the_first_check(tmp_path, capsys):
+    cfg = pretrained_sweep_config(tmp_path / "out", lr=-1, vocab_size=0, topic_concentration=0)
+    assert cli.main(["run", str(write_config(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err == (
+        "config error: pretrain: lr: must be a finite number > 0, got -1.0\n")
+    cfg["pretrain"]["steps"] = -1
+    assert cli.main(["run", str(write_config(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err == (
+        "config error: pretrain: steps: must be an integer >= 0, got -1\n")
+    assert not (tmp_path / "out").exists()
+
+
 def key_paths(cfg, prefix=()):
     """The path of every key in `cfg`, sections and their keys alike."""
     for key, value in cfg.items():

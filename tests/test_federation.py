@@ -123,12 +123,19 @@ CNN_CFG = TextCnnConfig(num_classes=4, embed_dim=8, filters_per_width=6)
 OPT = fed.OptimizerCfg("sgd", lr=0.1)
 
 
+def fed_cfg(**kw):
+    base = dict(rounds=2, local_epochs=1, batch_size=16, optimizer=OPT, seed=7)
+    base.update(kw)
+    return fed.FedConfig(**base)
+
+
 def test_local_train_zero_lr_like_identity():
     params, forward = build_model("textcnn", CNN_CFG, DESK.vocabulary.size,
                                   DESK.max_seq_len, seed=0)
     part = ClientPartition(0, list(range(20)), [20, 0, 0, 0])
     out = fed.local_train(params, forward, part, DESK,
-                          fed.OptimizerCfg("sgd", lr=1e-300), 1, 8, seed=1, round_index=1)
+                          fed_cfg(optimizer=fed.OptimizerCfg("sgd", lr=1e-300), batch_size=8,
+                                  seed=1), round_index=1)
     for a, b in zip(params, out.params):
         np.testing.assert_allclose(a.tensor.data, b.tensor.data, atol=1e-290)
     assert out.n_k == 20
@@ -138,7 +145,8 @@ def test_local_train_empty_client():
     params, forward = build_model("textcnn", CNN_CFG, DESK.vocabulary.size,
                                   DESK.max_seq_len, seed=0)
     part = ClientPartition(3, [], [0, 0, 0, 0])
-    out = fed.local_train(params, forward, part, DESK, OPT, 2, 8, seed=1, round_index=1)
+    out = fed.local_train(params, forward, part, DESK,
+                          fed_cfg(local_epochs=2, batch_size=8, seed=1), round_index=1)
     assert out.n_k == 0
     for a, b in zip(params, out.params):
         assert np.array_equal(a.tensor.data, b.tensor.data)
@@ -150,8 +158,9 @@ def test_local_train_deterministic_and_improves_own_class():
     labels = DESK.train.labels.tolist()
     own = [i for i, l in enumerate(labels) if l == 2][:25]
     part = ClientPartition(0, own, [0, 0, 25, 0])
-    a = fed.local_train(params, forward, part, DESK, OPT, 3, 8, seed=5, round_index=2)
-    b = fed.local_train(params, forward, part, DESK, OPT, 3, 8, seed=5, round_index=2)
+    cfg = fed_cfg(local_epochs=3, batch_size=8, seed=5)
+    a = fed.local_train(params, forward, part, DESK, cfg, round_index=2)
+    b = fed.local_train(params, forward, part, DESK, cfg, round_index=2)
     for ga, gb in zip(a.params, b.params):
         assert np.array_equal(ga.tensor.data, gb.tensor.data)
 
@@ -164,20 +173,13 @@ def test_local_train_deterministic_and_improves_own_class():
     assert own_acc(a.params) > own_acc(params)
 
 
-def fed_cfg(**kw):
-    base = dict(rounds=2, local_epochs=1, batch_size=16, optimizer=OPT, seed=7)
-    base.update(kw)
-    return fed.FedConfig(**base)
-
-
 def test_single_client_round_equals_centralized():
     parts = dirichlet_partition(DESK, PartitionConfig(1, 1.0, seed=3))
-    logs, final = fed.run_federation(DESK, parts, "textcnn", CNN_CFG,
-                                     fed_cfg(rounds=1))
+    cfg = fed_cfg(rounds=1)
+    logs, final = fed.run_federation(DESK, parts, "textcnn", CNN_CFG, cfg)
     params, forward = build_model("textcnn", CNN_CFG, DESK.vocabulary.size,
                                   DESK.max_seq_len, seed=7)
-    manual = fed.local_train(params, forward, parts[0], DESK, OPT, 1, 16, seed=7,
-                             round_index=1)
+    manual = fed.local_train(params, forward, parts[0], DESK, cfg, round_index=1)
     for a, b in zip(final, manual.params):
         assert np.array_equal(a.tensor.data, b.tensor.data)
     assert len(logs) == 1 and len(logs[0].evals) == 1
@@ -226,7 +228,8 @@ def test_local_train_update_is_read_only():
     params, forward = build_model("textcnn", CNN_CFG, DESK.vocabulary.size,
                                   DESK.max_seq_len, seed=0)
     part = ClientPartition(1, list(range(20)), [20, 0, 0, 0])
-    out = fed.local_train(params, forward, part, DESK, OPT, 1, 8, seed=1, round_index=1)
+    out = fed.local_train(params, forward, part, DESK, fed_cfg(batch_size=8, seed=1),
+                          round_index=1)
     for g in out.params:
         for arr in (g.tensor.data, g.tensor.data.base):  # the view and the trained vector
             assert not arr.flags.writeable
@@ -249,4 +252,5 @@ def test_local_train_nan_gradient_names_client_and_round(monkeypatch):
     part = ClientPartition(4, list(range(20)), [20, 0, 0, 0])
     want = r"^client 4, round 3: non-finite gradient for 'fc.bias'$"
     with pytest.raises(fed.FederationError, match=want):
-        fed.local_train(params, forward, part, DESK, OPT, 1, 8, seed=1, round_index=3)
+        fed.local_train(params, forward, part, DESK, fed_cfg(batch_size=8, seed=1),
+                        round_index=3)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fedskew.models import (
     DisjointnessError,
     LoraFormerConfig,
     ParamSet,
+    PretrainConfig,
     TextCnnConfig,
     build_loraformer,
     build_model,
@@ -18,6 +20,7 @@ from fedskew.models import (
     pretrain_backbone,
     save_checkpoint,
 )
+from fedskew.models import loraformer
 from fedskew.numkit.optim import OptimizerCfg, adamw_step, sgd_step
 
 from gradcheck import finite_diff_check
@@ -212,16 +215,17 @@ def test_merge_lora_preserves_logits():
         merge_lora(merged, LF_CFG)
 
 
-def make_proxy(seed=50):
-    spec = td.SyntheticSpec(num_classes=3, vocab_size=VOCAB - 2, train_docs_per_class=20,
-                            test_docs_per_class=10, doc_length=SEQ,
-                            topic_concentration=0.05, seed=seed)
-    return td.generate_synthetic(spec)
+# a corpus with the loraformer's vocabulary; PRE's proxy for it is the 3-class corpus
+# of seed 50, drawn from other topics, so the two share no document
+TARGET = td.generate_synthetic(td.SyntheticSpec(
+    num_classes=3, vocab_size=VOCAB - 2, train_docs_per_class=20, test_docs_per_class=10,
+    doc_length=SEQ, topic_concentration=0.05, seed=51))
+PRE = PretrainConfig(seed=50, docs_per_class=20, topic_concentration=0.05)
 
 
 def test_pretrain_zero_steps_is_identity():
     params, _ = build_loraformer(LF_CFG, VOCAB, SEQ, seed=5)
-    out = pretrain_backbone(params, LF_CFG, make_proxy(), steps=0, seed=1)
+    out = pretrain_backbone(params, LF_CFG, replace(PRE, steps=0), TARGET, 32)
     for a, b in zip(params, out):
         assert np.array_equal(a.tensor.data, b.tensor.data)
         assert (a.trainable, a.lora) == (b.trainable, b.lora)
@@ -230,21 +234,22 @@ def test_pretrain_zero_steps_is_identity():
 def test_pretrain_ignores_lora_dropout():
     """Pretraining drops the adapters, so no dropout mask is drawn: the backbone trains
     bitwise the same at any lora_dropout."""
-    proxy = make_proxy()
     out = []
     for rate in (0.0, 0.3):
         cfg = LoraFormerConfig(num_classes=4, layers=2, d_model=8, heads=2, ffn_dim=16,
                                lora_rank=2, lora_dropout=rate)
         params, _ = build_loraformer(cfg, VOCAB, SEQ, seed=6)
-        out.append(pretrain_backbone(params, cfg, proxy, steps=5, seed=2))
+        out.append(pretrain_backbone(params, cfg, replace(PRE, steps=5), TARGET, 32))
     for a, b in zip(*out):
         assert a.tensor.data.tobytes() == b.tensor.data.tobytes(), a.name
 
 
 def test_pretrain_improves_probe_and_keeps_flags():
-    proxy = make_proxy()
+    pre = replace(PRE, steps=60)
+    # the proxy's topics and training documents, with held-out documents of its own
+    proxy = td.generate_synthetic(replace(pre.proxy_spec(TARGET), test_docs_per_class=10))
     params, forward = build_loraformer(LF_CFG, VOCAB, SEQ, seed=6)
-    trained = pretrain_backbone(params, LF_CFG, proxy, steps=60, seed=2)
+    trained = pretrain_backbone(params, LF_CFG, pre, TARGET, 32)
     for a, b in zip(params, trained):
         assert (a.name, a.trainable, a.lora) == (b.name, b.trainable, b.lora)
     for name in ("head.weight", "head.bias"):  # the throwaway head shares only their names
@@ -269,10 +274,53 @@ def test_pretrain_improves_probe_and_keeps_flags():
 
 
 def test_pretrain_rejects_overlapping_proxy():
-    proxy = make_proxy()
+    # a target drawn with its proxy's own spec and seed repeats the proxy's documents
+    target = td.generate_synthetic(PRE.proxy_spec(TARGET))
     params, _ = build_loraformer(LF_CFG, VOCAB, SEQ, seed=7)
     with pytest.raises(DisjointnessError):
-        pretrain_backbone(params, LF_CFG, proxy, steps=1, seed=0, target_dataset=proxy)
+        pretrain_backbone(params, LF_CFG, replace(PRE, steps=1), target, 32)
+
+
+def test_pretrain_trains_under_the_optimizer_its_config_builds(monkeypatch):
+    assert [f.name for f in fields(PretrainConfig)] == [
+        "seed", "steps", "lr", "vocab_size", "docs_per_class", "doc_length",
+        "topic_concentration"]
+    built, stepped_under = [], []
+    real_cfg, real_step = loraformer.OptimizerCfg, loraformer.adamw_step
+
+    def counting_cfg(*args, **kwargs):
+        built.append(real_cfg(*args, **kwargs))
+        return built[-1]
+
+    def recording_step(flat, grads):
+        stepped_under.append(flat.cfg)
+        real_step(flat, grads)
+
+    monkeypatch.setattr(loraformer, "OptimizerCfg", counting_cfg)
+    monkeypatch.setattr(loraformer, "adamw_step", recording_step)
+    pre = replace(PRE, steps=3, lr=0.002)
+    assert len(built) == 1 and built[0] is pre.optimizer
+    assert pre.optimizer == OptimizerCfg("adamw", 0.002, 0.01)
+    params, _ = build_loraformer(LF_CFG, VOCAB, SEQ, seed=8)
+    pretrain_backbone(params, LF_CFG, pre, TARGET, 32)
+    assert len(built) == 1
+    assert len(stepped_under) == 3 and all(c is pre.optimizer for c in stepped_under)
+    with pytest.raises(ValueError, match=r"^lr: must be a finite number > 0, got -1\.0$"):
+        replace(PRE, lr=-1.0)
+
+
+def test_proxy_vocabulary_must_fit_the_target_table():
+    # proxy ids run 2 .. vocab_size + 1, and a model of TARGET has VOCAB embedding rows
+    assert PRE.proxy_spec(TARGET).vocab_size == VOCAB - 2
+    assert replace(PRE, vocab_size=VOCAB - 2).proxy_spec(TARGET).vocab_size == VOCAB - 2
+    with pytest.raises(ValueError, match=rf"^vocab_size: must be at most {VOCAB - 2}, the "
+                                         rf"target vocabulary's word count, got {VOCAB - 1}$"):
+        replace(PRE, vocab_size=VOCAB - 1).proxy_spec(TARGET)
+    # a target of one word: the default of at least 2 proxy words cannot fit either
+    one_word = td.generate_synthetic(td.SyntheticSpec(2, 1, 3, 1, SEQ, 0.5, 0))
+    with pytest.raises(ValueError, match="^vocab_size: must be at most 1, the target "
+                                         "vocabulary's word count, got 2$"):
+        PRE.proxy_spec(one_word)
 
 
 def test_init_determinism_both_families():
