@@ -561,52 +561,50 @@ def selftest() -> bool:
                - float(nk.ssum(nk.mul(nk.gelu(nk.leaf(xm)), nk.gelu(nk.leaf(xm)))).value)) / (2 * h)
         assert abs(g[0, 0] - num) / max(abs(num), 1e-8) < 1e-4
 
+    def matches_op_chain(params, step, graph):
+        """`step`'s loss and every trainable group's gradient equal the op chain's under
+        `backward` to rounding (attn.bk's is zero but for rounding on both sides)."""
+        ids = np.random.default_rng(1).integers(1, 7, size=(4, 6))
+        ids *= np.arange(6) < np.array([[6], [4], [4], [0]])  # PAD rows; an all-PAD document
+        labels = np.array([0, 1, 1, 0])
+        flat = nk.FlatParams(params.trainable_dict(), nk.OptimizerCfg("sgd", 1.0))
+        loss = step(params, ids, labels, nk.derive(0, "selftest-dropout"), flat.grads)
+        want = nk.softmax_cross_entropy(
+            graph(params, ids, train=True, rng=nk.derive(0, "selftest-dropout")), labels)
+        assert abs(loss - float(want.value)) <= 1e-12 * abs(float(want.value)), "loss"
+        for name, g in nk.backward(want).items():
+            err = np.abs(flat.grads[name] - g).max()
+            assert err <= 1e-12 * (1.0 if name.endswith("attn.bk") else np.abs(g).max()), name
+
     def textcnn_ok():
+        from .models import textcnn
         rng = np.random.default_rng(0)
-        # PAD rows, an all-PAD document, a dead filter and one tied at its bias everywhere
-        ids = rng.integers(1, 7, size=(4, 6)) * (np.arange(6) < np.array([[6], [4], [4], [0]]))
+        # a dead filter and one tied at its bias everywhere
+        cfg = textcnn.TextCnnConfig(num_classes=2, embed_dim=4, filter_widths=(2, 3, 6),
+                                    filters_per_width=3, dropout=0.3)
+        params, _ = textcnn.build_textcnn(cfg, 7, 6, seed=0)
         kernels = [rng.standard_normal((w, 4, 3)) for w in (2, 3, 6)]
         kernels[0][:, :, :2] = 0.0
         values = [rng.standard_normal((7, 4)), *kernels, np.array([-1.0, 0.5, 0.2]),
                   *rng.uniform(0.1, 1.0, (2, 3)), rng.standard_normal((9, 2)),
                   rng.standard_normal(2)]
-
-        def run(op):
-            p = [nk.leaf(v, name=str(i)) for i, v in enumerate(values)]
-            out = op(p[0], ids, 0, p[1:4], p[4:7], p[7], p[8], 0.7,
-                     nk.derive(0, "selftest-dropout"), True)
-            grads = nk.backward(nk.ssum(nk.mul(out, out)))
-            return [out.value] + [grads[str(i)] for i in range(len(values))]
-
-        for got, want in zip(run(nk.textcnn_logits), run(nk.textcnn_logits_ops)):
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        names = ["embedding", *(f"conv{w}.{part}" for part in ("kernel", "bias")
+                                for w in cfg.filter_widths), "fc.weight", "fc.bias"]
+        params = params.with_tensors({n: nk.Tensor(v) for n, v in zip(names, values)})
+        matches_op_chain(params, textcnn.make_loss_and_grad(cfg),
+                         textcnn.graph_forward(cfg, nk.textcnn_logits_ops))
 
     def encoder_layer_ok():
+        from .models import LoraFormerConfig, build_loraformer, loraformer
         rng = np.random.default_rng(0)
-        d, f, rank = 4, 6, 2
-        shapes = {"attn.wq": (d, d), "attn.wk": (d, d), "attn.wv": (d, d), "attn.wo": (d, d),
-                  "ffn.w1": (d, f), "ffn.b1": (f,), "ffn.w2": (f, d),
-                  "attn.q_lora.A": (rank, d), "attn.q_lora.B": (d, rank),
-                  "attn.v_lora.A": (rank, d), "attn.v_lora.B": (d, rank)}
-        values = {k: rng.standard_normal(shapes.get(k, (d,)))
-                  for k in nk.autograd.ENCODER_LAYER_KEYS + nk.autograd.ENCODER_ADAPTER_KEYS}
-        x = rng.standard_normal((3, 5, d))
-        key_mask = np.arange(5) < np.array([[5], [3], [0]])  # full, padded and all-PAD rows
-        weights = rng.standard_normal(x.shape)
-
-        def run(layer):
-            leaves = {k: nk.leaf(v, name=k) for k, v in values.items()}
-            out = layer(nk.leaf(x, name="x"), leaves, 2, key_mask, 1.5, 0.8,
-                        rng=nk.derive(0, "selftest-dropout"), train=True)
-            return out.value, nk.backward(nk.ssum(nk.mul(out, weights)))
-
-        got, got_grads = run(nk.lora_encoder_layer)
-        want, want_grads = run(nk.encoder_layer_ops)
-        assert got.tobytes() == want.tobytes()
-        for name, g in want_grads.items():
-            err = np.abs(got_grads[name] - g).max()
-            # attn.bk's gradient is zero but for rounding: the softmax ignores a per-query shift
-            assert err <= 1e-12 * (1.0 if name == "attn.bk" else np.abs(g).max()), name
+        cfg = LoraFormerConfig(num_classes=2, layers=2, d_model=4, heads=2, ffn_dim=6,
+                               lora_rank=2, lora_scaling=3.0, lora_dropout=0.2)
+        params, _ = build_loraformer(cfg, 7, 6, seed=0)
+        # every group random and trained: the whole backward pass runs
+        params = ParamSet([ParamGroup(g.name, nk.Tensor(rng.standard_normal(g.tensor.shape)),
+                                      True, g.lora) for g in params], "loraformer")
+        matches_op_chain(params, loraformer.make_loss_and_grad(cfg),
+                         loraformer.graph_forward(cfg, nk.encoder_layer_ops))
 
     def partition_ok():
         ds = td.generate_synthetic(td.SyntheticSpec(4, 40, 50, 5, 6, 0.5, 0))
@@ -621,7 +619,7 @@ def selftest() -> bool:
         params, forward = build_loraformer(cfg, 20, 6, seed=0)
         ids = np.random.default_rng(0).integers(2, 20, size=(2, 6))
         merged = merge_lora(params, cfg)
-        assert np.abs(forward(merged, ids).value - forward(params, ids).value).max() < 1e-5
+        assert np.abs(forward(merged, ids) - forward(params, ids)).max() < 1e-5
 
     def convergence_ok():
         assert not mt.convergence_check([0.930, 0.933, 0.931, 0.936, 0.930])

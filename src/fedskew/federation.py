@@ -22,7 +22,7 @@ from . import numkit as nk
 from . import validate
 # evaluate_client stays importable here: perfbench/tracer.py wraps it by this name
 from .metrics import RoundLog, evaluate_client, evaluate_clients, fairness_summary  # noqa: F401
-from .models import build_model
+from .models import build_loss_and_grad, build_model, check_split
 from .models.params import ParamSet, StructuralError
 from .numkit.optim import OptimizerCfg, step
 from .textdata import make_batches
@@ -122,9 +122,10 @@ def aggregate(updates, weights: AggregationWeights) -> ParamSet:
     return template.with_tensors(new_tensors)
 
 
-def local_train(global_params: ParamSet, forward, partition, dataset, fed_cfg: FedConfig,
+def local_train(global_params: ParamSet, loss_and_grad, partition, dataset, fed_cfg: FedConfig,
                 round_index: int) -> ClientUpdate:
-    """`fed_cfg.local_epochs` epochs of minibatch training from the broadcast params.
+    """`fed_cfg.local_epochs` epochs of minibatch training from the broadcast params, each
+    step one call of the model's `loss_and_grad` (`models.build_loss_and_grad`).
 
     The trainable groups train as one flat vector, which the update's tensors
     view read-only; the update holds only those groups.  Optimizer state is
@@ -134,15 +135,15 @@ def local_train(global_params: ParamSet, forward, partition, dataset, fed_cfg: F
     docs = dataset.train.take(partition.sample_indices)
     flat = nk.FlatParams(global_params.trainable_dict(), fed_cfg.optimizer)
     params = global_params.with_tensors(flat.tensors)
+    check_split(params, docs)  # every batch below is a subset of these rows
     cid, seed = partition.client_id, fed_cfg.seed
     try:
         for epoch in range(fed_cfg.local_epochs):
             shuffle_seed = nk.sub_seed(seed, "client", cid, "round", round_index, "epoch", epoch)
             rng = nk.derive(seed, "dropout", cid, round_index, epoch)
             for batch in make_batches(docs, fed_cfg.batch_size, shuffle_seed):
-                logits = forward(params, batch.token_ids, train=True, rng=rng)
-                loss = nk.softmax_cross_entropy(logits, batch.labels)
-                step(flat, nk.backward(loss))
+                loss_and_grad(params, batch.token_ids, batch.labels, rng, flat.grads)
+                step(flat, flat.grad)
     except nk.NumericError as e:
         raise FederationError(f"client {cid}, round {round_index}: {e}") from e
     flat.freeze()
@@ -155,6 +156,7 @@ def run_federation(dataset, partitions, model_family: str, model_cfg,
     global_params, forward = build_model(model_family, model_cfg,
                                          dataset.vocabulary.size, dataset.max_seq_len,
                                          fed_cfg.seed)
+    loss_and_grad = build_loss_and_grad(model_family, model_cfg)
     if initial_params is not None:
         initial_params.check_congruent(global_params)
         global_params = initial_params
@@ -170,7 +172,8 @@ def run_federation(dataset, partitions, model_family: str, model_cfg,
         if not active:
             raise FederationError(f"round {t}: no participating clients")
 
-        updates = [local_train(global_params, forward, p, dataset, fed_cfg, t) for p in active]
+        updates = [local_train(global_params, loss_and_grad, p, dataset, fed_cfg, t)
+                   for p in active]
         updates.sort(key=lambda u: u.client_id)
         weights = (fedavg_weights(updates) if fed_cfg.aggregator == "fedavg"
                    else fedavgw_weights(updates, fed_cfg.beta))

@@ -71,9 +71,8 @@ def evaluate_clients(params, forward, partitions, test) -> list:
     batches = make_batches(test, EVAL_BATCH_SIZE, 0)
     labels = np.concatenate([b.labels for b in batches]) if batches else np.empty(0, np.int64)
     masks = [_class_mask(labels, p.present_classes) for p in partitions]
-    correct = np.concatenate(
-        [forward(params, b.token_ids, train=False).value.argmax(axis=1) == b.labels
-         for b in batches])
+    correct = np.concatenate([forward(params, b.token_ids).argmax(axis=1) == b.labels
+                              for b in batches])
     return [ClientEval(p.client_id, int(m.sum()), int((correct & m).sum()))
             for p, m in zip(partitions, masks)]
 

@@ -3,8 +3,8 @@ on the attention query/value projections.
 
 The backbone (embeddings, attention, FFN, layernorms) never trains in the
 federated phase; only the rank-r adapters and the classifier head do.
-Adapters start at exactly zero effect (B = 0).  Each encoder layer is one
-`numkit.lora_encoder_layer` node.
+Adapters start at exactly zero effect (B = 0).  Each encoder layer runs
+`numkit.kernels.encoder_layer_forward` and `encoder_layer_backward`.
 """
 
 import itertools
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import numkit as nk
+from ..numkit import kernels as kn
 from .. import validate
 from ..numkit.optim import OptimizerCfg, adamw_step
 from ..textdata import PAD_ID, SyntheticSpec, generate_synthetic, make_batches
@@ -98,24 +99,124 @@ def build_loraformer(cfg: LoraFormerConfig, vocab_size: int, max_seq_len: int, s
     return ParamSet(groups, "loraformer"), make_forward(cfg)
 
 
+def _layer_names(params: ParamSet, cfg: LoraFormerConfig) -> list:
+    """Per layer, {layer key: group name}; the adapter keys only where the group exists."""
+    keys = kn.ENCODER_LAYER_KEYS + kn.ENCODER_ADAPTER_KEYS
+    return [{k: f"layer{i}.{k}" for k in keys if params.has(f"layer{i}.{k}")}
+            for i in range(cfg.layers)]
+
+
+def _run(cfg: LoraFormerConfig, params: ParamSet, ids, keep_prob, rng, train, caches=None):
+    """The logits of a forward pass over in-range `ids`; with a `caches` list, it appends
+    what the backward pass reads.  Every value an autodiff node of `graph_forward` would
+    check is checked here, under that node's name."""
+    def v(name):
+        return params.get(name).tensor.data
+
+    n, s = ids.shape
+    pad_mask = ids != PAD_ID
+    h = kn.finite("add", v("tok_emb")[ids] + v("pos_emb")[:s])
+    mask_bias = kn.key_mask_bias(pad_mask)
+    scaling = cfg.lora_scaling / cfg.lora_rank
+    for i, names in enumerate(_layer_names(params, cfg)):
+        h, cache = kn.encoder_layer_forward(h, {k: v(name) for k, name in names.items()},
+                                            cfg.heads, mask_bias, scaling, keep_prob, rng, train,
+                                            kn.scratch(f"layer{i}"))
+        kn.finite("lora_encoder_layer", h)
+        if caches is not None:
+            caches.append((names, cache))
+    fin, xhat, inv = kn.layernorm(h, v("ln_f.gain"), v("ln_f.bias"))
+    mask = pad_mask.astype(np.float64)
+    counts = np.maximum(mask.sum(axis=1), 1.0)
+    pooled = kn.finite("masked_mean_pool",
+                       (kn.finite("layernorm", fin) * mask[:, :, None]).sum(axis=1)
+                       / counts[:, None])
+    logits = kn.finite("add", kn.finite("matmul", pooled @ v("head.weight")) + v("head.bias"))
+    if caches is not None:
+        caches.append((mask, counts, xhat, inv, pooled))
+    return logits
+
+
 def make_forward(cfg: LoraFormerConfig):
+    """forward(params, token_ids) -> eval-mode logits, an array; no caches kept."""
+    def forward(params: ParamSet, token_ids):
+        ids = kn.check_ids(token_ids, len(params.get("tok_emb").tensor.data))
+        return _run(cfg, params, ids, 1.0, None, False)
+
+    return forward
+
+
+def make_loss_and_grad(cfg: LoraFormerConfig):
+    """loss_and_grad(params, token_ids, labels, rng, grads) -> one training step's mean
+    cross-entropy; adapter dropout masks are drawn from `rng`, q's before v's, layer by
+    layer.  It writes the gradient of every group named in `grads` into that writable
+    array (a `FlatParams.grads` view); the other groups are frozen, and only the
+    gradients some trained group needs are computed.  Ids and labels must be in range
+    (`models.check_split`)."""
+    keep = 1.0 - cfg.lora_dropout
+
+    def loss_and_grad(params: ParamSet, token_ids, labels, rng, grads: dict) -> float:
+        caches = []
+        logits = _run(cfg, params, token_ids, keep, rng, True, caches)
+        loss, g = kn.cross_entropy(logits, labels)
+        kn.finite("softmax_cross_entropy", loss)
+        (mask, counts, xhat, inv, pooled), layers = caches[-1], caches[:-1]
+        # whether the input of each layer, then of the final layernorm, carries a gradient
+        reaches = [bool({"tok_emb", "pos_emb"} & grads.keys())]
+        for names, _ in layers:
+            reaches.append(reaches[-1] or any(name in grads for name in names.values()))
+
+        def put(name, value):
+            if name in grads:
+                grads[name][...] = value
+
+        put("head.bias", g.sum(axis=0))
+        put("head.weight", pooled.T @ g)
+        if not (reaches[-1] or {"ln_f.gain", "ln_f.bias"} & grads.keys()):
+            return loss
+        g = g @ params.get("head.weight").tensor.data.T
+        g = mask[:, :, None] * (g / counts[:, None])[:, None, :]
+        put("ln_f.gain", (g * xhat).sum(axis=(0, 1)))
+        put("ln_f.bias", g.sum(axis=(0, 1)))
+        if not reaches[-1]:
+            return loss
+        g = kn.layernorm_dx(g, params.get("ln_f.gain").tensor.data, xhat, inv)
+        for i in reversed(range(len(layers))):
+            names, cache = layers[i]
+            g, layer_grads = kn.encoder_layer_backward(
+                cache, g, lambda k, names=names: names[k] in grads, reaches[i])
+            for k, value in layer_grads.items():
+                grads[names[k]][...] = value
+            if g is None:
+                return loss
+        n, s = token_ids.shape
+        put("tok_emb", kn.row_sums(token_ids, g, params.get("tok_emb").tensor.shape))
+        put("pos_emb", kn.row_sums(np.broadcast_to(np.arange(s), (n, s)), g,
+                                   params.get("pos_emb").tensor.shape))
+        return loss
+
+    return loss_and_grad
+
+
+def graph_forward(cfg: LoraFormerConfig, layer=nk.lora_encoder_layer):
+    """The logits as an autodiff graph of ops, each encoder layer one `layer` (the node
+    `numkit.lora_encoder_layer` or the op chain `numkit.encoder_layer_ops`), over a leaf
+    per group: the oracle of the functions above."""
     scaling = cfg.lora_scaling / cfg.lora_rank
     keep = 1.0 - cfg.lora_dropout
 
     def forward(params: ParamSet, token_ids, train: bool = False, rng=None):
-        leaves = params.leaves
+        leaves = {g.name: nk.leaf(g.tensor.data, name=g.name, trainable=g.trainable)
+                  for g in params}
         ids = np.asarray(token_ids)
         batch, seq = ids.shape
         pad_mask = ids != PAD_ID
         pos_ids = np.broadcast_to(np.arange(seq), (batch, seq))
         h = nk.add(nk.embedding_lookup(leaves["tok_emb"], ids),
                    nk.embedding_lookup(leaves["pos_emb"], pos_ids))
-        for i in range(cfg.layers):
-            prefix = f"layer{i}."
-            weights = {name[len(prefix):]: node for name, node in leaves.items()
-                       if name.startswith(prefix)}
-            h = nk.lora_encoder_layer(h, weights, cfg.heads, pad_mask, scaling, keep,
-                                      rng=rng, train=train)
+        for names in _layer_names(params, cfg):
+            h = layer(h, {k: leaves[name] for k, name in names.items()}, cfg.heads, pad_mask,
+                      scaling, keep, rng=rng, train=train)
         h = nk.layernorm(h, leaves["ln_f.gain"], leaves["ln_f.bias"])
         pooled = nk.masked_mean_pool(h, pad_mask.astype(np.float64))
         return nk.add(nk.matmul(pooled, leaves["head.weight"]), leaves["head.bias"])
@@ -189,11 +290,15 @@ class PretrainConfig:
 
     def proxy_spec(self, target) -> SyntheticSpec:
         """The proxy corpus's spec for the target dataset; None sizes follow the target.
-        A model of the target has one embedding row per entry of its vocabulary."""
+        A model of the target has one embedding row per entry of its vocabulary and one
+        position per token of its `max_seq_len`, so a proxy document must fit both."""
         vocab_size = self.vocab_size or max(target.vocabulary.size - 2, 2)
         if vocab_size + 2 > target.vocabulary.size:  # proxy ids are 2 .. vocab_size + 1
             raise ValueError(f"vocab_size: must be at most {target.vocabulary.size - 2}, the "
                              f"target vocabulary's word count, got {vocab_size}")
+        if self.doc_length is not None and self.doc_length > target.max_seq_len:
+            raise ValueError(f"doc_length: must be at most {target.max_seq_len}, the target's "
+                             f"max_seq_len, got {self.doc_length}")
         return SyntheticSpec(target.num_classes, vocab_size, self.docs_per_class, 1,
                              self.doc_length or target.max_seq_len,
                              self.topic_concentration, self.seed, target.max_seq_len)
@@ -209,7 +314,6 @@ def pretrain_backbone(params: ParamSet, cfg: LoraFormerConfig, pre: PretrainConf
     if not target_docs.isdisjoint(_doc_keys(proxy.train)):
         raise DisjointnessError("proxy corpus shares documents with the target dataset")
 
-    forward = make_forward(cfg)
     # backbone trainable for the proxy phase; adapters dropped (their delta is
     # zero at init and they must not absorb proxy gradients)
     backbone = {g.name: g.tensor for g in params
@@ -220,14 +324,16 @@ def pretrain_backbone(params: ParamSet, cfg: LoraFormerConfig, pre: PretrainConf
     flat = nk.FlatParams({**backbone, **proxy_head}, pre.optimizer)
     work = ParamSet([ParamGroup(name, t, True, False) for name, t in flat.tensors.items()],
                     "loraformer")
+    kn.check_ids(proxy.train.token_ids, len(backbone["tok_emb"].data))
+    kn.check_labels(proxy.train.labels, classes)  # so each batch needs no check
+    loss_and_grad = make_loss_and_grad(cfg)
 
     # epoch after epoch of reshuffled batches, each epoch batched only once it is reached
     epochs = (make_batches(proxy.train, batch_size, nk.sub_seed(pre.seed, "pretrain-epoch", e))
               for e in itertools.count())
     for batch in itertools.islice(itertools.chain.from_iterable(epochs), pre.steps):
         # no adapters, so no dropout mask and no rng
-        logits = forward(work, batch.token_ids, train=True)
-        loss = nk.softmax_cross_entropy(logits, batch.labels)
-        adamw_step(flat, nk.backward(loss))
+        loss_and_grad(work, batch.token_ids, batch.labels, None, flat.grads)
+        adamw_step(flat, flat.grad)
     flat.freeze()
     return params.with_tensors({name: flat.tensors[name] for name in backbone})

@@ -2,12 +2,11 @@
 
 import json
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from ..numkit import Tensor, leaf
+from ..numkit import Tensor
 
 
 class StructuralError(ValueError):
@@ -46,13 +45,6 @@ class ParamSet:
 
     def has(self, name: str) -> bool:
         return name in self._by_name
-
-    @cached_property
-    def leaves(self) -> dict:
-        """{name: autodiff leaf of its array}, built once: the groups never change, and the
-        optimizer updates a trainable array in place, so every step reads the same leaves."""
-        return {g.name: leaf(g.tensor.data, name=g.name, trainable=g.trainable)
-                for g in self.groups}
 
     @property
     def names(self) -> list:

@@ -1,11 +1,12 @@
 """TextCNN: embedding, parallel n-gram Conv1D banks with max-over-time, dropout and a
-linear head, all one `numkit.textcnn_logits` node."""
+linear head, run by `numkit.kernels.textcnn_forward` and `textcnn_backward`."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import numkit as nk
+from ..numkit import kernels as kn
 from .. import validate
 from ..textdata import PAD_ID
 from .params import ParamGroup, ParamSet
@@ -38,7 +39,7 @@ def check_fits(cfg: TextCnnConfig, max_seq_len: int):
 
 
 def build_textcnn(cfg: TextCnnConfig, vocab_size: int, max_seq_len: int, seed: int):
-    """Returns (ParamSet, forward).  forward(params, token_ids, train, rng) -> logits node."""
+    """Returns (ParamSet, forward).  forward(params, token_ids) -> eval-mode logits."""
     check_fits(cfg, max_seq_len)
     if vocab_size < 2:
         raise ValueError("vocabulary must include PAD and UNK")
@@ -55,15 +56,65 @@ def build_textcnn(cfg: TextCnnConfig, vocab_size: int, max_seq_len: int, seed: i
     feat = len(cfg.filter_widths) * cfg.filters_per_width
     groups.append(ParamGroup("fc.weight", nk.Tensor(np.zeros((feat, cfg.num_classes))), True, False))
     groups.append(ParamGroup("fc.bias", nk.Tensor(np.zeros(cfg.num_classes)), True, False))
-    params = ParamSet(groups, "textcnn")
+    return ParamSet(groups, "textcnn"), make_forward(cfg)
 
+
+def _group_names(cfg: TextCnnConfig) -> list:
+    """The groups in the operand order of `textcnn_forward`."""
+    return ["embedding", *(f"conv{w}.kernel" for w in cfg.filter_widths),
+            *(f"conv{w}.bias" for w in cfg.filter_widths), "fc.weight", "fc.bias"]
+
+
+def _operands(params: ParamSet, names: list, widths: int) -> tuple:
+    """(table, kernels, biases, head weight, head bias) as arrays."""
+    v = [params.get(name).tensor.data for name in names]
+    return v[0], v[1 : 1 + widths], v[1 + widths : 1 + 2 * widths], v[-2], v[-1]
+
+
+def make_forward(cfg: TextCnnConfig):
+    """forward(params, token_ids) -> eval-mode logits, an array; no dropout, no caches kept."""
+    names, widths = _group_names(cfg), len(cfg.filter_widths)
+
+    def forward(params: ParamSet, token_ids):
+        table, *rest = _operands(params, names, widths)
+        ids = kn.check_ids(token_ids, len(table))
+        logits, _ = kn.textcnn_forward(table, ids, PAD_ID, *rest)
+        return kn.finite("textcnn_logits", logits)
+
+    return forward
+
+
+def make_loss_and_grad(cfg: TextCnnConfig):
+    """loss_and_grad(params, token_ids, labels, rng, grads) -> one training step's mean
+    cross-entropy, with dropout masks drawn from `rng`.  It writes the gradient of every
+    group named in `grads` into that writable array (a `FlatParams.grads` view); the
+    other groups are frozen.  Ids and labels must be in range (`models.check_split`)."""
+    names, widths, keep = _group_names(cfg), len(cfg.filter_widths), 1.0 - cfg.dropout
+
+    def loss_and_grad(params: ParamSet, token_ids, labels, rng, grads: dict) -> float:
+        table, kernels, biases, weight, bias = _operands(params, names, widths)
+        logits, cache = kn.textcnn_forward(table, token_ids, PAD_ID, kernels, biases, weight,
+                                           bias, keep, rng, True)
+        loss, dlogits = kn.cross_entropy(kn.finite("textcnn_logits", logits), labels)
+        kn.finite("softmax_cross_entropy", loss)
+        for name, g in zip(names, kn.textcnn_backward(cache, dlogits)):
+            if name in grads:
+                grads[name][...] = g
+        return loss
+
+    return loss_and_grad
+
+
+def graph_forward(cfg: TextCnnConfig, op=nk.textcnn_logits):
+    """The logits as an autodiff graph, `op` (`numkit.textcnn_logits` or the op chain
+    `numkit.textcnn_logits_ops`) over a leaf per group: the oracle of the functions above."""
     keep = 1.0 - cfg.dropout
 
     def forward(params: ParamSet, token_ids, train: bool = False, rng=None):
-        p = params.leaves
-        return nk.textcnn_logits(p["embedding"], token_ids, PAD_ID,
-                                 [p[f"conv{w}.kernel"] for w in cfg.filter_widths],
-                                 [p[f"conv{w}.bias"] for w in cfg.filter_widths],
-                                 p["fc.weight"], p["fc.bias"], keep, rng, train)
+        p = {g.name: nk.leaf(g.tensor.data, name=g.name, trainable=g.trainable) for g in params}
+        return op(p["embedding"], token_ids, PAD_ID,
+                  [p[f"conv{w}.kernel"] for w in cfg.filter_widths],
+                  [p[f"conv{w}.bias"] for w in cfg.filter_widths],
+                  p["fc.weight"], p["fc.bias"], keep, rng, train)
 
-    return params, forward
+    return forward

@@ -1,5 +1,4 @@
 from .autograd import (
-    ContractError,
     GradNode,
     add,
     backward,
@@ -28,6 +27,7 @@ from .autograd import (
     textcnn_logits_ops,
     transpose,
 )
+from . import kernels
 from .optim import FlatParams, OptimizerCfg, adamw_step, sgd_step, step
 from .rng import derive, sub_seed
-from .tensor import NumericError, ShapeError, Tensor, as_array
+from .tensor import ContractError, NumericError, ShapeError, Tensor, as_array

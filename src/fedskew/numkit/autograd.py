@@ -7,20 +7,20 @@ gradients keyed by leaf name; frozen leaves get no entry.
 Broadcasting is deliberately limited to bias-add (matrix + trailing row
 vector) and 2-D weights against batched activations in matmul; everything
 else must match shapes exactly.
+
+No training step or evaluation builds a graph: the models run `kernels`
+directly.  The engine, its ops and the op chains are the oracles that the
+models' loss-and-gradient functions are tested against, and names that
+`perfbench/tracer.py` looks up.
 """
 
-import functools
-import itertools
 import math
-import threading
 
 import numpy as np
 
-from .tensor import NumericError, ShapeError, as_array
-
-
-class ContractError(ValueError):
-    """A caller violated an op precondition."""
+from . import kernels as kn
+from .kernels import ENCODER_LAYER_KEYS
+from .tensor import ContractError, ShapeError, as_array
 
 
 class GradNode:
@@ -56,9 +56,7 @@ def _wrap(x) -> GradNode:
 
 
 def _node(op, value, parents, backward):
-    if not np.isfinite(value).all():
-        raise NumericError(f"non-finite output from op {op!r}")
-    return GradNode(op, value, parents, backward)
+    return GradNode(op, kn.finite(op, value), parents, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -147,55 +145,25 @@ def relu(a) -> GradNode:
     return _node("relu", a.value * mask, (a,), backward)
 
 
-_GELU_C = math.sqrt(2.0 / math.pi)  # tanh approximation constant
-
-
-def _gelu(x):
-    """gelu(x) and the tanh it reads, which the derivative reuses."""
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
-    return 0.5 * x * (1.0 + t), t
-
-
-def _gelu_dx(x, t):
-    dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-
-
 def gelu(a) -> GradNode:
     """gelu(x) = 0.5 x (1 + tanh(c (x + 0.044715 x^3))), c = sqrt(2/pi)."""
     a = _wrap(a)
     x = a.value
-    out, t = _gelu(x)
+    out, t = kn.gelu(x)
 
     def backward(g):
-        return (g * _gelu_dx(x, t),)
+        return (g * kn.gelu_dx(x, t),)
 
     return _node("gelu", out, (a,), backward)
-
-
-def _ids(ids, vocab: int) -> np.ndarray:
-    ids = np.asarray(ids)
-    if ids.dtype.kind not in "iu":
-        raise ContractError("embedding ids must be integers")
-    if ids.min(initial=0) < 0 or ids.max(initial=0) >= vocab:
-        raise ShapeError("embedding id out of range")
-    return ids
-
-
-def _row_sums(ids, g, shape) -> np.ndarray:
-    """The gradient of table[ids] for a table of `shape`: the rows of g summed into their
-    ids' rows in id order, as np.add.at(zeros, ids, g rows) adds them."""
-    slots = (ids.reshape(-1, 1) * shape[1] + np.arange(shape[1])).reshape(-1)
-    return np.bincount(slots, weights=g.reshape(-1), minlength=shape[0] * shape[1]).reshape(shape)
 
 
 def embedding_lookup(table, ids) -> GradNode:
     """Gather rows of `table` (V, D) at integer `ids` (any shape)."""
     table = _wrap(table)
-    ids = _ids(ids, len(table.value))
+    ids = kn.check_ids(ids, len(table.value))
 
     def backward(g):
-        return (_row_sums(ids, g, table.value.shape),)
+        return (kn.row_sums(ids, g, table.value.shape),)
 
     return _node("embedding_lookup", table.value[ids], (table,), backward)
 
@@ -249,43 +217,15 @@ def max_over_time(x) -> GradNode:
     return _node("max_over_time", xv[b, idx, c], (x,), backward)
 
 
-_scratch = threading.local()  # the arrays of `_zeros`, one set per thread
-
-
-def _zeros(name, shape) -> np.ndarray:
-    """The first shape[0] rows of grow-only scratch array `name`, zero when made and kept for
-    its thread's life.  Callers leave zero what they expect zero, and keep nothing past a call."""
-    buf = _scratch.__dict__.get(name)
-    if buf is None or buf.shape[1:] != shape[1:] or len(buf) < shape[0]:
-        buf = _scratch.__dict__[name] = np.zeros(shape)
-    return buf[: shape[0]]
-
-
-@functools.lru_cache(maxsize=64)
-def _pool_indices(n, seq, widths, cols):
-    """Shared, read-only: (position, filter)s past each width's range, row offsets, filters."""
-    arrays = (np.arange(seq)[:, None] > seq - np.repeat(widths, np.diff(cols)),
-              np.arange(n)[:, None] * seq, np.arange(cols[-1]))
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
 def textcnn_logits(table, ids, pad_id: int, kernels, biases, weight, bias,
                    keep_prob: float = 1.0, rng=None, train: bool = False) -> GradNode:
-    """TextCNN's forward pass, the op chain `textcnn_logits_ops`, as one node: x = table[ids]
-    zeroed where ids == pad_id, features = concat over widths of max_over_time(relu(
-    conv1d_valid(x, kernel) + bias)), logits = dropout(features) @ weight + bias.
-
-    The filter banks are one gemm of the window matrix, row (document, position) holding the
-    next max-width positions zero-padded past the end, against the kernels stacked with zero
-    rows below each width; positions past a width's range never win the max, and ties go to
-    the first position.  Backward takes the kernel and input gradients from one gemm each; it
-    computes every operand's gradient, and `backward` drops those of frozen operands."""
+    """TextCNN's forward pass, the op chain `textcnn_logits_ops`, as one node over
+    `kernels.textcnn_forward`.  Backward computes every operand's gradient, and `backward`
+    drops those of frozen operands."""
     table, weight, bias = _wrap(table), _wrap(weight), _wrap(bias)
     kernels, biases = [_wrap(k) for k in kernels], [_wrap(b) for b in biases]
     tv, kv = table.value, [k.value for k in kernels]
-    ids = _ids(ids, len(tv))
+    ids = kn.check_ids(ids, len(tv))
     if (ids.ndim != 2 or tv.ndim != 2 or not kernels or len(kernels) != len(biases)
             or any(k.ndim != 3 or k.shape[1] != tv.shape[1] or len(k) > ids.shape[1]
                    or b.value.shape != k.shape[2:] for k, b in zip(kv, biases))
@@ -293,55 +233,12 @@ def textcnn_logits(table, ids, pad_id: int, kernels, biases, weight, bias,
             or weight.value.shape != (sum(b.value.size for b in biases), len(bias.value))):
         raise ShapeError(f"textcnn_logits: ids {ids.shape}, table {tv.shape}, kernels "
                          f"{[k.shape for k in kv]}, or a bias or the head of the wrong shape")
-    (n, seq), ch, widths = ids.shape, tv.shape[1], tuple(len(k) for k in kv)
-    cols = (0, *itertools.accumulate(k.shape[2] for k in kv))
-    span, total = max(widths), cols[-1]
     if not 0.0 < keep_prob <= 1.0:
         raise ContractError(f"keep_prob must be in (0, 1], got {keep_prob}")
-
-    keep = (ids != pad_id)[:, :, None]
-    x = tv[ids] * keep
-    past, rows, filters = _pool_indices(n, seq, widths, cols)
-    windows = _zeros("windows", (n, seq, span, ch))
-    for s in range(span):
-        windows[:, : seq - s, s] = x[:, s:]
-    stacked = np.zeros((span * ch, total))
-    for w, k, lo, hi in zip(widths, kv, cols, cols[1:]):
-        stacked[: w * ch, lo:hi] = k.reshape(w * ch, hi - lo)
-    act = np.matmul(windows.reshape(n * seq, span * ch), stacked,
-                    out=_zeros("act", (n * seq, total))).reshape(n, seq, total)
-    act += np.concatenate([b.value for b in biases])
-    act *= act > 0
-    np.copyto(act, -1.0, where=past)  # below every relu output
-    flat = (rows + act.argmax(axis=1)) * total + filters  # each (document, filter)'s first max
-    features = act.reshape(-1)[flat]
-    alive = features > 0  # the relu mask at the winning position
-    drop = train and keep_prob < 1.0
-    if drop:
-        mask = (rng.random(features.shape) < keep_prob) / keep_prob
-        features *= mask
-
-    def backward(g):
-        gpre = ((g @ weight.value.T) * mask if drop else g @ weight.value.T) * alive
-        scattered = _zeros("scattered", (n, seq, total))
-        scattered.reshape(-1)[flat] = gpre
-        # the gradient of window (document, p - s) at row (document, p), shift s
-        shifted = _zeros("shifted", (n, seq, span, total))
-        for s in range(span):
-            shifted[:, s:, s] = scattered[:, : seq - s]
-        scattered.reshape(-1)[flat] = 0.0
-        shifted = shifted.reshape(n * seq, span * total)
-        gstacked = (x.reshape(n * seq, ch).T @ shifted).reshape(ch, span, total)
-        by_shift = stacked.reshape(span, ch, total).transpose(0, 2, 1).reshape(span * total, ch)
-        gx = (shifted @ by_shift).reshape(n, seq, ch)
-        bounds = list(zip(widths, cols, cols[1:]))
-        return (_row_sums(ids, gx * keep, tv.shape),
-                *(gstacked[:, :w, lo:hi].transpose(1, 0, 2) for w, lo, hi in bounds),
-                *(gpre[:, lo:hi].sum(axis=0) for _, lo, hi in bounds),
-                features.T @ g, g.sum(axis=0))
-
-    return _node("textcnn_logits", features @ weight.value + bias.value,
-                 (table, *kernels, *biases, weight, bias), backward)
+    logits, cache = kn.textcnn_forward(tv, ids, pad_id, kv, [b.value for b in biases],
+                                       weight.value, bias.value, keep_prob, rng, train)
+    return _node("textcnn_logits", logits, (table, *kernels, *biases, weight, bias),
+                 lambda g: kn.textcnn_backward(cache, g))
 
 
 def textcnn_logits_ops(table, ids, pad_id: int, kernels, biases, weight, bias,
@@ -354,46 +251,22 @@ def textcnn_logits_ops(table, ids, pad_id: int, kernels, biases, weight, bias,
     return add(matmul(dropout(features, keep_prob, rng, train), weight), bias)
 
 
-def _layernorm(xv, gain, bias, eps):
-    """(output, xhat, 1/std) of a layernorm of `xv` over its last axis.  The
-    variance sums the squares of the centred input, as np.var does, bitwise."""
-    xc = xv - xv.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / xv.shape[-1] + eps)
-    xhat = xc * inv
-    return xhat * gain + bias, xhat, inv
-
-
-def _layernorm_dx(g, gain, xhat, inv):
-    gh = g * gain
-    return inv * (gh - gh.mean(axis=-1, keepdims=True)
-                  - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-
-
 def layernorm(x, gain, bias, eps: float = 1e-5) -> GradNode:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
     d = x.value.shape[-1]
     if gain.value.shape != (d,) or bias.value.shape != (d,):
         raise ShapeError("layernorm gain/bias must match the last axis")
-    out, xhat, inv = _layernorm(x.value, gain.value, bias.value, eps)
+    out, xhat, inv = kn.layernorm(x.value, gain.value, bias.value, eps)
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
         ggain = (g * xhat).sum(axis=lead) if gain.requires_grad else None
         gbias = g.sum(axis=lead) if bias.requires_grad else None
-        gx = _layernorm_dx(g, gain.value, xhat, inv) if x.requires_grad else None
+        gx = kn.layernorm_dx(g, gain.value, xhat, inv) if x.requires_grad else None
         return gx, ggain, gbias
 
     return _node("layernorm", out, (x, gain, bias), backward)
-
-
-def _softmax(logits):
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _softmax_dx(g, y):
-    return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
 
 def softmax(x, additive_mask=None) -> GradNode:
@@ -402,10 +275,10 @@ def softmax(x, additive_mask=None) -> GradNode:
     logits = x.value
     if additive_mask is not None:
         logits = logits + additive_mask
-    y = _softmax(logits)
+    y = kn.softmax(logits)
 
     def backward(g):
-        return (_softmax_dx(g, y),)
+        return (kn.softmax_dx(g, y),)
 
     return _node("softmax", y, (x,), backward)
 
@@ -527,12 +400,6 @@ def softmax_cross_entropy(logits, labels) -> GradNode:
     return _node("softmax_cross_entropy", np.asarray(loss), (logits,), backward)
 
 
-ENCODER_LAYER_KEYS = ("ln1.gain", "ln1.bias", "attn.wq", "attn.bq", "attn.wk", "attn.bk",
-                      "attn.wv", "attn.bv", "attn.wo", "attn.bo", "ln2.gain", "ln2.bias",
-                      "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
-ENCODER_ADAPTER_KEYS = ("attn.q_lora.A", "attn.q_lora.B", "attn.v_lora.A", "attn.v_lora.B")
-
-
 def lora_encoder_layer(x, weights: dict, heads: int, key_mask, scaling: float = 1.0,
                        keep_prob: float = 1.0, rng=None, train: bool = False) -> GradNode:
     """One pre-LN transformer encoder layer with LoRA on q and v, as one node:
@@ -581,106 +448,13 @@ def lora_encoder_layer(x, weights: dict, heads: int, key_mask, scaling: float = 
                          f"{[(k, w[k].value.shape) for k in bad]}")
     if not 0.0 < keep_prob <= 1.0:
         raise ContractError(f"keep_prob must be in (0, 1], got {keep_prob}")
-    drop = train and keep_prob < 1.0
-    val = {k: node.value for k, node in w.items()}
-    dh = d // heads
-    c = 1.0 / math.sqrt(dh)
-
-    def split(t):  # (n, s, d) -> (n, heads, s, dh)
-        return t.reshape(n, s, heads, dh).transpose(0, 2, 1, 3)
-
-    def merge(t):  # (n, heads, s, dh) -> (n, s, d)
-        return t.transpose(0, 2, 1, 3).reshape(n, s, d)
-
-    a, xhat1, inv1 = _layernorm(xv, val["ln1.gain"], val["ln1.bias"], 1e-5)
-    proj, masks, paths, lows = {}, {}, {}, {}
-    for p in "qkv":
-        proj[p] = a @ val[f"attn.w{p}"] + val[f"attn.b{p}"]
-        if p in adapters:
-            if drop:
-                masks[p] = (rng.random(a.shape) < keep_prob) / keep_prob
-            paths[p] = a * masks[p] if drop else a
-            lows[p] = paths[p] @ val[f"attn.{p}_lora.A"].T
-            proj[p] = proj[p] + (lows[p] @ val[f"attn.{p}_lora.B"].T) * scaling
-    qh, kh, vh = split(proj["q"]), split(proj["k"]), split(proj["v"])
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * c + np.where(key_mask, 0.0, -1e30)[:, None, None, :]
-    y = _softmax(scores)
-    merged = merge(y @ vh)
-    h = xv + (merged @ val["attn.wo"] + val["attn.bo"])
-    fin, xhat2, inv2 = _layernorm(h, val["ln2.gain"], val["ln2.bias"], 1e-5)
-    z = fin @ val["ffn.w1"] + val["ffn.b1"]
-    act, t = _gelu(z)
-    out = h + (act @ val["ffn.w2"] + val["ffn.b2"])
+    out, cache = kn.encoder_layer_forward(xv, {k: node.value for k, node in w.items()}, heads,
+                                          kn.key_mask_bias(key_mask), scaling, keep_prob, rng,
+                                          train)
 
     def backward(g):
-        req = {k: node.requires_grad for k, node in w.items()}
-        grads = {}
-
-        def rows(m):
-            return m.reshape(-1, m.shape[-1])
-
-        def linear(weight, bias, inp, gout):  # out = inp @ weight + bias
-            if req[weight]:
-                grads[weight] = rows(inp).T @ rows(gout)
-            if req[bias]:
-                grads[bias] = gout.sum(axis=(0, 1))
-
-        def affine(ln, gout, xhat):
-            if req[f"{ln}.gain"]:
-                grads[f"{ln}.gain"] = (gout * xhat).sum(axis=(0, 1))
-            if req[f"{ln}.bias"]:
-                grads[f"{ln}.bias"] = gout.sum(axis=(0, 1))
-
-        need_a = x.requires_grad or req["ln1.gain"] or req["ln1.bias"]
-        need = {p: need_a or req[f"attn.w{p}"] or req[f"attn.b{p}"]
-                or any(req.get(f"attn.{p}_lora.{m}", False) for m in "AB") for p in "qkv"}
-        need_h = need["q"] or need["k"] or need["v"] or req["attn.wo"] or req["attn.bo"]
-        need_fin = need_h or req["ln2.gain"] or req["ln2.bias"]
-        linear("ffn.w2", "ffn.b2", act, g)
-        if need_fin or req["ffn.w1"] or req["ffn.b1"]:
-            dz = (g @ val["ffn.w2"].T) * _gelu_dx(z, t)
-            linear("ffn.w1", "ffn.b1", fin, dz)
-        gx = None
-        if need_fin:
-            dfin = dz @ val["ffn.w1"].T
-            affine("ln2", dfin, xhat2)
-        if need_h:
-            gh = g + _layernorm_dx(dfin, val["ln2.gain"], xhat2, inv2)
-            linear("attn.wo", "attn.bo", merged, gh)
-            gx = gh if x.requires_grad else None
-        if need["q"] or need["k"] or need["v"]:
-            dattn = split(gh @ val["attn.wo"].T)
-            dproj = {}
-            if need["v"]:
-                dproj["v"] = merge(y.transpose(0, 1, 3, 2) @ dattn)
-            if need["q"] or need["k"]:
-                dscores = _softmax_dx(dattn @ vh.transpose(0, 1, 3, 2), y) * c
-                if need["q"]:
-                    dproj["q"] = merge(dscores @ kh)
-                if need["k"]:
-                    dproj["k"] = merge(dscores.transpose(0, 1, 3, 2) @ qh)
-            da = 0.0
-            for p, dp in dproj.items():
-                linear(f"attn.w{p}", f"attn.b{p}", a, dp)
-                if need_a:
-                    da = da + dp @ val[f"attn.w{p}"].T
-                if p not in adapters:
-                    continue
-                ka, kb = f"attn.{p}_lora.A", f"attn.{p}_lora.B"
-                ddelta = dp * scaling
-                if req[kb]:
-                    grads[kb] = rows(ddelta).T @ rows(lows[p])
-                if req[ka] or need_a:
-                    dlow = ddelta @ val[kb]
-                    if req[ka]:
-                        grads[ka] = rows(dlow).T @ rows(paths[p])
-                    if need_a:
-                        dpath = dlow @ val[ka]
-                        da = da + (dpath * masks[p] if drop else dpath)
-            if need_a:
-                affine("ln1", da, xhat1)
-                if x.requires_grad:
-                    gx = gx + _layernorm_dx(da, val["ln1.gain"], xhat1, inv1)
+        gx, grads = kn.encoder_layer_backward(cache, g, lambda k: w[k].requires_grad,
+                                              x.requires_grad)
         return (gx, *(grads.get(k) for k in keys))
 
     return _node("lora_encoder_layer", out, (x, *(w[k] for k in keys)), backward)

@@ -5,8 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import validate
-from .autograd import ContractError
-from .tensor import NumericError, ShapeError, Tensor
+from .tensor import ContractError, NumericError, ShapeError, Tensor
 
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # AdamW's moment decays and denominator floor
 
@@ -28,71 +27,93 @@ class OptimizerCfg:
 
 class FlatParams:
     """Named tensors packed, in order, into one contiguous float64 `vector`, with the
-    state of training them under `cfg`: the step count and AdamW's moments.
+    state of training them under `cfg`: the step count, AdamW's moments, and `grad`, a
+    vector laid out like `vector` for a step's gradient.
 
     `tensors` maps each name to a read-only view of its slice, so whatever
-    holds them reads each step's values without a copy.  Only the optimizer
-    writes the vector; `freeze` makes it read-only once training is over.
+    holds them reads each step's values without a copy; `grads` maps each name to the
+    writable view of its slice of `grad`, where a loss-and-gradient function writes.
+    Only the optimizer writes the vector; `freeze` makes it read-only once training is
+    over.
     """
 
     def __init__(self, tensors: dict, cfg: OptimizerCfg):
         self.cfg = cfg
         self.names = list(tensors)
         self.vector = np.concatenate([t.data.reshape(-1) for t in tensors.values()])
-        self.tensors = {}
+        self.grad = np.zeros_like(self.vector)
+        self.tensors, self.grads = {}, {}
         lo = 0
         for name, t in tensors.items():
             self.tensors[name] = Tensor(self.vector[lo : lo + t.size].reshape(t.shape))
+            self.grads[name] = self.grad[lo : lo + t.size].reshape(t.shape)
             lo += t.size
         self.step_count = 0
+        self._work = np.empty_like(self.vector)
         if cfg.kind == "adamw":
             self.m, self.v = np.zeros_like(self.vector), np.zeros_like(self.vector)
-
-    def gather(self, grads: dict) -> np.ndarray:
-        """The gradients of `names` from {name: array}, packed like the vector."""
-        missing = [n for n in self.names if n not in grads]
-        if missing:
-            raise ContractError(f"missing gradients for trainable parameters: {missing}")
-        packed = np.concatenate([grads[n].reshape(-1) for n in self.names])
-        if packed.shape != self.vector.shape:
-            raise ShapeError(f"gradients {packed.shape} vs parameter vector {self.vector.shape}")
-        if not np.isfinite(packed).all():
-            bad = next(n for n in self.names if not np.isfinite(grads[n]).all())
-            raise NumericError(f"non-finite gradient for {bad!r}")
-        return packed
+            self._work2 = np.empty_like(self.vector)
 
     def freeze(self):
         self.vector.setflags(write=False)
 
 
-def sgd_step(flat: FlatParams, grads: dict):
-    """vector <- vector - lr * grad, in place; `grads` is what `backward` returns."""
-    grad = _begin(flat, "sgd", grads)
-    flat.vector -= flat.cfg.lr * grad
+def sgd_step(flat: FlatParams, grad):
+    """vector <- vector - lr * grad, in place."""
+    grad = _begin(flat, "sgd", grad)
+    flat.vector -= np.multiply(grad, flat.cfg.lr, out=flat._work)
     _check_finite(flat.vector)
 
 
-def adamw_step(flat: FlatParams, grads: dict):
-    """AdamW, in place: bias-corrected moments plus decoupled weight decay."""
-    grad = _begin(flat, "adamw", grads)
-    t, lr, vec = flat.step_count, flat.cfg.lr, flat.vector
-    flat.m = BETA1 * flat.m + (1 - BETA1) * grad
-    flat.v = BETA2 * flat.v + (1 - BETA2) * grad * grad
-    m_hat = flat.m / (1 - BETA1**t)
-    v_hat = flat.v / (1 - BETA2**t)
-    update = m_hat / (np.sqrt(v_hat) + EPSILON)
-    vec[...] = vec - lr * update - lr * flat.cfg.weight_decay * vec
+def adamw_step(flat: FlatParams, grad):
+    """AdamW, in place: bias-corrected moments plus decoupled weight decay.  Every update
+    is written into an existing array, in the order and association of
+
+        m = BETA1 m + (1 - BETA1) g;  v = BETA2 v + (1 - BETA2) g g
+        vector = vector - lr (m / (1 - BETA1^t)) / (sqrt(v / (1 - BETA2^t)) + EPSILON)
+                 - lr weight_decay vector
+    """
+    grad = _begin(flat, "adamw", grad)
+    t, lr, vec, m, v = flat.step_count, flat.cfg.lr, flat.vector, flat.m, flat.v
+    work, work2 = flat._work, flat._work2
+    m *= BETA1
+    m += np.multiply(grad, 1 - BETA1, out=work)
+    np.multiply(grad, 1 - BETA2, out=work)
+    work *= grad
+    v *= BETA2
+    v += work
+    update = np.divide(m, 1 - BETA1**t, out=work)
+    denom = np.divide(v, 1 - BETA2**t, out=work2)
+    np.sqrt(denom, out=denom)
+    denom += EPSILON
+    update /= denom
+    update *= lr
+    decay = np.multiply(vec, lr * flat.cfg.weight_decay, out=work2)
+    vec -= update
+    vec -= decay
     _check_finite(vec)
 
 
-def step(flat: FlatParams, grads: dict):
-    (sgd_step if flat.cfg.kind == "sgd" else adamw_step)(flat, grads)
+def step(flat: FlatParams, grad):
+    """One optimizer step of `flat`'s kind.  `grad` is a vector laid out like
+    `flat.vector` (normally `flat.grad`), or {name: array} as `backward` returns it."""
+    (sgd_step if flat.cfg.kind == "sgd" else adamw_step)(flat, grad)
 
 
-def _begin(flat: FlatParams, kind: str, grads: dict) -> np.ndarray:
+def _begin(flat: FlatParams, kind: str, grad) -> np.ndarray:
     if flat.cfg.kind != kind:
         raise ContractError(f"{kind}_step called on {flat.cfg.kind} parameters")
-    grad = flat.gather(grads)
+    if isinstance(grad, dict):
+        missing = [n for n in flat.names if n not in grad]
+        if missing:
+            raise ContractError(f"missing gradients for trainable parameters: {missing}")
+        grad = np.concatenate([grad[n].reshape(-1) for n in flat.names])
+    if grad.shape != flat.vector.shape:
+        raise ShapeError(f"gradients {grad.shape} vs parameter vector {flat.vector.shape}")
+    if not np.isfinite(grad).all():
+        parts = np.split(grad, np.cumsum([view.size for view in flat.grads.values()])[:-1])
+        bad = next(n for n, part in zip(flat.names, parts) if not np.isfinite(part).all())
+        raise NumericError(f"non-finite gradient for {bad!r}")
     flat.step_count += 1
     return grad
 

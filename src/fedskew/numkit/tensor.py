@@ -11,6 +11,10 @@ class ShapeError(ValueError):
     """Operands have incompatible shapes."""
 
 
+class ContractError(ValueError):
+    """A caller violated an op precondition."""
+
+
 class Tensor:
     """Immutable row-major float64 array; all values finite by construction."""
 

@@ -21,7 +21,9 @@ from fedskew.models import (
     TextCnnConfig,
     build_loraformer,
     build_textcnn,
+    loraformer,
     merge_lora,
+    textcnn,
 )
 from fedskew.models.params import ParamSet
 from fedskew.partition import PartitionConfig, dirichlet_partition
@@ -48,7 +50,8 @@ def test_criterion_01_gradient_correctness():
 
     cnn_cfg = TextCnnConfig(num_classes=4, embed_dim=6, filters_per_width=5)
     for seed in range(5):
-        params, forward = build_textcnn(cnn_cfg, vocab_size=30, max_seq_len=10, seed=seed)
+        params, _ = build_textcnn(cnn_cfg, vocab_size=30, max_seq_len=10, seed=seed)
+        forward = textcnn.graph_forward(cnn_cfg)  # the oracle the training step equals
         rng = np.random.default_rng(7100 + seed)
         ids = rng.integers(2, 30, size=(2, 10))
         ids[:, -2:] = td.PAD_ID
@@ -67,7 +70,8 @@ def test_criterion_01_gradient_correctness():
     lf_cfg = LoraFormerConfig(num_classes=3, layers=1, d_model=4, heads=2, ffn_dim=6,
                               lora_rank=2, lora_dropout=0.0)
     for seed in range(5):
-        params, forward = build_loraformer(lf_cfg, 12, 5, seed=seed)
+        params, _ = build_loraformer(lf_cfg, 12, 5, seed=seed)
+        forward = loraformer.graph_forward(lf_cfg)
         rng = np.random.default_rng(7200 + seed)
         noisy = {g.name: nk.Tensor(rng.normal(0, 0.3, g.tensor.shape))
                  for g in params if g.trainable}
@@ -214,12 +218,12 @@ def test_criterion_05_lora_identities():
     ids = rng.integers(2, 30, size=(4, 10))
     pa, forward = build_loraformer(cfg, 30, 10, seed=0, adapter_seed=111)
     pb, _ = build_loraformer(cfg, 30, 10, seed=0, adapter_seed=222)
-    np.testing.assert_array_equal(forward(pa, ids).value, forward(pb, ids).value)
+    np.testing.assert_array_equal(forward(pa, ids), forward(pb, ids))
 
     noisy = {g.name: nk.Tensor(rng.normal(0, 0.2, g.tensor.shape)) for g in pa if g.lora}
     trained = pa.with_tensors(noisy)
     merged = merge_lora(trained, cfg)
-    diff = np.abs(forward(merged, ids).value - forward(trained, ids).value).max()
+    diff = np.abs(forward(merged, ids) - forward(trained, ids)).max()
     assert diff < 1e-5
     note(5, f"adapter-seed independence + merge preserves logits (max diff {diff:.2e})")
 

@@ -648,6 +648,50 @@ def test_proxy_vocabulary_past_the_embedding_table_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_proxy_documents_longer_than_the_target_exit_1(tmp_path, capsys):
+    # the target's documents are 6 tokens; a 100-token proxy document has no position
+    # embedding past the sixth, and would be cut to 6 tokens
+    from fedskew.models import PretrainConfig
+    target = cli.parse_config(write_config(tmp_path, base_config())).load_dataset()
+    with pytest.raises(ValueError, match="^doc_length: must be at most 6, the target's "
+                                         "max_seq_len, got 100$"):
+        PretrainConfig(seed=12, doc_length=100).proxy_spec(target)
+    assert PretrainConfig(seed=12, doc_length=6).proxy_spec(target).doc_length == 6
+    cfg = pretrained_sweep_config(tmp_path / "out", doc_length=100)
+    assert cli.main(["run", str(write_config(tmp_path, cfg))]) == 1
+    err = capsys.readouterr().err
+    assert err == ("data error: pretrain.doc_length: must be at most 6, the target's "
+                   "max_seq_len, got 100\n"), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("corrupt,error", [
+    ("token_ids", "ShapeError: embedding id out of range"),
+    ("labels", "ContractError: label out of range")])
+def test_bad_id_or_label_in_a_client_fails_its_cell(tmp_path, monkeypatch, corrupt, error):
+    """Ids and labels are checked once per client, not per batch: a bad one still fails
+    the cell that trains on it, and only that cell."""
+    from dataclasses import replace
+    cfg = base_config(out_dir=str(tmp_path / "out"))
+    cfg["partition"]["alpha"] = [0.3, 2.0]
+    real, calls = cli.run_federation, []
+
+    def sabotage(dataset, partitions, *args, **kw):
+        calls.append(1)
+        if len(calls) == 1:
+            row = next(p for p in partitions if p.size).sample_indices[-1]
+            arrays = {"token_ids": dataset.train.token_ids.copy(),
+                      "labels": dataset.train.labels.copy()}
+            arrays[corrupt][row] = dataset.vocabulary.size if corrupt == "token_ids" else 3
+            dataset = replace(dataset, train=type(dataset.train)(**arrays))
+        return real(dataset, partitions, *args, **kw)
+
+    monkeypatch.setattr(cli, "run_federation", sabotage)
+    summaries = cli.run_experiments(cli.parse_config(write_config(tmp_path, cfg)), jobs=1)
+    assert [s["status"] for s in summaries] == ["error", "ok"]
+    assert summaries[0]["error"] == error
+
+
 def test_bad_pretrain_keys_report_the_first_check(tmp_path, capsys):
     cfg = pretrained_sweep_config(tmp_path / "out", lr=-1, vocab_size=0, topic_concentration=0)
     assert cli.main(["run", str(write_config(tmp_path, cfg))]) == 1

@@ -13,6 +13,7 @@ from fedskew.models import (
     PretrainConfig,
     TextCnnConfig,
     build_loraformer,
+    build_loss_and_grad,
     build_model,
     build_textcnn,
     load_checkpoint,
@@ -20,7 +21,7 @@ from fedskew.models import (
     pretrain_backbone,
     save_checkpoint,
 )
-from fedskew.models import loraformer
+from fedskew.models import loraformer, textcnn
 from fedskew.numkit.optim import OptimizerCfg, adamw_step, sgd_step
 
 from gradcheck import finite_diff_check
@@ -51,7 +52,7 @@ def test_textcnn_zero_head_uniform_logits():
     params, forward = build_textcnn(CNN_CFG, VOCAB, SEQ, seed=1)
     ids = rand_batch(np.random.default_rng(0))
     logits = forward(params, ids)
-    np.testing.assert_array_equal(logits.value, 0.0)
+    np.testing.assert_array_equal(logits, 0.0)
     loss = nk.softmax_cross_entropy(logits, np.zeros(len(ids), dtype=int))
     assert float(loss.value) == pytest.approx(math.log(4), abs=1e-12)
 
@@ -60,67 +61,38 @@ def test_textcnn_pad_position_has_no_effect():
     params, forward = build_textcnn(CNN_CFG, VOCAB, SEQ, seed=1)
     # train one step so the head is nonzero
     ids = rand_batch(np.random.default_rng(1))
-    loss = nk.softmax_cross_entropy(forward(params, ids), np.array([0, 1, 2]))
+    loss = nk.softmax_cross_entropy(textcnn.graph_forward(CNN_CFG)(params, ids),
+                                    np.array([0, 1, 2]))
     grads = nk.backward(loss)
     params = params.with_tensors(stepped(sgd_step, OptimizerCfg("sgd", lr=0.5),
                                          params.trainable_dict(), grads))
-    base = forward(params, ids).value
+    base = forward(params, ids)
     # PAD rows of the embedding table must not leak into the logits
     emb = params.get("embedding").tensor.data.copy()
     emb[td.PAD_ID] += 100.0
     mutated = params.with_tensors({"embedding": nk.Tensor(emb)})
-    np.testing.assert_array_equal(forward(mutated, ids).value, base)
+    np.testing.assert_array_equal(forward(mutated, ids), base)
 
 
-def test_textcnn_step_graph_is_two_nodes():
-    params, forward = build_textcnn(CNN_CFG, VOCAB, SEQ, seed=1)
-    ids = rand_batch(np.random.default_rng(2))
-    loss = nk.softmax_cross_entropy(forward(params, ids, train=True, rng=nk.derive(0, "d")),
-                                    np.array([0, 1, 2]))
-    assert step_graph_ops(loss) == ["softmax_cross_entropy", "textcnn_logits"]
-
-
-def test_paramset_leaves_built_once_and_see_inplace_steps():
+def test_steps_write_in_place_and_forward_reads_them():
+    """A step writes the trainable arrays the ParamSet holds, so the next step and the
+    forward pass read the new values with no rebuilt ParamSet."""
     params, forward = build_textcnn(CNN_CFG, VOCAB, SEQ, seed=1)
     flat = nk.FlatParams(params.trainable_dict(), OptimizerCfg("sgd", lr=0.5))
     params = params.with_tensors(flat.tensors)
-    assert params.leaves is params.leaves
     ids = rand_batch(np.random.default_rng(3))
-    loss = nk.softmax_cross_entropy(forward(params, ids), np.array([0, 1, 2]))
-    sgd_step(flat, nk.backward(loss))
-    fresh = params.with_tensors(params.trainable_dict())  # same arrays, new leaves
-    assert fresh.leaves is not params.leaves
-    assert forward(params, ids).value.tobytes() == forward(fresh, ids).value.tobytes()
-    assert np.abs(forward(params, ids).value).max() > 0  # the stepped head, not the zero one
-
-
-def step_graph_ops(loss) -> list:
-    """The op of every node a step's loss depends on, leaves and constants left out."""
-    ops, seen, stack = [], set(), [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            ops += [node.op] if node.op not in ("leaf", "const") else []
-            stack.extend(node.parents)
-    return sorted(ops)
-
-
-def test_loraformer_step_graph_is_nine_nodes():
-    cfg = LoraFormerConfig(num_classes=4, layers=1, d_model=8, heads=2, ffn_dim=16,
-                           lora_rank=2, lora_dropout=0.1)
-    params, forward = build_loraformer(cfg, VOCAB, SEQ, seed=1)
-    ids = rand_batch(np.random.default_rng(2))
-    loss = nk.softmax_cross_entropy(forward(params, ids, train=True, rng=nk.derive(0, "d")),
-                                    np.array([0, 1, 2]))
-    assert step_graph_ops(loss) == ["add", "add", "embedding_lookup", "embedding_lookup",
-                                    "layernorm", "lora_encoder_layer", "masked_mean_pool",
-                                    "matmul", "softmax_cross_entropy"]
+    build_loss_and_grad("textcnn", CNN_CFG)(params, ids, np.array([0, 1, 2]),
+                                             nk.derive(0, "d"), flat.grads)
+    sgd_step(flat, flat.grad)
+    fresh = params.with_tensors(params.trainable_dict())
+    assert forward(params, ids).tobytes() == forward(fresh, ids).tobytes()
+    assert np.abs(forward(params, ids)).max() > 0  # the stepped head, not the zero one
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_textcnn_gradient_check(seed):
-    params, forward = build_textcnn(CNN_CFG, VOCAB, SEQ, seed=seed)
+    params, _ = build_textcnn(CNN_CFG, VOCAB, SEQ, seed=seed)
+    graph = textcnn.graph_forward(CNN_CFG)  # the oracle the training step equals
     rng = np.random.default_rng(100 + seed)
     ids = rand_batch(rng, batch=2)
     labels = rng.integers(0, 4, size=2)
@@ -132,7 +104,7 @@ def test_textcnn_gradient_check(seed):
 
     def fn(*leaves):
         pset = params.with_tensors({n: nk.Tensor(l.value) for n, l in zip(names, leaves)})
-        return nk.softmax_cross_entropy(forward(pset, ids), labels)
+        return nk.softmax_cross_entropy(graph(pset, ids), labels)
 
     finite_diff_check(fn, values, names=names)
 
@@ -158,16 +130,17 @@ def test_loraformer_zero_start_independent_of_adapter_seed():
     ids = rand_batch(np.random.default_rng(2))
     pa, forward = build_loraformer(LF_CFG, VOCAB, SEQ, seed=0, adapter_seed=111)
     pb, _ = build_loraformer(LF_CFG, VOCAB, SEQ, seed=0, adapter_seed=222)
-    np.testing.assert_array_equal(forward(pa, ids).value, forward(pb, ids).value)
+    np.testing.assert_array_equal(forward(pa, ids), forward(pb, ids))
     # and equals the backbone alone: adapters removed entirely
     merged = merge_lora(pa, LF_CFG)
-    np.testing.assert_allclose(forward(merged, ids).value, forward(pa, ids).value, atol=1e-12)
+    np.testing.assert_allclose(forward(merged, ids), forward(pa, ids), atol=1e-12)
 
 
 def test_loraformer_gradients_only_adapters_and_head():
-    params, forward = build_loraformer(LF_CFG, VOCAB, SEQ, seed=3)
+    params, _ = build_loraformer(LF_CFG, VOCAB, SEQ, seed=3)
     ids = rand_batch(np.random.default_rng(3))
-    loss = nk.softmax_cross_entropy(forward(params, ids), np.array([0, 1, 2]))
+    loss = nk.softmax_cross_entropy(loraformer.graph_forward(LF_CFG)(params, ids),
+                                    np.array([0, 1, 2]))
     grads = nk.backward(loss)
     trainable = {g.name for g in params if g.trainable}
     assert set(grads) <= trainable
@@ -179,7 +152,8 @@ def test_loraformer_gradients_only_adapters_and_head():
 def test_loraformer_gradient_check(seed):
     cfg = LoraFormerConfig(num_classes=3, layers=1, d_model=4, heads=2, ffn_dim=6,
                            lora_rank=2, lora_dropout=0.0)
-    params, forward = build_loraformer(cfg, 12, 5, seed=seed)
+    params, _ = build_loraformer(cfg, 12, 5, seed=seed)
+    graph = loraformer.graph_forward(cfg)
     rng = np.random.default_rng(500 + seed)
     # random adapters and head so every trainable path carries gradient
     noisy = {}
@@ -194,7 +168,7 @@ def test_loraformer_gradient_check(seed):
 
     def fn(*leaves):
         pset = params.with_tensors({n: nk.Tensor(l.value) for n, l in zip(names, leaves)})
-        return nk.softmax_cross_entropy(forward(pset, ids), labels)
+        return nk.softmax_cross_entropy(graph(pset, ids), labels)
 
     finite_diff_check(fn, values, names=names)
 
@@ -208,7 +182,7 @@ def test_merge_lora_preserves_logits():
     ids = rand_batch(rng, batch=8)
     merged = merge_lora(params, LF_CFG)
     assert merged.lora_size() == 0
-    diff = np.abs(forward(merged, ids).value - forward(params, ids).value).max()
+    diff = np.abs(forward(merged, ids) - forward(params, ids)).max()
     assert diff < 1e-5
     from fedskew.models import StructuralError
     with pytest.raises(StructuralError):
@@ -249,6 +223,7 @@ def test_pretrain_improves_probe_and_keeps_flags():
     # the proxy's topics and training documents, with held-out documents of its own
     proxy = td.generate_synthetic(replace(pre.proxy_spec(TARGET), test_docs_per_class=10))
     params, forward = build_loraformer(LF_CFG, VOCAB, SEQ, seed=6)
+    step = build_loss_and_grad("loraformer", LF_CFG)
     trained = pretrain_backbone(params, LF_CFG, pre, TARGET, 32)
     for a, b in zip(params, trained):
         assert (a.name, a.trainable, a.lora) == (b.name, b.trainable, b.lora)
@@ -262,11 +237,11 @@ def test_pretrain_improves_probe_and_keeps_flags():
         pset = pset.with_tensors(head.tensors)
         for epoch in range(5):
             for batch in td.make_batches(proxy.train, 16, epoch):
-                loss = nk.softmax_cross_entropy(forward(pset, batch.token_ids), batch.labels)
-                adamw_step(head, nk.backward(loss))
+                step(pset, batch.token_ids, batch.labels, None, head.grads)
+                adamw_step(head, head.grad)
         correct = 0
         for batch in td.make_batches(proxy.test, 32, 0):
-            preds = forward(pset, batch.token_ids).value.argmax(axis=1)
+            preds = forward(pset, batch.token_ids).argmax(axis=1)
             correct += int((preds == batch.labels).sum())
         return correct / len(proxy.test)
 
@@ -338,17 +313,16 @@ def test_loss_decreases_centralized_both_families():
     ds = td.generate_synthetic(spec)
     for family, cfg, opt in (("textcnn", CNN_CFG, OptimizerCfg("sgd", lr=0.2)),
                              ("loraformer", LF_CFG, OptimizerCfg("adamw", lr=0.01))):
-        params, forward = build_model(family, cfg, ds.vocabulary.size, ds.max_seq_len, seed=10)
+        params, _ = build_model(family, cfg, ds.vocabulary.size, ds.max_seq_len, seed=10)
+        step = build_loss_and_grad(family, cfg)
         flat = nk.FlatParams(params.trainable_dict(), opt)
         params = params.with_tensors(flat.tensors)
         losses = []
         for i in range(50):
             batch = td.make_batches(ds.train, 16, i)[0]
             rng = nk.derive(0, "smoke-dropout", family, i)
-            loss = nk.softmax_cross_entropy(forward(params, batch.token_ids, train=True, rng=rng),
-                                            batch.labels)
-            nk.step(flat, nk.backward(loss))
-            losses.append(float(loss.value))
+            losses.append(step(params, batch.token_ids, batch.labels, rng, flat.grads))
+            nk.step(flat, flat.grad)
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
 

@@ -76,11 +76,11 @@ def encoder_weights(rng, d=4, ffn=5, rank=2, adapters=True):
               "ffn.w1": (d, ffn), "ffn.b1": (ffn,), "ffn.w2": (ffn, d),
               "attn.q_lora.A": (rank, d), "attn.q_lora.B": (d, rank),
               "attn.v_lora.A": (rank, d), "attn.v_lora.B": (d, rank)}
-    keys = nk.autograd.ENCODER_LAYER_KEYS + (nk.autograd.ENCODER_ADAPTER_KEYS if adapters else ())
+    keys = nk.kernels.ENCODER_LAYER_KEYS + (nk.kernels.ENCODER_ADAPTER_KEYS if adapters else ())
     return {k: rng.normal(0, 0.5, shapes.get(k, (d,))) for k in keys}
 
 
-FD_KEYS = [k for k in nk.autograd.ENCODER_LAYER_KEYS + nk.autograd.ENCODER_ADAPTER_KEYS
+FD_KEYS = [k for k in nk.kernels.ENCODER_LAYER_KEYS + nk.kernels.ENCODER_ADAPTER_KEYS
            if k != "attn.bk"]
 
 
@@ -311,7 +311,7 @@ def test_textcnn_logits_independent_of_call_history(monkeypatch):
     cases = [textcnn_case(rng, (2, 3, 4), batch=b, seq=9) for b in (64, 32, 11, 64)]
     history = [run_textcnn(nk.textcnn_logits, ids, v, (), 0.5, True) for ids, v in cases]
     for (ids, values), (out, grads) in zip(cases, history):
-        monkeypatch.setattr(nk.autograd, "_scratch", threading.local())
+        monkeypatch.setattr(nk.kernels, "_scratch", threading.local())
         fresh, fresh_grads = run_textcnn(nk.textcnn_logits, ids, values, (), 0.5, True)
         assert out.tobytes() == fresh.tobytes()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, fresh_grads))
@@ -319,7 +319,7 @@ def test_textcnn_logits_independent_of_call_history(monkeypatch):
 
 def test_textcnn_pool_indices_are_read_only():
     """Every call of one shape shares these arrays, so a write must fail at once."""
-    for a in nk.autograd._pool_indices(3, 5, (2, 3), (0, 4, 6)):
+    for a in nk.kernels.pool_indices(3, 5, (2, 3), (0, 4, 6)):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
 

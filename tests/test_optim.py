@@ -165,12 +165,32 @@ def test_flat_step_rejects_nonfinite_result():
         sgd_step(flat, {"p": np.array([0.0, 1e10])})
 
 
-def test_gather_rejects_nonfinite_gradient_naming_its_group():
+def test_step_rejects_nonfinite_gradient_naming_its_group():
     flat = FlatParams({"w": t([[1.0, 2.0]]), "b": t([0.0])}, OptimizerCfg("sgd", lr=1.0))
-    assert flat.gather({"w": np.array([[3.0, 4.0]]), "b": np.array([5.0])}).tolist() == [3, 4, 5]
+    assert flat.grads["w"].shape == (1, 2) and flat.grads["b"].base is flat.grad
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(nk.NumericError, match=r"^non-finite gradient for 'b'$"):
-            flat.gather({"w": np.array([[3.0, 4.0]]), "b": np.array([bad])})
-        with pytest.raises(nk.NumericError, match=r"^non-finite gradient for 'b'$"):
             sgd_step(flat, {"w": np.array([[3.0, 4.0]]), "b": np.array([bad])})
+        flat.grads["w"][...] = [[3.0, 4.0]]
+        flat.grads["b"][0] = bad
+        with pytest.raises(nk.NumericError, match=r"^non-finite gradient for 'b'$"):
+            sgd_step(flat, flat.grad)
     assert flat.step_count == 0 and flat.vector.tolist() == [1.0, 2.0, 0.0]
+
+
+def test_step_takes_the_gradient_vector_or_a_dict_alike():
+    rng = np.random.default_rng(3)
+    shapes = {"w": (3, 4), "b": (4,)}
+    params = {n: t(rng.standard_normal(s)) for n, s in shapes.items()}
+    for kind in ("sgd", "adamw"):
+        cfg = OptimizerCfg(kind, lr=0.05, weight_decay=0.01)
+        by_dict, by_vector = FlatParams(params, cfg), FlatParams(params, cfg)
+        for _ in range(3):
+            grads = {n: rng.standard_normal(s) for n, s in shapes.items()}
+            nk.step(by_dict, grads)
+            for n, g in grads.items():
+                by_vector.grads[n][...] = g
+            nk.step(by_vector, by_vector.grad)
+        assert by_dict.vector.tobytes() == by_vector.vector.tobytes()
+    with pytest.raises(nk.ShapeError, match=r"gradients \(3,\) vs parameter vector \(16,\)"):
+        nk.step(by_vector, np.zeros(3))
