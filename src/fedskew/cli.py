@@ -591,8 +591,7 @@ def selftest() -> bool:
         names = ["embedding", *(f"conv{w}.{part}" for part in ("kernel", "bias")
                                 for w in cfg.filter_widths), "fc.weight", "fc.bias"]
         params = params.with_tensors({n: nk.Tensor(v) for n, v in zip(names, values)})
-        matches_op_chain(params, textcnn.make_loss_and_grad(cfg),
-                         textcnn.graph_forward(cfg, nk.textcnn_logits_ops))
+        matches_op_chain(params, textcnn.make_loss_and_grad(cfg), textcnn.graph_forward(cfg))
 
     def encoder_layer_ok():
         from .models import LoraFormerConfig, build_loraformer, loraformer
@@ -603,8 +602,7 @@ def selftest() -> bool:
         # every group random and trained: the whole backward pass runs
         params = ParamSet([ParamGroup(g.name, nk.Tensor(rng.standard_normal(g.tensor.shape)),
                                       True, g.lora) for g in params], "loraformer")
-        matches_op_chain(params, loraformer.make_loss_and_grad(cfg),
-                         loraformer.graph_forward(cfg, nk.encoder_layer_ops))
+        matches_op_chain(params, loraformer.make_loss_and_grad(cfg), loraformer.graph_forward(cfg))
 
     def partition_ok():
         ds = td.generate_synthetic(td.SyntheticSpec(4, 40, 50, 5, 6, 0.5, 0))

@@ -108,8 +108,8 @@ def _layer_names(params: ParamSet, cfg: LoraFormerConfig) -> list:
 
 def _run(cfg: LoraFormerConfig, params: ParamSet, ids, keep_prob, rng, train, caches=None):
     """The logits of a forward pass over in-range `ids`; with a `caches` list, it appends
-    what the backward pass reads.  Every value an autodiff node of `graph_forward` would
-    check is checked here, under that node's name."""
+    what the backward pass reads.  A non-finite value raises `NumericError` named after the
+    op that makes it; an encoder layer's output is named `lora_encoder_layer`."""
     def v(name):
         return params.get(name).tensor.data
 
@@ -198,10 +198,9 @@ def make_loss_and_grad(cfg: LoraFormerConfig):
     return loss_and_grad
 
 
-def graph_forward(cfg: LoraFormerConfig, layer=nk.lora_encoder_layer):
-    """The logits as an autodiff graph of ops, each encoder layer one `layer` (the node
-    `numkit.lora_encoder_layer` or the op chain `numkit.encoder_layer_ops`), over a leaf
-    per group: the oracle of the functions above."""
+def graph_forward(cfg: LoraFormerConfig):
+    """The logits as an autodiff graph of ops, each encoder layer the op chain
+    `numkit.encoder_layer_ops`, over a leaf per group: the reference of the functions above."""
     scaling = cfg.lora_scaling / cfg.lora_rank
     keep = 1.0 - cfg.lora_dropout
 
@@ -215,8 +214,8 @@ def graph_forward(cfg: LoraFormerConfig, layer=nk.lora_encoder_layer):
         h = nk.add(nk.embedding_lookup(leaves["tok_emb"], ids),
                    nk.embedding_lookup(leaves["pos_emb"], pos_ids))
         for names in _layer_names(params, cfg):
-            h = layer(h, {k: leaves[name] for k, name in names.items()}, cfg.heads, pad_mask,
-                      scaling, keep, rng=rng, train=train)
+            h = nk.encoder_layer_ops(h, {k: leaves[name] for k, name in names.items()},
+                                     cfg.heads, pad_mask, scaling, keep, rng=rng, train=train)
         h = nk.layernorm(h, leaves["ln_f.gain"], leaves["ln_f.bias"])
         pooled = nk.masked_mean_pool(h, pad_mask.astype(np.float64))
         return nk.add(nk.matmul(pooled, leaves["head.weight"]), leaves["head.bias"])

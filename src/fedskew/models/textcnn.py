@@ -105,16 +105,16 @@ def make_loss_and_grad(cfg: TextCnnConfig):
     return loss_and_grad
 
 
-def graph_forward(cfg: TextCnnConfig, op=nk.textcnn_logits):
-    """The logits as an autodiff graph, `op` (`numkit.textcnn_logits` or the op chain
-    `numkit.textcnn_logits_ops`) over a leaf per group: the oracle of the functions above."""
+def graph_forward(cfg: TextCnnConfig):
+    """The logits as an autodiff graph, the op chain `numkit.textcnn_logits_ops` over a leaf
+    per group: the reference of the functions above."""
     keep = 1.0 - cfg.dropout
 
     def forward(params: ParamSet, token_ids, train: bool = False, rng=None):
         p = {g.name: nk.leaf(g.tensor.data, name=g.name, trainable=g.trainable) for g in params}
-        return op(p["embedding"], token_ids, PAD_ID,
-                  [p[f"conv{w}.kernel"] for w in cfg.filter_widths],
-                  [p[f"conv{w}.bias"] for w in cfg.filter_widths],
-                  p["fc.weight"], p["fc.bias"], keep, rng, train)
+        return nk.textcnn_logits_ops(p["embedding"], token_ids, PAD_ID,
+                                     [p[f"conv{w}.kernel"] for w in cfg.filter_widths],
+                                     [p[f"conv{w}.bias"] for w in cfg.filter_widths],
+                                     p["fc.weight"], p["fc.bias"], keep, rng, train)
 
     return forward

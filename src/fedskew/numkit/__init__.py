@@ -11,7 +11,6 @@ from .autograd import (
     gelu,
     layernorm,
     leaf,
-    lora_encoder_layer,
     masked_mean_pool,
     matmul,
     max_over_time,
@@ -23,7 +22,6 @@ from .autograd import (
     softmax,
     softmax_cross_entropy,
     ssum,
-    textcnn_logits,
     textcnn_logits_ops,
     transpose,
 )

@@ -9,9 +9,10 @@ vector) and 2-D weights against batched activations in matmul; everything
 else must match shapes exactly.
 
 No training step or evaluation builds a graph: the models run `kernels`
-directly.  The engine, its ops and the op chains are the oracles that the
-models' loss-and-gradient functions are tested against, and names that
-`perfbench/tracer.py` looks up.
+directly.  The engine and its ops are the test oracle of those kernels: the op
+chains `textcnn_logits_ops` and `encoder_layer_ops`, under `backward`, are the
+one reference that each model's loss-and-gradient function is compared with.
+`perfbench/tracer.py` looks up `backward` and several ops by name.
 """
 
 import math
@@ -19,7 +20,6 @@ import math
 import numpy as np
 
 from . import kernels as kn
-from .kernels import ENCODER_LAYER_KEYS
 from .tensor import ContractError, ShapeError, as_array
 
 
@@ -217,33 +217,10 @@ def max_over_time(x) -> GradNode:
     return _node("max_over_time", xv[b, idx, c], (x,), backward)
 
 
-def textcnn_logits(table, ids, pad_id: int, kernels, biases, weight, bias,
-                   keep_prob: float = 1.0, rng=None, train: bool = False) -> GradNode:
-    """TextCNN's forward pass, the op chain `textcnn_logits_ops`, as one node over
-    `kernels.textcnn_forward`.  Backward computes every operand's gradient, and `backward`
-    drops those of frozen operands."""
-    table, weight, bias = _wrap(table), _wrap(weight), _wrap(bias)
-    kernels, biases = [_wrap(k) for k in kernels], [_wrap(b) for b in biases]
-    tv, kv = table.value, [k.value for k in kernels]
-    ids = kn.check_ids(ids, len(tv))
-    if (ids.ndim != 2 or tv.ndim != 2 or not kernels or len(kernels) != len(biases)
-            or any(k.ndim != 3 or k.shape[1] != tv.shape[1] or len(k) > ids.shape[1]
-                   or b.value.shape != k.shape[2:] for k, b in zip(kv, biases))
-            or bias.value.ndim != 1
-            or weight.value.shape != (sum(b.value.size for b in biases), len(bias.value))):
-        raise ShapeError(f"textcnn_logits: ids {ids.shape}, table {tv.shape}, kernels "
-                         f"{[k.shape for k in kv]}, or a bias or the head of the wrong shape")
-    if not 0.0 < keep_prob <= 1.0:
-        raise ContractError(f"keep_prob must be in (0, 1], got {keep_prob}")
-    logits, cache = kn.textcnn_forward(tv, ids, pad_id, kv, [b.value for b in biases],
-                                       weight.value, bias.value, keep_prob, rng, train)
-    return _node("textcnn_logits", logits, (table, *kernels, *biases, weight, bias),
-                 lambda g: kn.textcnn_backward(cache, g))
-
-
 def textcnn_logits_ops(table, ids, pad_id: int, kernels, biases, weight, bias,
                        keep_prob: float = 1.0, rng=None, train: bool = False) -> GradNode:
-    """`textcnn_logits` as a chain of the ops below: its reference in tests."""
+    """TextCNN's logits as a chain of the ops below: the reference of
+    `kernels.textcnn_forward`, which documents the model, and of `textcnn_backward`."""
     x = embedding_lookup(table, ids)
     x = mul(x, np.broadcast_to((np.asarray(ids) != pad_id)[:, :, None], x.shape) * 1.0)
     features = concat_last([max_over_time(relu(add(conv1d_valid(x, k), b)))
@@ -400,9 +377,10 @@ def softmax_cross_entropy(logits, labels) -> GradNode:
     return _node("softmax_cross_entropy", np.asarray(loss), (logits,), backward)
 
 
-def lora_encoder_layer(x, weights: dict, heads: int, key_mask, scaling: float = 1.0,
-                       keep_prob: float = 1.0, rng=None, train: bool = False) -> GradNode:
-    """One pre-LN transformer encoder layer with LoRA on q and v, as one node:
+def encoder_layer_ops(x, weights: dict, heads: int, key_mask, scaling: float = 1.0,
+                      keep_prob: float = 1.0, rng=None, train: bool = False) -> GradNode:
+    """One pre-LN transformer encoder layer with LoRA on q and v, as a chain of the ops
+    above:
 
         a = layernorm(x; ln1)
         q = a wq + bq + scaling (drop(a) A_q^T) B_q^T
@@ -411,58 +389,11 @@ def lora_encoder_layer(x, weights: dict, heads: int, key_mask, scaling: float = 
         h = x + attention(q, k, v; `heads` heads, keys where key_mask is False excluded) wo + bo
         out = h + gelu(layernorm(h; ln2) w1 + b1) w2 + b2
 
-    x: (batch, seq, d); key_mask: (batch, seq) boolean.  `weights` holds every
-    ENCODER_LAYER_KEYS name, and the A (rank, d) / B (d, rank) pair of
-    ENCODER_ADAPTER_KEYS for q or v when that projection has an adapter.  In
-    training with keep_prob < 1 each adapter's input is dropped out, q's mask
-    drawn from `rng` before v's.
-
-    The forward runs the float operations of the op chain `encoder_layer_ops`
-    in the same order, so its output is bitwise equal.  The backward computes
-    only the gradients some operand requires, and takes each weight gradient
-    as one gemm over all (batch, seq) rows, where the chain sums per-document
-    products: the gradients agree to rounding, not bitwise.
-    """
-    x = _wrap(x)
-    w = {k: _wrap(v) for k, v in weights.items()}
-    xv = x.value
-    if xv.ndim != 3:
-        raise ShapeError(f"lora_encoder_layer: x must be (batch, seq, d), got {xv.shape}")
-    n, s, d = xv.shape
-    adapters = [p for p in "qv" if f"attn.{p}_lora.A" in w]
-    keys = list(ENCODER_LAYER_KEYS) + [f"attn.{p}_lora.{m}" for p in adapters for m in "AB"]
-    if sorted(keys) != sorted(w):
-        raise ContractError(f"lora_encoder_layer: weights {sorted(w)}, expected {sorted(keys)}")
-    f = w["ffn.w1"].value.shape[-1]
-    want = dict.fromkeys(keys, (d,))
-    want.update({f"attn.w{p}": (d, d) for p in "qkvo"})
-    want.update({"ffn.w1": (d, f), "ffn.b1": (f,), "ffn.w2": (f, d)})
-    for p in adapters:
-        rank = w[f"attn.{p}_lora.A"].value.shape[0]
-        want.update({f"attn.{p}_lora.A": (rank, d), f"attn.{p}_lora.B": (d, rank)})
-    bad = [k for k in keys if w[k].value.shape != want[k]]
-    key_mask = np.asarray(key_mask, dtype=bool)
-    if bad or heads < 1 or d % heads or key_mask.shape != (n, s):
-        raise ShapeError(f"lora_encoder_layer: x {xv.shape}, {heads} heads, key_mask "
-                         f"{key_mask.shape}, weights of the wrong shape "
-                         f"{[(k, w[k].value.shape) for k in bad]}")
-    if not 0.0 < keep_prob <= 1.0:
-        raise ContractError(f"keep_prob must be in (0, 1], got {keep_prob}")
-    out, cache = kn.encoder_layer_forward(xv, {k: node.value for k, node in w.items()}, heads,
-                                          kn.key_mask_bias(key_mask), scaling, keep_prob, rng,
-                                          train)
-
-    def backward(g):
-        gx, grads = kn.encoder_layer_backward(cache, g, lambda k: w[k].requires_grad,
-                                              x.requires_grad)
-        return (gx, *(grads.get(k) for k in keys))
-
-    return _node("lora_encoder_layer", out, (x, *(w[k] for k in keys)), backward)
-
-
-def encoder_layer_ops(x, weights: dict, heads: int, key_mask, scaling: float = 1.0,
-                      keep_prob: float = 1.0, rng=None, train: bool = False) -> GradNode:
-    """`lora_encoder_layer` as a chain of the ops above: its reference in tests."""
+    x: (batch, seq, d); key_mask: (batch, seq) boolean.  `weights` maps every
+    `kernels.ENCODER_LAYER_KEYS` name, and an adapter's A (rank, d) and B (d, rank), to
+    arrays or nodes.  In training with keep_prob < 1 each adapter's input is dropped out,
+    q's mask drawn from `rng` before v's.  The reference of `kernels.encoder_layer_forward`,
+    equal bitwise, and of `encoder_layer_backward`, equal to rounding."""
     w = weights
     n, s, d = _wrap(x).value.shape
 

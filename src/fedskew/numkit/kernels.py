@@ -1,9 +1,8 @@
 """Plain-array forward and backward passes: what a training step and an evaluation run.
 
 No graph and no gradient wrappers: a forward pass returns its output and, for the
-backward pass, a cache of the arrays it reads.  The fused autodiff nodes of
-`autograd` wrap these same functions, so a step built from them and the node graph
-under `backward` compute the same floats in the same order.
+backward pass, a cache of the arrays it reads.  Tests compare each model's step built
+from them with its op chain in `autograd` under `backward`.
 """
 
 import functools
@@ -266,14 +265,15 @@ def key_mask_bias(key_mask) -> np.ndarray:
     return np.where(key_mask, 0.0, -1e30)[:, None, None, :]
 
 
-def encoder_layer_forward(x, val: dict, heads: int, mask_bias, scaling=1.0, keep_prob=1.0,
-                          rng=None, train=False, buf=fresh):
+def encoder_layer_forward(x, val: dict, heads: int, mask_bias, scaling, keep_prob, rng, train,
+                          buf):
     """One pre-LN transformer encoder layer with LoRA on q and v (see
-    `autograd.lora_encoder_layer`), on arrays: (output, cache for `encoder_layer_backward`).
+    `autograd.encoder_layer_ops`), on arrays: (output, cache for `encoder_layer_backward`).
     `val` maps the layer's keys to arrays; an adapter is there when its A is.
     `mask_bias` is `key_mask_bias` of the batch's key mask.  The attention scores and the
     FFN's hidden activations, the largest arrays of both passes, and their gradients are
-    written into arrays from `buf`, which the cache keeps until the backward pass."""
+    written into arrays from `buf`, a `scratch` slot, which the cache keeps until the
+    backward pass."""
     n, s, d = x.shape
     adapters = [p for p in "qv" if f"attn.{p}_lora.A" in val]
     drop = train and keep_prob < 1.0

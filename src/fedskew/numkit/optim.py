@@ -60,7 +60,7 @@ class FlatParams:
 
 def sgd_step(flat: FlatParams, grad):
     """vector <- vector - lr * grad, in place."""
-    grad = _begin(flat, "sgd", grad)
+    _begin(flat, "sgd", grad)
     flat.vector -= np.multiply(grad, flat.cfg.lr, out=flat._work)
     _check_finite(flat.vector)
 
@@ -73,7 +73,7 @@ def adamw_step(flat: FlatParams, grad):
         vector = vector - lr (m / (1 - BETA1^t)) / (sqrt(v / (1 - BETA2^t)) + EPSILON)
                  - lr weight_decay vector
     """
-    grad = _begin(flat, "adamw", grad)
+    _begin(flat, "adamw", grad)
     t, lr, vec, m, v = flat.step_count, flat.cfg.lr, flat.vector, flat.m, flat.v
     work, work2 = flat._work, flat._work2
     m *= BETA1
@@ -96,18 +96,13 @@ def adamw_step(flat: FlatParams, grad):
 
 def step(flat: FlatParams, grad):
     """One optimizer step of `flat`'s kind.  `grad` is a vector laid out like
-    `flat.vector` (normally `flat.grad`), or {name: array} as `backward` returns it."""
+    `flat.vector`, normally `flat.grad`."""
     (sgd_step if flat.cfg.kind == "sgd" else adamw_step)(flat, grad)
 
 
-def _begin(flat: FlatParams, kind: str, grad) -> np.ndarray:
+def _begin(flat: FlatParams, kind: str, grad: np.ndarray):
     if flat.cfg.kind != kind:
         raise ContractError(f"{kind}_step called on {flat.cfg.kind} parameters")
-    if isinstance(grad, dict):
-        missing = [n for n in flat.names if n not in grad]
-        if missing:
-            raise ContractError(f"missing gradients for trainable parameters: {missing}")
-        grad = np.concatenate([grad[n].reshape(-1) for n in flat.names])
     if grad.shape != flat.vector.shape:
         raise ShapeError(f"gradients {grad.shape} vs parameter vector {flat.vector.shape}")
     if not np.isfinite(grad).all():
@@ -115,7 +110,6 @@ def _begin(flat: FlatParams, kind: str, grad) -> np.ndarray:
         bad = next(n for n, part in zip(flat.names, parts) if not np.isfinite(part).all())
         raise NumericError(f"non-finite gradient for {bad!r}")
     flat.step_count += 1
-    return grad
 
 
 def _check_finite(vector: np.ndarray):

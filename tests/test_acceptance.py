@@ -28,7 +28,7 @@ from fedskew.models import (
 from fedskew.models.params import ParamSet
 from fedskew.partition import PartitionConfig, dirichlet_partition
 
-from gradcheck import finite_diff_check
+from gradcheck import finite_diff_check, step_fd_check
 from test_numkit_ops import OP_CASES
 
 
@@ -48,48 +48,34 @@ def test_criterion_01_gradient_correctness():
             rng = np.random.default_rng(7000 + seed)
             finite_diff_check(fn, make(rng), h=1e-5, rtol=1e-4)
 
+    # each model's training step, dropout on, against its own loss
     cnn_cfg = TextCnnConfig(num_classes=4, embed_dim=6, filters_per_width=5)
     for seed in range(5):
         params, _ = build_textcnn(cnn_cfg, vocab_size=30, max_seq_len=10, seed=seed)
-        forward = textcnn.graph_forward(cnn_cfg)  # the oracle the training step equals
         rng = np.random.default_rng(7100 + seed)
         ids = rng.integers(2, 30, size=(2, 10))
         ids[:, -2:] = td.PAD_ID
         labels = rng.integers(0, 4, size=2)
         head = rng.normal(0, 0.3, params.get("fc.weight").tensor.shape)
         params = params.with_tensors({"fc.weight": nk.Tensor(head)})
-        names = [g.name for g in params]
-        values = [params.get(n).tensor.data.copy() for n in names]
-
-        def fn(*leaves, _p=params, _n=names, _ids=ids, _lab=labels, _f=forward):
-            pset = _p.with_tensors({n: nk.Tensor(l.value) for n, l in zip(_n, leaves)})
-            return nk.softmax_cross_entropy(_f(pset, _ids), _lab)
-
-        finite_diff_check(fn, values, h=1e-5, rtol=1e-4, names=names)
+        step_fd_check(textcnn.make_loss_and_grad(cnn_cfg), params, ids, labels, seed=seed)
 
     lf_cfg = LoraFormerConfig(num_classes=3, layers=1, d_model=4, heads=2, ffn_dim=6,
-                              lora_rank=2, lora_dropout=0.0)
+                              lora_rank=2, lora_dropout=0.1)
     for seed in range(5):
         params, _ = build_loraformer(lf_cfg, 12, 5, seed=seed)
-        forward = loraformer.graph_forward(lf_cfg)
         rng = np.random.default_rng(7200 + seed)
         noisy = {g.name: nk.Tensor(rng.normal(0, 0.3, g.tensor.shape))
                  for g in params if g.trainable}
         params = params.with_tensors(noisy)
         ids = rng.integers(2, 12, size=(2, 5))
         labels = rng.integers(0, 3, size=2)
-        names = [g.name for g in params if g.trainable]
-        values = [params.get(n).tensor.data.copy() for n in names]
-
-        def fn(*leaves, _p=params, _n=names, _ids=ids, _lab=labels, _f=forward):
-            pset = _p.with_tensors({n: nk.Tensor(l.value) for n, l in zip(_n, leaves)})
-            return nk.softmax_cross_entropy(_f(pset, _ids), _lab)
-
-        finite_diff_check(fn, values, h=1e-5, rtol=1e-4, names=names)
+        step_fd_check(loraformer.make_loss_and_grad(lf_cfg), params, ids, labels, seed=seed)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"gradient suite took {elapsed:.1f}s"
-    note(1, f"all ops + both models pass finite-difference checks in {elapsed:.1f}s")
+    note(1, f"all ops + both models' training steps pass finite-difference checks in "
+            f"{elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

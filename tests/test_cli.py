@@ -576,6 +576,40 @@ def test_selftest_passes():
     assert cli.selftest()
 
 
+def scaled_textcnn_backward(real):
+    def backward(cache, g):
+        grads = real(cache, g)
+        grads[-2] = grads[-2] * (1 + 1e-6)  # the head weight's
+        return grads
+    return backward
+
+
+def scaled_encoder_layer_backward(real):
+    def backward(cache, g, trains, need_x):
+        gx, grads = real(cache, g, trains, need_x)
+        if "attn.q_lora.B" in grads:
+            grads["attn.q_lora.B"] = grads["attn.q_lora.B"] * (1 + 1e-6)
+        return gx, grads
+    return backward
+
+
+@pytest.mark.parametrize("kernel,wrong,check", [
+    ("textcnn_backward", scaled_textcnn_backward, "fused TextCNN forward matches unfused ops"),
+    ("encoder_layer_backward", scaled_encoder_layer_backward,
+     "fused encoder layer matches unfused ops")])
+def test_selftest_catches_a_wrong_kernel_gradient(kernel, wrong, check, monkeypatch, capsys):
+    """One group's gradient off by a relative 1e-6 fails the one check that compares that
+    kernel with its op chain, and no other."""
+    from fedskew.numkit import kernels
+    monkeypatch.setattr(kernels, kernel, wrong(getattr(kernels, kernel)))
+    assert cli.selftest() is False
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7
+    assert [line for line in lines if not line.startswith("[PASS] ")] == [
+        line for line in lines if line.startswith(f"[FAIL] {check}: ")]
+    assert sum(line.startswith("[PASS] ") for line in lines) == 6
+
+
 def test_console_entry_point(tmp_path):
     out = subprocess.run([sys.executable, "-m", "fedskew.cli", "selftest"],
                          capture_output=True, text=True)

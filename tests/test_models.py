@@ -24,8 +24,7 @@ from fedskew.models import (
 from fedskew.models import loraformer, textcnn
 from fedskew.numkit.optim import OptimizerCfg, adamw_step, sgd_step
 
-from gradcheck import finite_diff_check
-from test_optim import stepped
+from gradcheck import step_fd_check
 
 VOCAB = 30
 SEQ = 10
@@ -61,11 +60,11 @@ def test_textcnn_pad_position_has_no_effect():
     params, forward = build_textcnn(CNN_CFG, VOCAB, SEQ, seed=1)
     # train one step so the head is nonzero
     ids = rand_batch(np.random.default_rng(1))
-    loss = nk.softmax_cross_entropy(textcnn.graph_forward(CNN_CFG)(params, ids),
-                                    np.array([0, 1, 2]))
-    grads = nk.backward(loss)
-    params = params.with_tensors(stepped(sgd_step, OptimizerCfg("sgd", lr=0.5),
-                                         params.trainable_dict(), grads))
+    flat = nk.FlatParams(params.trainable_dict(), OptimizerCfg("sgd", lr=0.5))
+    textcnn.make_loss_and_grad(CNN_CFG)(params, ids, np.array([0, 1, 2]), nk.derive(1, "d"),
+                                        flat.grads)
+    sgd_step(flat, flat.grad)
+    params = params.with_tensors(flat.tensors)
     base = forward(params, ids)
     # PAD rows of the embedding table must not leak into the logits
     emb = params.get("embedding").tensor.data.copy()
@@ -92,21 +91,13 @@ def test_steps_write_in_place_and_forward_reads_them():
 @pytest.mark.parametrize("seed", range(5))
 def test_textcnn_gradient_check(seed):
     params, _ = build_textcnn(CNN_CFG, VOCAB, SEQ, seed=seed)
-    graph = textcnn.graph_forward(CNN_CFG)  # the oracle the training step equals
     rng = np.random.default_rng(100 + seed)
     ids = rand_batch(rng, batch=2)
     labels = rng.integers(0, 4, size=2)
     # randomize the head so gradients reach every group
     head = rng.normal(0, 0.3, params.get("fc.weight").tensor.shape)
     params = params.with_tensors({"fc.weight": nk.Tensor(head)})
-    names = [g.name for g in params]
-    values = [params.get(n).tensor.data.copy() for n in names]
-
-    def fn(*leaves):
-        pset = params.with_tensors({n: nk.Tensor(l.value) for n, l in zip(names, leaves)})
-        return nk.softmax_cross_entropy(graph(pset, ids), labels)
-
-    finite_diff_check(fn, values, names=names)
+    step_fd_check(textcnn.make_loss_and_grad(CNN_CFG), params, ids, labels, seed=seed)
 
 
 def test_loraformer_flag_partition_and_fraction():
@@ -138,14 +129,21 @@ def test_loraformer_zero_start_independent_of_adapter_seed():
 
 def test_loraformer_gradients_only_adapters_and_head():
     params, _ = build_loraformer(LF_CFG, VOCAB, SEQ, seed=3)
-    ids = rand_batch(np.random.default_rng(3))
-    loss = nk.softmax_cross_entropy(loraformer.graph_forward(LF_CFG)(params, ids),
-                                    np.array([0, 1, 2]))
-    grads = nk.backward(loss)
-    trainable = {g.name for g in params if g.trainable}
-    assert set(grads) <= trainable
-    assert "layer0.attn.q_lora.A" not in grads or True  # present iff B != 0
-    assert "head.weight" in grads
+    rng = np.random.default_rng(3)
+    ids = rand_batch(rng)
+    # a nonzero head, so a gradient reaches the adapters
+    params = params.with_tensors({"head.weight": nk.Tensor(rng.normal(0, 0.3, (8, 4)))})
+    flat = nk.FlatParams(params.trainable_dict(), OptimizerCfg("sgd", lr=0.1))
+    loraformer.make_loss_and_grad(LF_CFG)(params, ids, np.array([0, 1, 2]), nk.derive(3, "d"),
+                                          flat.grads)
+    assert sorted(flat.names) == sorted(g.name for g in params
+                                        if g.lora or g.name.startswith("head."))
+    assert flat.grads["head.weight"].any()
+    for name in flat.names:
+        if name.endswith("_lora.A"):  # B = 0 at init: no gradient reaches A yet
+            assert not flat.grads[name].any()
+        elif name.endswith("_lora.B"):
+            assert flat.grads[name].any()
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -153,7 +151,6 @@ def test_loraformer_gradient_check(seed):
     cfg = LoraFormerConfig(num_classes=3, layers=1, d_model=4, heads=2, ffn_dim=6,
                            lora_rank=2, lora_dropout=0.0)
     params, _ = build_loraformer(cfg, 12, 5, seed=seed)
-    graph = loraformer.graph_forward(cfg)
     rng = np.random.default_rng(500 + seed)
     # random adapters and head so every trainable path carries gradient
     noisy = {}
@@ -163,14 +160,7 @@ def test_loraformer_gradient_check(seed):
     params = params.with_tensors(noisy)
     ids = rng.integers(2, 12, size=(2, 5))
     labels = rng.integers(0, 3, size=2)
-    names = [g.name for g in params if g.trainable]
-    values = [params.get(n).tensor.data.copy() for n in names]
-
-    def fn(*leaves):
-        pset = params.with_tensors({n: nk.Tensor(l.value) for n, l in zip(names, leaves)})
-        return nk.softmax_cross_entropy(graph(pset, ids), labels)
-
-    finite_diff_check(fn, values, names=names)
+    step_fd_check(loraformer.make_loss_and_grad(cfg), params, ids, labels, seed=seed)
 
 
 def test_merge_lora_preserves_logits():
