@@ -625,8 +625,8 @@ def selftest() -> bool:
 
     check("aggregation weights normalize; 118:34742 ratio = 294.4", weights_ok)
     check("analytic gradient matches finite difference", gradient_ok)
-    check("fused TextCNN forward matches unfused ops", textcnn_ok)
-    check("fused encoder layer matches unfused ops", encoder_layer_ok)
+    check("TextCNN training step matches its op chain", textcnn_ok)
+    check("encoder training step matches its op chain", encoder_layer_ok)
     check("dirichlet partition exhaustive and disjoint", partition_ok)
     check("lora merge preserves logits", lora_ok)
     check("convergence rule: 0.3% over final 5 rounds", convergence_ok)

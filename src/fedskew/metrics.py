@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import validate
-from .textdata import make_batches
+# make_batches stays importable here: perfbench/tracer.py wraps it by this name
+from .textdata import make_batches  # noqa: F401
 
 ROUNDS_CSV_HEADER = ["round", "client_id", "n_k", "eval_size", "accuracy",
                      "avg_acc", "worst_acc", "gap", "argmin_client"]
@@ -64,15 +65,14 @@ def evaluate_clients(params, forward, partitions, test) -> list:
     restricted to that client's classes.
 
     Every client is scored by the same model, so one forward pass over the
-    whole test set serves them all; a client's accuracy counts the correct
-    predictions under its label mask.  Argmax ties resolve to the lowest
-    class index.
+    whole test set, in slices of `EVAL_BATCH_SIZE` rows in test-set order,
+    serves them all; a client's accuracy counts the correct predictions under
+    its label mask.  Argmax ties resolve to the lowest class index.
     """
-    batches = make_batches(test, EVAL_BATCH_SIZE, 0)
-    labels = np.concatenate([b.labels for b in batches]) if batches else np.empty(0, np.int64)
-    masks = [_class_mask(labels, p.present_classes) for p in partitions]
-    correct = np.concatenate([forward(params, b.token_ids).argmax(axis=1) == b.labels
-                              for b in batches])
+    masks = [_class_mask(test.labels, p.present_classes) for p in partitions]
+    correct = np.concatenate([
+        forward(params, test.token_ids[i : i + EVAL_BATCH_SIZE]).argmax(axis=1)
+        for i in range(0, len(test), EVAL_BATCH_SIZE)]) == test.labels
     return [ClientEval(p.client_id, int(m.sum()), int((correct & m).sum()))
             for p, m in zip(partitions, masks)]
 

@@ -108,30 +108,28 @@ def _layer_names(params: ParamSet, cfg: LoraFormerConfig) -> list:
 
 def _run(cfg: LoraFormerConfig, params: ParamSet, ids, keep_prob, rng, train, caches=None):
     """The logits of a forward pass over in-range `ids`; with a `caches` list, it appends
-    what the backward pass reads.  A non-finite value raises `NumericError` named after the
-    op that makes it; an encoder layer's output is named `lora_encoder_layer`."""
+    what the backward pass reads.  Non-finite logits raise `NumericError` for the op
+    `loraformer_logits`: an inf or NaN anywhere upstream, PAD positions included, reaches
+    them as inf or NaN, so they are the one place checked."""
     def v(name):
         return params.get(name).tensor.data
 
     n, s = ids.shape
     pad_mask = ids != PAD_ID
-    h = kn.finite("add", v("tok_emb")[ids] + v("pos_emb")[:s])
+    h = v("tok_emb")[ids] + v("pos_emb")[:s]
     mask_bias = kn.key_mask_bias(pad_mask)
     scaling = cfg.lora_scaling / cfg.lora_rank
     for i, names in enumerate(_layer_names(params, cfg)):
         h, cache = kn.encoder_layer_forward(h, {k: v(name) for k, name in names.items()},
                                             cfg.heads, mask_bias, scaling, keep_prob, rng, train,
                                             kn.scratch(f"layer{i}"))
-        kn.finite("lora_encoder_layer", h)
         if caches is not None:
             caches.append((names, cache))
     fin, xhat, inv = kn.layernorm(h, v("ln_f.gain"), v("ln_f.bias"))
     mask = pad_mask.astype(np.float64)
     counts = np.maximum(mask.sum(axis=1), 1.0)
-    pooled = kn.finite("masked_mean_pool",
-                       (kn.finite("layernorm", fin) * mask[:, :, None]).sum(axis=1)
-                       / counts[:, None])
-    logits = kn.finite("add", kn.finite("matmul", pooled @ v("head.weight")) + v("head.bias"))
+    pooled = (fin * mask[:, :, None]).sum(axis=1) / counts[:, None]
+    logits = kn.finite("loraformer_logits", pooled @ v("head.weight") + v("head.bias"))
     if caches is not None:
         caches.append((mask, counts, xhat, inv, pooled))
     return logits

@@ -71,12 +71,6 @@ class ParamSet:
                     b.name, b.tensor.shape, b.trainable, b.lora):
                 raise StructuralError(f"group mismatch at {a.name!r} vs {b.name!r}")
 
-    def total_size(self) -> int:
-        return sum(g.tensor.size for g in self.groups)
-
-    def trainable_size(self) -> int:
-        return sum(g.tensor.size for g in self.groups if g.trainable)
-
     def lora_size(self) -> int:
         return sum(g.tensor.size for g in self.groups if g.lora)
 

@@ -22,7 +22,8 @@ LAYERNORM_EPS = 1e-5
 
 
 def finite(op: str, value):
-    """`value`, if every element is finite; else the error an autodiff node named `op` raises."""
+    """`value`, if every element is finite; else `NumericError` naming `op`, the autodiff node
+    or the model output (`textcnn_logits`, `loraformer_logits`) that made it."""
     if not np.isfinite(value).all():
         raise NumericError(f"non-finite output from op {op!r}")
     return value
@@ -150,13 +151,6 @@ def softmax_dx(g, y, out=None):
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _row_starts(n: int, classes: int) -> np.ndarray:
-    starts = np.arange(n) * classes
-    starts.setflags(write=False)
-    return starts
-
-
 def cross_entropy(logits, labels):
     """(mean cross-entropy of (batch, classes) logits against integer labels, its gradient
     with respect to the logits).  Labels must be in range.  The gradient is
@@ -166,7 +160,7 @@ def cross_entropy(logits, labels):
     e = logits - m
     np.exp(e, out=e)
     lse = m[:, 0] + np.log(e.sum(axis=1))
-    picks = _row_starts(n, classes) + labels
+    picks = np.arange(n) * classes + labels
     loss = np.add.reduce(lse - logits.reshape(-1)[picks]) / n  # what .mean() computes
     probs = np.subtract(logits, lse[:, None], out=e)
     np.exp(probs, out=probs)

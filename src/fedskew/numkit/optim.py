@@ -49,10 +49,10 @@ class FlatParams:
             self.grads[name] = self.grad[lo : lo + t.size].reshape(t.shape)
             lo += t.size
         self.step_count = 0
-        self._work = np.empty_like(self.vector)
-        if cfg.kind == "adamw":
+        if cfg.kind == "sgd":
+            self._work = np.empty_like(self.vector)  # lr * grad, without an allocation per step
+        else:
             self.m, self.v = np.zeros_like(self.vector), np.zeros_like(self.vector)
-            self._work2 = np.empty_like(self.vector)
 
     def freeze(self):
         self.vector.setflags(write=False)
@@ -66,8 +66,8 @@ def sgd_step(flat: FlatParams, grad):
 
 
 def adamw_step(flat: FlatParams, grad):
-    """AdamW, in place: bias-corrected moments plus decoupled weight decay.  Every update
-    is written into an existing array, in the order and association of
+    """AdamW, in place: bias-corrected moments plus decoupled weight decay, in the order
+    and association of
 
         m = BETA1 m + (1 - BETA1) g;  v = BETA2 v + (1 - BETA2) g g
         vector = vector - lr (m / (1 - BETA1^t)) / (sqrt(v / (1 - BETA2^t)) + EPSILON)
@@ -75,20 +75,12 @@ def adamw_step(flat: FlatParams, grad):
     """
     _begin(flat, "adamw", grad)
     t, lr, vec, m, v = flat.step_count, flat.cfg.lr, flat.vector, flat.m, flat.v
-    work, work2 = flat._work, flat._work2
     m *= BETA1
-    m += np.multiply(grad, 1 - BETA1, out=work)
-    np.multiply(grad, 1 - BETA2, out=work)
-    work *= grad
+    m += grad * (1 - BETA1)
     v *= BETA2
-    v += work
-    update = np.divide(m, 1 - BETA1**t, out=work)
-    denom = np.divide(v, 1 - BETA2**t, out=work2)
-    np.sqrt(denom, out=denom)
-    denom += EPSILON
-    update /= denom
-    update *= lr
-    decay = np.multiply(vec, lr * flat.cfg.weight_decay, out=work2)
+    v += grad * (1 - BETA2) * grad
+    update = m / (1 - BETA1**t) / (np.sqrt(v / (1 - BETA2**t)) + EPSILON) * lr
+    decay = vec * (lr * flat.cfg.weight_decay)
     vec -= update
     vec -= decay
     _check_finite(vec)

@@ -17,9 +17,7 @@ from .numkit.rng import derive
 
 
 class PartitionError(RuntimeError):
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    pass
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,6 @@ def dirichlet_partition(dataset, cfg: PartitionConfig) -> list:
         raise PartitionError("empty training set")
     num_classes = dataset.num_classes
 
-    last_report = None
     for redraw in range(cfg.max_redraws):
         assigned = [[] for _ in range(cfg.num_clients)]
         for c in range(num_classes):
@@ -98,14 +95,11 @@ def dirichlet_partition(dataset, cfg: PartitionConfig) -> list:
             ClientPartition(k, sorted(idx),
                             np.bincount(labels[idx], minlength=num_classes).tolist())
             for k, idx in enumerate(assigned)]
-        last_report = skew_report(partitions)
         if min(p.size for p in partitions) >= cfg.min_samples_per_client:
             return partitions
     raise PartitionError(
         f"no partition met min_samples_per_client={cfg.min_samples_per_client} "
-        f"after {cfg.max_redraws} redraws (alpha={cfg.alpha}, K={cfg.num_clients})",
-        report=last_report,
-    )
+        f"after {cfg.max_redraws} redraws (alpha={cfg.alpha}, K={cfg.num_clients})")
 
 
 def skew_report(partitions) -> SkewReport:

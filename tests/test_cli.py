@@ -594,9 +594,9 @@ def scaled_encoder_layer_backward(real):
 
 
 @pytest.mark.parametrize("kernel,wrong,check", [
-    ("textcnn_backward", scaled_textcnn_backward, "fused TextCNN forward matches unfused ops"),
+    ("textcnn_backward", scaled_textcnn_backward, "TextCNN training step matches its op chain"),
     ("encoder_layer_backward", scaled_encoder_layer_backward,
-     "fused encoder layer matches unfused ops")])
+     "encoder training step matches its op chain")])
 def test_selftest_catches_a_wrong_kernel_gradient(kernel, wrong, check, monkeypatch, capsys):
     """One group's gradient off by a relative 1e-6 fails the one check that compares that
     kernel with its op chain, and no other."""

@@ -114,7 +114,16 @@ def test_evaluate_clients_matches_per_client_forward(seed):
         hist[int(rng.integers(0, num_classes))] += 1
         parts.append(ClientPartition(cid, [0], hist))
     for params in (trained, zero_head):  # zero head: all-zero logits, ties go to class 0
-        fast = mt.evaluate_clients(params, forward, parts, test)
+        calls = []
+
+        def recording(model, token_ids):
+            calls.append(np.array(token_ids))
+            return forward(model, token_ids)
+
+        fast = mt.evaluate_clients(params, recording, parts, test)
+        # the test set once, in order, in slices of at most EVAL_BATCH_SIZE rows
+        assert all(len(ids) <= mt.EVAL_BATCH_SIZE for ids in calls)
+        assert np.array_equal(np.concatenate(calls), test.token_ids)
         brute = [per_client_forward_eval(params, forward, p, test) for p in parts]
         assert fast == brute
         assert [mt.evaluate_client(params, forward, p, test) for p in parts] == brute

@@ -42,7 +42,7 @@ def rand_batch(rng, batch=3, seq=SEQ, vocab=VOCAB):
 def test_textcnn_paper_scale_param_count():
     cfg = TextCnnConfig(num_classes=4, embed_dim=128, filters_per_width=128)
     params, _ = build_textcnn(cfg, vocab_size=30000, max_seq_len=64, seed=0)
-    total = params.trainable_size()
+    total = sum(g.tensor.size for g in params if g.trainable)
     assert abs(total - 2.7e6) / 2.7e6 < 0.6  # vocab-dependent; order-of-magnitude sanity
     assert all(g.trainable and not g.lora for g in params)
 
@@ -113,7 +113,7 @@ def test_loraformer_flag_partition_and_fraction():
             assert g.name.startswith("head.")
             kinds.add("head")
     assert kinds == {"frozen", "lora", "head"}
-    frac = params.trainable_size() / params.total_size()
+    frac = sum(g.tensor.size for g in params if g.trainable) / sum(g.tensor.size for g in params)
     assert 0 < frac < 0.10
 
 

@@ -26,7 +26,7 @@ from fedskew import textdata as td
 from fedskew.models import (LoraFormerConfig, PretrainConfig, TextCnnConfig, build_loraformer,
                             build_textcnn, loraformer, pretrain_backbone, textcnn)
 from fedskew.models.params import ParamGroup, ParamSet
-from fedskew.partition import PartitionConfig, dirichlet_partition
+from fedskew.partition import ClientPartition, PartitionConfig, dirichlet_partition
 
 VOCAB, SEQ = 30, 10
 
@@ -295,6 +295,42 @@ def test_step_and_forward_report_nonfinite_logits():
     with pytest.raises(nk.NumericError, match="^non-finite output from op 'textcnn_logits'$"), \
             np.errstate(over="ignore", invalid="ignore"):
         forward(params, ids)
+
+
+@pytest.mark.parametrize("huge", [
+    {"tok_emb": 1e308, "pos_emb": 1e308},
+    {"layer0.attn.bo": 1e307, "layer0.ffn.b2": 1.79e308},
+    {"ln_f.gain": 1e308, "ln_f.bias": 1.5e308},
+    {"ln_f.gain": 0.0, "ln_f.bias": 1.0, "head.weight": 1e308}],
+    ids=["embedding sum", "layer output", "ln_f", "head"])
+def test_loraformer_overflow_anywhere_reports_nonfinite_logits(huge):
+    """An overflow at any stage of the forward pass, in documents that hold PAD, reaches the
+    logits, the one place the loraformer checks: its step, its forward pass and a client's
+    local training all report it."""
+    cfg = LoraFormerConfig(num_classes=4, layers=2, d_model=8, heads=2, ffn_dim=16,
+                           lora_rank=2, lora_dropout=0.1)
+    rng = np.random.default_rng(45)
+    params = lora_params(cfg, rng)
+    params = params.with_tensors({name: nk.Tensor(np.full(params.get(name).tensor.shape, value))
+                                  for name, value in huge.items()})
+    ids, labels = batch(rng, 4)
+    assert (ids == td.PAD_ID).any()
+    opt = nk.OptimizerCfg("adamw", 0.01)
+    flat = nk.FlatParams(params.trainable_dict(), opt)
+    split = td.Split(ids, labels)
+    vocab = td.Vocabulary.build([[f"w{i}" for i in range(VOCAB - 2)]], VOCAB)
+    data = td.Dataset(4, split, split, vocab, SEQ)
+    part = ClientPartition(3, list(range(4)), np.bincount(labels, minlength=4).tolist())
+    fed_cfg = fed.FedConfig(optimizer=opt, local_epochs=1, batch_size=4, seed=0)
+    message = "non-finite output from op 'loraformer_logits'"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(nk.NumericError, match=f"^{message}$"):
+            loraformer.make_loss_and_grad(cfg)(params, ids, labels, nk.derive(0, "d"),
+                                               flat.grads)
+        with pytest.raises(nk.NumericError, match=f"^{message}$"):
+            loraformer.make_forward(cfg)(params, ids)
+        with pytest.raises(fed.FederationError, match=f"^client 3, round 2: {message}$"):
+            fed.local_train(params, loraformer.make_loss_and_grad(cfg), part, data, fed_cfg, 2)
 
 
 def test_sweep_paths_build_no_graph(monkeypatch):
