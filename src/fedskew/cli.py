@@ -160,7 +160,6 @@ class _TopLevel:
     loraformer: dict = field(default_factory=dict)
     partition: dict = field(default_factory=dict)
     federation: dict = field(default_factory=dict)
-    metrics: dict = field(default_factory=dict)
     pretrain: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -206,7 +205,6 @@ class ExperimentConfig:
 
         self.models = _axis(top.models, "models", _family)
         self._parse_families(top)
-        self.convergence = _build(mt.ConvergenceRule, top.metrics, "metrics")
         self.pretrain_cfg = _build(PretrainConfig,
                                    {"seed": self.seed + 1, **_object(top.pretrain, "pretrain")},
                                    "pretrain")
@@ -325,14 +323,12 @@ def execute_run(cfg: ExperimentConfig, run: dict, dataset, partitions, out_root:
         if cfg.save_checkpoints:
             from .models import save_checkpoint
             save_checkpoint(final, run_dir / "final")
-        last, rule = logs[-1].summary, cfg.convergence
+        last = logs[-1].summary
         summary.update({
             "final": {"avg": last.avg, "worst": last.worst, "gap": last.gap,
                       "argmin_client": last.argmin_client_id},
-            "converged": mt.convergence_check([l.summary.avg for l in logs],
-                                              rule.convergence_window,
-                                              rule.convergence_tolerance)
-            if len(logs) >= rule.convergence_window else None,
+            "converged": mt.convergence_check([l.summary.avg for l in logs])
+            if len(logs) >= mt.CONVERGENCE_WINDOW else None,
             "gap_series": [l.summary.gap for l in logs],
             "skew": asdict(skew_report(partitions)),
         })
@@ -373,8 +369,11 @@ def load_data(cfg: ExperimentConfig):
 def run_experiments(cfg: ExperimentConfig, jobs: int = 1) -> list:
     """Run every sweep cell, `jobs` at a time (jobs > 1: `_run_forked`), and write the
     report from the cells' summary.json files, read back in plan order.  A data error
-    (`load_data`, or a proxy vocabulary too large to embed) is raised before anything is written."""
+    (`load_data`, no test split, or a proxy vocabulary too large to embed) is raised before
+    anything is written."""
     dataset, partitions_by_alpha = load_data(cfg)
+    if len(dataset.test) == 0:  # every cell would fail at its first evaluation
+        raise InputDataError("dataset.csv: no test split: set test_path")
     lora = cfg.model_cfgs.get("loraformer")
     pretrains = lora is not None and lora.backbone_mode == "pretrained-frozen"
     if pretrains:

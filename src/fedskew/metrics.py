@@ -5,13 +5,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import validate
 # make_batches stays importable here: perfbench/tracer.py wraps it by this name
 from .textdata import make_batches  # noqa: F401
 
 ROUNDS_CSV_HEADER = ["round", "client_id", "n_k", "eval_size", "accuracy",
                      "avg_acc", "worst_acc", "gap", "argmin_client"]
 EVAL_BATCH_SIZE = 64  # test rows per eval-mode forward pass
+# the paper's convergence rule: average accuracy within 0.3% over the final 5 rounds
+CONVERGENCE_WINDOW, CONVERGENCE_TOLERANCE = 5, 0.003
 
 
 class EvalError(ValueError):
@@ -55,11 +56,6 @@ def _class_mask(labels: np.ndarray, present_classes) -> np.ndarray:
     return mask
 
 
-def restricted_test_set(test, present_classes):
-    """The rows of the test Split whose label is among the client's training classes."""
-    return test.take(_class_mask(test.labels, present_classes))
-
-
 def evaluate_clients(params, forward, partitions, test) -> list:
     """Eval-mode accuracy of one model for each client, on the test set
     restricted to that client's classes.
@@ -94,20 +90,8 @@ def fairness_summary(evals) -> FairnessSummary:
     return FairnessSummary(avg, worst, avg - worst, evals[worst_idx].client_id)
 
 
-@dataclass(frozen=True)
-class ConvergenceRule:
-    """The `window` and `tolerance` a sweep passes to `convergence_check`; the
-    defaults are the paper's rule, 0.3% over the final 5 rounds."""
-    convergence_window: int = 5
-    convergence_tolerance: float = 0.003
-
-    def __post_init__(self):
-        validate.integer("convergence_window", self.convergence_window)
-        validate.nonnegative("convergence_tolerance", self.convergence_tolerance)
-
-
-def convergence_check(series, window: int = ConvergenceRule.convergence_window,
-                      tolerance: float = ConvergenceRule.convergence_tolerance) -> bool:
+def convergence_check(series, window: int = CONVERGENCE_WINDOW,
+                      tolerance: float = CONVERGENCE_TOLERANCE) -> bool:
     """True iff the spread of the last `window` values of a per-round average-accuracy
     series is <= tolerance."""
     if len(series) < window:

@@ -148,9 +148,10 @@ def make_loss_and_grad(cfg: LoraFormerConfig):
     """loss_and_grad(params, token_ids, labels, rng, grads) -> one training step's mean
     cross-entropy; adapter dropout masks are drawn from `rng`, q's before v's, layer by
     layer.  It writes the gradient of every group named in `grads` into that writable
-    array (a `FlatParams.grads` view); the other groups are frozen, and only the
-    gradients some trained group needs are computed.  Ids and labels must be in range
-    (`models.check_split`)."""
+    array (a `FlatParams.grads` view); the other groups are frozen.  The backward pass
+    stops below the lowest layer with a trained group, and computes a layer's key and
+    first-layernorm gradients only where a trained group needs them.  Ids and labels must
+    be in range (`models.check_split`)."""
     keep = 1.0 - cfg.lora_dropout
 
     def loss_and_grad(params: ParamSet, token_ids, labels, rng, grads: dict) -> float:
@@ -159,9 +160,9 @@ def make_loss_and_grad(cfg: LoraFormerConfig):
         loss, g = kn.cross_entropy(logits, labels)
         kn.finite("softmax_cross_entropy", loss)
         (mask, counts, xhat, inv, pooled), layers = caches[-1], caches[:-1]
-        # whether the input of each layer, then of the final layernorm, carries a gradient
+        # whether the input of each layer carries a gradient
         reaches = [bool({"tok_emb", "pos_emb"} & grads.keys())]
-        for names, _ in layers:
+        for names, _ in layers[:-1]:
             reaches.append(reaches[-1] or any(name in grads for name in names.values()))
 
         def put(name, value):
@@ -170,14 +171,10 @@ def make_loss_and_grad(cfg: LoraFormerConfig):
 
         put("head.bias", g.sum(axis=0))
         put("head.weight", pooled.T @ g)
-        if not (reaches[-1] or {"ln_f.gain", "ln_f.bias"} & grads.keys()):
-            return loss
         g = g @ params.get("head.weight").tensor.data.T
         g = mask[:, :, None] * (g / counts[:, None])[:, None, :]
         put("ln_f.gain", (g * xhat).sum(axis=(0, 1)))
         put("ln_f.bias", g.sum(axis=(0, 1)))
-        if not reaches[-1]:
-            return loss
         g = kn.layernorm_dx(g, params.get("ln_f.gain").tensor.data, xhat, inv)
         for i in reversed(range(len(layers))):
             names, cache = layers[i]
@@ -225,31 +222,16 @@ def merge_lora(params: ParamSet, cfg: LoraFormerConfig) -> ParamSet:
     """Fold adapters into the frozen projections: W' = W + (scale) (B A)^T."""
     if params.model_kind != "loraformer":
         raise StructuralError("merge_lora requires a loraformer ParamSet")
-    if params.lora_size() == 0:
+    if not any(g.lora for g in params):
         raise StructuralError("adapters already merged")
     scaling = cfg.lora_scaling / cfg.lora_rank
-    groups = []
+    merged = {}
     for g in params:
-        if g.lora:
-            continue
-        m = _merge_target(g.name)
-        if m is not None and params.has(f"{m}.A"):
-            a = params.get(f"{m}.A").tensor.data
-            b = params.get(f"{m}.B").tensor.data
-            merged = g.tensor.data + scaling * (b @ a).T
-            groups.append(ParamGroup(g.name, nk.Tensor(merged), g.trainable, False))
-        else:
-            groups.append(g)
-    return ParamSet(groups, "loraformer")
-
-
-def _merge_target(name: str):
-    # layerN.attn.wq -> layerN.attn.q_lora ; likewise for wv
-    if name.endswith(".attn.wq"):
-        return name[: -len("wq")] + "q_lora"
-    if name.endswith(".attn.wv"):
-        return name[: -len("wv")] + "v_lora"
-    return None
+        if g.lora and g.name.endswith("_lora.A"):  # layerN.attn.q_lora.A folds into layerN.attn.wq
+            attn, _, proj = g.name[: -len("_lora.A")].rpartition(".")
+            w, b = params.get(f"{attn}.w{proj}"), params.get(f"{attn}.{proj}_lora.B")
+            merged[w.name] = nk.Tensor(w.tensor.data + scaling * (b.tensor.data @ g.tensor.data).T)
+    return ParamSet([g for g in params if not g.lora], "loraformer").with_tensors(merged)
 
 
 class DisjointnessError(ValueError):

@@ -46,10 +46,6 @@ class ParamSet:
     def has(self, name: str) -> bool:
         return name in self._by_name
 
-    @property
-    def names(self) -> list:
-        return [g.name for g in self.groups]
-
     def trainable_dict(self) -> dict:
         return {g.name: g.tensor for g in self.groups if g.trainable}
 
@@ -70,9 +66,6 @@ class ParamSet:
             if (a.name, a.tensor.shape, a.trainable, a.lora) != (
                     b.name, b.tensor.shape, b.trainable, b.lora):
                 raise StructuralError(f"group mismatch at {a.name!r} vs {b.name!r}")
-
-    def lora_size(self) -> int:
-        return sum(g.tensor.size for g in self.groups if g.lora)
 
 
 def save_checkpoint(params: ParamSet, out_dir):

@@ -228,7 +228,7 @@ def textcnn_logits_ops(table, ids, pad_id: int, kernels, biases, weight, bias,
     return add(matmul(dropout(features, keep_prob, rng, train), weight), bias)
 
 
-def layernorm(x, gain, bias, eps: float = 1e-5) -> GradNode:
+def layernorm(x, gain, bias, eps: float = kn.LAYERNORM_EPS) -> GradNode:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
     d = x.value.shape[-1]

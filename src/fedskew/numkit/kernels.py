@@ -305,9 +305,10 @@ def encoder_layer_forward(x, val: dict, heads: int, mask_bias, scaling, keep_pro
 
 def encoder_layer_backward(cache, g, trains, need_x: bool):
     """(gradient of the layer's input or None, {key: gradient}) for output gradient `g`;
-    `trains(key)` says whether a weight needs its gradient, and only what some trained
-    weight or, with `need_x`, the input needs is computed.  Each weight gradient is one
-    gemm over all (batch, seq) rows."""
+    `trains(key)` says whether a weight needs its gradient.  The input's gradient is
+    computed only with `need_x`, and the key projection's and first layernorm's only
+    where the input or a trained weight needs them.  Each weight gradient is one gemm
+    over all (batch, seq) rows."""
     (val, heads, scaling, adapters, masks, paths, lows, a, xhat1, inv1,
      qh, kh, vh, y, merged, xhat2, inv2, fin, z, t, act, buf) = cache
     n, s, d = g.shape
@@ -337,57 +338,41 @@ def encoder_layer_backward(cache, g, trains, need_x: bool):
             grads[f"{ln}.bias"] = gout.sum(axis=(0, 1))
 
     need_a = need_x or trains("ln1.gain") or trains("ln1.bias")
-    need = {p: need_a or trains(f"attn.w{p}") or trains(f"attn.b{p}")
-            or (p in adapters and (trains(f"attn.{p}_lora.A") or trains(f"attn.{p}_lora.B")))
-            for p in "qkv"}
-    need_h = need["q"] or need["k"] or need["v"] or trains("attn.wo") or trains("attn.bo")
-    need_fin = need_h or trains("ln2.gain") or trains("ln2.bias")
+    need_k = need_a or trains("attn.wk") or trains("attn.bk")
     linear("ffn.w2", "ffn.b2", act, g)
-    if need_fin or trains("ffn.w1") or trains("ffn.b1"):
-        dz = np.matmul(g, val["ffn.w2"].T, out=buf("dz", z.shape))
-        dz *= gelu_dx(z, t, buf)
-        linear("ffn.w1", "ffn.b1", fin, dz)
-    gx = None
-    if need_fin:
-        dfin = dz @ val["ffn.w1"].T
-        affine("ln2", dfin, xhat2)
-    if need_h:
-        gh = g + layernorm_dx(dfin, val["ln2.gain"], xhat2, inv2)
-        linear("attn.wo", "attn.bo", merged, gh)
-        gx = gh if need_x else None
-    if need["q"] or need["k"] or need["v"]:
-        dattn = split(gh @ val["attn.wo"].T)
-        dproj = {}
-        if need["v"]:
-            dproj["v"] = merge(y.transpose(0, 1, 3, 2) @ dattn)
-        if need["q"] or need["k"]:
-            dy = np.matmul(dattn, vh.transpose(0, 1, 3, 2), out=buf("dy", y.shape))
-            dscores = softmax_dx(dy, y, out=buf("dscores", y.shape))
-            dscores *= c
-            if need["q"]:
-                dproj["q"] = merge(dscores @ kh)
-            if need["k"]:
-                dproj["k"] = merge(dscores.transpose(0, 1, 3, 2) @ qh)
-        da = 0.0
-        for p, dp in dproj.items():
-            linear(f"attn.w{p}", f"attn.b{p}", a, dp)
-            if need_a:
-                da = da + dp @ val[f"attn.w{p}"].T
-            if p not in adapters:
-                continue
-            ka, kb = f"attn.{p}_lora.A", f"attn.{p}_lora.B"
-            ddelta = dp * scaling
-            if trains(kb):
-                grads[kb] = rows(ddelta).T @ rows(lows[p])
-            if trains(ka) or need_a:
-                dlow = ddelta @ val[kb]
-                if trains(ka):
-                    grads[ka] = rows(dlow).T @ rows(paths[p])
-                if need_a:
-                    dpath = dlow @ val[ka]
-                    da = da + (dpath * masks[p] if p in masks else dpath)
+    dz = np.matmul(g, val["ffn.w2"].T, out=buf("dz", z.shape))
+    dz *= gelu_dx(z, t, buf)
+    linear("ffn.w1", "ffn.b1", fin, dz)
+    dfin = dz @ val["ffn.w1"].T
+    affine("ln2", dfin, xhat2)
+    gh = g + layernorm_dx(dfin, val["ln2.gain"], xhat2, inv2)
+    linear("attn.wo", "attn.bo", merged, gh)
+    dattn = split(gh @ val["attn.wo"].T)
+    dproj = {"v": merge(y.transpose(0, 1, 3, 2) @ dattn)}
+    dy = np.matmul(dattn, vh.transpose(0, 1, 3, 2), out=buf("dy", y.shape))
+    dscores = softmax_dx(dy, y, out=buf("dscores", y.shape))
+    dscores *= c
+    dproj["q"] = merge(dscores @ kh)
+    if need_k:
+        dproj["k"] = merge(dscores.transpose(0, 1, 3, 2) @ qh)
+    da = 0.0
+    for p, dp in dproj.items():
+        linear(f"attn.w{p}", f"attn.b{p}", a, dp)
         if need_a:
-            affine("ln1", da, xhat1)
-            if need_x:
-                gx = gx + layernorm_dx(da, val["ln1.gain"], xhat1, inv1)
-    return gx, grads
+            da = da + dp @ val[f"attn.w{p}"].T
+        if p not in adapters:
+            continue
+        ka, kb = f"attn.{p}_lora.A", f"attn.{p}_lora.B"
+        ddelta = dp * scaling
+        if trains(kb):
+            grads[kb] = rows(ddelta).T @ rows(lows[p])
+        if trains(ka) or need_a:
+            dlow = ddelta @ val[kb]
+            if trains(ka):
+                grads[ka] = rows(dlow).T @ rows(paths[p])
+            if need_a:
+                dpath = dlow @ val[ka]
+                da = da + (dpath * masks[p] if p in masks else dpath)
+    if need_a:
+        affine("ln1", da, xhat1)
+    return (gh + layernorm_dx(da, val["ln1.gain"], xhat1, inv1) if need_x else None), grads

@@ -92,7 +92,9 @@ def test_missing_required_and_bad_values(tmp_path):
              "dataset.synthetic: max_seq_len: must be an integer >= 1, got 0"),
             (lambda c: c.update(seed="x"), "seed: must be an integer, got 'x'"),
             (lambda c: c.update(out_dir=0), "out_dir: must be a nonempty path"),
-            (lambda c: c.update(metrics={"convergence_window": 0}), "metrics: convergence_window"),
+            # the paper's convergence rule is fixed, so no config section sets it
+            (lambda c: c.update(metrics={"convergence_window": 5}),
+             r"config: unknown keys \['metrics'\]$"),
             (lambda c: c["partition"].update(max_redraws=0),
              "partition: max_redraws: must be an integer >= 1, got 0$"),
             (lambda c: c["textcnn"].update(dropout=1.5),
@@ -141,8 +143,7 @@ def test_missing_required_and_bad_values(tmp_path):
     integer_keys = [("federation", "rounds"), ("federation", "rounds_by_alpha", "0.5"),
                     ("federation", "batch_size"), ("federation", "local_epochs"),
                     ("federation", "local_epochs", "textcnn"), ("partition", "num_clients"),
-                    ("partition", "min_samples_per_client"), ("partition", "max_redraws"),
-                    ("metrics", "convergence_window")]
+                    ("partition", "min_samples_per_client"), ("partition", "max_redraws")]
     for path in integer_keys:
         for value in (1.5, "3", True):
             cfg7 = base_config()
@@ -165,8 +166,6 @@ def test_missing_required_and_bad_values(tmp_path):
              r"a number in \(0, 1\]"),
             (lambda c, v: c["partition"].update(alpha=[0.5, v]), "partition: alpha",
              "a finite number > 0"),
-            (lambda c, v: c.update(metrics={"convergence_tolerance": v}),
-             "metrics: convergence_tolerance", "a finite number >= 0"),
             (lambda c, v: c["federation"]["optimizer"]["textcnn"].update(lr=v),
              "federation.optimizer.textcnn: lr", "a finite number > 0"),
             (lambda c, v: c["federation"]["optimizer"]["textcnn"].update(weight_decay=v),
@@ -211,6 +210,23 @@ def test_data_errors_exit_1_before_any_cell(tmp_path, capsys, verb):
         err = capsys.readouterr().err
         assert err.startswith(message) and "Traceback" not in err, err
         assert not out.exists()
+
+
+def test_train_only_csv_partitions_but_does_not_run(tmp_path, capsys):
+    """Without `test_path` a CSV corpus has no test split: `partition` still works, but
+    `run` exits 1 before any cell, each of which would fail at its first evaluation."""
+    rows = [f'{i % 3 + 1},"w{i % 3} w{i % 7} w{i % 11}"' for i in range(60)]
+    (tmp_path / "train.csv").write_text("\n".join(rows) + "\n")
+    cfg = base_config(dataset={"csv": {
+        "train_path": str(tmp_path / "train.csv"), "label_column": 0, "text_columns": [1],
+        "num_classes": 3, "max_seq_len": 6}})
+    cfg["out_dir"] = str(tmp_path / "run")
+    assert cli.main(["run", str(write_config(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err == "data error: dataset.csv: no test split: set test_path\n"
+    assert not (tmp_path / "run").exists()
+    cfg["out_dir"] = str(tmp_path / "partition")
+    assert cli.main(["partition", str(write_config(tmp_path, cfg))]) == 0
+    assert (tmp_path / "partition" / "partition_alpha0.5.json").exists()
 
 
 def test_not_json_and_missing_file(tmp_path):

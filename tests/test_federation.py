@@ -216,7 +216,7 @@ def test_frozen_backbone_immutable_across_rounds(monkeypatch):
             assert gT.tensor is g0.tensor
     assert len(updates) == cfg.rounds * len(parts)
     for u in updates:
-        assert u.params.names == [g.name for g in initial if g.trainable]
+        assert [g.name for g in u.params] == [g.name for g in initial if g.trainable]
 
 
 def test_iid_partition_small_gap_textcnn():

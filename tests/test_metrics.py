@@ -23,12 +23,28 @@ def balanced_test(per_class=200, num_classes=4, seq=4):
     return padded(labels, [(2 + c,) for c in labels], seq)
 
 
+def restricted(test, classes):
+    """The oracle of the restriction: the rows whose label is among `classes`, in order."""
+    return test.take(np.isin(test.labels, sorted(classes)))
+
+
+def client(classes):
+    """A client whose training data holds exactly `classes`, of 6."""
+    return ClientPartition(0, [0], [int(c in classes) for c in range(6)])
+
+
+def predicts(cls):
+    """A forward that predicts class `cls` for every document."""
+    return lambda params, ids: np.eye(6)[np.full(len(ids), cls)]
+
+
 def test_restriction_full_and_single_class():
     test = balanced_test()
-    restricted = mt.restricted_test_set(test, {0, 1, 2, 3})
-    assert len(restricted) == 800
-    only0 = mt.restricted_test_set(test, {0})
-    assert len(only0) == 200 and all(label == 0 for label in only0.labels)
+    full = mt.evaluate_client(None, predicts(0), client({0, 1, 2, 3}), test)
+    assert full.eval_size == len(restricted(test, {0, 1, 2, 3})) == 800
+    only0 = mt.evaluate_client(None, predicts(0), client({0}), test)
+    # every scored document is predicted class 0, so every one is labelled 0
+    assert only0.eval_size == 200 and only0.correct_count == 200
 
 
 def test_restriction_matches_brute_force():
@@ -36,25 +52,31 @@ def test_restriction_matches_brute_force():
     labels = [int(rng.integers(0, 6)) for _ in range(500)]
     test = padded(labels, [(2 + i,) for i in range(500)], 1)  # each row its own id
     present = {1, 4}
-    fast = mt.restricted_test_set(test, present)
     brute = [(label, tuple(ids)) for label, ids in zip(test.labels.tolist(),
                                                         test.token_ids.tolist())
              if label in present]
+    fast = restricted(test, present)
     assert list(zip(fast.labels.tolist(), map(tuple, fast.token_ids.tolist()))) == brute
+
+    def by_id(params, ids):  # a prediction that differs from row to row
+        return np.eye(6)[(ids[:, 0] * 7) % 6]
+
+    ev = mt.evaluate_client(None, by_id, client(present), test)
+    assert ev.eval_size == len(brute)
+    assert ev.correct_count == sum((ids[0] * 7) % 6 == label for label, ids in brute)
 
 
 def test_restriction_errors():
-    with pytest.raises(mt.EvalError):
-        mt.restricted_test_set(balanced_test(), set())
-    with pytest.raises(mt.EvalError):
-        mt.restricted_test_set(balanced_test(num_classes=2), {3})
+    with pytest.raises(mt.EvalError, match="present_classes is empty"):
+        mt.evaluate_clients(None, predicts(0), [client(set())], balanced_test())
+    with pytest.raises(mt.EvalError, match=r"test set has no documents for classes \[3\]"):
+        mt.evaluate_clients(None, predicts(0), [client({3})], balanced_test(num_classes=2))
 
 
 def test_restriction_monotone():
     test = balanced_test()
-    a = mt.restricted_test_set(test, {0})
-    b = mt.restricted_test_set(test, {0, 2})
-    assert len(b) >= len(a)
+    a, b = mt.evaluate_clients(None, predicts(0), [client({0}), client({0, 2})], test)
+    assert b.eval_size >= a.eval_size
 
 
 def test_zero_head_single_class_restriction():
@@ -83,7 +105,7 @@ def test_accuracy_matches_hand_count():
 
 def per_client_forward_eval(params, forward, part, test):
     """Reference: restrict the test set to the client's classes, then forward it."""
-    subset = mt.restricted_test_set(test, part.present_classes)
+    subset = restricted(test, part.present_classes)
     correct = 0
     for batch in td.make_batches(subset, 64, 0):
         preds = forward(params, batch.token_ids).argmax(axis=1)

@@ -171,7 +171,7 @@ def test_merge_lora_preserves_logits():
     params = params.with_tensors(noisy)
     ids = rand_batch(rng, batch=8)
     merged = merge_lora(params, LF_CFG)
-    assert merged.lora_size() == 0
+    assert not any(g.lora for g in merged)
     diff = np.abs(forward(merged, ids) - forward(params, ids)).max()
     assert diff < 1e-5
     from fedskew.models import StructuralError

@@ -213,7 +213,8 @@ def test_loraformer_step_and_forward_match_op_chain(layers, lora_dropout, train,
 
 
 def test_head_only_training_gets_only_head_gradients():
-    """Everything below the head frozen: the step stops at the head, as `backward` does."""
+    """Everything below the head frozen: the step writes the head's gradients and no
+    other, as `backward` returns only the head's."""
     cfg = LoraFormerConfig(num_classes=4, layers=1, d_model=8, heads=2, ffn_dim=16,
                            lora_rank=2, lora_dropout=0.0)
     rng = np.random.default_rng(43)
