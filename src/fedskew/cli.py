@@ -154,7 +154,6 @@ class _TopLevel:
     dataset: dict
     seed: int = 42
     out_dir: str = field(default_factory=lambda: os.environ.get("FEDSKEW_OUT", "out"))
-    save_checkpoints: bool = False
     models: list = field(default_factory=lambda: ["textcnn"])
     textcnn: dict = field(default_factory=dict)
     loraformer: dict = field(default_factory=dict)
@@ -166,14 +165,13 @@ class _TopLevel:
         validate.integer("seed", self.seed, minimum=None)
         if not isinstance(self.out_dir, str) or not self.out_dir:
             raise ValueError(f"out_dir: must be a nonempty path, got {self.out_dir!r}")
-        validate.boolean("save_checkpoints", self.save_checkpoints)
 
 
 class ExperimentConfig:
     """A sweep, checked in full before any work starts.  Each section of the JSON
     builds the typed config that owns its keys, defaults and checks; this class reads
     the JSON's shape: the sweep axes (`models`, `partition.alpha`,
-    `federation.aggregators`) and the per-family and per-alpha keys.  `runs` holds the
+    `federation.aggregators`) and the per-family keys.  `runs` holds the
     plan of every sweep cell, in the order the sweep runs them."""
 
     def __init__(self, raw: dict):
@@ -181,7 +179,6 @@ class ExperimentConfig:
             raise ConfigError("config root must be a JSON object")
         top = _build(_TopLevel, raw, "")
         self.seed, self.out_dir = top.seed, top.out_dir
-        self.save_checkpoints = top.save_checkpoints
 
         if not (isinstance(top.dataset, dict) and len(top.dataset) == 1
                 and next(iter(top.dataset)) in DATASET_SPECS):
@@ -215,11 +212,6 @@ class ExperimentConfig:
         `fed_cfgs[run_id]`.  A family not in `models` is not built, but its keys are
         checked."""
         fedr = dict(_object(top.federation, "federation"))  # FedConfig owns what is not popped
-        by_alpha = _object(fedr.pop("rounds_by_alpha", {}), "federation.rounds_by_alpha")
-        with _at("federation.rounds_by_alpha"):
-            rounds_key = {float(key): key for key in by_alpha}  # alpha -> its key
-        _object(by_alpha, "federation.rounds_by_alpha",
-                [key for alpha, key in rounds_key.items() if alpha in self.partition_cfgs])
         epochs = fedr.pop("local_epochs", {})
         if not isinstance(epochs, dict):  # one count for every family
             epochs = dict.fromkeys(MODEL_CONFIGS, epochs)
@@ -244,12 +236,9 @@ class ExperimentConfig:
                           aggregator="fedavg", beta=0.0)  # each cell sets its own
             self.batch_size = base.batch_size  # the same for every family; pretraining uses it
             for alpha in self.alphas:
-                key = rounds_key.get(alpha)
-                rounds = base.rounds if key is None else by_alpha[key]
                 for i, (agg, beta) in enumerate(aggregators):
-                    with _at("federation", {"rounds": f"rounds_by_alpha.{key}",
-                                            "beta": f"aggregators.{i}: beta"}):
-                        fed = replace(base, rounds=rounds, aggregator=agg, beta=beta)
+                    with _at("federation", {"beta": f"aggregators.{i}: beta"}):
+                        fed = replace(base, aggregator=agg, beta=beta)
                     plan = {"seed": self.seed, "dataset": top.dataset, "model": fam,
                             "model_overrides": getattr(top, fam), "alpha": alpha,
                             "num_clients": self.num_clients,
@@ -278,7 +267,9 @@ def read_config(path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
+    except OSError as e:  # a directory, or a file this user may not read
+        raise ConfigError(f"config file unreadable: {e.strerror}: {path}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"config is not valid JSON: {e}")
 
 
@@ -316,13 +307,10 @@ def execute_run(cfg: ExperimentConfig, run: dict, dataset, partitions, out_root:
         if isinstance(initial, Exception):
             raise RuntimeError(f"backbone pretraining failed: "
                                f"{type(initial).__name__}: {initial}") from initial
-        logs, final = run_federation(dataset, partitions, run["model"],
-                                     cfg.model_cfgs[run["model"]], cfg.fed_cfgs[run["run_id"]],
-                                     initial_params=initial)
+        logs, _ = run_federation(dataset, partitions, run["model"],
+                                 cfg.model_cfgs[run["model"]], cfg.fed_cfgs[run["run_id"]],
+                                 initial_params=initial)
         mt.write_rounds_csv(logs, run_dir / "rounds.csv")
-        if cfg.save_checkpoints:
-            from .models import save_checkpoint
-            save_checkpoint(final, run_dir / "final")
         last = logs[-1].summary
         summary.update({
             "final": {"avg": last.avg, "worst": last.worst, "gap": last.gap,
@@ -687,7 +675,6 @@ def main(argv=None) -> int:
             fed = raw.setdefault("federation", {})
             if args.rounds is not None and isinstance(fed, dict):
                 fed["rounds"] = args.rounds
-                fed.pop("rounds_by_alpha", None)
         cfg = ExperimentConfig(raw)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

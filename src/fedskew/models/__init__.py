@@ -8,7 +8,7 @@ from .loraformer import (
 )
 from ..numkit import kernels as kn
 from . import loraformer, textcnn
-from .params import ParamGroup, ParamSet, StructuralError, load_checkpoint, save_checkpoint
+from .params import ParamGroup, ParamSet, StructuralError
 from .textcnn import TextCnnConfig, build_textcnn, check_fits
 
 # per model kind: the embedding table, whose rows the token ids pick, and the head bias,

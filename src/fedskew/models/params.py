@@ -1,10 +1,6 @@
 """Named parameter groups: the unit broadcast and aggregated each round."""
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
-
-import numpy as np
 
 from ..numkit import Tensor
 
@@ -66,35 +62,3 @@ class ParamSet:
             if (a.name, a.tensor.shape, a.trainable, a.lora) != (
                     b.name, b.tensor.shape, b.trainable, b.lora):
                 raise StructuralError(f"group mismatch at {a.name!r} vs {b.name!r}")
-
-
-def save_checkpoint(params: ParamSet, out_dir):
-    """JSON manifest + little-endian float64 blob in manifest order."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "model_kind": params.model_kind,
-        "groups": [
-            {"name": g.name, "shape": list(g.tensor.shape),
-             "trainable": g.trainable, "lora": g.lora}
-            for g in params
-        ],
-    }
-    (out_dir / "checkpoint.json").write_text(json.dumps(manifest), encoding="utf-8")
-    blob = np.concatenate([g.tensor.data.reshape(-1) for g in params]) if len(params) else np.array([])
-    blob.astype("<f8").tofile(out_dir / "weights.bin")
-
-
-def load_checkpoint(in_dir) -> ParamSet:
-    in_dir = Path(in_dir)
-    manifest = json.loads((in_dir / "checkpoint.json").read_text(encoding="utf-8"))
-    blob = np.fromfile(in_dir / "weights.bin", dtype="<f8")
-    groups = []
-    pos = 0
-    for entry in manifest["groups"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        groups.append(ParamGroup(entry["name"], Tensor(blob[pos : pos + size].reshape(shape)),
-                                 entry["trainable"], entry["lora"]))
-        pos += size
-    return ParamSet(groups, manifest["model_kind"])

@@ -90,22 +90,16 @@ class Dataset:
     vocabulary: Vocabulary
     max_seq_len: int
 
-    def __post_init__(self):
-        bad = self.test.labels[(self.test.labels < 0) | (self.test.labels >= self.num_classes)]
-        if bad.size:
-            raise DataError(f"test label {bad[0]} outside [0, {self.num_classes})")
-
 
 @dataclass(frozen=True)
 class CsvSchema:
-    """An AG-News-style CSV dataset: its files, the columns that hold the label and
-    the text, and the vocabulary and sequence-length limits."""
+    """An AG-News-style CSV dataset: its files, the columns that hold the label (the
+    classes numbered from 1) and the text, and the vocabulary and sequence-length limits."""
     train_path: str
     label_column: int
     text_columns: tuple
     num_classes: int
     test_path: str = None  # None: no test split
-    one_based_labels: bool = True
     max_vocab_size: int = 30000
     max_seq_len: int = 64
 
@@ -117,7 +111,6 @@ class CsvSchema:
             raise ValueError(f"text_columns: must be a nonempty list, got {self.text_columns!r}")
         for column in (self.label_column, *self.text_columns):
             validate.integer("label_column and text_columns", column, minimum=0)
-        validate.boolean("one_based_labels", self.one_based_labels)
         for name in ("num_classes", "max_vocab_size", "max_seq_len"):
             validate.integer(name, getattr(self, name))
 
@@ -147,11 +140,9 @@ def _read_rows(path, schema: CsvSchema):
             if len(row) <= needed:
                 raise DataError(f"{path}:{lineno}: expected at least {needed + 1} columns")
             try:
-                label = int(row[schema.label_column])
+                label = int(row[schema.label_column]) - 1  # AG News numbers classes from 1
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-integer label {row[schema.label_column]!r}")
-            if schema.one_based_labels:
-                label -= 1
             if not 0 <= label < schema.num_classes:
                 raise DataError(f"{path}:{lineno}: label {label} outside [0, {schema.num_classes})")
             text = " ".join(row[c] for c in schema.text_columns)

@@ -38,10 +38,3 @@ def fraction(name: str, value):
 def share(name: str, value):
     """Such as the share of clients that take part in a round."""
     return _number(name, value, lambda v: 0 < v <= 1, "a number in (0, 1]")
-
-
-def boolean(name: str, value):
-    """A JSON true or false."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{name}: must be true or false, got {value!r}")
-    return value

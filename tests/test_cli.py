@@ -113,8 +113,6 @@ def test_missing_required_and_bad_values(tmp_path):
              "federation: aggregators.0: beta: must be a finite number >= 0, got -1.0$"),
             (lambda c: c["federation"].update(local_epochs={"textcnn": 2, "lorafromer": 3}),
              r"federation.local_epochs: unknown keys \['lorafromer'\]$"),
-            (lambda c: c["federation"].update(rounds_by_alpha={"0.7": 3}),
-             r"federation.rounds_by_alpha: unknown keys \['0.7'\]$"),
             # the two removed shapes: a scalar alpha, and one optimizer for every family
             (lambda c: c["partition"].update(alpha=0.5),
              "partition.alpha: must be a list with at least one entry, got 0.5$"),
@@ -139,11 +137,11 @@ def test_missing_required_and_bad_values(tmp_path):
         edit(cfg6)
         with pytest.raises(cli.ConfigError, match=f"^{where}"):
             cli.parse_config(write_config(tmp_path, cfg6))
-    # integer keys take JSON integers only, and save_checkpoints a JSON boolean
-    integer_keys = [("federation", "rounds"), ("federation", "rounds_by_alpha", "0.5"),
-                    ("federation", "batch_size"), ("federation", "local_epochs"),
-                    ("federation", "local_epochs", "textcnn"), ("partition", "num_clients"),
-                    ("partition", "min_samples_per_client"), ("partition", "max_redraws")]
+    # integer keys take JSON integers only
+    integer_keys = [("federation", "rounds"), ("federation", "batch_size"),
+                    ("federation", "local_epochs"), ("federation", "local_epochs", "textcnn"),
+                    ("partition", "num_clients"), ("partition", "min_samples_per_client"),
+                    ("partition", "max_redraws")]
     for path in integer_keys:
         for value in (1.5, "3", True):
             cfg7 = base_config()
@@ -175,16 +173,16 @@ def test_missing_required_and_bad_values(tmp_path):
             edit(cfg8, value)
             with pytest.raises(cli.ConfigError, match=f"^{key}: must be {bound}, got {value!r}$"):
                 cli.parse_config(write_config(tmp_path, cfg8))
-    for value in ("no", 1, None):
-        with pytest.raises(cli.ConfigError,
-                           match=f"^save_checkpoints: must be true or false, got {value!r}$"):
-            cli.parse_config(write_config(tmp_path, base_config(save_checkpoints=value)))
-        csv = {"train_path": "train.csv", "label_column": 0, "text_columns": [1],
-               "num_classes": 3, "one_based_labels": value}
-        with pytest.raises(cli.ConfigError,
-                           match=f"^dataset.csv: one_based_labels: must be true or false, "
-                                 f"got {value!r}$"):
-            cli.parse_config(write_config(tmp_path, base_config(dataset={"csv": csv})))
+    # the checkpoint writer, the per-alpha round budget and zero-based CSV labels are gone
+    csv = {"train_path": "train.csv", "label_column": 0, "text_columns": [1],
+           "num_classes": 3, "one_based_labels": True}
+    federation = {**base_config()["federation"], "rounds_by_alpha": {"0.5": 3}}
+    for cfg9, where, key in (
+            (base_config(save_checkpoints=False), "config", "save_checkpoints"),
+            (base_config(federation=federation), "federation", "rounds_by_alpha"),
+            (base_config(dataset={"csv": csv}), "dataset.csv", "one_based_labels")):
+        with pytest.raises(cli.ConfigError, match=rf"^{where}: unknown keys \['{key}'\]$"):
+            cli.parse_config(write_config(tmp_path, cfg9))
 
 
 @pytest.mark.parametrize("verb", ["run", "partition"])
@@ -229,13 +227,21 @@ def test_train_only_csv_partitions_but_does_not_run(tmp_path, capsys):
     assert (tmp_path / "partition" / "partition_alpha0.5.json").exists()
 
 
-def test_not_json_and_missing_file(tmp_path):
+def test_not_json_and_missing_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     with pytest.raises(cli.ConfigError, match="JSON"):
         cli.parse_config(bad)
     with pytest.raises(cli.ConfigError, match="not found"):
         cli.parse_config(tmp_path / "absent.json")
+    # a directory, and a file that is not UTF-8, exit 1 without a traceback; a file the
+    # user may not read takes the directory's branch, which a test run as root cannot reach
+    (tmp_path / "latin1.json").write_bytes(b'{"seed": "\xff"}')
+    for path, message in ((tmp_path, "config file unreadable: Is a directory: "),
+                          (tmp_path / "latin1.json", "config is not valid JSON: ")):
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and "Traceback" not in err, err
 
 
 def test_run_id_stable_under_key_order(tmp_path):
@@ -287,20 +293,9 @@ def test_sweep_cross_product_counts(tmp_path):
     assert len({r["run_id"] for r in runs}) == 8
 
 
-def test_rounds_by_alpha_override(tmp_path):
-    cfg = base_config()
-    cfg["partition"]["alpha"] = [0.1, 5.0]
-    cfg["federation"]["rounds"] = 7
-    cfg["federation"]["rounds_by_alpha"] = {"0.1": 3}
-    runs = cli.parse_config(write_config(tmp_path, cfg)).runs
-    by_alpha = {r["alpha"]: r["rounds"] for r in runs}
-    assert by_alpha == {0.1: 3, 5.0: 7}
-
-
 def test_each_cell_runs_its_plan(tmp_path):
     cfg = pretrained_sweep_config(tmp_path)
-    cfg["federation"].update(rounds_by_alpha={"0.3": 3}, local_epochs={"textcnn": 2},
-                             participation=0.5)
+    cfg["federation"].update(local_epochs={"textcnn": 2}, participation=0.5)
     parsed = cli.ExperimentConfig(cfg)
     assert len(parsed.runs) == 8 and list(parsed.fed_cfgs) == [r["run_id"] for r in parsed.runs]
     for run in parsed.runs:
@@ -310,7 +305,7 @@ def test_each_cell_runs_its_plan(tmp_path):
                 == tuple(run[k] for k in ("rounds", "aggregator", "beta", "local_epochs",
                                           "batch_size", "participation")))
     assert {(r["model"], r["alpha"], r["rounds"], r["local_epochs"]) for r in parsed.runs} == {
-        (m, a, 3 if a == 0.3 else 2, 2 if m == "textcnn" else 1)
+        (m, a, cfg["federation"]["rounds"], 2 if m == "textcnn" else 1)
         for m in ("textcnn", "loraformer") for a in (0.3, 2.0)}
 
 

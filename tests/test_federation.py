@@ -187,6 +187,24 @@ def test_single_client_round_equals_centralized():
     assert len(logs) == 1 and len(logs[0].evals) == 1
 
 
+@pytest.mark.parametrize("share", [0.5, 0.01])
+def test_partial_participation_draws_clients_per_round(share):
+    """Each round trains and evaluates max(1, round(share x active)) clients, listed in
+    ascending id order and drawn from the seed alone; a share of 0.01 floors at 1 client."""
+    parts = dirichlet_partition(DESK, PartitionConfig(10, 1.0, seed=3))
+    active = [p.client_id for p in parts if p.size > 0]
+    cfg = fed_cfg(rounds=4, participation=share)
+    logs, _ = fed.run_federation(DESK, parts, "textcnn", CNN_CFG, cfg)
+    chosen = [[ev.client_id for ev in log.evals] for log in logs]
+    for log, ids in zip(logs, chosen):
+        assert len(ids) == max(1, round(share * len(active)))
+        assert ids == sorted(ids) and set(ids) <= set(active)
+        assert log.client_sizes == [parts[i].size for i in ids]
+    assert len({tuple(ids) for ids in chosen}) >= 2
+    again, _ = fed.run_federation(DESK, parts, "textcnn", CNN_CFG, cfg)
+    assert again == logs
+
+
 def test_frozen_backbone_immutable_across_rounds(monkeypatch):
     lf = LoraFormerConfig(num_classes=4, layers=1, d_model=8, heads=2, ffn_dim=16,
                           lora_rank=2, lora_dropout=0.0)

@@ -9,17 +9,14 @@ from fedskew import textdata as td
 from fedskew.models import (
     DisjointnessError,
     LoraFormerConfig,
-    ParamSet,
     PretrainConfig,
     TextCnnConfig,
     build_loraformer,
     build_loss_and_grad,
     build_model,
     build_textcnn,
-    load_checkpoint,
     merge_lora,
     pretrain_backbone,
-    save_checkpoint,
 )
 from fedskew.models import loraformer, textcnn
 from fedskew.numkit.optim import OptimizerCfg, adamw_step, sgd_step
@@ -315,11 +312,3 @@ def test_loss_decreases_centralized_both_families():
             nk.step(flat, flat.grad)
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
-
-def test_checkpoint_roundtrip(tmp_path):
-    params, _ = build_loraformer(LF_CFG, VOCAB, SEQ, seed=11)
-    save_checkpoint(params, tmp_path / "ckpt")
-    back = load_checkpoint(tmp_path / "ckpt")
-    back.check_congruent(params)
-    for a, b in zip(params, back):
-        assert np.array_equal(a.tensor.data, b.tensor.data)

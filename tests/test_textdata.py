@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -52,6 +53,13 @@ def test_load_csv_errors(tmp_path):
     write_csv(out_of_range, ['9,"x","y"'])
     with pytest.raises(td.DataError, match="label"):
         td.load_csv(schema(out_of_range))
+    # a test split's labels are checked as the train split's are, naming the test file
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    write_csv(train, ['1,"x","y"'])
+    write_csv(test, ['9,"x","y"'])
+    with pytest.raises(td.DataError,
+                       match=rf"^{re.escape(str(test))}:1: label 8 outside \[0, 4\)$"):
+        td.load_csv(schema(train, test))
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(td.DataError, match="no rows"):
