@@ -40,7 +40,8 @@ class ConfigError(ValueError):
 
 class InputDataError(ValueError):
     """The data a valid config points at cannot be used: a CSV file is missing or malformed,
-    no partition meets the config's constraints, or the model cannot embed the proxy's words."""
+    no partition meets the config's constraints, the target has too few words for a proxy
+    corpus, or `report` finds a summary.json it cannot read."""
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +192,6 @@ class ExperimentConfig:
         self.dataset_spec = _build(DATASET_SPECS[kind], spec, where)
 
         part = _object(top.partition, "partition")
-        # seeded, so `fedskew run --seed` is applied to the raw config before this
         pcfgs = _axis(part.get("alpha", [PartitionConfig.alpha]), "partition.alpha",
                       lambda alpha: _build(PartitionConfig, {**part, "alpha": alpha},
                                            "partition", seed=self.seed))
@@ -202,9 +202,7 @@ class ExperimentConfig:
 
         self.models = _axis(top.models, "models", _family)
         self._parse_families(top)
-        self.pretrain_cfg = _build(PretrainConfig,
-                                   {"seed": self.seed + 1, **_object(top.pretrain, "pretrain")},
-                                   "pretrain")
+        self.pretrain_cfg = _build(PretrainConfig, top.pretrain, "pretrain", seed=self.seed + 1)
 
     def _parse_families(self, top):
         """Sets `model_cfgs` per model family, and per sweep cell, in plan order, its
@@ -245,7 +243,9 @@ class ExperimentConfig:
                             "min_samples_per_client": self.min_samples_per_client,
                             "aggregator": agg, "beta": beta, "rounds": fed.rounds,
                             "local_epochs": fed.local_epochs, "batch_size": fed.batch_size,
-                            "optimizer": optimizers[fam], "participation": fed.participation,
+                            # every client trains every round; the key stays so that run
+                            # ids and summary.json bytes stay the same
+                            "optimizer": optimizers[fam], "participation": 1.0,
                             "pretrain": top.pretrain if fam == "loraformer" else {}}
                     run_id = hashlib.sha256(
                         json.dumps(plan, sort_keys=True).encode()).hexdigest()[:12]
@@ -357,8 +357,8 @@ def load_data(cfg: ExperimentConfig):
 def run_experiments(cfg: ExperimentConfig, jobs: int = 1) -> list:
     """Run every sweep cell, `jobs` at a time (jobs > 1: `_run_forked`), and write the
     report from the cells' summary.json files, read back in plan order.  A data error
-    (`load_data`, no test split, or a proxy vocabulary too large to embed) is raised before
-    anything is written."""
+    (`load_data`, no test split, or a target with too few words for a proxy corpus) is
+    raised before anything is written."""
     dataset, partitions_by_alpha = load_data(cfg)
     if len(dataset.test) == 0:  # every cell would fail at its first evaluation
         raise InputDataError("dataset.csv: no test split: set test_path")
@@ -366,9 +366,9 @@ def run_experiments(cfg: ExperimentConfig, jobs: int = 1) -> list:
     pretrains = lora is not None and lora.backbone_mode == "pretrained-frozen"
     if pretrains:
         try:
-            cfg.pretrain_cfg.proxy_spec(dataset)  # raises if the model cannot embed its words
+            cfg.pretrain_cfg.proxy_spec(dataset)  # raises if the target has too few words
         except ValueError as e:
-            raise InputDataError(f"pretrain.{e}") from e
+            raise InputDataError(f"pretrain: {e}") from e
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     try:
@@ -423,6 +423,22 @@ def _run_forked(one, runs: list, jobs: int, out_root: Path):
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
+
+
+def read_summary(path: Path) -> dict:
+    """A cell's summary.json, with the keys `emit_report` reads at its top level; raises
+    InputDataError, naming the file, when it is not valid JSON or lacks one of them."""
+    try:
+        summary = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise InputDataError(f"{path}: not valid JSON: {e}") from e
+    if not isinstance(summary, dict):
+        raise InputDataError(f"{path}: must be a JSON object")
+    outcome = "final" if summary.get("status") == "ok" else "error"
+    missing = [k for k in ("run_id", "status", "config", outcome) if k not in summary]
+    if missing:
+        raise InputDataError(f"{path}: missing keys {missing}")
+    return summary
 
 
 def _pct(x) -> str:
@@ -500,9 +516,10 @@ def emit_report(summaries, out_dir):
                          f"{100 * d['worst']:+.1f} | {100 * d['gap']:+.1f} |")
         lines.append("")
 
-    if failed:
+    if failed:  # in run-id order, the order `fedskew report` reads the summaries in
         lines += ["## Failed runs", ""]
-        lines += [f"- `{s['run_id']}`: {s['error']}" for s in failed] + [""]
+        lines += [f"- `{s['run_id']}`: {s['error']}"
+                  for s in sorted(failed, key=lambda s: s["run_id"])] + [""]
     (out_dir / "report.md").write_text("\n".join(lines), encoding="utf-8")
 
 
@@ -584,7 +601,7 @@ def selftest() -> bool:
         from .models import LoraFormerConfig, build_loraformer, loraformer
         rng = np.random.default_rng(0)
         cfg = LoraFormerConfig(num_classes=2, layers=2, d_model=4, heads=2, ffn_dim=6,
-                               lora_rank=2, lora_scaling=3.0, lora_dropout=0.2)
+                               lora_rank=2, lora_dropout=0.2)
         params, _ = build_loraformer(cfg, 7, 6, seed=0)
         # every group random and trained: the whole backward pass runs
         params = ParamSet([ParamGroup(g.name, nk.Tensor(rng.standard_normal(g.tensor.shape)),
@@ -638,13 +655,12 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a sweep config")
     p_run.add_argument("config")
     p_run.add_argument("--jobs", type=int, default=1)
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--rounds", type=int, default=None)
 
     p_part = sub.add_parser("partition", help="partition-only audit")
     p_part.add_argument("config")
 
-    p_rep = sub.add_parser("report", help="regenerate report.md from summary.json files")
+    p_rep = sub.add_parser("report", help="regenerate report.md and gap_vs_alpha.csv")
     p_rep.add_argument("out_dir")
 
     sub.add_parser("selftest", help="run the invariant suites")
@@ -655,9 +671,11 @@ def main(argv=None) -> int:
         return 0 if selftest() else 3
 
     if args.verb == "report":
-        summaries = []
-        for p in sorted(Path(args.out_dir).glob("*/summary.json")):
-            summaries.append(json.loads(p.read_text(encoding="utf-8")))
+        try:
+            summaries = [read_summary(p) for p in sorted(Path(args.out_dir).glob("*/summary.json"))]
+        except InputDataError as e:
+            print(f"data error: {e}", file=sys.stderr)
+            return 1
         if not summaries:
             print(f"no summary.json files under {args.out_dir}", file=sys.stderr)
             return 1
@@ -669,9 +687,7 @@ def main(argv=None) -> int:
         if args.verb == "run" and args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         raw = read_config(args.config)
-        if args.verb == "run" and isinstance(raw, dict):  # flags override the file
-            if args.seed is not None:
-                raw["seed"] = args.seed
+        if args.verb == "run" and isinstance(raw, dict):  # --rounds overrides the file
             fed = raw.setdefault("federation", {})
             if args.rounds is not None and isinstance(fed, dict):
                 fed["rounds"] = args.rounds

@@ -10,7 +10,7 @@ server averages those in client-id order and merges the result into the global
 params, whose frozen tensors are the same objects every round.
 
 Each round ends with one eval-mode forward pass of the new global model over
-the test set; every participating client's accuracy is then read off it under
+the test set; every client's accuracy is then read off it under
 a mask of the classes that client trains on (`metrics.evaluate_clients`).
 """
 
@@ -32,11 +32,6 @@ class FederationError(RuntimeError):
     pass
 
 
-def check_beta(beta: float) -> float:
-    """FedAvgW's exponent: a finite number >= 0 (0 gives each client LoRA weight 1/K)."""
-    return validate.nonnegative("beta", beta)
-
-
 @dataclass(frozen=True)
 class FedConfig:
     optimizer: OptimizerCfg
@@ -44,17 +39,15 @@ class FedConfig:
     rounds: int = 50
     batch_size: int = 32
     aggregator: str = "fedavg"  # "fedavg" | "fedavgw"
-    beta: float = 0.0
-    participation: float = 1.0
+    beta: float = 0.0  # FedAvgW's exponent; 0 gives each client LoRA weight 1/K
     seed: int = 42
 
     def __post_init__(self):
         for name in ("rounds", "local_epochs", "batch_size"):
             validate.integer(name, getattr(self, name))
-        validate.share("participation", self.participation)
         if self.aggregator not in ("fedavg", "fedavgw"):
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
-        check_beta(self.beta)
+        validate.nonnegative("beta", self.beta)
 
 
 @dataclass(frozen=True)
@@ -93,7 +86,6 @@ def fedavg_weights(updates) -> AggregationWeights:
 
 
 def fedavgw_weights(updates, beta: float) -> AggregationWeights:
-    check_beta(beta)
     n = np.array([u.n_k for u in updates], dtype=np.float64)
     if (n <= 0).any():
         raise FederationError("fedavgw requires n_k > 0 for every participant")
@@ -152,7 +144,8 @@ def local_train(global_params: ParamSet, loss_and_grad, partition, dataset, fed_
 
 def run_federation(dataset, partitions, model_family: str, model_cfg,
                    fed_cfg: FedConfig, initial_params=None):
-    """Full protocol: returns (list of RoundLog, final ParamSet)."""
+    """Full protocol: returns (list of RoundLog, final ParamSet).  Every client with data
+    trains and is evaluated every round."""
     global_params, forward = build_model(model_family, model_cfg,
                                          dataset.vocabulary.size, dataset.max_seq_len,
                                          fed_cfg.seed)
@@ -161,17 +154,11 @@ def run_federation(dataset, partitions, model_family: str, model_cfg,
         initial_params.check_congruent(global_params)
         global_params = initial_params
 
+    active = [p for p in partitions if p.size > 0]
+    if not active:
+        raise FederationError("no client has data")
     logs = []
     for t in range(1, fed_cfg.rounds + 1):
-        active = [p for p in partitions if p.size > 0]
-        if fed_cfg.participation < 1.0:
-            count = max(1, round(fed_cfg.participation * len(active)))
-            rng = nk.derive(fed_cfg.seed, "participation", t)
-            chosen = sorted(rng.choice(len(active), size=count, replace=False))
-            active = [active[i] for i in chosen]
-        if not active:
-            raise FederationError(f"round {t}: no participating clients")
-
         updates = [local_train(global_params, loss_and_grad, p, dataset, fed_cfg, t)
                    for p in active]
         updates.sort(key=lambda u: u.client_id)

@@ -20,6 +20,7 @@ from ..textdata import PAD_ID, SyntheticSpec, generate_synthetic, make_batches
 from .params import ParamGroup, ParamSet, StructuralError
 
 PRETRAIN_WEIGHT_DECAY = 0.01  # AdamW's decoupled weight decay while the backbone pretrains
+LORA_ALPHA = 32.0  # an adapter's update is scaled by LORA_ALPHA / lora_rank
 
 
 @dataclass(frozen=True)
@@ -30,19 +31,21 @@ class LoraFormerConfig:
     heads: int = 4
     ffn_dim: int = 128
     lora_rank: int = 8
-    lora_scaling: float = 32.0
     lora_dropout: float = 0.1
     backbone_mode: str = "random-frozen"  # or "pretrained-frozen"
 
     def __post_init__(self):
         for name in ("num_classes", "layers", "d_model", "heads", "ffn_dim", "lora_rank"):
             validate.integer(name, getattr(self, name))
-        validate.positive("lora_scaling", self.lora_scaling)
         validate.fraction("lora_dropout", self.lora_dropout)
         if self.d_model % self.heads != 0:
             raise ValueError("d_model must be divisible by heads")
         if self.backbone_mode not in ("random-frozen", "pretrained-frozen"):
             raise ValueError(f"unknown backbone mode {self.backbone_mode!r}")
+
+    @property
+    def lora_scale(self) -> float:
+        return LORA_ALPHA / self.lora_rank
 
 
 def _backbone_groups(cfg: LoraFormerConfig, vocab_size: int, max_seq_len: int, seed: int):
@@ -118,11 +121,10 @@ def _run(cfg: LoraFormerConfig, params: ParamSet, ids, keep_prob, rng, train, ca
     pad_mask = ids != PAD_ID
     h = v("tok_emb")[ids] + v("pos_emb")[:s]
     mask_bias = kn.key_mask_bias(pad_mask)
-    scaling = cfg.lora_scaling / cfg.lora_rank
     for i, names in enumerate(_layer_names(params, cfg)):
         h, cache = kn.encoder_layer_forward(h, {k: v(name) for k, name in names.items()},
-                                            cfg.heads, mask_bias, scaling, keep_prob, rng, train,
-                                            kn.scratch(f"layer{i}"))
+                                            cfg.heads, mask_bias, cfg.lora_scale, keep_prob, rng,
+                                            train, kn.scratch(f"layer{i}"))
         if caches is not None:
             caches.append((names, cache))
     fin, xhat, inv = kn.layernorm(h, v("ln_f.gain"), v("ln_f.bias"))
@@ -196,7 +198,6 @@ def make_loss_and_grad(cfg: LoraFormerConfig):
 def graph_forward(cfg: LoraFormerConfig):
     """The logits as an autodiff graph of ops, each encoder layer the op chain
     `numkit.encoder_layer_ops`, over a leaf per group: the reference of the functions above."""
-    scaling = cfg.lora_scaling / cfg.lora_rank
     keep = 1.0 - cfg.lora_dropout
 
     def forward(params: ParamSet, token_ids, train: bool = False, rng=None):
@@ -210,7 +211,8 @@ def graph_forward(cfg: LoraFormerConfig):
                    nk.embedding_lookup(leaves["pos_emb"], pos_ids))
         for names in _layer_names(params, cfg):
             h = nk.encoder_layer_ops(h, {k: leaves[name] for k, name in names.items()},
-                                     cfg.heads, pad_mask, scaling, keep, rng=rng, train=train)
+                                     cfg.heads, pad_mask, cfg.lora_scale, keep, rng=rng,
+                                     train=train)
         h = nk.layernorm(h, leaves["ln_f.gain"], leaves["ln_f.bias"])
         pooled = nk.masked_mean_pool(h, pad_mask.astype(np.float64))
         return nk.add(nk.matmul(pooled, leaves["head.weight"]), leaves["head.bias"])
@@ -219,18 +221,17 @@ def graph_forward(cfg: LoraFormerConfig):
 
 
 def merge_lora(params: ParamSet, cfg: LoraFormerConfig) -> ParamSet:
-    """Fold adapters into the frozen projections: W' = W + (scale) (B A)^T."""
+    """Fold adapters into the frozen projections: W' = W + lora_scale (B A)^T."""
     if params.model_kind != "loraformer":
         raise StructuralError("merge_lora requires a loraformer ParamSet")
     if not any(g.lora for g in params):
         raise StructuralError("adapters already merged")
-    scaling = cfg.lora_scaling / cfg.lora_rank
     merged = {}
     for g in params:
         if g.lora and g.name.endswith("_lora.A"):  # layerN.attn.q_lora.A folds into layerN.attn.wq
             attn, _, proj = g.name[: -len("_lora.A")].rpartition(".")
             w, b = params.get(f"{attn}.w{proj}"), params.get(f"{attn}.{proj}_lora.B")
-            merged[w.name] = nk.Tensor(w.tensor.data + scaling * (b.tensor.data @ g.tensor.data).T)
+            merged[w.name] = nk.Tensor(w.tensor.data + cfg.lora_scale * (b.tensor.data @ g.tensor.data).T)
     return ParamSet([g for g in params if not g.lora], "loraformer").with_tensors(merged)
 
 
@@ -252,9 +253,7 @@ class PretrainConfig:
     seed: int
     steps: int = 200
     lr: float = 1e-3
-    vocab_size: int = None  # None: the target vocabulary's word count, at least 2
     docs_per_class: int = 100
-    doc_length: int = None  # None: the target's max_seq_len
     topic_concentration: float = 0.2
 
     def __post_init__(self):
@@ -262,25 +261,20 @@ class PretrainConfig:
         validate.integer("steps", self.steps, minimum=0)
         object.__setattr__(self, "optimizer",
                            OptimizerCfg("adamw", self.lr, PRETRAIN_WEIGHT_DECAY))
-        for name in ("vocab_size", "docs_per_class", "doc_length"):
-            if getattr(self, name) is not None:
-                validate.integer(name, getattr(self, name))
+        validate.integer("docs_per_class", self.docs_per_class)
         validate.positive("topic_concentration", self.topic_concentration)
 
     def proxy_spec(self, target) -> SyntheticSpec:
-        """The proxy corpus's spec for the target dataset; None sizes follow the target.
-        A model of the target has one embedding row per entry of its vocabulary and one
-        position per token of its `max_seq_len`, so a proxy document must fit both."""
-        vocab_size = self.vocab_size or max(target.vocabulary.size - 2, 2)
-        if vocab_size + 2 > target.vocabulary.size:  # proxy ids are 2 .. vocab_size + 1
-            raise ValueError(f"vocab_size: must be at most {target.vocabulary.size - 2}, the "
-                             f"target vocabulary's word count, got {vocab_size}")
-        if self.doc_length is not None and self.doc_length > target.max_seq_len:
-            raise ValueError(f"doc_length: must be at most {target.max_seq_len}, the target's "
-                             f"max_seq_len, got {self.doc_length}")
-        return SyntheticSpec(target.num_classes, vocab_size, self.docs_per_class, 1,
-                             self.doc_length or target.max_seq_len,
-                             self.topic_concentration, self.seed, target.max_seq_len)
+        """The proxy corpus's spec for the target dataset: the target's word count and
+        `max_seq_len`.  A model of the target has one embedding row per entry of its
+        vocabulary (its words, PAD and UNK) and one position per token of its
+        `max_seq_len`, so it embeds every proxy word (ids 2 .. word count + 1) and position."""
+        words = target.vocabulary.size - 2
+        if words < 2:
+            raise ValueError(f"the proxy corpus needs at least 2 words, and the target "
+                             f"vocabulary has {words}")
+        return SyntheticSpec(target.num_classes, words, self.docs_per_class, 1,
+                             target.max_seq_len, self.topic_concentration, self.seed)
 
 
 def pretrain_backbone(params: ParamSet, cfg: LoraFormerConfig, pre: PretrainConfig, target,

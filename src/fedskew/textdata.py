@@ -22,6 +22,7 @@ from .numkit.rng import derive
 
 PAD_ID = 0
 UNK_ID = 1
+MAX_VOCAB_SIZE = 30000  # a CSV vocabulary keeps its train split's most frequent words
 
 _TOKEN_RE = re.compile(r"[^a-z0-9\s]+")
 
@@ -94,13 +95,12 @@ class Dataset:
 @dataclass(frozen=True)
 class CsvSchema:
     """An AG-News-style CSV dataset: its files, the columns that hold the label (the
-    classes numbered from 1) and the text, and the vocabulary and sequence-length limits."""
+    classes numbered from 1) and the text, and the sequence-length limit."""
     train_path: str
     label_column: int
     text_columns: tuple
     num_classes: int
     test_path: str = None  # None: no test split
-    max_vocab_size: int = 30000
     max_seq_len: int = 64
 
     def __post_init__(self):
@@ -111,7 +111,7 @@ class CsvSchema:
             raise ValueError(f"text_columns: must be a nonempty list, got {self.text_columns!r}")
         for column in (self.label_column, *self.text_columns):
             validate.integer("label_column and text_columns", column, minimum=0)
-        for name in ("num_classes", "max_vocab_size", "max_seq_len"):
+        for name in ("num_classes", "max_seq_len"):
             validate.integer(name, getattr(self, name))
 
 
@@ -119,7 +119,7 @@ def load_csv(schema: CsvSchema) -> Dataset:
     """Load an AG-News-style CSV pair (train builds the vocabulary)."""
     train_rows = _read_rows(schema.train_path, schema)
     test_rows = _read_rows(schema.test_path, schema) if schema.test_path else []
-    vocab = Vocabulary.build((toks for _, toks in train_rows), schema.max_vocab_size)
+    vocab = Vocabulary.build((toks for _, toks in train_rows), MAX_VOCAB_SIZE)
 
     def to_split(rows):
         return _pad([label for label, _ in rows],

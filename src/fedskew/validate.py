@@ -33,8 +33,3 @@ def nonnegative(name: str, value):
 def fraction(name: str, value):
     """Such as a dropout rate."""
     return _number(name, value, lambda v: 0 <= v < 1, "a number in [0, 1)")
-
-
-def share(name: str, value):
-    """Such as the share of clients that take part in a round."""
-    return _number(name, value, lambda v: 0 < v <= 1, "a number in (0, 1]")

@@ -75,7 +75,6 @@ def test_missing_required_and_bad_values(tmp_path):
             (lambda c: c["federation"].update(rounds=0), "federation: rounds"),
             (lambda c: c["federation"].update(batch_size=0),
              "federation: batch_size: must be an integer >= 1, got 0$"),
-            (lambda c: c["federation"].update(participation=2), "federation: participation"),
             (lambda c: c["federation"]["optimizer"]["textcnn"].update(kind="adam"),
              "federation.optimizer.textcnn: unknown optimizer kind 'adam'"),
             (lambda c: c["textcnn"].update(filter_widths=[2, 7]),
@@ -160,8 +159,6 @@ def test_missing_required_and_bad_values(tmp_path):
                 cli.parse_config(write_config(tmp_path, cfg7))
     # float keys take finite JSON numbers only
     for edit, key, bound in (
-            (lambda c, v: c["federation"].update(participation=v), "federation: participation",
-             r"a number in \(0, 1\]"),
             (lambda c, v: c["partition"].update(alpha=[0.5, v]), "partition: alpha",
              "a finite number > 0"),
             (lambda c, v: c["federation"]["optimizer"]["textcnn"].update(lr=v),
@@ -295,15 +292,15 @@ def test_sweep_cross_product_counts(tmp_path):
 
 def test_each_cell_runs_its_plan(tmp_path):
     cfg = pretrained_sweep_config(tmp_path)
-    cfg["federation"].update(local_epochs={"textcnn": 2}, participation=0.5)
+    cfg["federation"].update(local_epochs={"textcnn": 2})
     parsed = cli.ExperimentConfig(cfg)
     assert len(parsed.runs) == 8 and list(parsed.fed_cfgs) == [r["run_id"] for r in parsed.runs]
     for run in parsed.runs:
         fed = parsed.fed_cfgs[run["run_id"]]
-        assert ((fed.rounds, fed.aggregator, fed.beta, fed.local_epochs, fed.batch_size,
-                 fed.participation)
+        assert ((fed.rounds, fed.aggregator, fed.beta, fed.local_epochs, fed.batch_size)
                 == tuple(run[k] for k in ("rounds", "aggregator", "beta", "local_epochs",
-                                          "batch_size", "participation")))
+                                          "batch_size")))
+        assert run["participation"] == 1.0  # every client trains every round
     assert {(r["model"], r["alpha"], r["rounds"], r["local_epochs"]) for r in parsed.runs} == {
         (m, a, cfg["federation"]["rounds"], 2 if m == "textcnn" else 1)
         for m in ("textcnn", "loraformer") for a in (0.3, 2.0)}
@@ -563,16 +560,86 @@ def test_cli_exit_codes(tmp_path):
     assert cli.main(["partition", str(path)]) == 0
 
 
-def test_cli_seed_and_rounds_flags(tmp_path):
+def test_report_rewrites_the_sweep_files_byte_for_byte(tmp_path, monkeypatch, capsys):
+    """`fedskew report` reads the summaries in run-id order, the sweep in plan order: both
+    write the same report.md and gap_vs_alpha.csv, failed runs included."""
+    cfg = base_config(out_dir=str(tmp_path / "out"))
+    cfg["partition"]["alpha"] = [0.3, 2.0]
+    cfg["federation"]["aggregators"] = ["fedavg", "fedavgw:0.5"]
+    parsed = cli.parse_config(write_config(tmp_path, cfg))
+    failing_sizes = alpha_sizes(parsed, 0.3)
+    real = cli.run_federation
+
+    def sabotage(dataset, partitions, *args, **kwargs):
+        if [p.size for p in partitions] == failing_sizes:  # both α 0.3 cells fail
+            raise RuntimeError("simulated crash")
+        return real(dataset, partitions, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_federation", sabotage)
+    summaries = cli.run_experiments(parsed, jobs=2)
+    assert [s["status"] for s in summaries] == ["error", "error", "ok", "ok"]
+    names = ("report.md", "gap_vs_alpha.csv")
+    written = {name: (tmp_path / "out" / name).read_bytes() for name in names}
+    for name in names:
+        (tmp_path / "out" / name).unlink()
+    assert cli.main(["report", str(tmp_path / "out")]) == 0
+    assert {name: (tmp_path / "out" / name).read_bytes() for name in names} == written
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("text,message", [
+    ("{", "not valid JSON: "), ('{"run_id": "a"}', "missing keys ['status', 'config', 'error']"),
+    ("[]", "must be a JSON object")])
+def test_report_on_a_bad_summary_exits_1(tmp_path, capsys, text, message):
+    """A summary.json that a killed run truncated, or one that lacks a key the report reads,
+    is a data error that names the file, not a traceback."""
+    path = tmp_path / "out" / "x" / "summary.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(text)
+    assert cli.main(["report", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: {message}") and err.count("\n") == 1, err
+    assert not (tmp_path / "out" / "report.md").exists()
+
+
+def test_cli_rounds_flag(tmp_path):
     cfg = base_config(out_dir=str(tmp_path / "out"))
     path = write_config(tmp_path, cfg)
-    assert cli.main(["run", str(path), "--seed", "99", "--rounds", "1"]) == 0
+    assert cli.main(["run", str(path), "--rounds", "1"]) == 0
     summaries = sorted((tmp_path / "out").glob("*/summary.json"))
     data = json.loads(summaries[0].read_text())
-    assert data["config"]["seed"] == 99
     assert data["config"]["rounds"] == 1
-    manifest = json.loads((summaries[0].parent / "partition.json").read_text())
-    assert manifest["seed"] == 99
+
+
+def test_seed_flag_is_unknown(tmp_path, capsys):
+    """The seed is the config's `seed` key; `run` has no flag that overrides it."""
+    path = write_config(tmp_path, base_config(out_dir=str(tmp_path / "out")))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", str(path), "--seed", "99"])
+    assert exit_.value.code == 2
+    assert "error: unrecognized arguments: --seed 99" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where,key,value", [
+    ("federation", "participation", 0.5), ("loraformer", "lora_scaling", 16.0),
+    ("pretrain", "vocab_size", 40), ("pretrain", "doc_length", 6), ("pretrain", "seed", 12),
+    ("dataset.csv", "max_vocab_size", 2)])
+def test_removed_setting_is_an_unknown_key(tmp_path, capsys, where, key, value):
+    """Every client trains every round, the LoRA alpha is 32, the proxy corpus takes the
+    target's words and length and the sweep seed + 1, and a CSV vocabulary keeps at most
+    `textdata.MAX_VOCAB_SIZE` words: the keys that set them exit 1 before any work."""
+    cfg = pretrained_sweep_config(tmp_path / "out")
+    if where == "dataset.csv":
+        cfg["dataset"] = {"csv": {"train_path": "train.csv", "label_column": 0,
+                                  "text_columns": [1], "num_classes": 3}}
+    section = cfg
+    for name in where.split("."):
+        section = section[name]
+    section[key] = value
+    assert cli.main(["run", str(write_config(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err == f"config error: {where}: unknown keys ['{key}']\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_env_var_out_dir(tmp_path, monkeypatch):
@@ -665,9 +732,10 @@ def test_backbone_pretrained_once_per_sweep(tmp_path, monkeypatch, jobs):
 
 
 def test_pretraining_failure_fails_only_loraformer_cells(tmp_path):
-    # a proxy drawn with the target corpus's own spec and seed repeats its documents
-    cfg = pretrained_sweep_config(tmp_path / "out", seed=11, vocab_size=40, doc_length=6,
-                                  topic_concentration=0.05)
+    # a proxy drawn with the target corpus's own spec and seed repeats its documents: it
+    # takes the target's words and length, and sweep seed 10 gives it the dataset's seed 11
+    cfg = pretrained_sweep_config(tmp_path / "out", topic_concentration=0.05)
+    cfg["seed"] = 10
     _, summaries = run_sweep(tmp_path, cfg, jobs=2)
     status = {(s["config"]["model"], s["config"]["alpha"], s["config"]["aggregator"]): s
               for s in summaries}
@@ -683,30 +751,14 @@ def test_pretraining_failure_fails_only_loraformer_cells(tmp_path):
     assert "Failed runs" in (tmp_path / "out" / "report.md").read_text()
 
 
-def test_proxy_vocabulary_past_the_embedding_table_exits_1(tmp_path, capsys):
-    # proxy ids run to vocab_size + 1, past the 42 embedding rows of the target's 40 words
-    cfg = pretrained_sweep_config(tmp_path / "out", vocab_size=100)
+def test_target_with_fewer_than_two_words_exits_1(tmp_path, capsys):
+    # the proxy corpus takes the target's word count, and needs at least 2 words
+    cfg = pretrained_sweep_config(tmp_path / "out")
+    cfg["dataset"]["synthetic"]["vocab_size"] = 1
     assert cli.main(["run", str(write_config(tmp_path, cfg))]) == 1
     err = capsys.readouterr().err
-    assert err == ("data error: pretrain.vocab_size: must be at most 40, the target "
-                   "vocabulary's word count, got 100\n"), err
-    assert not (tmp_path / "out").exists()
-
-
-def test_proxy_documents_longer_than_the_target_exit_1(tmp_path, capsys):
-    # the target's documents are 6 tokens; a 100-token proxy document has no position
-    # embedding past the sixth, and would be cut to 6 tokens
-    from fedskew.models import PretrainConfig
-    target = cli.parse_config(write_config(tmp_path, base_config())).load_dataset()
-    with pytest.raises(ValueError, match="^doc_length: must be at most 6, the target's "
-                                         "max_seq_len, got 100$"):
-        PretrainConfig(seed=12, doc_length=100).proxy_spec(target)
-    assert PretrainConfig(seed=12, doc_length=6).proxy_spec(target).doc_length == 6
-    cfg = pretrained_sweep_config(tmp_path / "out", doc_length=100)
-    assert cli.main(["run", str(write_config(tmp_path, cfg))]) == 1
-    err = capsys.readouterr().err
-    assert err == ("data error: pretrain.doc_length: must be at most 6, the target's "
-                   "max_seq_len, got 100\n"), err
+    assert err == ("data error: pretrain: the proxy corpus needs at least 2 words, and the "
+                   "target vocabulary has 1\n"), err
     assert not (tmp_path / "out").exists()
 
 
@@ -738,7 +790,8 @@ def test_bad_id_or_label_in_a_client_fails_its_cell(tmp_path, monkeypatch, corru
 
 
 def test_bad_pretrain_keys_report_the_first_check(tmp_path, capsys):
-    cfg = pretrained_sweep_config(tmp_path / "out", lr=-1, vocab_size=0, topic_concentration=0)
+    cfg = pretrained_sweep_config(tmp_path / "out", lr=-1, docs_per_class=0,
+                                  topic_concentration=0)
     assert cli.main(["run", str(write_config(tmp_path, cfg))]) == 1
     assert capsys.readouterr().err == (
         "config error: pretrain: lr: must be a finite number > 0, got -1.0\n")

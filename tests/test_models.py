@@ -245,8 +245,7 @@ def test_pretrain_rejects_overlapping_proxy():
 
 def test_pretrain_trains_under_the_optimizer_its_config_builds(monkeypatch):
     assert [f.name for f in fields(PretrainConfig)] == [
-        "seed", "steps", "lr", "vocab_size", "docs_per_class", "doc_length",
-        "topic_concentration"]
+        "seed", "steps", "lr", "docs_per_class", "topic_concentration"]
     built, stepped_under = [], []
     real_cfg, real_step = loraformer.OptimizerCfg, loraformer.adamw_step
 
@@ -271,17 +270,15 @@ def test_pretrain_trains_under_the_optimizer_its_config_builds(monkeypatch):
         replace(PRE, lr=-1.0)
 
 
-def test_proxy_vocabulary_must_fit_the_target_table():
-    # proxy ids run 2 .. vocab_size + 1, and a model of TARGET has VOCAB embedding rows
-    assert PRE.proxy_spec(TARGET).vocab_size == VOCAB - 2
-    assert replace(PRE, vocab_size=VOCAB - 2).proxy_spec(TARGET).vocab_size == VOCAB - 2
-    with pytest.raises(ValueError, match=rf"^vocab_size: must be at most {VOCAB - 2}, the "
-                                         rf"target vocabulary's word count, got {VOCAB - 1}$"):
-        replace(PRE, vocab_size=VOCAB - 1).proxy_spec(TARGET)
-    # a target of one word: the default of at least 2 proxy words cannot fit either
+def test_proxy_spec_follows_the_target():
+    # proxy ids run 2 .. word count + 1, and a model of TARGET has VOCAB embedding rows
+    spec = PRE.proxy_spec(TARGET)
+    assert (spec.vocab_size, spec.doc_length, spec.max_seq_len) == (VOCAB - 2, SEQ, SEQ)
+    assert (spec.num_classes, spec.seed) == (TARGET.num_classes, PRE.seed)
+    # a target of one word has too few for a proxy corpus
     one_word = td.generate_synthetic(td.SyntheticSpec(2, 1, 3, 1, SEQ, 0.5, 0))
-    with pytest.raises(ValueError, match="^vocab_size: must be at most 1, the target "
-                                         "vocabulary's word count, got 2$"):
+    with pytest.raises(ValueError, match="^the proxy corpus needs at least 2 words, and the "
+                                         "target vocabulary has 1$"):
         PRE.proxy_spec(one_word)
 
 

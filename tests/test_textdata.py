@@ -37,11 +37,9 @@ def test_test_only_token_maps_to_unk(tmp_path):
     assert ds.test.token_ids[0, 1] not in (td.UNK_ID, td.PAD_ID)
 
 
-def test_vocab_cap_excludes_reserved(tmp_path):
-    train = tmp_path / "train.csv"
-    write_csv(train, ['1,"a a b b c",""'])
-    ds = td.load_csv(schema(train, max_vocab_size=2))
-    assert ds.vocabulary.id_to_token == ["<pad>", "<unk>", "a", "b"]
+def test_vocab_cap_excludes_reserved():
+    vocab = td.Vocabulary.build([["a", "a", "b", "b", "c"]], 2)
+    assert vocab.id_to_token == ["<pad>", "<unk>", "a", "b"]
 
 
 def test_load_csv_errors(tmp_path):
