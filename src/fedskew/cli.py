@@ -40,8 +40,9 @@ class ConfigError(ValueError):
 
 class InputDataError(ValueError):
     """The data a valid config points at cannot be used: a CSV file is missing or malformed,
-    no partition meets the config's constraints, the target has too few words for a proxy
-    corpus, or `report` finds a summary.json it cannot read."""
+    no partition meets the config's constraints, a client's classes have no test documents,
+    the target has too few words for a proxy corpus, or `report` finds a summary.json it
+    cannot read."""
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +358,19 @@ def load_data(cfg: ExperimentConfig):
 def run_experiments(cfg: ExperimentConfig, jobs: int = 1) -> list:
     """Run every sweep cell, `jobs` at a time (jobs > 1: `_run_forked`), and write the
     report from the cells' summary.json files, read back in plan order.  A data error
-    (`load_data`, no test split, or a target with too few words for a proxy corpus) is
-    raised before anything is written."""
+    (`load_data`, no test split, a client with data but no test documents of its classes,
+    or a target with too few words for a proxy corpus) is raised before anything is
+    written."""
     dataset, partitions_by_alpha = load_data(cfg)
     if len(dataset.test) == 0:  # every cell would fail at its first evaluation
         raise InputDataError("dataset.csv: no test split: set test_path")
+    tested = set(dataset.test.labels.tolist())  # a client is scored on its classes' documents
+    for alpha, partitions in partitions_by_alpha.items():
+        for p in partitions:
+            if p.size and not p.present_classes & tested:
+                raise InputDataError(f"partition.alpha {alpha}: client {p.client_id} holds "
+                                     f"classes {sorted(p.present_classes)}, none of which "
+                                     "has a test document")
     lora = cfg.model_cfgs.get("loraformer")
     pretrains = lora is not None and lora.backbone_mode == "pretrained-frozen"
     if pretrains:
@@ -385,8 +394,7 @@ def run_experiments(cfg: ExperimentConfig, jobs: int = 1) -> list:
     else:
         for run in cfg.runs:
             one(run)
-    summaries = [json.loads((out_root / r["run_id"] / "summary.json").read_text(encoding="utf-8"))
-                 for r in cfg.runs]
+    summaries = [read_summary(out_root / r["run_id"] / "summary.json") for r in cfg.runs]
     emit_report(summaries, out_root)
     return summaries
 
@@ -426,8 +434,8 @@ def _run_forked(one, runs: list, jobs: int, out_root: Path):
 
 
 def read_summary(path: Path) -> dict:
-    """A cell's summary.json, with the keys `emit_report` reads at its top level; raises
-    InputDataError, naming the file, when it is not valid JSON or lacks one of them."""
+    """A cell's summary.json, with the keys `emit_report` reads, nested ones included;
+    raises InputDataError, naming the file, when it is not valid JSON or lacks one of them."""
     try:
         summary = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -436,6 +444,12 @@ def read_summary(path: Path) -> dict:
         raise InputDataError(f"{path}: must be a JSON object")
     outcome = "final" if summary.get("status") == "ok" else "error"
     missing = [k for k in ("run_id", "status", "config", outcome) if k not in summary]
+    nested = {"config": ("alpha", "model", "aggregator", "beta"), "final": ("avg", "worst", "gap")}
+    for key in ("config", outcome):
+        if key in nested and key in summary:
+            if not isinstance(summary[key], dict):
+                raise InputDataError(f"{path}: {key}: must be a JSON object")
+            missing += [f"{key}.{k}" for k in nested[key] if k not in summary[key]]
     if missing:
         raise InputDataError(f"{path}: missing keys {missing}")
     return summary

@@ -41,9 +41,6 @@ def check_fits(cfg: TextCnnConfig, max_seq_len: int):
 def build_textcnn(cfg: TextCnnConfig, vocab_size: int, max_seq_len: int, seed: int):
     """Returns (ParamSet, forward).  forward(params, token_ids) -> eval-mode logits."""
     check_fits(cfg, max_seq_len)
-    if vocab_size < 2:
-        raise ValueError("vocabulary must include PAD and UNK")
-
     groups = [ParamGroup(
         "embedding",
         nk.Tensor(nk.derive(seed, "init", "embedding").normal(0, 0.1, (vocab_size, cfg.embed_dim))),

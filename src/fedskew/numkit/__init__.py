@@ -28,4 +28,4 @@ from .autograd import (
 from . import kernels
 from .optim import FlatParams, OptimizerCfg, adamw_step, sgd_step, step
 from .rng import derive, sub_seed
-from .tensor import ContractError, NumericError, ShapeError, Tensor, as_array
+from .tensor import ContractError, NumericError, ShapeError, Tensor

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import kernels as kn
-from .tensor import ContractError, ShapeError, as_array
+from .tensor import ContractError, ShapeError
 
 
 class GradNode:
@@ -44,11 +44,11 @@ class GradNode:
 
 
 def leaf(value, name=None, trainable=True) -> GradNode:
-    return GradNode("leaf", as_array(value), requires_grad=trainable, name=name)
+    return GradNode("leaf", np.asarray(value, dtype=np.float64), requires_grad=trainable, name=name)
 
 
 def const(value) -> GradNode:
-    return GradNode("const", as_array(value), requires_grad=False)
+    return GradNode("const", np.asarray(value, dtype=np.float64), requires_grad=False)
 
 
 def _wrap(x) -> GradNode:

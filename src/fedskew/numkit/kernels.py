@@ -8,7 +8,6 @@ from them with its op chain in `autograd` under `backward`.
 import functools
 import itertools
 import math
-import threading
 
 import numpy as np
 
@@ -53,15 +52,15 @@ def row_sums(ids, g, shape) -> np.ndarray:
     return np.bincount(slots, weights=g.reshape(-1), minlength=shape[0] * shape[1]).reshape(shape)
 
 
-_scratch = threading.local()  # the arrays of `zeros`, one set per thread
+_scratch = {}  # the arrays of `zeros`, by name
 
 
 def zeros(name, shape) -> np.ndarray:
     """The first shape[0] rows of grow-only scratch array `name`, zero when made and kept for
-    its thread's life.  Callers leave zero what they expect zero, and keep nothing past a call."""
-    buf = _scratch.__dict__.get(name)
+    the process's life.  Callers leave zero what they expect zero, and keep nothing past a call."""
+    buf = _scratch.get(name)
     if buf is None or buf.shape[1:] != shape[1:] or len(buf) < shape[0]:
-        buf = _scratch.__dict__[name] = np.zeros(shape)
+        buf = _scratch[name] = np.zeros(shape)
     return buf[: shape[0]]
 
 

@@ -16,11 +16,14 @@ class OptimizerCfg:
     state a run accumulates lives in `FlatParams`."""
     kind: str  # "sgd" | "adamw"
     lr: float
-    weight_decay: float = 0.0
+    weight_decay: float = 0.0  # AdamW's decoupled decay; SGD takes none
 
     def __post_init__(self):
         validate.positive("lr", self.lr)
         validate.nonnegative("weight_decay", self.weight_decay)
+        if self.kind == "sgd" and self.weight_decay != 0:
+            raise ContractError(f"weight_decay: must be 0 with kind 'sgd', "
+                                f"got {self.weight_decay!r}")
         if self.kind not in ("sgd", "adamw"):
             raise ContractError(f"unknown optimizer kind {self.kind!r}")
 

@@ -38,9 +38,3 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
 
-
-def as_array(x) -> np.ndarray:
-    """Coerce Tensor / ndarray / nested lists to a float64 ndarray."""
-    if isinstance(x, Tensor):
-        return x.data
-    return np.asarray(x, dtype=np.float64)

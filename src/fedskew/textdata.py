@@ -202,8 +202,6 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
 def make_batches(docs: Split, batch_size: int, seed: int) -> list:
     """Seeded shuffle, then Splits of `batch_size` rows (the last may be short)."""
-    if batch_size < 1:
-        raise DataError("batch_size must be >= 1")
     order = derive(seed, "batch-shuffle").permutation(len(docs))
     return [docs.take(order[start : start + batch_size])
             for start in range(0, len(docs), batch_size)]

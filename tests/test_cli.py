@@ -224,6 +224,46 @@ def test_train_only_csv_partitions_but_does_not_run(tmp_path, capsys):
     assert (tmp_path / "partition" / "partition_alpha0.5.json").exists()
 
 
+def test_client_without_test_documents_fails_before_any_cell(tmp_path, capsys):
+    """A client with data whose classes have no test documents cannot be scored: `run`
+    exits 1 before any cell, which would train a round and then fail at evaluation, but
+    `partition` still works."""
+    rows = [f'{i % 2 + 1},"w{i % 2} w{i % 5} w{i % 7}"' for i in range(40)]
+    (tmp_path / "train.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "test.csv").write_text("".join(f'2,"w1 w{i}"\n' for i in range(6)))
+    cfg = base_config(dataset={"csv": {
+        "train_path": str(tmp_path / "train.csv"), "test_path": str(tmp_path / "test.csv"),
+        "label_column": 0, "text_columns": [1], "num_classes": 2, "max_seq_len": 6}})
+    cfg["partition"]["alpha"] = [5.0, 0.1]
+    parsed = cli.parse_config(write_config(tmp_path, cfg))
+    from fedskew.partition import dirichlet_partition
+    untested = [p.client_id for p in dirichlet_partition(parsed.load_dataset(),
+                                                         parsed.partition_cfgs[0.1])
+                if p.present_classes == {0}]
+    assert untested, "no client at alpha 0.1 holds class 0 alone"
+    cfg["out_dir"] = str(tmp_path / "run")
+    assert cli.main(["run", str(write_config(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err == (f"data error: partition.alpha 0.1: client {untested[0]} "
+                                       "holds classes [0], none of which has a test document\n")
+    assert not (tmp_path / "run").exists()
+    cfg["out_dir"] = str(tmp_path / "partition")
+    assert cli.main(["partition", str(write_config(tmp_path, cfg))]) == 0
+    assert (tmp_path / "partition" / "partition_alpha0.1.json").exists()
+
+
+def test_sgd_weight_decay_is_a_config_error(tmp_path, capsys):
+    """SGD applies no weight decay, so a nonzero `weight_decay` with it is rejected rather
+    than ignored; 0 is accepted."""
+    cfg = base_config(out_dir=str(tmp_path / "out"))
+    cfg["federation"]["optimizer"]["textcnn"]["weight_decay"] = 0
+    assert cli.parse_config(write_config(tmp_path, cfg)).fed_cfgs
+    cfg["federation"]["optimizer"]["textcnn"]["weight_decay"] = 0.5
+    assert cli.main(["run", str(write_config(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err == ("config error: federation.optimizer.textcnn: "
+                                       "weight_decay: must be 0 with kind 'sgd', got 0.5\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_not_json_and_missing_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -589,10 +629,16 @@ def test_report_rewrites_the_sweep_files_byte_for_byte(tmp_path, monkeypatch, ca
 
 @pytest.mark.parametrize("text,message", [
     ("{", "not valid JSON: "), ('{"run_id": "a"}', "missing keys ['status', 'config', 'error']"),
-    ("[]", "must be a JSON object")])
+    ("[]", "must be a JSON object"),
+    ('{"run_id": "a", "status": "ok", "config": {}, "final": {}}',
+     "missing keys ['config.alpha', 'config.model', 'config.aggregator', 'config.beta', "
+     "'final.avg', 'final.worst', 'final.gap']"),
+    ('{"run_id": "a", "status": "ok", "config": [], "final": {}}',
+     "config: must be a JSON object")])
 def test_report_on_a_bad_summary_exits_1(tmp_path, capsys, text, message):
     """A summary.json that a killed run truncated, or one that lacks a key the report reads,
-    is a data error that names the file, not a traceback."""
+    is a data error that names the file, not a traceback, and leaves the report files of an
+    earlier run as they were."""
     path = tmp_path / "out" / "x" / "summary.json"
     path.parent.mkdir(parents=True)
     path.write_text(text)
@@ -600,6 +646,12 @@ def test_report_on_a_bad_summary_exits_1(tmp_path, capsys, text, message):
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {path}: {message}") and err.count("\n") == 1, err
     assert not (tmp_path / "out" / "report.md").exists()
+    earlier = {"report.md": b"# an earlier report\n", "gap_vs_alpha.csv": b"alpha\n0.1\n"}
+    for name, content in earlier.items():
+        (tmp_path / "out" / name).write_bytes(content)
+    assert cli.main(["report", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == err
+    assert {name: (tmp_path / "out" / name).read_bytes() for name in earlier} == earlier
 
 
 def test_cli_rounds_flag(tmp_path):

@@ -13,7 +13,6 @@ logits and loss are bitwise equal: its kernels run the chain's forward float ope
 in the same order.
 """
 
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -254,7 +253,7 @@ def test_step_independent_of_call_history(family, monkeypatch):
     cases = history_cases(family, np.random.default_rng(5200))
     history = [run(*case) for case in cases]
     for case, got in zip(cases, history):
-        monkeypatch.setattr(nk.kernels, "_scratch", threading.local())
+        monkeypatch.setattr(nk.kernels, "_scratch", {})
         assert got == run(*case)
 
 
