@@ -434,8 +434,11 @@ def _run_forked(one, runs: list, jobs: int, out_root: Path):
 
 
 def read_summary(path: Path) -> dict:
-    """A cell's summary.json, with the keys `emit_report` reads, nested ones included;
-    raises InputDataError, naming the file, when it is not valid JSON or lacks one of them."""
+    """A cell's summary.json, with each key `emit_report` reads, nested ones included, of
+    the JSON type it renders; else InputDataError, naming the file and the first fault."""
+    number, string = ((int, float), "a number"), (str, "a string")
+    rendered = {"config": {"alpha": number, "model": string, "aggregator": string, "beta": number},
+                "final": {"avg": number, "worst": number, "gap": number}}
     try:
         summary = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -444,14 +447,18 @@ def read_summary(path: Path) -> dict:
         raise InputDataError(f"{path}: must be a JSON object")
     outcome = "final" if summary.get("status") == "ok" else "error"
     missing = [k for k in ("run_id", "status", "config", outcome) if k not in summary]
-    nested = {"config": ("alpha", "model", "aggregator", "beta"), "final": ("avg", "worst", "gap")}
-    for key in ("config", outcome):
-        if key in nested and key in summary:
-            if not isinstance(summary[key], dict):
-                raise InputDataError(f"{path}: {key}: must be a JSON object")
-            missing += [f"{key}.{k}" for k in nested[key] if k not in summary[key]]
+    sections = [key for key in ("config", outcome) if key in rendered and key in summary]
+    for key in sections:
+        if not isinstance(summary[key], dict):
+            raise InputDataError(f"{path}: {key}: must be a JSON object")
+        missing += [f"{key}.{k}" for k in rendered[key] if k not in summary[key]]
     if missing:
         raise InputDataError(f"{path}: missing keys {missing}")
+    for key in sections:
+        for name, (kinds, what) in rendered[key].items():
+            value = summary[key][name]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise InputDataError(f"{path}: {key}.{name}: must be {what}, got {value!r}")
     return summary
 
 
@@ -460,18 +467,18 @@ def _pct(x) -> str:
 
 
 def emit_report(summaries, out_dir):
-    """report.md (fairness matrix + aggregator comparison) and gap_vs_alpha.csv."""
+    """report.md (fairness matrix + aggregator comparison) and gap_vs_alpha.csv, each
+    written once both texts are built."""
     out_dir = Path(out_dir)
     ok = [s for s in summaries if s["status"] == "ok"]
     failed = [s for s in summaries if s["status"] != "ok"]
 
-    with open(out_dir / "gap_vs_alpha.csv", "w", encoding="utf-8") as f:
-        f.write("alpha,model,aggregator,beta,avg,worst,gap\n")
-        for s in sorted(ok, key=lambda s: (s["config"]["alpha"], s["config"]["model"],
-                                           s["config"]["aggregator"], s["config"]["beta"])):
-            c, fin = s["config"], s["final"]
-            f.write(f"{c['alpha']},{c['model']},{c['aggregator']},{c['beta']},"
-                    f"{fin['avg']!r},{fin['worst']!r},{fin['gap']!r}\n")
+    csv = ["alpha,model,aggregator,beta,avg,worst,gap\n"]
+    for s in sorted(ok, key=lambda s: (s["config"]["alpha"], s["config"]["model"],
+                                       s["config"]["aggregator"], s["config"]["beta"])):
+        c, fin = s["config"], s["final"]
+        csv.append(f"{c['alpha']},{c['model']},{c['aggregator']},{c['beta']},"
+                   f"{fin['avg']!r},{fin['worst']!r},{fin['gap']!r}\n")
 
     lines = ["# Federated fairness sweep", ""]
     fedavg_runs = [s for s in ok if s["config"]["aggregator"] == "fedavg"]
@@ -534,6 +541,7 @@ def emit_report(summaries, out_dir):
         lines += ["## Failed runs", ""]
         lines += [f"- `{s['run_id']}`: {s['error']}"
                   for s in sorted(failed, key=lambda s: s["run_id"])] + [""]
+    (out_dir / "gap_vs_alpha.csv").write_text("".join(csv), encoding="utf-8")
     (out_dir / "report.md").write_text("\n".join(lines), encoding="utf-8")
 
 

@@ -117,7 +117,7 @@ def aggregate(updates, weights: AggregationWeights) -> ParamSet:
 def local_train(global_params: ParamSet, loss_and_grad, partition, dataset, fed_cfg: FedConfig,
                 round_index: int) -> ClientUpdate:
     """`fed_cfg.local_epochs` epochs of minibatch training from the broadcast params, each
-    step one call of the model's `loss_and_grad` (`models.build_loss_and_grad`).
+    step the model's `loss_and_grad` into `flat.grads`, then one optimizer `step(flat)`.
 
     The trainable groups train as one flat vector, which the update's tensors
     view read-only; the update holds only those groups.  Optimizer state is
@@ -127,7 +127,6 @@ def local_train(global_params: ParamSet, loss_and_grad, partition, dataset, fed_
     docs = dataset.train.take(partition.sample_indices)
     flat = nk.FlatParams(global_params.trainable_dict(), fed_cfg.optimizer)
     params = global_params.with_tensors(flat.tensors)
-    check_split(params, docs)  # every batch below is a subset of these rows
     cid, seed = partition.client_id, fed_cfg.seed
     try:
         for epoch in range(fed_cfg.local_epochs):
@@ -135,7 +134,7 @@ def local_train(global_params: ParamSet, loss_and_grad, partition, dataset, fed_
             rng = nk.derive(seed, "dropout", cid, round_index, epoch)
             for batch in make_batches(docs, fed_cfg.batch_size, shuffle_seed):
                 loss_and_grad(params, batch.token_ids, batch.labels, rng, flat.grads)
-                step(flat, flat.grad)
+                step(flat)
     except nk.NumericError as e:
         raise FederationError(f"client {cid}, round {round_index}: {e}") from e
     flat.freeze()
@@ -144,8 +143,8 @@ def local_train(global_params: ParamSet, loss_and_grad, partition, dataset, fed_
 
 def run_federation(dataset, partitions, model_family: str, model_cfg,
                    fed_cfg: FedConfig, initial_params=None):
-    """Full protocol: returns (list of RoundLog, final ParamSet).  Every client with data
-    trains and is evaluated every round."""
+    """Full protocol: returns (list of RoundLog, final ParamSet).  The train split is
+    checked once, before round 1; every client with data trains and is evaluated every round."""
     global_params, forward = build_model(model_family, model_cfg,
                                          dataset.vocabulary.size, dataset.max_seq_len,
                                          fed_cfg.seed)
@@ -153,6 +152,7 @@ def run_federation(dataset, partitions, model_family: str, model_cfg,
     if initial_params is not None:
         initial_params.check_congruent(global_params)
         global_params = initial_params
+    check_split(global_params, dataset.train)  # every client's batches are rows of it
 
     active = [p for p in partitions if p.size > 0]
     if not active:

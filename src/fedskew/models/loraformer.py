@@ -17,7 +17,7 @@ from ..numkit import kernels as kn
 from .. import validate
 from ..numkit.optim import OptimizerCfg, adamw_step
 from ..textdata import PAD_ID, SyntheticSpec, generate_synthetic, make_batches
-from .params import ParamGroup, ParamSet, StructuralError
+from .params import ParamGroup, ParamSet, StructuralError, check_split
 
 PRETRAIN_WEIGHT_DECAY = 0.01  # AdamW's decoupled weight decay while the backbone pretrains
 LORA_ALPHA = 32.0  # an adapter's update is scaled by LORA_ALPHA / lora_rank
@@ -153,7 +153,7 @@ def make_loss_and_grad(cfg: LoraFormerConfig):
     array (a `FlatParams.grads` view); the other groups are frozen.  The backward pass
     stops below the lowest layer with a trained group, and computes a layer's key and
     first-layernorm gradients only where a trained group needs them.  Ids and labels must
-    be in range (`models.check_split`)."""
+    be in range (`check_split`)."""
     keep = 1.0 - cfg.lora_dropout
 
     def loss_and_grad(params: ParamSet, token_ids, labels, rng, grads: dict) -> float:
@@ -166,30 +166,28 @@ def make_loss_and_grad(cfg: LoraFormerConfig):
         reaches = [bool({"tok_emb", "pos_emb"} & grads.keys())]
         for names, _ in layers[:-1]:
             reaches.append(reaches[-1] or any(name in grads for name in names.values()))
-
-        def put(name, value):
-            if name in grads:
-                grads[name][...] = value
-
-        put("head.bias", g.sum(axis=0))
-        put("head.weight", pooled.T @ g)
+        if "head.bias" in grads:
+            np.add.reduce(g, axis=0, out=grads["head.bias"])
+        if "head.weight" in grads:
+            np.matmul(pooled.T, g, out=grads["head.weight"])
         g = g @ params.get("head.weight").tensor.data.T
         g = mask[:, :, None] * (g / counts[:, None])[:, None, :]
-        put("ln_f.gain", (g * xhat).sum(axis=(0, 1)))
-        put("ln_f.bias", g.sum(axis=(0, 1)))
+        if "ln_f.gain" in grads:
+            np.add.reduce(g * xhat, axis=(0, 1), out=grads["ln_f.gain"])
+        if "ln_f.bias" in grads:
+            np.add.reduce(g, axis=(0, 1), out=grads["ln_f.bias"])
         g = kn.layernorm_dx(g, params.get("ln_f.gain").tensor.data, xhat, inv)
         for i in reversed(range(len(layers))):
             names, cache = layers[i]
-            g, layer_grads = kn.encoder_layer_backward(
-                cache, g, lambda k, names=names: names[k] in grads, reaches[i])
-            for k, value in layer_grads.items():
-                grads[names[k]][...] = value
+            out = {k: grads[name] for k, name in names.items() if name in grads}
+            g = kn.encoder_layer_backward(cache, g, out, reaches[i])
             if g is None:
                 return loss
-        n, s = token_ids.shape
-        put("tok_emb", kn.row_sums(token_ids, g, params.get("tok_emb").tensor.shape))
-        put("pos_emb", kn.row_sums(np.broadcast_to(np.arange(s), (n, s)), g,
-                                   params.get("pos_emb").tensor.shape))
+        if "tok_emb" in grads:
+            grads["tok_emb"][...] = kn.row_sums(token_ids, g, grads["tok_emb"].shape)
+        if "pos_emb" in grads:  # row_sums' sum over documents: from 0.0, in document order
+            np.add.reduce(g, axis=0, initial=0.0, out=grads["pos_emb"][: g.shape[1]])
+            grads["pos_emb"][g.shape[1] :] = 0.0
         return loss
 
     return loss_and_grad
@@ -297,8 +295,7 @@ def pretrain_backbone(params: ParamSet, cfg: LoraFormerConfig, pre: PretrainConf
     flat = nk.FlatParams({**backbone, **proxy_head}, pre.optimizer)
     work = ParamSet([ParamGroup(name, t, True, False) for name, t in flat.tensors.items()],
                     "loraformer")
-    kn.check_ids(proxy.train.token_ids, len(backbone["tok_emb"].data))
-    kn.check_labels(proxy.train.labels, classes)  # so each batch needs no check
+    check_split(work, proxy.train)  # so each batch needs no check
     loss_and_grad = make_loss_and_grad(cfg)
 
     # epoch after epoch of reshuffled batches, each epoch batched only once it is reached
@@ -307,6 +304,6 @@ def pretrain_backbone(params: ParamSet, cfg: LoraFormerConfig, pre: PretrainConf
     for batch in itertools.islice(itertools.chain.from_iterable(epochs), pre.steps):
         # no adapters, so no dropout mask and no rng
         loss_and_grad(work, batch.token_ids, batch.labels, None, flat.grads)
-        adamw_step(flat, flat.grad)
+        adamw_step(flat)
     flat.freeze()
     return params.with_tensors({name: flat.tensors[name] for name in backbone})

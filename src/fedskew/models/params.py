@@ -2,7 +2,10 @@
 
 from dataclasses import dataclass, replace
 
-from ..numkit import Tensor
+from ..numkit import ContractError, Tensor, kernels as kn
+
+# per model kind: the embedding table, which the token ids index, and the head bias, one per label
+_INPUT_GROUPS = {"textcnn": ("embedding", "fc.bias"), "loraformer": ("tok_emb", "head.bias")}
 
 
 class StructuralError(ValueError):
@@ -62,3 +65,13 @@ class ParamSet:
             if (a.name, a.tensor.shape, a.trainable, a.lora) != (
                     b.name, b.tensor.shape, b.trainable, b.lora):
                 raise StructuralError(f"group mismatch at {a.name!r} vs {b.name!r}")
+
+
+def check_split(params: ParamSet, split):
+    """Check once that every token id of `split` picks a row of the model's embedding table
+    and every label a logit, so that no batch of it needs a check of its own."""
+    table, head = _INPUT_GROUPS[params.model_kind]
+    kn.check_ids(split.token_ids, len(params.get(table).tensor.data))
+    labels, classes = split.labels, len(params.get(head).tensor.data)
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= classes:
+        raise ContractError("label out of range")

@@ -94,9 +94,7 @@ def make_loss_and_grad(cfg: TextCnnConfig):
                                            bias, keep, rng, True)
         loss, dlogits = kn.cross_entropy(kn.finite("textcnn_logits", logits), labels)
         kn.finite("softmax_cross_entropy", loss)
-        for name, g in zip(names, kn.textcnn_backward(cache, dlogits)):
-            if name in grads:
-                grads[name][...] = g
+        kn.textcnn_backward(cache, dlogits, [grads.get(name) for name in names])
         return loss
 
     return loss_and_grad

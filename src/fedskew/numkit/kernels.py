@@ -1,8 +1,8 @@
 """Plain-array forward and backward passes: what a training step and an evaluation run.
 
-No graph and no gradient wrappers: a forward pass returns its output and, for the
-backward pass, a cache of the arrays it reads.  Tests compare each model's step built
-from them with its op chain in `autograd` under `backward`.
+No graph and no gradient wrappers: a forward pass returns its output and a cache; a
+backward pass writes each weight's gradient into its `FlatParams.grads` view.  Tests
+compare each model's step built from them with its op chain in `autograd` under `backward`.
 """
 
 import functools
@@ -36,13 +36,6 @@ def check_ids(ids, vocab: int) -> np.ndarray:
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= vocab:
         raise ShapeError("embedding id out of range")
     return ids
-
-
-def check_labels(labels, classes: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= classes:
-        raise ContractError("label out of range")
-    return labels
 
 
 def row_sums(ids, g, shape) -> np.ndarray:
@@ -222,10 +215,10 @@ def textcnn_forward(table, ids, pad_id, kernels, biases, weight, bias, keep_prob
                     mask, weight)
 
 
-def textcnn_backward(cache, g) -> list:
-    """The gradients of every `textcnn_forward` operand but ids, in its order: the table,
-    the kernels, the biases, the head weight and bias.  The kernel and input gradients
-    take one gemm each."""
+def textcnn_backward(cache, g, out):
+    """Write the gradients of the `textcnn_forward` operands but ids into `out`, their
+    views in its order (the table, the kernels, the biases, the head weight and bias),
+    None for a frozen operand.  The kernel and input gradients take one gemm each."""
     ids, table_shape, keep, x, stacked, widths, cols, flat, features, alive, mask, weight = cache
     (n, seq), ch, span, total = ids.shape, table_shape[1], max(widths), cols[-1]
     gpre = ((g @ weight.T) * mask if mask is not None else g @ weight.T) * alive
@@ -240,11 +233,18 @@ def textcnn_backward(cache, g) -> list:
     gstacked = (x.reshape(n * seq, ch).T @ shifted).reshape(ch, span, total)
     by_shift = stacked.reshape(span, ch, total).transpose(0, 2, 1).reshape(span * total, ch)
     gx = (shifted @ by_shift).reshape(n, seq, ch)
-    bounds = list(zip(widths, cols, cols[1:]))
-    return [row_sums(ids, gx * keep, table_shape),
-            *(gstacked[:, :w, lo:hi].transpose(1, 0, 2) for w, lo, hi in bounds),
-            *(gpre[:, lo:hi].sum(axis=0) for _, lo, hi in bounds),
-            features.T @ g, g.sum(axis=0)]
+    if out[0] is not None:
+        out[0][...] = row_sums(ids, gx * keep, table_shape)
+    for view, w, lo, hi in zip(out[1:], widths, cols, cols[1:]):
+        if view is not None:
+            view[...] = gstacked[:, :w, lo:hi].transpose(1, 0, 2)
+    for view, lo, hi in zip(out[1 + len(widths) :], cols, cols[1:]):
+        if view is not None:
+            np.add.reduce(gpre[:, lo:hi], axis=0, out=view)
+    if out[-2] is not None:
+        np.matmul(features.T, g, out=out[-2])
+    if out[-1] is not None:
+        np.add.reduce(g, axis=0, out=out[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +302,17 @@ def encoder_layer_forward(x, val: dict, heads: int, mask_bias, scaling, keep_pro
                  qh, kh, vh, y, merged, xhat2, inv2, fin, z, t, act, buf)
 
 
-def encoder_layer_backward(cache, g, trains, need_x: bool):
-    """(gradient of the layer's input or None, {key: gradient}) for output gradient `g`;
-    `trains(key)` says whether a weight needs its gradient.  The input's gradient is
-    computed only with `need_x`, and the key projection's and first layernorm's only
-    where the input or a trained weight needs them.  Each weight gradient is one gemm
-    over all (batch, seq) rows."""
+def encoder_layer_backward(cache, g, out: dict, need_x: bool):
+    """The gradient of the layer's input for output gradient `g`, or None without
+    `need_x`.  `out` maps the keys of the weights that train to writable views, into
+    which their gradients are written.  The key projection's and first layernorm's
+    gradients are computed only where the input or a trained weight needs them.  Each
+    weight gradient is one gemm over all (batch, seq) rows."""
     (val, heads, scaling, adapters, masks, paths, lows, a, xhat1, inv1,
      qh, kh, vh, y, merged, xhat2, inv2, fin, z, t, act, buf) = cache
     n, s, d = g.shape
     dh = d // heads
     c = 1.0 / math.sqrt(dh)
-    grads = {}
 
     def split(m):
         return m.reshape(n, s, heads, dh).transpose(0, 2, 1, 3)
@@ -325,19 +324,19 @@ def encoder_layer_backward(cache, g, trains, need_x: bool):
         return m.reshape(-1, m.shape[-1])
 
     def linear(weight, bias, inp, gout):  # out = inp @ weight + bias
-        if trains(weight):
-            grads[weight] = rows(inp).T @ rows(gout)
-        if trains(bias):
-            grads[bias] = gout.sum(axis=(0, 1))
+        if weight in out:
+            np.matmul(rows(inp).T, rows(gout), out=out[weight])
+        if bias in out:
+            np.add.reduce(gout, axis=(0, 1), out=out[bias])
 
     def affine(ln, gout, xhat):
-        if trains(f"{ln}.gain"):
-            grads[f"{ln}.gain"] = (gout * xhat).sum(axis=(0, 1))
-        if trains(f"{ln}.bias"):
-            grads[f"{ln}.bias"] = gout.sum(axis=(0, 1))
+        if f"{ln}.gain" in out:
+            np.add.reduce(gout * xhat, axis=(0, 1), out=out[f"{ln}.gain"])
+        if f"{ln}.bias" in out:
+            np.add.reduce(gout, axis=(0, 1), out=out[f"{ln}.bias"])
 
-    need_a = need_x or trains("ln1.gain") or trains("ln1.bias")
-    need_k = need_a or trains("attn.wk") or trains("attn.bk")
+    need_a = need_x or "ln1.gain" in out or "ln1.bias" in out
+    need_k = need_a or "attn.wk" in out or "attn.bk" in out
     linear("ffn.w2", "ffn.b2", act, g)
     dz = np.matmul(g, val["ffn.w2"].T, out=buf("dz", z.shape))
     dz *= gelu_dx(z, t, buf)
@@ -363,15 +362,15 @@ def encoder_layer_backward(cache, g, trains, need_x: bool):
             continue
         ka, kb = f"attn.{p}_lora.A", f"attn.{p}_lora.B"
         ddelta = dp * scaling
-        if trains(kb):
-            grads[kb] = rows(ddelta).T @ rows(lows[p])
-        if trains(ka) or need_a:
+        if kb in out:
+            np.matmul(rows(ddelta).T, rows(lows[p]), out=out[kb])
+        if ka in out or need_a:
             dlow = ddelta @ val[kb]
-            if trains(ka):
-                grads[ka] = rows(dlow).T @ rows(paths[p])
+            if ka in out:
+                np.matmul(rows(dlow).T, rows(paths[p]), out=out[ka])
             if need_a:
                 dpath = dlow @ val[ka]
                 da = da + (dpath * masks[p] if p in masks else dpath)
     if need_a:
         affine("ln1", da, xhat1)
-    return (gh + layernorm_dx(da, val["ln1.gain"], xhat1, inv1) if need_x else None), grads
+    return gh + layernorm_dx(da, val["ln1.gain"], xhat1, inv1) if need_x else None

@@ -1,11 +1,12 @@
-"""SGD and decoupled-weight-decay Adam over one flat parameter vector, updated in place."""
+"""SGD and decoupled-weight-decay Adam over one flat parameter vector, updated in place
+from the gradient that a training step wrote into `FlatParams.grad`."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import validate
-from .tensor import ContractError, NumericError, ShapeError, Tensor
+from .tensor import ContractError, NumericError, Tensor
 
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # AdamW's moment decays and denominator floor
 
@@ -35,9 +36,9 @@ class FlatParams:
 
     `tensors` maps each name to a read-only view of its slice, so whatever
     holds them reads each step's values without a copy; `grads` maps each name to the
-    writable view of its slice of `grad`, where a loss-and-gradient function writes.
-    Only the optimizer writes the vector; `freeze` makes it read-only once training is
-    over.
+    writable view of its slice of `grad`, where a loss-and-gradient function writes;
+    `step`, `sgd_step` and `adamw_step` take only `flat` and read `grad`.  Only the
+    optimizer writes the vector; `freeze` makes it read-only once training is over.
     """
 
     def __init__(self, tensors: dict, cfg: OptimizerCfg):
@@ -61,14 +62,14 @@ class FlatParams:
         self.vector.setflags(write=False)
 
 
-def sgd_step(flat: FlatParams, grad):
+def sgd_step(flat: FlatParams):
     """vector <- vector - lr * grad, in place."""
-    _begin(flat, "sgd", grad)
-    flat.vector -= np.multiply(grad, flat.cfg.lr, out=flat._work)
+    _begin(flat, "sgd")
+    flat.vector -= np.multiply(flat.grad, flat.cfg.lr, out=flat._work)
     _check_finite(flat.vector)
 
 
-def adamw_step(flat: FlatParams, grad):
+def adamw_step(flat: FlatParams):
     """AdamW, in place: bias-corrected moments plus decoupled weight decay, in the order
     and association of
 
@@ -76,8 +77,8 @@ def adamw_step(flat: FlatParams, grad):
         vector = vector - lr (m / (1 - BETA1^t)) / (sqrt(v / (1 - BETA2^t)) + EPSILON)
                  - lr weight_decay vector
     """
-    _begin(flat, "adamw", grad)
-    t, lr, vec, m, v = flat.step_count, flat.cfg.lr, flat.vector, flat.m, flat.v
+    _begin(flat, "adamw")
+    t, lr, vec, m, v, grad = flat.step_count, flat.cfg.lr, flat.vector, flat.m, flat.v, flat.grad
     m *= BETA1
     m += grad * (1 - BETA1)
     v *= BETA2
@@ -89,20 +90,16 @@ def adamw_step(flat: FlatParams, grad):
     _check_finite(vec)
 
 
-def step(flat: FlatParams, grad):
-    """One optimizer step of `flat`'s kind.  `grad` is a vector laid out like
-    `flat.vector`, normally `flat.grad`."""
-    (sgd_step if flat.cfg.kind == "sgd" else adamw_step)(flat, grad)
+def step(flat: FlatParams):
+    """One optimizer step of `flat`'s kind, from the gradient in `flat.grad`."""
+    (sgd_step if flat.cfg.kind == "sgd" else adamw_step)(flat)
 
 
-def _begin(flat: FlatParams, kind: str, grad: np.ndarray):
+def _begin(flat: FlatParams, kind: str):
     if flat.cfg.kind != kind:
         raise ContractError(f"{kind}_step called on {flat.cfg.kind} parameters")
-    if grad.shape != flat.vector.shape:
-        raise ShapeError(f"gradients {grad.shape} vs parameter vector {flat.vector.shape}")
-    if not np.isfinite(grad).all():
-        parts = np.split(grad, np.cumsum([view.size for view in flat.grads.values()])[:-1])
-        bad = next(n for n, part in zip(flat.names, parts) if not np.isfinite(part).all())
+    if not np.isfinite(flat.grad).all():
+        bad = next(n for n, view in flat.grads.items() if not np.isfinite(view).all())
         raise NumericError(f"non-finite gradient for {bad!r}")
     flat.step_count += 1
 

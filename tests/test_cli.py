@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -634,11 +635,20 @@ def test_report_rewrites_the_sweep_files_byte_for_byte(tmp_path, monkeypatch, ca
      "missing keys ['config.alpha', 'config.model', 'config.aggregator', 'config.beta', "
      "'final.avg', 'final.worst', 'final.gap']"),
     ('{"run_id": "a", "status": "ok", "config": [], "final": {}}',
-     "config: must be a JSON object")])
+     "config: must be a JSON object"),
+    ('{"run_id": "a", "status": "ok", "config": {"alpha": 0.1, "model": "textcnn", '
+     '"aggregator": "fedavg", "beta": 0.0}, "final": {"avg": "high", "worst": 0.5, "gap": 0.1}}',
+     "final.avg: must be a number, got 'high'"),
+    ('{"run_id": "a", "status": "ok", "config": {"alpha": true, "model": "textcnn", '
+     '"aggregator": "fedavg", "beta": 0.0}, "final": {"avg": 0.5, "worst": 0.5, "gap": 0.0}}',
+     "config.alpha: must be a number, got True"),
+    ('{"run_id": "a", "status": "error", "error": "boom", "config": {"alpha": 0.1, '
+     '"model": 3, "aggregator": "fedavg", "beta": 0.0}}',
+     "config.model: must be a string, got 3")])
 def test_report_on_a_bad_summary_exits_1(tmp_path, capsys, text, message):
-    """A summary.json that a killed run truncated, or one that lacks a key the report reads,
-    is a data error that names the file, not a traceback, and leaves the report files of an
-    earlier run as they were."""
+    """A summary.json that a killed run truncated, or one that lacks a key the report reads
+    or holds it as another JSON type, is a data error that names the file, not a traceback,
+    and leaves the report files of an earlier run as they were."""
     path = tmp_path / "out" / "x" / "summary.json"
     path.parent.mkdir(parents=True)
     path.write_text(text)
@@ -652,6 +662,20 @@ def test_report_on_a_bad_summary_exits_1(tmp_path, capsys, text, message):
     assert cli.main(["report", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == err
     assert {name: (tmp_path / "out" / name).read_bytes() for name in earlier} == earlier
+
+
+def test_emit_report_builds_both_texts_before_writing_either(tmp_path):
+    """A summary that fails while its text is built, past `read_summary`, leaves both
+    report files of an earlier run as they were."""
+    earlier = {"report.md": b"# an earlier report\n", "gap_vs_alpha.csv": b"alpha\n0.1\n"}
+    for name, content in earlier.items():
+        (tmp_path / name).write_bytes(content)
+    summary = {"run_id": "a", "status": "ok",
+               "config": {"alpha": 0.1, "model": "textcnn", "aggregator": "fedavg", "beta": 0.0},
+               "final": {"avg": "high", "worst": 0.5, "gap": 0.1}}
+    with pytest.raises(ValueError, match="Unknown format code 'f'"):
+        cli.emit_report([summary], tmp_path)
+    assert {name: (tmp_path / name).read_bytes() for name in earlier} == earlier
 
 
 def test_cli_rounds_flag(tmp_path):
@@ -707,36 +731,37 @@ def test_selftest_passes():
 
 
 def scaled_textcnn_backward(real):
-    def backward(cache, g):
-        grads = real(cache, g)
-        grads[-2] = grads[-2] * (1 + 1e-6)  # the head weight's
-        return grads
+    def backward(cache, g, out):
+        real(cache, g, out)
+        out[-2] *= 1 + 1e-6  # the view of the head weight, fc.weight
     return backward
 
 
 def scaled_encoder_layer_backward(real):
-    def backward(cache, g, trains, need_x):
-        gx, grads = real(cache, g, trains, need_x)
-        if "attn.q_lora.B" in grads:
-            grads["attn.q_lora.B"] = grads["attn.q_lora.B"] * (1 + 1e-6)
-        return gx, grads
+    def backward(cache, g, out, need_x):
+        gx = real(cache, g, out, need_x)
+        if "attn.q_lora.B" in out:
+            out["attn.q_lora.B"] *= 1 + 1e-6
+        return gx
     return backward
 
 
-@pytest.mark.parametrize("kernel,wrong,check", [
-    ("textcnn_backward", scaled_textcnn_backward, "TextCNN training step matches its op chain"),
+@pytest.mark.parametrize("kernel,wrong,check,group", [
+    ("textcnn_backward", scaled_textcnn_backward, "TextCNN training step matches its op chain",
+     r"fc\.weight"),
     ("encoder_layer_backward", scaled_encoder_layer_backward,
-     "encoder training step matches its op chain")])
-def test_selftest_catches_a_wrong_kernel_gradient(kernel, wrong, check, monkeypatch, capsys):
+     "encoder training step matches its op chain", r"layer[01]\.attn\.q_lora\.B")])
+def test_selftest_catches_a_wrong_kernel_gradient(kernel, wrong, check, group, monkeypatch,
+                                                  capsys):
     """One group's gradient off by a relative 1e-6 fails the one check that compares that
-    kernel with its op chain, and no other."""
+    kernel with its op chain, naming that group, and no other."""
     from fedskew.numkit import kernels
     monkeypatch.setattr(kernels, kernel, wrong(getattr(kernels, kernel)))
     assert cli.selftest() is False
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 7
-    assert [line for line in lines if not line.startswith("[PASS] ")] == [
-        line for line in lines if line.startswith(f"[FAIL] {check}: ")]
+    failed = [line for line in lines if not line.startswith("[PASS] ")]
+    assert len(failed) == 1 and re.fullmatch(rf"\[FAIL\] {check}: {group}", failed[0]), failed
     assert sum(line.startswith("[PASS] ") for line in lines) == 6
 
 

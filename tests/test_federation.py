@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -252,3 +254,32 @@ def test_local_train_nan_gradient_names_client_and_round():
     with pytest.raises(fed.FederationError, match=want):
         fed.local_train(params, nan_step, part, DESK, fed_cfg(batch_size=8, seed=1),
                         round_index=3)
+
+
+@pytest.mark.parametrize("family", ["textcnn", "loraformer"])
+@pytest.mark.parametrize("corrupt,error,message", [
+    ("token_ids", nk.ShapeError, "embedding id out of range"),
+    ("labels", nk.ContractError, "label out of range")])
+def test_run_federation_checks_the_train_split_before_any_client_trains(
+        family, corrupt, error, message, monkeypatch):
+    """The train split is checked once, before round 1: one id past the vocabulary or one
+    label past the classes, in the last train row, raises before any client trains."""
+    model_cfg = CNN_CFG if family == "textcnn" else LoraFormerConfig(
+        num_classes=4, layers=1, d_model=8, heads=2, ffn_dim=16, lora_rank=2)
+    parts = dirichlet_partition(DESK, PartitionConfig(3, 1.0, seed=5))
+    real, calls = fed.local_train, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fed, "local_train", spy)
+    fed.run_federation(DESK, parts, family, model_cfg, fed_cfg(rounds=1))
+    assert len(calls) == len(parts)  # the spy sees every client round
+    arrays = {"token_ids": DESK.train.token_ids.copy(), "labels": DESK.train.labels.copy()}
+    arrays[corrupt][-1, ...] = DESK.vocabulary.size if corrupt == "token_ids" else 4
+    bad = replace(DESK, train=td.Split(**arrays))
+    calls.clear()
+    with pytest.raises(error, match=f"^{message}$"):
+        fed.run_federation(bad, parts, family, model_cfg, fed_cfg(rounds=1))
+    assert calls == []

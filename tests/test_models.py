@@ -60,7 +60,7 @@ def test_textcnn_pad_position_has_no_effect():
     flat = nk.FlatParams(params.trainable_dict(), OptimizerCfg("sgd", lr=0.5))
     textcnn.make_loss_and_grad(CNN_CFG)(params, ids, np.array([0, 1, 2]), nk.derive(1, "d"),
                                         flat.grads)
-    sgd_step(flat, flat.grad)
+    sgd_step(flat)
     params = params.with_tensors(flat.tensors)
     base = forward(params, ids)
     # PAD rows of the embedding table must not leak into the logits
@@ -79,7 +79,7 @@ def test_steps_write_in_place_and_forward_reads_them():
     ids = rand_batch(np.random.default_rng(3))
     build_loss_and_grad("textcnn", CNN_CFG)(params, ids, np.array([0, 1, 2]),
                                              nk.derive(0, "d"), flat.grads)
-    sgd_step(flat, flat.grad)
+    sgd_step(flat)
     fresh = params.with_tensors(params.trainable_dict())
     assert forward(params, ids).tobytes() == forward(fresh, ids).tobytes()
     assert np.abs(forward(params, ids)).max() > 0  # the stepped head, not the zero one
@@ -225,7 +225,7 @@ def test_pretrain_improves_probe_and_keeps_flags():
         for epoch in range(5):
             for batch in td.make_batches(proxy.train, 16, epoch):
                 step(pset, batch.token_ids, batch.labels, None, head.grads)
-                adamw_step(head, head.grad)
+                adamw_step(head)
         correct = 0
         for batch in td.make_batches(proxy.test, 32, 0):
             preds = forward(pset, batch.token_ids).argmax(axis=1)
@@ -253,9 +253,9 @@ def test_pretrain_trains_under_the_optimizer_its_config_builds(monkeypatch):
         built.append(real_cfg(*args, **kwargs))
         return built[-1]
 
-    def recording_step(flat, grads):
+    def recording_step(flat):
         stepped_under.append(flat.cfg)
-        real_step(flat, grads)
+        real_step(flat)
 
     monkeypatch.setattr(loraformer, "OptimizerCfg", counting_cfg)
     monkeypatch.setattr(loraformer, "adamw_step", recording_step)
@@ -306,6 +306,6 @@ def test_loss_decreases_centralized_both_families():
             batch = td.make_batches(ds.train, 16, i)[0]
             rng = nk.derive(0, "smoke-dropout", family, i)
             losses.append(step(params, batch.token_ids, batch.labels, rng, flat.grads))
-            nk.step(flat, flat.grad)
+            nk.step(flat)
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
 

@@ -257,6 +257,39 @@ def test_step_independent_of_call_history(family, monkeypatch):
         assert got == run(*case)
 
 
+@pytest.mark.parametrize("family", ["textcnn", "loraformer cell", "pretraining"])
+def test_step_writes_every_view_it_is_passed_and_no_other(family):
+    """`flat.grad` starts NaN and `grads` holds the views of a subset of the groups: one
+    step overwrites each passed view in full, with what it writes when passed them all,
+    and leaves every other view NaN.  The loraformer cell trains adapters and head; the
+    pretraining set, the whole backbone and a head."""
+    rng = np.random.default_rng(5300)
+    if family == "textcnn":
+        cfg, params, ids, labels = textcnn_case(rng, (2, 3))
+        step = textcnn.make_loss_and_grad(cfg)
+    else:
+        cfg = LoraFormerConfig(num_classes=4, layers=2, d_model=8, heads=2, ffn_dim=16,
+                               lora_rank=2, lora_dropout=0.3)
+        params = lora_params(cfg, rng, trainable_backbone=family == "pretraining")
+        params = randomized(params, rng, [g.name for g in params])
+        ids, labels = batch(rng, 8)
+        step = loraformer.make_loss_and_grad(cfg)
+    flat = nk.FlatParams(params.trainable_dict(), nk.OptimizerCfg("sgd", 0.1))
+    names = list(flat.grads)
+    step(params, ids, labels, nk.derive(0, "dropout"), flat.grads)
+    full = flat.grad.copy()
+    for passed in (names, names[::2], names[1::2], names[:1], names[-1:]):
+        flat.grad[...] = np.nan
+        step(params, ids, labels, nk.derive(0, "dropout"), {n: flat.grads[n] for n in passed})
+        lo = 0
+        for name, view in flat.grads.items():
+            if name in passed:
+                assert view.tobytes() == full[lo : lo + view.size].tobytes(), name
+            else:
+                assert np.isnan(view).all(), name
+            lo += view.size
+
+
 def test_forward_matches_op_chain_logits():
     rng = np.random.default_rng(44)
     ids, labels = batch(rng, 8)
