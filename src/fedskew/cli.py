@@ -454,6 +454,8 @@ def read_summary(path: Path) -> dict:
         missing += [f"{key}.{k}" for k in rendered[key] if k not in summary[key]]
     if missing:
         raise InputDataError(f"{path}: missing keys {missing}")
+    if not isinstance(summary["run_id"], str):  # emit_report sorts the failed runs by it
+        raise InputDataError(f"{path}: run_id: must be a string, got {summary['run_id']!r}")
     for key in sections:
         for name, (kinds, what) in rendered[key].items():
             value = summary[key][name]
@@ -552,7 +554,7 @@ def emit_report(summaries, out_dir):
 
 def selftest() -> bool:
     from . import numkit as nk
-    from .federation import ClientUpdate, fedavg_weights, fedavgw_weights
+    from .federation import fedavg_weights, fedavgw_weights
     from .models.params import ParamGroup, ParamSet
 
     checks = []
@@ -565,12 +567,10 @@ def selftest() -> bool:
             checks.append((name, False, str(e)))
 
     def weights_ok():
-        ups = [ClientUpdate(i, n, ParamSet([], "x")) for i, n in enumerate([3, 50, 1000])]
         for beta in (0.0, 0.1, 0.5, 1.0):
-            w = fedavgw_weights(ups, beta)
+            w = fedavgw_weights([3, 50, 1000], beta)
             assert abs(w.standard.sum() - 1) <= 1e-12 and abs(w.lora.sum() - 1) <= 1e-12
-        ratio = fedavg_weights([ClientUpdate(0, 118, ParamSet([], "x")),
-                                ClientUpdate(1, 34742, ParamSet([], "x"))])
+        ratio = fedavg_weights([118, 34742])
         assert abs(ratio.standard[1] / ratio.standard[0] - 294.4) < 0.1
 
     def gradient_ok():

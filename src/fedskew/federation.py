@@ -1,8 +1,9 @@
 """Round-based federated protocol: broadcast, local training, aggregation.
 
-Aggregators are weight rules over client updates.  FedAvg weights every
-group by sample count n_k/N; FedAvgW keeps that for ordinary groups but
-weights LoRA groups by normalized (1/n_k)^beta, boosting small clients.
+Aggregators are weight rules over the clients' sample counts n_k.  FedAvg weights
+every group by n_k/N; FedAvgW keeps that for ordinary groups but weights LoRA
+groups by normalized (1/n_k)^beta, boosting small clients.  Every client with
+data trains every round, so a run computes its weights once, before round 1.
 
 The frozen groups never leave the server.  A client trains from the broadcast
 params and returns only its trainable groups (`ClientUpdate.params`); the
@@ -23,7 +24,7 @@ from . import validate
 # evaluate_client stays importable here: perfbench/tracer.py wraps it by this name
 from .metrics import RoundLog, evaluate_client, evaluate_clients, fairness_summary  # noqa: F401
 from .models import build_loss_and_grad, build_model, check_split
-from .models.params import ParamSet, StructuralError
+from .models.params import ParamSet
 from .numkit.optim import OptimizerCfg, step
 from .textdata import make_batches
 
@@ -53,7 +54,6 @@ class FedConfig:
 @dataclass(frozen=True)
 class ClientUpdate:
     client_id: int
-    n_k: int
     params: ParamSet
 
 
@@ -77,41 +77,35 @@ def _normalize(raw: np.ndarray) -> np.ndarray:
     return y / y.sum()
 
 
-def fedavg_weights(updates) -> AggregationWeights:
-    n = np.array([u.n_k for u in updates], dtype=np.float64)
+def fedavg_weights(sizes) -> AggregationWeights:
+    n = np.array(sizes, dtype=np.float64)
     if n.sum() <= 0:
         raise FederationError("all clients empty")
     w = _normalize(n)
     return AggregationWeights(w, w)
 
 
-def fedavgw_weights(updates, beta: float) -> AggregationWeights:
-    n = np.array([u.n_k for u in updates], dtype=np.float64)
+def fedavgw_weights(sizes, beta: float) -> AggregationWeights:
+    n = np.array(sizes, dtype=np.float64)
     if (n <= 0).any():
         raise FederationError("fedavgw requires n_k > 0 for every participant")
     return AggregationWeights(_normalize(n), _normalize((1.0 / n) ** beta))
 
 
-def aggregate(updates, weights: AggregationWeights) -> ParamSet:
-    """Per-group weighted average of the clients' trainable groups; lora groups
-    use the lora weight vector.  An update that names a frozen group is rejected.
+def aggregate(updates, weights: AggregationWeights) -> dict:
+    """{group name: Tensor}, the per-group weighted average of the clients' groups; lora
+    groups use the lora weight vector.  The updates must hold the same groups and come in
+    the client-id order of the weights, as `run_federation`'s do: each is the trainable
+    subset of one broadcast ParamSet.
     """
-    if not updates:
-        raise FederationError("no updates to aggregate")
-    template = updates[0].params
-    for u in updates[1:]:
-        template.check_congruent(u.params)
-    new_tensors = {}
-    for gi, group in enumerate(template):
-        if not group.trainable:
-            raise FederationError(f"update carries frozen group {group.name!r}")
-        values = [u.params.groups[gi].tensor.data for u in updates]
+    averaged = {}
+    for gi, group in enumerate(updates[0].params):
         wvec = weights.lora if group.lora else weights.standard
-        acc = np.zeros_like(values[0])
-        for w, v in zip(wvec, values):  # fixed client-id order: deterministic fp sum
-            acc += w * v
-        new_tensors[group.name] = nk.Tensor(acc)
-    return template.with_tensors(new_tensors)
+        acc = np.zeros_like(group.tensor.data)
+        for w, u in zip(wvec, updates):  # fixed client-id order: deterministic fp sum
+            acc += w * u.params.groups[gi].tensor.data
+        averaged[group.name] = nk.Tensor(acc)
+    return averaged
 
 
 def local_train(global_params: ParamSet, loss_and_grad, partition, dataset, fed_cfg: FedConfig,
@@ -122,7 +116,7 @@ def local_train(global_params: ParamSet, loss_and_grad, partition, dataset, fed_
     The trainable groups train as one flat vector, which the update's tensors
     view read-only; the update holds only those groups.  Optimizer state is
     fresh each round.  An empty client has no batches: it returns a copy of the
-    global trainable groups with n_k = 0.
+    global trainable groups.
     """
     docs = dataset.train.take(partition.sample_indices)
     flat = nk.FlatParams(global_params.trainable_dict(), fed_cfg.optimizer)
@@ -138,13 +132,14 @@ def local_train(global_params: ParamSet, loss_and_grad, partition, dataset, fed_
     except nk.NumericError as e:
         raise FederationError(f"client {cid}, round {round_index}: {e}") from e
     flat.freeze()
-    return ClientUpdate(cid, partition.size, params.trainable_subset())
+    return ClientUpdate(cid, params.trainable_subset())
 
 
 def run_federation(dataset, partitions, model_family: str, model_cfg,
                    fed_cfg: FedConfig, initial_params=None):
-    """Full protocol: returns (list of RoundLog, final ParamSet).  The train split is
-    checked once, before round 1; every client with data trains and is evaluated every round."""
+    """Full protocol: returns (list of RoundLog, final ParamSet).  Before round 1 it checks
+    the train and test splits, orders the clients with data by id and computes their
+    aggregation weights; every such client trains and is evaluated every round."""
     global_params, forward = build_model(model_family, model_cfg,
                                          dataset.vocabulary.size, dataset.max_seq_len,
                                          fed_cfg.seed)
@@ -153,23 +148,19 @@ def run_federation(dataset, partitions, model_family: str, model_cfg,
         initial_params.check_congruent(global_params)
         global_params = initial_params
     check_split(global_params, dataset.train)  # every client's batches are rows of it
+    check_split(global_params, dataset.test)  # and every evaluation batch of this one
 
-    active = [p for p in partitions if p.size > 0]
+    active = sorted((p for p in partitions if p.size > 0), key=lambda p: p.client_id)
     if not active:
         raise FederationError("no client has data")
+    sizes = [p.size for p in active]
+    weights = (fedavg_weights(sizes) if fed_cfg.aggregator == "fedavg"
+               else fedavgw_weights(sizes, fed_cfg.beta))
     logs = []
     for t in range(1, fed_cfg.rounds + 1):
         updates = [local_train(global_params, loss_and_grad, p, dataset, fed_cfg, t)
                    for p in active]
-        updates.sort(key=lambda u: u.client_id)
-        weights = (fedavg_weights(updates) if fed_cfg.aggregator == "fedavg"
-                   else fedavgw_weights(updates, fed_cfg.beta))
-        try:
-            averaged = aggregate(updates, weights)
-        except (FederationError, StructuralError) as e:
-            raise FederationError(f"round {t}: {e}") from e
-        global_params = global_params.with_tensors(averaged.trainable_dict())
-
+        global_params = global_params.with_tensors(aggregate(updates, weights))
         evals = evaluate_clients(global_params, forward, active, dataset.test)
-        logs.append(RoundLog(t, evals, fairness_summary(evals), [p.size for p in active]))
+        logs.append(RoundLog(t, evals, fairness_summary(evals), sizes))
     return logs, global_params

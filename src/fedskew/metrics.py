@@ -43,7 +43,7 @@ class RoundLog:
     round_index: int
     evals: list
     summary: FairnessSummary
-    client_sizes: list  # n_k per participating client, aligned with evals
+    client_sizes: list  # n_k per client with data, aligned with evals
 
 
 def _class_mask(labels: np.ndarray, present_classes) -> np.ndarray:

@@ -138,10 +138,10 @@ def _run(cfg: LoraFormerConfig, params: ParamSet, ids, keep_prob, rng, train, ca
 
 
 def make_forward(cfg: LoraFormerConfig):
-    """forward(params, token_ids) -> eval-mode logits, an array; no caches kept."""
+    """forward(params, token_ids) -> eval-mode logits, an array; no caches kept.  Ids must
+    be in range (`check_split`)."""
     def forward(params: ParamSet, token_ids):
-        ids = kn.check_ids(token_ids, len(params.get("tok_emb").tensor.data))
-        return _run(cfg, params, ids, 1.0, None, False)
+        return _run(cfg, params, token_ids, 1.0, None, False)
 
     return forward
 

@@ -69,13 +69,13 @@ def _operands(params: ParamSet, names: list, widths: int) -> tuple:
 
 
 def make_forward(cfg: TextCnnConfig):
-    """forward(params, token_ids) -> eval-mode logits, an array; no dropout, no caches kept."""
+    """forward(params, token_ids) -> eval-mode logits, an array; no dropout, no caches kept.
+    Ids must be in range (`models.check_split`)."""
     names, widths = _group_names(cfg), len(cfg.filter_widths)
 
     def forward(params: ParamSet, token_ids):
         table, *rest = _operands(params, names, widths)
-        ids = kn.check_ids(token_ids, len(table))
-        logits, _ = kn.textcnn_forward(table, ids, PAD_ID, *rest)
+        logits, _ = kn.textcnn_forward(table, token_ids, PAD_ID, *rest)
         return kn.finite("textcnn_logits", logits)
 
     return forward

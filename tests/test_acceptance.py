@@ -83,37 +83,33 @@ def test_criterion_01_gradient_correctness():
 # ---------------------------------------------------------------------------
 
 
-def _updates(ns, values=None, lora_flags=None, trainable_flags=None):
+def _updates(values, lora_flags):
     from fedskew.models.params import ParamGroup
     out = []
-    for cid, n in enumerate(ns):
-        vals = values[cid] if values else [np.zeros(1)]
-        lf = lora_flags or [False] * len(vals)
-        tf = trainable_flags or [True] * len(vals)
-        groups = [ParamGroup(f"g{i}", nk.Tensor(np.asarray(v, dtype=float)), t, l)
-                  for i, (v, l, t) in enumerate(zip(vals, lf, tf))]
-        out.append(fed.ClientUpdate(cid, n, ParamSet(groups, "toy")))
+    for cid, vals in enumerate(values):
+        groups = [ParamGroup(f"g{i}", nk.Tensor(np.asarray(v, dtype=float)), True, l)
+                  for i, (v, l) in enumerate(zip(vals, lora_flags))]
+        out.append(fed.ClientUpdate(cid, ParamSet(groups, "toy")))
     return out
 
 
 def test_criterion_02_aggregation_algebra():
     rng = np.random.default_rng(0)
     ns = [3, 917, 40, 40, 12000]
-    ups = _updates(ns)
     # (a) weights sum to 1 within 1e-12
     for beta in (0.0, 0.1, 0.5, 1.0):
-        w = fed.fedavgw_weights(ups, beta)
+        w = fed.fedavgw_weights(ns, beta)
         assert abs(w.standard.sum() - 1.0) <= 1e-12
         assert abs(w.lora.sum() - 1.0) <= 1e-12
-    assert abs(fed.fedavg_weights(ups).standard.sum() - 1.0) <= 1e-12
+    assert abs(fed.fedavg_weights(ns).standard.sum() - 1.0) <= 1e-12
     # (b) equal n_k => FedAvgW == FedAvg exactly
-    eq = _updates([55] * 8)
+    eq = [55] * 8
     for beta in (0.0, 0.1, 0.5, 1.0):
         assert (fed.fedavgw_weights(eq, beta).lora.tobytes()
                 == fed.fedavg_weights(eq).standard.tobytes())
     # (c) beta > 0 => strict inverse-size monotonicity
     for beta in (0.1, 0.5, 1.0):
-        w = fed.fedavgw_weights(ups, beta).lora
+        w = fed.fedavgw_weights(ns, beta).lora
         for i in range(len(ns)):
             for j in range(len(ns)):
                 if ns[i] < ns[j]:
@@ -121,27 +117,25 @@ def test_criterion_02_aggregation_algebra():
     # (d) aggregate matches a brute-force weighted sum exactly
     for trial in range(5):
         vals = [[rng.standard_normal((2, 3)), rng.standard_normal(4)] for _ in range(3)]
-        ups3 = _updates([int(rng.integers(1, 500)) for _ in range(3)], vals,
-                        lora_flags=[False, True])
-        w = fed.fedavgw_weights(ups3, beta=0.5)
-        out = fed.aggregate(ups3, w)
+        w = fed.fedavgw_weights([int(rng.integers(1, 500)) for _ in range(3)], beta=0.5)
+        out = fed.aggregate(_updates(vals, lora_flags=[False, True]), w)
         for gi, wvec in ((0, w.standard), (1, w.lora)):
             brute = np.zeros_like(vals[0][gi])
             for k in range(3):
                 brute += wvec[k] * vals[k][gi]
-            assert np.array_equal(out.groups[gi].tensor.data, brute)
+            assert np.array_equal(out[f"g{gi}"].data, brute)
     # (e) non-lora groups under FedAvgW bitwise equal pure FedAvg
     vals = [[rng.standard_normal(6), rng.standard_normal((2, 2))] for _ in range(4)]
-    ups4 = _updates([int(rng.integers(1, 1000)) for _ in range(4)], vals,
-                    lora_flags=[False, True])
-    pure = fed.aggregate(ups4, fed.fedavg_weights(ups4))
-    mixed = fed.aggregate(ups4, fed.fedavgw_weights(ups4, beta=0.5))
-    assert pure.groups[0].tensor.data.tobytes() == mixed.groups[0].tensor.data.tobytes()
+    ns4 = [int(rng.integers(1, 1000)) for _ in range(4)]
+    ups4 = _updates(vals, lora_flags=[False, True])
+    pure = fed.aggregate(ups4, fed.fedavg_weights(ns4))
+    mixed = fed.aggregate(ups4, fed.fedavgw_weights(ns4, beta=0.5))
+    assert pure["g0"].data.tobytes() == mixed["g0"].data.tobytes()
     note(2, "weight normalization, equal-size identity, monotonicity, brute-force match")
 
 
 def test_criterion_03_fedavg_weight_ratio():
-    w = fed.fedavg_weights(_updates([118, 34742]))
+    w = fed.fedavg_weights([118, 34742])
     ratio = w.standard[1] / w.standard[0]
     assert ratio == pytest.approx(294.4, abs=0.1)
     note(3, f"n=[118, 34742] weight ratio {ratio:.1f} == 294.4 +/- 0.1")

@@ -644,7 +644,11 @@ def test_report_rewrites_the_sweep_files_byte_for_byte(tmp_path, monkeypatch, ca
      "config.alpha: must be a number, got True"),
     ('{"run_id": "a", "status": "error", "error": "boom", "config": {"alpha": 0.1, '
      '"model": 3, "aggregator": "fedavg", "beta": 0.0}}',
-     "config.model: must be a string, got 3")])
+     "config.model: must be a string, got 3"),
+    # emit_report sorts the failed runs by run_id, which an int beside a str would break
+    ('{"run_id": 1, "status": "error", "error": "boom", "config": {"alpha": 0.1, '
+     '"model": "textcnn", "aggregator": "fedavg", "beta": 0.0}}',
+     "run_id: must be a string, got 1")])
 def test_report_on_a_bad_summary_exits_1(tmp_path, capsys, text, message):
     """A summary.json that a killed run truncated, or one that lacks a key the report reads
     or holds it as another JSON type, is a data error that names the file, not a traceback,
