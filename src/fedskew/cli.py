@@ -555,7 +555,7 @@ def emit_report(summaries, out_dir):
 def selftest() -> bool:
     from . import numkit as nk
     from .federation import fedavg_weights, fedavgw_weights
-    from .models.params import ParamGroup, ParamSet
+    from .models import build_params
 
     checks = []
 
@@ -593,7 +593,7 @@ def selftest() -> bool:
         ids = np.random.default_rng(1).integers(1, 7, size=(4, 6))
         ids *= np.arange(6) < np.array([[6], [4], [4], [0]])  # PAD rows; an all-PAD document
         labels = np.array([0, 1, 1, 0])
-        flat = nk.FlatParams(params.trainable_dict(), nk.OptimizerCfg("sgd", 1.0))
+        flat = nk.FlatParams(params.vector, params.layout.shapes, nk.OptimizerCfg("sgd", 1.0))
         loss = step(params, ids, labels, nk.derive(0, "selftest-dropout"), flat.grads)
         want = nk.softmax_cross_entropy(
             graph(params, ids, train=True, rng=nk.derive(0, "selftest-dropout")), labels)
@@ -616,7 +616,8 @@ def selftest() -> bool:
                   rng.standard_normal(2)]
         names = ["embedding", *(f"conv{w}.{part}" for part in ("kernel", "bias")
                                 for w in cfg.filter_widths), "fc.weight", "fc.bias"]
-        params = params.with_tensors({n: nk.Tensor(v) for n, v in zip(names, values)})
+        values = dict(zip(names, values))
+        params = build_params("textcnn", [g._replace(tensor=values[g.name]) for g in params])
         matches_op_chain(params, textcnn.make_loss_and_grad(cfg), textcnn.graph_forward(cfg))
 
     def encoder_layer_ok():
@@ -626,8 +627,9 @@ def selftest() -> bool:
                                lora_rank=2, lora_dropout=0.2)
         params, _ = build_loraformer(cfg, 7, 6, seed=0)
         # every group random and trained: the whole backward pass runs
-        params = ParamSet([ParamGroup(g.name, nk.Tensor(rng.standard_normal(g.tensor.shape)),
-                                      True, g.lora) for g in params], "loraformer")
+        params = build_params("loraformer", [
+            g._replace(tensor=rng.standard_normal(g.tensor.shape), trainable=True)
+            for g in params])
         matches_op_chain(params, loraformer.make_loss_and_grad(cfg), loraformer.graph_forward(cfg))
 
     def partition_ok():

@@ -5,10 +5,11 @@ every group by n_k/N; FedAvgW keeps that for ordinary groups but weights LoRA
 groups by normalized (1/n_k)^beta, boosting small clients.  Every client with
 data trains every round, so a run computes its weights once, before round 1.
 
-The frozen groups never leave the server.  A client trains from the broadcast
-params and returns only its trainable groups (`ClientUpdate.params`); the
-server averages those in client-id order and merges the result into the global
-params, whose frozen tensors are the same objects every round.
+A model's trainable groups are one vector under a static layout, from broadcast
+to aggregation; its frozen groups never leave the server.  A client trains a
+copy of the global vector and returns it (`ClientUpdate.params`); the server
+sums the weighted vectors in client-id order into the next global vector, and
+every round's model shares the same frozen arrays.
 
 Each round ends with one eval-mode forward pass of the new global model over
 the test set; every client's accuracy is then read off it under
@@ -22,9 +23,10 @@ import numpy as np
 from . import numkit as nk
 from . import validate
 # evaluate_client stays importable here: perfbench/tracer.py wraps it by this name
-from .metrics import RoundLog, evaluate_client, evaluate_clients, fairness_summary  # noqa: F401
+from .metrics import (RoundLog, class_masks, evaluate_client,  # noqa: F401
+                      evaluate_clients, fairness_summary)
 from .models import build_loss_and_grad, build_model, check_split
-from .models.params import ParamSet
+from .models.params import ParamSet, StructuralError
 from .numkit.optim import OptimizerCfg, step
 from .textdata import make_batches
 
@@ -92,20 +94,19 @@ def fedavgw_weights(sizes, beta: float) -> AggregationWeights:
     return AggregationWeights(_normalize(n), _normalize((1.0 / n) ** beta))
 
 
-def aggregate(updates, weights: AggregationWeights) -> dict:
-    """{group name: Tensor}, the per-group weighted average of the clients' groups; lora
-    groups use the lora weight vector.  The updates must hold the same groups and come in
-    the client-id order of the weights, as `run_federation`'s do: each is the trainable
-    subset of one broadcast ParamSet.
+def aggregate(updates, weights: AggregationWeights) -> np.ndarray:
+    """The next global vector, read-only and checked finite: the update vectors of one
+    broadcast layout, weighted and summed in the client-id order of the weights, as
+    `run_federation`'s come; lora groups' elements take the lora weight, the rest the standard.
     """
-    averaged = {}
-    for gi, group in enumerate(updates[0].params):
-        wvec = weights.lora if group.lora else weights.standard
-        acc = np.zeros_like(group.tensor.data)
-        for w, u in zip(wvec, updates):  # fixed client-id order: deterministic fp sum
-            acc += w * u.params.groups[gi].tensor.data
-        averaged[group.name] = nk.Tensor(acc)
-    return averaged
+    lora = updates[0].params.layout.lora
+    acc = np.zeros_like(updates[0].params.vector)
+    for w_standard, w_lora, u in zip(weights.standard, weights.lora, updates):
+        acc += np.where(lora, w_lora, w_standard) * u.params.vector
+    if not np.isfinite(acc).all():
+        raise nk.NumericError("non-finite aggregated parameters")
+    acc.setflags(write=False)
+    return acc
 
 
 def local_train(global_params: ParamSet, loss_and_grad, partition, dataset, fed_cfg: FedConfig,
@@ -113,14 +114,13 @@ def local_train(global_params: ParamSet, loss_and_grad, partition, dataset, fed_
     """`fed_cfg.local_epochs` epochs of minibatch training from the broadcast params, each
     step the model's `loss_and_grad` into `flat.grads`, then one optimizer `step(flat)`.
 
-    The trainable groups train as one flat vector, which the update's tensors
-    view read-only; the update holds only those groups.  Optimizer state is
-    fresh each round.  An empty client has no batches: it returns a copy of the
-    global trainable groups.
+    Training runs on a copy of the global trainable vector; the update holds that vector,
+    read-only, and no frozen group.  Optimizer state is fresh each round.  An empty client
+    has no batches: it returns a copy of the global vector.
     """
     docs = dataset.train.take(partition.sample_indices)
-    flat = nk.FlatParams(global_params.trainable_dict(), fed_cfg.optimizer)
-    params = global_params.with_tensors(flat.tensors)
+    flat = nk.FlatParams(global_params.vector, global_params.layout.shapes, fed_cfg.optimizer)
+    params = global_params.with_vector(flat.vector)
     cid, seed = partition.client_id, fed_cfg.seed
     try:
         for epoch in range(fed_cfg.local_epochs):
@@ -132,20 +132,22 @@ def local_train(global_params: ParamSet, loss_and_grad, partition, dataset, fed_
     except nk.NumericError as e:
         raise FederationError(f"client {cid}, round {round_index}: {e}") from e
     flat.freeze()
-    return ClientUpdate(cid, params.trainable_subset())
+    return ClientUpdate(cid, ParamSet(params.layout, flat.vector, {}))
 
 
 def run_federation(dataset, partitions, model_family: str, model_cfg,
                    fed_cfg: FedConfig, initial_params=None):
     """Full protocol: returns (list of RoundLog, final ParamSet).  Before round 1 it checks
     the train and test splits, orders the clients with data by id and computes their
-    aggregation weights; every such client trains and is evaluated every round."""
+    aggregation weights and test-set class masks; every such client trains and is evaluated
+    every round."""
     global_params, forward = build_model(model_family, model_cfg,
                                          dataset.vocabulary.size, dataset.max_seq_len,
                                          fed_cfg.seed)
     loss_and_grad = build_loss_and_grad(model_family, model_cfg)
     if initial_params is not None:
-        initial_params.check_congruent(global_params)
+        if initial_params.layout != global_params.layout:
+            raise StructuralError("initial_params do not have the model's layout")
         global_params = initial_params
     check_split(global_params, dataset.train)  # every client's batches are rows of it
     check_split(global_params, dataset.test)  # and every evaluation batch of this one
@@ -156,11 +158,12 @@ def run_federation(dataset, partitions, model_family: str, model_cfg,
     sizes = [p.size for p in active]
     weights = (fedavg_weights(sizes) if fed_cfg.aggregator == "fedavg"
                else fedavgw_weights(sizes, fed_cfg.beta))
+    masks = class_masks(active, dataset.test)
     logs = []
     for t in range(1, fed_cfg.rounds + 1):
         updates = [local_train(global_params, loss_and_grad, p, dataset, fed_cfg, t)
                    for p in active]
-        global_params = global_params.with_tensors(aggregate(updates, weights))
-        evals = evaluate_clients(global_params, forward, active, dataset.test)
+        global_params = global_params.with_vector(aggregate(updates, weights))
+        evals = evaluate_clients(global_params, forward, active, dataset.test, masks)
         logs.append(RoundLog(t, evals, fairness_summary(evals), sizes))
     return logs, global_params

@@ -46,26 +46,28 @@ class RoundLog:
     client_sizes: list  # n_k per client with data, aligned with evals
 
 
-def _class_mask(labels: np.ndarray, present_classes) -> np.ndarray:
-    """Boolean mask of the documents whose label is among `present_classes`."""
-    if not present_classes:
-        raise EvalError("present_classes is empty")
-    mask = np.isin(labels, sorted(present_classes))
-    if not mask.any():
-        raise EvalError(f"test set has no documents for classes {sorted(present_classes)}")
-    return mask
+def class_masks(partitions, test) -> list:
+    """Per client, the boolean mask of the test documents whose label is among its classes.
+    A run's clients and test split never change, so it builds them once."""
+    masks = []
+    for p in partitions:
+        if not p.present_classes:
+            raise EvalError("present_classes is empty")
+        masks.append(np.isin(test.labels, sorted(p.present_classes)))
+        if not masks[-1].any():
+            raise EvalError(f"test set has no documents for classes {sorted(p.present_classes)}")
+    return masks
 
 
-def evaluate_clients(params, forward, partitions, test) -> list:
+def evaluate_clients(params, forward, partitions, test, masks) -> list:
     """Eval-mode accuracy of one model for each client, on the test set
-    restricted to that client's classes.
+    restricted to that client's classes, the `class_masks` of the clients.
 
     Every client is scored by the same model, so one forward pass over the
     whole test set, in slices of `EVAL_BATCH_SIZE` rows in test-set order,
     serves them all; a client's accuracy counts the correct predictions under
     its label mask.  Argmax ties resolve to the lowest class index.
     """
-    masks = [_class_mask(test.labels, p.present_classes) for p in partitions]
     correct = np.concatenate([
         forward(params, test.token_ids[i : i + EVAL_BATCH_SIZE]).argmax(axis=1)
         for i in range(0, len(test), EVAL_BATCH_SIZE)]) == test.labels
@@ -75,7 +77,8 @@ def evaluate_clients(params, forward, partitions, test) -> list:
 
 def evaluate_client(params, forward, client_partition, test) -> ClientEval:
     """`evaluate_clients` for a single client."""
-    return evaluate_clients(params, forward, [client_partition], test)[0]
+    return evaluate_clients(params, forward, [client_partition], test,
+                            class_masks([client_partition], test))[0]
 
 
 def fairness_summary(evals) -> FairnessSummary:

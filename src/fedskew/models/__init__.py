@@ -7,7 +7,7 @@ from .loraformer import (
     pretrain_backbone,
 )
 from . import loraformer, textcnn
-from .params import ParamGroup, ParamSet, StructuralError, check_split
+from .params import Group, ParamSet, StructuralError, build_params, check_split
 from .textcnn import TextCnnConfig, build_textcnn, check_fits
 
 

@@ -17,7 +17,7 @@ from ..numkit import kernels as kn
 from .. import validate
 from ..numkit.optim import OptimizerCfg, adamw_step
 from ..textdata import PAD_ID, SyntheticSpec, generate_synthetic, make_batches
-from .params import ParamGroup, ParamSet, StructuralError, check_split
+from .params import Group, ParamSet, StructuralError, build_params, check_split
 
 PRETRAIN_WEIGHT_DECAY = 0.01  # AdamW's decoupled weight decay while the backbone pretrains
 LORA_ALPHA = 32.0  # an adapter's update is scaled by LORA_ALPHA / lora_rank
@@ -52,11 +52,11 @@ def _backbone_groups(cfg: LoraFormerConfig, vocab_size: int, max_seq_len: int, s
     def init(name, shape, std=None):
         rng = nk.derive(seed, "init", name)
         std = std if std is not None else (2.0 / sum(shape)) ** 0.5
-        return ParamGroup(name, nk.Tensor(rng.normal(0, std, shape)), False, False)
+        return Group(name, rng.normal(0, std, shape), False, False)
 
     def affine(name, dim):
-        return [ParamGroup(f"{name}.gain", nk.Tensor(np.ones(dim)), False, False),
-                ParamGroup(f"{name}.bias", nk.Tensor(np.zeros(dim)), False, False)]
+        return [Group(f"{name}.gain", np.ones(dim), False, False),
+                Group(f"{name}.bias", np.zeros(dim), False, False)]
 
     d = cfg.d_model
     groups = [init("tok_emb", (vocab_size, d), std=0.02),
@@ -66,12 +66,12 @@ def _backbone_groups(cfg: LoraFormerConfig, vocab_size: int, max_seq_len: int, s
         groups += affine(f"{p}.ln1", d)
         for proj in ("q", "k", "v", "o"):
             groups.append(init(f"{p}.attn.w{proj}", (d, d)))
-            groups.append(ParamGroup(f"{p}.attn.b{proj}", nk.Tensor(np.zeros(d)), False, False))
+            groups.append(Group(f"{p}.attn.b{proj}", np.zeros(d), False, False))
         groups += affine(f"{p}.ln2", d)
         groups.append(init(f"{p}.ffn.w1", (d, cfg.ffn_dim)))
-        groups.append(ParamGroup(f"{p}.ffn.b1", nk.Tensor(np.zeros(cfg.ffn_dim)), False, False))
+        groups.append(Group(f"{p}.ffn.b1", np.zeros(cfg.ffn_dim), False, False))
         groups.append(init(f"{p}.ffn.w2", (cfg.ffn_dim, d)))
-        groups.append(ParamGroup(f"{p}.ffn.b2", nk.Tensor(np.zeros(d)), False, False))
+        groups.append(Group(f"{p}.ffn.b2", np.zeros(d), False, False))
     groups += affine("ln_f", d)
     return groups
 
@@ -82,30 +82,27 @@ def _adapter_groups(cfg: LoraFormerConfig, seed: int):
         for proj in ("q", "v"):
             name = f"layer{i}.attn.{proj}_lora"
             a = nk.derive(seed, "init", f"{name}.A").normal(0, 0.02, (cfg.lora_rank, cfg.d_model))
-            groups.append(ParamGroup(f"{name}.A", nk.Tensor(a), True, True))
-            groups.append(ParamGroup(f"{name}.B", nk.Tensor(np.zeros((cfg.d_model, cfg.lora_rank))),
-                                     True, True))
+            groups.append(Group(f"{name}.A", a, True, True))
+            groups.append(Group(f"{name}.B", np.zeros((cfg.d_model, cfg.lora_rank)), True, True))
     return groups
 
 
-def _head_groups(cfg: LoraFormerConfig):
-    return [ParamGroup("head.weight", nk.Tensor(np.zeros((cfg.d_model, cfg.num_classes))), True, False),
-            ParamGroup("head.bias", nk.Tensor(np.zeros(cfg.num_classes)), True, False)]
+def _head_groups(d_model: int, classes: int):
+    return [Group("head.weight", np.zeros((d_model, classes)), True, False),
+            Group("head.bias", np.zeros(classes), True, False)]
 
 
-def build_loraformer(cfg: LoraFormerConfig, vocab_size: int, max_seq_len: int, seed: int,
-                     adapter_seed: int = None):
+def build_loraformer(cfg: LoraFormerConfig, vocab_size: int, max_seq_len: int, seed: int):
     """Returns (ParamSet, forward).  Backbone frozen; adapters + head trainable."""
-    adapter_seed = seed if adapter_seed is None else adapter_seed
     groups = (_backbone_groups(cfg, vocab_size, max_seq_len, seed)
-              + _adapter_groups(cfg, adapter_seed) + _head_groups(cfg))
-    return ParamSet(groups, "loraformer"), make_forward(cfg)
+              + _adapter_groups(cfg, seed) + _head_groups(cfg.d_model, cfg.num_classes))
+    return build_params("loraformer", groups), make_forward(cfg)
 
 
 def _layer_names(params: ParamSet, cfg: LoraFormerConfig) -> list:
     """Per layer, {layer key: group name}; the adapter keys only where the group exists."""
     keys = kn.ENCODER_LAYER_KEYS + kn.ENCODER_ADAPTER_KEYS
-    return [{k: f"layer{i}.{k}" for k in keys if params.has(f"layer{i}.{k}")}
+    return [{k: f"layer{i}.{k}" for k in keys if f"layer{i}.{k}" in params.arrays}
             for i in range(cfg.layers)]
 
 
@@ -114,24 +111,22 @@ def _run(cfg: LoraFormerConfig, params: ParamSet, ids, keep_prob, rng, train, ca
     what the backward pass reads.  Non-finite logits raise `NumericError` for the op
     `loraformer_logits`: an inf or NaN anywhere upstream, PAD positions included, reaches
     them as inf or NaN, so they are the one place checked."""
-    def v(name):
-        return params.get(name).tensor.data
-
+    v = params.arrays
     n, s = ids.shape
     pad_mask = ids != PAD_ID
-    h = v("tok_emb")[ids] + v("pos_emb")[:s]
+    h = v["tok_emb"][ids] + v["pos_emb"][:s]
     mask_bias = kn.key_mask_bias(pad_mask)
     for i, names in enumerate(_layer_names(params, cfg)):
-        h, cache = kn.encoder_layer_forward(h, {k: v(name) for k, name in names.items()},
+        h, cache = kn.encoder_layer_forward(h, {k: v[name] for k, name in names.items()},
                                             cfg.heads, mask_bias, cfg.lora_scale, keep_prob, rng,
                                             train, kn.scratch(f"layer{i}"))
         if caches is not None:
             caches.append((names, cache))
-    fin, xhat, inv = kn.layernorm(h, v("ln_f.gain"), v("ln_f.bias"))
+    fin, xhat, inv = kn.layernorm(h, v["ln_f.gain"], v["ln_f.bias"])
     mask = pad_mask.astype(np.float64)
     counts = np.maximum(mask.sum(axis=1), 1.0)
     pooled = (fin * mask[:, :, None]).sum(axis=1) / counts[:, None]
-    logits = kn.finite("loraformer_logits", pooled @ v("head.weight") + v("head.bias"))
+    logits = kn.finite("loraformer_logits", pooled @ v["head.weight"] + v["head.bias"])
     if caches is not None:
         caches.append((mask, counts, xhat, inv, pooled))
     return logits
@@ -170,13 +165,13 @@ def make_loss_and_grad(cfg: LoraFormerConfig):
             np.add.reduce(g, axis=0, out=grads["head.bias"])
         if "head.weight" in grads:
             np.matmul(pooled.T, g, out=grads["head.weight"])
-        g = g @ params.get("head.weight").tensor.data.T
+        g = g @ params.arrays["head.weight"].T
         g = mask[:, :, None] * (g / counts[:, None])[:, None, :]
         if "ln_f.gain" in grads:
             np.add.reduce(g * xhat, axis=(0, 1), out=grads["ln_f.gain"])
         if "ln_f.bias" in grads:
             np.add.reduce(g, axis=(0, 1), out=grads["ln_f.bias"])
-        g = kn.layernorm_dx(g, params.get("ln_f.gain").tensor.data, xhat, inv)
+        g = kn.layernorm_dx(g, params.arrays["ln_f.gain"], xhat, inv)
         for i in reversed(range(len(layers))):
             names, cache = layers[i]
             out = {k: grads[name] for k, name in names.items() if name in grads}
@@ -199,7 +194,7 @@ def graph_forward(cfg: LoraFormerConfig):
     keep = 1.0 - cfg.lora_dropout
 
     def forward(params: ParamSet, token_ids, train: bool = False, rng=None):
-        leaves = {g.name: nk.leaf(g.tensor.data, name=g.name, trainable=g.trainable)
+        leaves = {g.name: nk.leaf(g.tensor, name=g.name, trainable=g.trainable)
                   for g in params}
         ids = np.asarray(token_ids)
         batch, seq = ids.shape
@@ -219,18 +214,20 @@ def graph_forward(cfg: LoraFormerConfig):
 
 
 def merge_lora(params: ParamSet, cfg: LoraFormerConfig) -> ParamSet:
-    """Fold adapters into the frozen projections: W' = W + lora_scale (B A)^T."""
-    if params.model_kind != "loraformer":
+    """Fold adapters into the frozen projections, W' = W + lora_scale (B A)^T, in a model of
+    its own layout: the same groups without the adapters."""
+    if params.layout.model_kind != "loraformer":
         raise StructuralError("merge_lora requires a loraformer ParamSet")
-    if not any(g.lora for g in params):
+    if not params.layout.lora.any():
         raise StructuralError("adapters already merged")
-    merged = {}
-    for g in params:
-        if g.lora and g.name.endswith("_lora.A"):  # layerN.attn.q_lora.A folds into layerN.attn.wq
-            attn, _, proj = g.name[: -len("_lora.A")].rpartition(".")
-            w, b = params.get(f"{attn}.w{proj}"), params.get(f"{attn}.{proj}_lora.B")
-            merged[w.name] = nk.Tensor(w.tensor.data + cfg.lora_scale * (b.tensor.data @ g.tensor.data).T)
-    return ParamSet([g for g in params if not g.lora], "loraformer").with_tensors(merged)
+    v, merged = params.arrays, {}
+    for name, a in v.items():
+        if name.endswith("_lora.A"):  # layerN.attn.q_lora.A folds into layerN.attn.wq
+            attn, _, proj = name[: -len("_lora.A")].rpartition(".")
+            w = f"{attn}.w{proj}"
+            merged[w] = v[w] + cfg.lora_scale * (v[f"{attn}.{proj}_lora.B"] @ a).T
+    return build_params("loraformer", [g._replace(tensor=merged.get(g.name, g.tensor))
+                                       for g in params if not g.lora])
 
 
 class DisjointnessError(ValueError):
@@ -285,16 +282,12 @@ def pretrain_backbone(params: ParamSet, cfg: LoraFormerConfig, pre: PretrainConf
     if not target_docs.isdisjoint(_doc_keys(proxy.train)):
         raise DisjointnessError("proxy corpus shares documents with the target dataset")
 
-    # backbone trainable for the proxy phase; adapters dropped (their delta is
-    # zero at init and they must not absorb proxy gradients)
-    backbone = {g.name: g.tensor for g in params
-                if not g.lora and not g.name.startswith("head.")}
-    classes = proxy.num_classes  # a throwaway head under the real head's names
-    proxy_head = {"head.weight": nk.Tensor(np.zeros((cfg.d_model, classes))),
-                  "head.bias": nk.Tensor(np.zeros(classes))}
-    flat = nk.FlatParams({**backbone, **proxy_head}, pre.optimizer)
-    work = ParamSet([ParamGroup(name, t, True, False) for name, t in flat.tensors.items()],
-                    "loraformer")
+    # a model of its own: the backbone trainable, a throwaway head under the real head's
+    # names, no adapters (their delta is zero at init; they must not absorb proxy gradients)
+    backbone = [g._replace(trainable=True) for g in params if not g.trainable]
+    work = build_params("loraformer", backbone + _head_groups(cfg.d_model, proxy.num_classes))
+    flat = nk.FlatParams(work.vector, work.layout.shapes, pre.optimizer)
+    work = work.with_vector(flat.vector)
     check_split(work, proxy.train)  # so each batch needs no check
     loss_and_grad = make_loss_and_grad(cfg)
 
@@ -306,4 +299,4 @@ def pretrain_backbone(params: ParamSet, cfg: LoraFormerConfig, pre: PretrainConf
         loss_and_grad(work, batch.token_ids, batch.labels, None, flat.grads)
         adamw_step(flat)
     flat.freeze()
-    return params.with_tensors({name: flat.tensors[name] for name in backbone})
+    return ParamSet(params.layout, params.vector, {g.name: work.arrays[g.name] for g in backbone})

@@ -9,7 +9,7 @@ from .. import numkit as nk
 from ..numkit import kernels as kn
 from .. import validate
 from ..textdata import PAD_ID
-from .params import ParamGroup, ParamSet
+from .params import Group, ParamSet, build_params
 
 
 @dataclass(frozen=True)
@@ -41,19 +41,17 @@ def check_fits(cfg: TextCnnConfig, max_seq_len: int):
 def build_textcnn(cfg: TextCnnConfig, vocab_size: int, max_seq_len: int, seed: int):
     """Returns (ParamSet, forward).  forward(params, token_ids) -> eval-mode logits."""
     check_fits(cfg, max_seq_len)
-    groups = [ParamGroup(
-        "embedding",
-        nk.Tensor(nk.derive(seed, "init", "embedding").normal(0, 0.1, (vocab_size, cfg.embed_dim))),
-        trainable=True, lora=False)]
+    rng = nk.derive(seed, "init", "embedding")
+    groups = [Group("embedding", rng.normal(0, 0.1, (vocab_size, cfg.embed_dim)), True, False)]
     for w in cfg.filter_widths:
         std = (2.0 / (w * cfg.embed_dim)) ** 0.5
         kernel = nk.derive(seed, "init", f"conv{w}").normal(0, std, (w, cfg.embed_dim, cfg.filters_per_width))
-        groups.append(ParamGroup(f"conv{w}.kernel", nk.Tensor(kernel), True, False))
-        groups.append(ParamGroup(f"conv{w}.bias", nk.Tensor(np.zeros(cfg.filters_per_width)), True, False))
+        groups.append(Group(f"conv{w}.kernel", kernel, True, False))
+        groups.append(Group(f"conv{w}.bias", np.zeros(cfg.filters_per_width), True, False))
     feat = len(cfg.filter_widths) * cfg.filters_per_width
-    groups.append(ParamGroup("fc.weight", nk.Tensor(np.zeros((feat, cfg.num_classes))), True, False))
-    groups.append(ParamGroup("fc.bias", nk.Tensor(np.zeros(cfg.num_classes)), True, False))
-    return ParamSet(groups, "textcnn"), make_forward(cfg)
+    groups.append(Group("fc.weight", np.zeros((feat, cfg.num_classes)), True, False))
+    groups.append(Group("fc.bias", np.zeros(cfg.num_classes), True, False))
+    return build_params("textcnn", groups), make_forward(cfg)
 
 
 def _group_names(cfg: TextCnnConfig) -> list:
@@ -64,7 +62,7 @@ def _group_names(cfg: TextCnnConfig) -> list:
 
 def _operands(params: ParamSet, names: list, widths: int) -> tuple:
     """(table, kernels, biases, head weight, head bias) as arrays."""
-    v = [params.get(name).tensor.data for name in names]
+    v = [params.arrays[name] for name in names]
     return v[0], v[1 : 1 + widths], v[1 + widths : 1 + 2 * widths], v[-2], v[-1]
 
 
@@ -106,7 +104,7 @@ def graph_forward(cfg: TextCnnConfig):
     keep = 1.0 - cfg.dropout
 
     def forward(params: ParamSet, token_ids, train: bool = False, rng=None):
-        p = {g.name: nk.leaf(g.tensor.data, name=g.name, trainable=g.trainable) for g in params}
+        p = {g.name: nk.leaf(g.tensor, name=g.name, trainable=g.trainable) for g in params}
         return nk.textcnn_logits_ops(p["embedding"], token_ids, PAD_ID,
                                      [p[f"conv{w}.kernel"] for w in cfg.filter_widths],
                                      [p[f"conv{w}.bias"] for w in cfg.filter_widths],

@@ -26,6 +26,6 @@ from .autograd import (
     transpose,
 )
 from . import kernels
-from .optim import FlatParams, OptimizerCfg, adamw_step, sgd_step, step
+from .errors import ContractError, NumericError, ShapeError
+from .optim import FlatParams, OptimizerCfg, adamw_step, sgd_step, step, views
 from .rng import derive, sub_seed
-from .tensor import ContractError, NumericError, ShapeError, Tensor

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import kernels as kn
-from .tensor import ContractError, ShapeError
+from .errors import ContractError, ShapeError
 
 
 class GradNode:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .tensor import ContractError, NumericError, ShapeError
+from .errors import ContractError, NumericError, ShapeError
 
 ENCODER_LAYER_KEYS = ("ln1.gain", "ln1.bias", "attn.wq", "attn.bq", "attn.wk", "attn.bk",
                       "attn.wv", "attn.bv", "attn.wo", "attn.bo", "ln2.gain", "ln2.bias",

@@ -1,12 +1,13 @@
 """SGD and decoupled-weight-decay Adam over one flat parameter vector, updated in place
 from the gradient that a training step wrote into `FlatParams.grad`."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import validate
-from .tensor import ContractError, NumericError, Tensor
+from .errors import ContractError, NumericError
 
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # AdamW's moment decays and denominator floor
 
@@ -29,29 +30,32 @@ class OptimizerCfg:
             raise ContractError(f"unknown optimizer kind {self.kind!r}")
 
 
-class FlatParams:
-    """Named tensors packed, in order, into one contiguous float64 `vector`, with the
-    state of training them under `cfg`: the step count, AdamW's moments, and `grad`, a
-    vector laid out like `vector` for a step's gradient.
+def views(vector: np.ndarray, shapes: dict) -> dict:
+    """{name: its slice of `vector`, shaped}, the groups of `shapes` one after another."""
+    out, lo = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        out[name] = vector[lo : lo + size].reshape(shape)
+        lo += size
+    return out
 
-    `tensors` maps each name to a read-only view of its slice, so whatever
-    holds them reads each step's values without a copy; `grads` maps each name to the
-    writable view of its slice of `grad`, where a loss-and-gradient function writes;
-    `step`, `sgd_step` and `adamw_step` take only `flat` and read `grad`.  Only the
-    optimizer writes the vector; `freeze` makes it read-only once training is over.
+
+class FlatParams:
+    """A copy of a flat float64 parameter `vector`, laid out as `shapes` says, with the state
+    of training it under `cfg`: the step count, AdamW's moments, and `grad`, a vector laid
+    out like `vector` for a step's gradient.
+
+    `grads` maps each name to the writable view of its slice of `grad`, where a
+    loss-and-gradient function writes; `step`, `sgd_step` and `adamw_step` take only `flat`
+    and read `grad`.  Only the optimizer writes the vector; `freeze` makes it read-only
+    once training is over.
     """
 
-    def __init__(self, tensors: dict, cfg: OptimizerCfg):
+    def __init__(self, vector: np.ndarray, shapes: dict, cfg: OptimizerCfg):
         self.cfg = cfg
-        self.names = list(tensors)
-        self.vector = np.concatenate([t.data.reshape(-1) for t in tensors.values()])
+        self.vector = np.array(vector, dtype=np.float64)
         self.grad = np.zeros_like(self.vector)
-        self.tensors, self.grads = {}, {}
-        lo = 0
-        for name, t in tensors.items():
-            self.tensors[name] = Tensor(self.vector[lo : lo + t.size].reshape(t.shape))
-            self.grads[name] = self.grad[lo : lo + t.size].reshape(t.shape)
-            lo += t.size
+        self.grads = views(self.grad, shapes)
         self.step_count = 0
         if cfg.kind == "sgd":
             self._work = np.empty_like(self.vector)  # lr * grad, without an allocation per step

@@ -51,8 +51,8 @@ def step_fd_check(step, params, ids, labels, seed=0, h=1e-5, rtol=1e-4):
     Every call draws its dropout masks from a fresh `derive(seed, "dropout")` stream, so
     each loss is of the same masks.  Returns the max relative error seen.
     """
-    flat = nk.FlatParams(params.trainable_dict(), nk.OptimizerCfg("sgd", 1.0))
-    params = params.with_tensors(flat.tensors)  # they read the vector perturbed below
+    flat = nk.FlatParams(params.vector, params.layout.shapes, nk.OptimizerCfg("sgd", 1.0))
+    params = params.with_vector(flat.vector)  # it reads the vector perturbed below
     step(params, ids, labels, nk.derive(seed, "dropout"), flat.grads)
     numeric = np.zeros_like(flat.vector)
     for i in range(flat.vector.size):

@@ -25,10 +25,11 @@ from fedskew.models import (
     merge_lora,
     textcnn,
 )
-from fedskew.models.params import ParamSet
+from fedskew.models.params import Group, build_params
 from fedskew.partition import PartitionConfig, dirichlet_partition
 
 from gradcheck import finite_diff_check, step_fd_check
+from test_models import with_adapter_draw
 from test_numkit_ops import OP_CASES
 
 
@@ -56,8 +57,10 @@ def test_criterion_01_gradient_correctness():
         ids = rng.integers(2, 30, size=(2, 10))
         ids[:, -2:] = td.PAD_ID
         labels = rng.integers(0, 4, size=2)
-        head = rng.normal(0, 0.3, params.get("fc.weight").tensor.shape)
-        params = params.with_tensors({"fc.weight": nk.Tensor(head)})
+        vector = params.vector.copy()
+        head = nk.views(vector, params.layout.shapes)["fc.weight"]
+        head[...] = rng.normal(0, 0.3, head.shape)
+        params = params.with_vector(vector)
         step_fd_check(textcnn.make_loss_and_grad(cnn_cfg), params, ids, labels, seed=seed)
 
     lf_cfg = LoraFormerConfig(num_classes=3, layers=1, d_model=4, heads=2, ffn_dim=6,
@@ -65,9 +68,7 @@ def test_criterion_01_gradient_correctness():
     for seed in range(5):
         params, _ = build_loraformer(lf_cfg, 12, 5, seed=seed)
         rng = np.random.default_rng(7200 + seed)
-        noisy = {g.name: nk.Tensor(rng.normal(0, 0.3, g.tensor.shape))
-                 for g in params if g.trainable}
-        params = params.with_tensors(noisy)
+        params = params.with_vector(rng.normal(0, 0.3, params.vector.shape))
         ids = rng.integers(2, 12, size=(2, 5))
         labels = rng.integers(0, 3, size=2)
         step_fd_check(loraformer.make_loss_and_grad(lf_cfg), params, ids, labels, seed=seed)
@@ -84,13 +85,17 @@ def test_criterion_01_gradient_correctness():
 
 
 def _updates(values, lora_flags):
-    from fedskew.models.params import ParamGroup
     out = []
     for cid, vals in enumerate(values):
-        groups = [ParamGroup(f"g{i}", nk.Tensor(np.asarray(v, dtype=float)), True, l)
+        groups = [Group(f"g{i}", np.asarray(v, dtype=float), True, l)
                   for i, (v, l) in enumerate(zip(vals, lora_flags))]
-        out.append(fed.ClientUpdate(cid, ParamSet(groups, "toy")))
+        out.append(fed.ClientUpdate(cid, build_params("toy", groups)))
     return out
+
+
+def _aggregated(updates, weights) -> dict:
+    """{group name: array} of the vector `aggregate` returns."""
+    return updates[0].params.with_vector(fed.aggregate(updates, weights)).arrays
 
 
 def test_criterion_02_aggregation_algebra():
@@ -118,19 +123,19 @@ def test_criterion_02_aggregation_algebra():
     for trial in range(5):
         vals = [[rng.standard_normal((2, 3)), rng.standard_normal(4)] for _ in range(3)]
         w = fed.fedavgw_weights([int(rng.integers(1, 500)) for _ in range(3)], beta=0.5)
-        out = fed.aggregate(_updates(vals, lora_flags=[False, True]), w)
+        out = _aggregated(_updates(vals, lora_flags=[False, True]), w)
         for gi, wvec in ((0, w.standard), (1, w.lora)):
             brute = np.zeros_like(vals[0][gi])
             for k in range(3):
                 brute += wvec[k] * vals[k][gi]
-            assert np.array_equal(out[f"g{gi}"].data, brute)
+            assert out[f"g{gi}"].tobytes() == brute.tobytes()
     # (e) non-lora groups under FedAvgW bitwise equal pure FedAvg
     vals = [[rng.standard_normal(6), rng.standard_normal((2, 2))] for _ in range(4)]
     ns4 = [int(rng.integers(1, 1000)) for _ in range(4)]
     ups4 = _updates(vals, lora_flags=[False, True])
-    pure = fed.aggregate(ups4, fed.fedavg_weights(ns4))
-    mixed = fed.aggregate(ups4, fed.fedavgw_weights(ns4, beta=0.5))
-    assert pure["g0"].data.tobytes() == mixed["g0"].data.tobytes()
+    pure = _aggregated(ups4, fed.fedavg_weights(ns4))
+    mixed = _aggregated(ups4, fed.fedavgw_weights(ns4, beta=0.5))
+    assert pure["g0"].tobytes() == mixed["g0"].tobytes()
     note(2, "weight normalization, equal-size identity, monotonicity, brute-force match")
 
 
@@ -196,16 +201,18 @@ def test_criterion_05_lora_identities():
                            lora_rank=2, lora_dropout=0.0)
     rng = np.random.default_rng(5)
     ids = rng.integers(2, 30, size=(4, 10))
-    pa, forward = build_loraformer(cfg, 30, 10, seed=0, adapter_seed=111)
-    pb, _ = build_loraformer(cfg, 30, 10, seed=0, adapter_seed=222)
+    params, forward = build_loraformer(cfg, 30, 10, seed=0)
+    pa, pb = (with_adapter_draw(params, seed) for seed in (111, 222))
+    assert pa.vector.tobytes() != pb.vector.tobytes()
     np.testing.assert_array_equal(forward(pa, ids), forward(pb, ids))
 
-    noisy = {g.name: nk.Tensor(rng.normal(0, 0.2, g.tensor.shape)) for g in pa if g.lora}
-    trained = pa.with_tensors(noisy)
+    trained = pa.vector.copy()
+    trained[pa.layout.lora] = rng.normal(0, 0.2, pa.layout.lora.sum())
+    trained = pa.with_vector(trained)
     merged = merge_lora(trained, cfg)
     diff = np.abs(forward(merged, ids) - forward(trained, ids)).max()
     assert diff < 1e-5
-    note(5, f"adapter-seed independence + merge preserves logits (max diff {diff:.2e})")
+    note(5, f"adapter-draw independence + merge preserves logits (max diff {diff:.2e})")
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,20 @@ from fedskew import numkit as nk
 from fedskew import textdata as td
 from fedskew.models import (LoraFormerConfig, TextCnnConfig, build_loraformer, build_loss_and_grad,
                             build_model)
-from fedskew.models.params import ParamGroup, ParamSet
+from fedskew.models.params import Group, StructuralError, build_params
 from fedskew.partition import ClientPartition, PartitionConfig, dirichlet_partition
 
 
 def upd(cid, values, lora_flags=(False,)):
     """Client `cid`'s update: one trainable group per value, named g0, g1, ..."""
-    groups = [ParamGroup(f"g{i}", nk.Tensor(np.asarray(v, dtype=float)), True, l)
+    groups = [Group(f"g{i}", np.asarray(v, dtype=float), True, l)
               for i, (v, l) in enumerate(zip(values, lora_flags))]
-    return fed.ClientUpdate(cid, ParamSet(groups, "toy"))
+    return fed.ClientUpdate(cid, build_params("toy", groups))
+
+
+def aggregated(updates, weights) -> dict:
+    """{group name: array} of the vector `aggregate` returns."""
+    return updates[0].params.with_vector(fed.aggregate(updates, weights)).arrays
 
 
 def test_fedavg_weights_basic():
@@ -68,11 +73,11 @@ def test_equal_sizes_fedavgw_equals_fedavg_bitwise():
 
 def test_aggregate_simple_and_identity():
     updates = [upd(0, [[2.0]]), upd(1, [[0.0]])]
-    out = fed.aggregate(updates, fed.fedavg_weights([1, 1]))
-    assert out["g0"].data[0] == 1.0
+    out = aggregated(updates, fed.fedavg_weights([1, 1]))
+    assert out["g0"][0] == 1.0
     same = [upd(0, [[3.0, 4.0]]), upd(1, [[3.0, 4.0]])]
-    out2 = fed.aggregate(same, fed.fedavg_weights([5, 9]))
-    np.testing.assert_array_equal(out2["g0"].data, [3.0, 4.0])
+    out2 = aggregated(same, fed.fedavg_weights([5, 9]))
+    np.testing.assert_array_equal(out2["g0"], [3.0, 4.0])
 
 
 def test_aggregate_matches_brute_force():
@@ -83,13 +88,13 @@ def test_aggregate_matches_brute_force():
         sizes.append(int(rng.integers(1, 100)))
         updates.append(upd(cid, vals, lora_flags=(False, True)))
     w = fed.fedavgw_weights(sizes, beta=0.5)
-    out = fed.aggregate(updates, w)
-    for gi, name in enumerate(["g0", "g1"]):
-        wvec = w.lora if updates[0].params.groups[gi].lora else w.standard
-        brute = np.zeros_like(updates[0].params.groups[gi].tensor.data)
+    out = aggregated(updates, w)
+    for gi, group in enumerate(updates[0].params):
+        wvec = w.lora if group.lora else w.standard
+        brute = np.zeros_like(group.tensor)
         for k in range(3):
-            brute += wvec[k] * updates[k].params.groups[gi].tensor.data
-        assert np.array_equal(out[name].data, brute)
+            brute += wvec[k] * list(updates[k].params)[gi].tensor
+        assert out[group.name].tobytes() == brute.tobytes()
 
 
 def test_aggregate_nonlora_groups_bitwise_equal_pure_fedavg():
@@ -99,10 +104,21 @@ def test_aggregate_nonlora_groups_bitwise_equal_pure_fedavg():
         vals = [rng.standard_normal(5), rng.standard_normal((2, 2))]
         sizes.append(int(rng.integers(1, 1000)))
         updates.append(upd(cid, vals, lora_flags=(False, True)))
-    pure = fed.aggregate(updates, fed.fedavg_weights(sizes))
-    mixed = fed.aggregate(updates, fed.fedavgw_weights(sizes, beta=0.5))
-    assert pure["g0"].data.tobytes() == mixed["g0"].data.tobytes()
-    assert pure["g1"].data.tobytes() != mixed["g1"].data.tobytes()
+    pure = aggregated(updates, fed.fedavg_weights(sizes))
+    mixed = aggregated(updates, fed.fedavgw_weights(sizes, beta=0.5))
+    assert pure["g0"].tobytes() == mixed["g0"].tobytes()
+    assert pure["g1"].tobytes() != mixed["g1"].tobytes()
+
+
+def test_aggregate_returns_a_read_only_finite_vector():
+    """The average is checked once, where it is made; an update that holds a NaN (no
+    optimizer step lets one through) makes a non-finite average."""
+    updates = [upd(0, [[1.0, 2.0]]), upd(1, [[3.0, 4.0]])]
+    out = fed.aggregate(updates, fed.fedavg_weights([1, 1]))
+    assert out.tolist() == [2.0, 3.0] and not out.flags.writeable
+    nan = updates[1].params.with_vector(np.array([np.nan, 4.0]))
+    with pytest.raises(nk.NumericError, match="^non-finite aggregated parameters$"):
+        fed.aggregate([updates[0], fed.ClientUpdate(1, nan)], fed.fedavg_weights([1, 1]))
 
 
 DESK = td.generate_synthetic(td.SyntheticSpec(
@@ -127,7 +143,7 @@ def test_local_train_zero_lr_like_identity():
                           fed_cfg(optimizer=fed.OptimizerCfg("sgd", lr=1e-300), batch_size=8,
                                   seed=1), round_index=1)
     for a, b in zip(params, out.params):
-        np.testing.assert_allclose(a.tensor.data, b.tensor.data, atol=1e-290)
+        np.testing.assert_allclose(a.tensor, b.tensor, atol=1e-290)
 
 
 def test_local_train_empty_client():
@@ -137,7 +153,7 @@ def test_local_train_empty_client():
     out = fed.local_train(params, cnn_step, part, DESK,
                           fed_cfg(local_epochs=2, batch_size=8, seed=1), round_index=1)
     for a, b in zip(params, out.params):
-        assert np.array_equal(a.tensor.data, b.tensor.data)
+        assert np.array_equal(a.tensor, b.tensor)
 
 
 def test_local_train_deterministic_and_improves_own_class():
@@ -150,7 +166,7 @@ def test_local_train_deterministic_and_improves_own_class():
     a = fed.local_train(params, cnn_step, part, DESK, cfg, round_index=2)
     b = fed.local_train(params, cnn_step, part, DESK, cfg, round_index=2)
     for ga, gb in zip(a.params, b.params):
-        assert np.array_equal(ga.tensor.data, gb.tensor.data)
+        assert np.array_equal(ga.tensor, gb.tensor)
 
     def own_acc(pset):
         docs = DESK.train.take(own)
@@ -169,7 +185,7 @@ def test_single_client_round_equals_centralized():
                                   DESK.max_seq_len, seed=7)
     manual = fed.local_train(params, cnn_step, parts[0], DESK, cfg, round_index=1)
     for a, b in zip(final, manual.params):
-        assert np.array_equal(a.tensor.data, b.tensor.data)
+        assert np.array_equal(a.tensor, b.tensor)
     assert len(logs) == 1 and len(logs[0].evals) == 1
 
 
@@ -182,8 +198,8 @@ def test_frozen_backbone_immutable_across_rounds(monkeypatch):
     initial, _ = build_loraformer(lf, DESK.vocabulary.size, DESK.max_seq_len, seed=7)
     for g0, gT in zip(initial, final):
         if not g0.trainable:
-            assert g0.tensor.data.tobytes() == gT.tensor.data.tobytes()
-    assert any(not np.array_equal(g0.tensor.data, gT.tensor.data)
+            assert g0.tensor.tobytes() == gT.tensor.tobytes()
+    assert any(not np.array_equal(g0.tensor, gT.tensor)
                for g0, gT in zip(initial, final) if g0.trainable)
 
     # frozen groups never leave the server: updates carry only the trainable
@@ -219,7 +235,8 @@ def test_local_train_update_is_read_only():
     out = fed.local_train(params, cnn_step, part, DESK, fed_cfg(batch_size=8, seed=1),
                           round_index=1)
     for g in out.params:
-        for arr in (g.tensor.data, g.tensor.data.base):  # the view and the trained vector
+        assert g.tensor.base is out.params.vector
+        for arr in (g.tensor, g.tensor.base):  # the view and the trained vector
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0.0
@@ -300,4 +317,41 @@ def test_run_federation_does_not_depend_on_partition_order():
     logs, final = fed.run_federation(DESK, parts, "textcnn", CNN_CFG, cfg)
     logs_rev, final_rev = fed.run_federation(DESK, parts[::-1], "textcnn", CNN_CFG, cfg)
     assert logs_rev == logs
-    assert [g.tensor.data.tobytes() for g in final_rev] == [g.tensor.data.tobytes() for g in final]
+    assert [g.tensor.tobytes() for g in final_rev] == [g.tensor.tobytes() for g in final]
+
+
+def test_run_federation_takes_initial_params_of_the_models_layout():
+    """`initial_params` of an equal layout start the run; one of another model, of other
+    shapes or of other flags is rejected before any client trains."""
+    parts = dirichlet_partition(DESK, PartitionConfig(3, 1.0, seed=5))
+    built, _ = build_model("textcnn", CNN_CFG, DESK.vocabulary.size, DESK.max_seq_len, seed=7)
+    start = built.with_vector(np.full(built.vector.shape, 0.01))
+    logs, _ = fed.run_federation(DESK, parts, "textcnn", CNN_CFG, fed_cfg(rounds=1),
+                                 initial_params=start)
+    default, _ = fed.run_federation(DESK, parts, "textcnn", CNN_CFG, fed_cfg(rounds=1))
+    assert logs != default  # the run started from `start`, not from the built model
+    other_vocab, _ = build_model("textcnn", CNN_CFG, DESK.vocabulary.size + 1,
+                                 DESK.max_seq_len, seed=7)
+    frozen_head = build_params("textcnn", [g._replace(trainable=not g.name.startswith("fc."))
+                                           for g in built])
+    for wrong in (other_vocab, frozen_head):
+        with pytest.raises(StructuralError, match="^initial_params do not have the model's "
+                                                  "layout$"):
+            fed.run_federation(DESK, parts, "textcnn", CNN_CFG, fed_cfg(rounds=1),
+                               initial_params=wrong)
+
+
+def test_run_federation_builds_the_class_masks_once(monkeypatch):
+    """The test-set masks of the clients' classes are a per-run value, built before round 1
+    for the clients with data in client-id order."""
+    parts = dirichlet_partition(DESK, PartitionConfig(3, 1.0, seed=5))
+    real, calls = fed.class_masks, []
+
+    def spy(partitions, test):
+        calls.append([p.client_id for p in partitions])
+        return real(partitions, test)
+
+    monkeypatch.setattr(fed, "class_masks", spy)
+    logs, _ = fed.run_federation(DESK, parts[::-1], "textcnn", CNN_CFG, fed_cfg(rounds=3))
+    assert calls == [sorted(p.client_id for p in parts if p.size)]
+    assert len(logs) == 3

@@ -68,14 +68,15 @@ def test_restriction_matches_brute_force():
 
 def test_restriction_errors():
     with pytest.raises(mt.EvalError, match="present_classes is empty"):
-        mt.evaluate_clients(None, predicts(0), [client(set())], balanced_test())
+        mt.class_masks([client(set())], balanced_test())
     with pytest.raises(mt.EvalError, match=r"test set has no documents for classes \[3\]"):
-        mt.evaluate_clients(None, predicts(0), [client({3})], balanced_test(num_classes=2))
+        mt.class_masks([client({3})], balanced_test(num_classes=2))
 
 
 def test_restriction_monotone():
     test = balanced_test()
-    a, b = mt.evaluate_clients(None, predicts(0), [client({0}), client({0, 2})], test)
+    parts = [client({0}), client({0, 2})]
+    a, b = mt.evaluate_clients(None, predicts(0), parts, test, mt.class_masks(parts, test))
     assert b.eval_size >= a.eval_size
 
 
@@ -125,9 +126,11 @@ def test_evaluate_clients_matches_per_client_forward(seed):
     cfg = TextCnnConfig(num_classes=num_classes, embed_dim=4, filter_widths=(2, 3),
                         filters_per_width=3)
     zero_head, forward = build_textcnn(cfg, vocab_size=30, max_seq_len=seq, seed=seed)
-    trained = zero_head.with_tensors({
-        "fc.weight": nk.Tensor(rng.standard_normal((6, num_classes))),
-        "fc.bias": nk.Tensor(rng.standard_normal(num_classes))})
+    vector = zero_head.vector.copy()
+    head = nk.views(vector, zero_head.layout.shapes)
+    head["fc.weight"][...] = rng.standard_normal((6, num_classes))
+    head["fc.bias"][...] = rng.standard_normal(num_classes)
+    trained = zero_head.with_vector(vector)
     parts = [ClientPartition(0, [0], [4, 0, 0, 0, 0]),  # single classes
              ClientPartition(1, [0], [0, 0, 3, 0, 0]),
              ClientPartition(2, [0], [1, 2, 3, 4, 5])]  # every class
@@ -135,6 +138,7 @@ def test_evaluate_clients_matches_per_client_forward(seed):
         hist = [int(n) for n in rng.integers(0, 3, size=num_classes)]
         hist[int(rng.integers(0, num_classes))] += 1
         parts.append(ClientPartition(cid, [0], hist))
+    masks = mt.class_masks(parts, test)
     for params in (trained, zero_head):  # zero head: all-zero logits, ties go to class 0
         calls = []
 
@@ -142,29 +146,27 @@ def test_evaluate_clients_matches_per_client_forward(seed):
             calls.append(np.array(token_ids))
             return forward(model, token_ids)
 
-        fast = mt.evaluate_clients(params, recording, parts, test)
+        fast = mt.evaluate_clients(params, recording, parts, test, masks)
         # the test set once, in order, in slices of at most EVAL_BATCH_SIZE rows
         assert all(len(ids) <= mt.EVAL_BATCH_SIZE for ids in calls)
         assert np.array_equal(np.concatenate(calls), test.token_ids)
         brute = [per_client_forward_eval(params, forward, p, test) for p in parts]
         assert fast == brute
         assert [mt.evaluate_client(params, forward, p, test) for p in parts] == brute
-    zero = mt.evaluate_clients(zero_head, forward, parts[:3], test)
+    zero = mt.evaluate_clients(zero_head, forward, parts[:3], test, masks[:3])
     share0 = sum(label == 0 for label in labels) / len(test)
     assert [e.accuracy for e in zero] == [1.0, 0.0, share0]
 
 
-def test_evaluate_clients_errors():
+def test_class_masks_errors():
     test = balanced_test(num_classes=2)
-    cfg = TextCnnConfig(num_classes=4, embed_dim=4, filters_per_width=3)
-    params, forward = build_textcnn(cfg, vocab_size=10, max_seq_len=4, seed=0)
     ok = ClientPartition(0, [0], [1, 1, 0, 0])
     for bad in (ClientPartition(1, [0], [0, 0, 0, 0]),  # no present classes
                 ClientPartition(1, [0], [0, 0, 0, 2])):  # class without test documents
         with pytest.raises(mt.EvalError):
-            mt.evaluate_clients(params, forward, [ok, bad], test)
+            mt.class_masks([ok, bad], test)
     with pytest.raises(mt.EvalError):
-        mt.evaluate_clients(params, forward, [ok], test.take([]))
+        mt.class_masks([ok], test.take([]))
 
 
 def ev(cid, acc):

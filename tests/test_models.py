@@ -18,7 +18,7 @@ from fedskew.models import (
     merge_lora,
     pretrain_backbone,
 )
-from fedskew.models import loraformer, textcnn
+from fedskew.models import Group, build_params, loraformer, textcnn
 from fedskew.numkit.optim import OptimizerCfg, adamw_step, sgd_step
 
 from gradcheck import step_fd_check
@@ -44,6 +44,28 @@ def test_textcnn_paper_scale_param_count():
     assert all(g.trainable and not g.lora for g in params)
 
 
+def test_build_params_lays_out_one_trainable_vector():
+    """The trainable groups are copied, in order, into one read-only vector that their
+    arrays view; frozen arrays are kept as they are, read-only; a non-finite array is
+    rejected where it enters, by name; equal groups give equal layouts."""
+    frozen, weight, bias = np.ones((2, 3)), np.arange(4.0).reshape(2, 2), np.array([5.0])
+    groups = [Group("w", weight, True, True), Group("f", frozen, False, False),
+              Group("b", bias, True, False)]
+    params = build_params("toy", groups)
+    assert params.vector.tolist() == [0.0, 1.0, 2.0, 3.0, 5.0]
+    assert params.layout.shapes == {"w": (2, 2), "b": (1,)}
+    assert params.layout.lora.tolist() == [True] * 4 + [False]
+    assert params.arrays["f"] is frozen and params.arrays["w"].base is params.vector
+    assert [g.name for g in params] == ["w", "f", "b"]
+    for arr in (params.vector, *params.arrays.values()):
+        assert not arr.flags.writeable
+    assert weight.flags.writeable  # a trainable group's array is copied, not frozen
+    assert build_params("toy", groups).layout == params.layout
+    assert build_params("toy", groups[:2]).layout != params.layout
+    with pytest.raises(nk.NumericError, match="^non-finite values in 'b'$"):
+        build_params("toy", [groups[0], Group("b", np.array([np.inf]), True, False)])
+
+
 def test_textcnn_zero_head_uniform_logits():
     params, forward = build_textcnn(CNN_CFG, VOCAB, SEQ, seed=1)
     ids = rand_batch(np.random.default_rng(0))
@@ -57,30 +79,30 @@ def test_textcnn_pad_position_has_no_effect():
     params, forward = build_textcnn(CNN_CFG, VOCAB, SEQ, seed=1)
     # train one step so the head is nonzero
     ids = rand_batch(np.random.default_rng(1))
-    flat = nk.FlatParams(params.trainable_dict(), OptimizerCfg("sgd", lr=0.5))
+    flat = nk.FlatParams(params.vector, params.layout.shapes, OptimizerCfg("sgd", lr=0.5))
     textcnn.make_loss_and_grad(CNN_CFG)(params, ids, np.array([0, 1, 2]), nk.derive(1, "d"),
                                         flat.grads)
     sgd_step(flat)
-    params = params.with_tensors(flat.tensors)
+    params = params.with_vector(flat.vector)
     base = forward(params, ids)
     # PAD rows of the embedding table must not leak into the logits
-    emb = params.get("embedding").tensor.data.copy()
-    emb[td.PAD_ID] += 100.0
-    mutated = params.with_tensors({"embedding": nk.Tensor(emb)})
+    vector = params.vector.copy()
+    nk.views(vector, params.layout.shapes)["embedding"][td.PAD_ID] += 100.0
+    mutated = params.with_vector(vector)
     np.testing.assert_array_equal(forward(mutated, ids), base)
 
 
 def test_steps_write_in_place_and_forward_reads_them():
-    """A step writes the trainable arrays the ParamSet holds, so the next step and the
+    """A step writes the trainable vector the ParamSet holds, so the next step and the
     forward pass read the new values with no rebuilt ParamSet."""
     params, forward = build_textcnn(CNN_CFG, VOCAB, SEQ, seed=1)
-    flat = nk.FlatParams(params.trainable_dict(), OptimizerCfg("sgd", lr=0.5))
-    params = params.with_tensors(flat.tensors)
+    flat = nk.FlatParams(params.vector, params.layout.shapes, OptimizerCfg("sgd", lr=0.5))
+    params = params.with_vector(flat.vector)
     ids = rand_batch(np.random.default_rng(3))
     build_loss_and_grad("textcnn", CNN_CFG)(params, ids, np.array([0, 1, 2]),
                                              nk.derive(0, "d"), flat.grads)
     sgd_step(flat)
-    fresh = params.with_tensors(params.trainable_dict())
+    fresh = params.with_vector(flat.vector.copy())
     assert forward(params, ids).tobytes() == forward(fresh, ids).tobytes()
     assert np.abs(forward(params, ids)).max() > 0  # the stepped head, not the zero one
 
@@ -92,8 +114,10 @@ def test_textcnn_gradient_check(seed):
     ids = rand_batch(rng, batch=2)
     labels = rng.integers(0, 4, size=2)
     # randomize the head so gradients reach every group
-    head = rng.normal(0, 0.3, params.get("fc.weight").tensor.shape)
-    params = params.with_tensors({"fc.weight": nk.Tensor(head)})
+    vector = params.vector.copy()
+    head = nk.views(vector, params.layout.shapes)["fc.weight"]
+    head[...] = rng.normal(0, 0.3, head.shape)
+    params = params.with_vector(vector)
     step_fd_check(textcnn.make_loss_and_grad(CNN_CFG), params, ids, labels, seed=seed)
 
 
@@ -114,10 +138,20 @@ def test_loraformer_flag_partition_and_fraction():
     assert 0 < frac < 0.10
 
 
-def test_loraformer_zero_start_independent_of_adapter_seed():
+def with_adapter_draw(params, seed):
+    """`params` with every adapter A drawn anew from `seed`; B stays 0."""
+    rng, vector = np.random.default_rng(seed), params.vector.copy()
+    for name, view in nk.views(vector, params.layout.shapes).items():
+        if name.endswith("_lora.A"):
+            view[...] = rng.normal(0, 0.02, view.shape)
+    return params.with_vector(vector)
+
+
+def test_loraformer_zero_start_independent_of_adapter_draw():
     ids = rand_batch(np.random.default_rng(2))
-    pa, forward = build_loraformer(LF_CFG, VOCAB, SEQ, seed=0, adapter_seed=111)
-    pb, _ = build_loraformer(LF_CFG, VOCAB, SEQ, seed=0, adapter_seed=222)
+    params, forward = build_loraformer(LF_CFG, VOCAB, SEQ, seed=0)
+    pa, pb = with_adapter_draw(params, 111), with_adapter_draw(params, 222)
+    assert pa.vector.tobytes() != pb.vector.tobytes()
     np.testing.assert_array_equal(forward(pa, ids), forward(pb, ids))
     # and equals the backbone alone: adapters removed entirely
     merged = merge_lora(pa, LF_CFG)
@@ -129,14 +163,16 @@ def test_loraformer_gradients_only_adapters_and_head():
     rng = np.random.default_rng(3)
     ids = rand_batch(rng)
     # a nonzero head, so a gradient reaches the adapters
-    params = params.with_tensors({"head.weight": nk.Tensor(rng.normal(0, 0.3, (8, 4)))})
-    flat = nk.FlatParams(params.trainable_dict(), OptimizerCfg("sgd", lr=0.1))
+    vector = params.vector.copy()
+    nk.views(vector, params.layout.shapes)["head.weight"][...] = rng.normal(0, 0.3, (8, 4))
+    params = params.with_vector(vector)
+    flat = nk.FlatParams(params.vector, params.layout.shapes, OptimizerCfg("sgd", lr=0.1))
     loraformer.make_loss_and_grad(LF_CFG)(params, ids, np.array([0, 1, 2]), nk.derive(3, "d"),
                                           flat.grads)
-    assert sorted(flat.names) == sorted(g.name for g in params
+    assert sorted(flat.grads) == sorted(g.name for g in params
                                         if g.lora or g.name.startswith("head."))
     assert flat.grads["head.weight"].any()
-    for name in flat.names:
+    for name in flat.grads:
         if name.endswith("_lora.A"):  # B = 0 at init: no gradient reaches A yet
             assert not flat.grads[name].any()
         elif name.endswith("_lora.B"):
@@ -150,11 +186,7 @@ def test_loraformer_gradient_check(seed):
     params, _ = build_loraformer(cfg, 12, 5, seed=seed)
     rng = np.random.default_rng(500 + seed)
     # random adapters and head so every trainable path carries gradient
-    noisy = {}
-    for g in params:
-        if g.trainable:
-            noisy[g.name] = nk.Tensor(rng.normal(0, 0.3, g.tensor.shape))
-    params = params.with_tensors(noisy)
+    params = params.with_vector(rng.normal(0, 0.3, params.vector.shape))
     ids = rng.integers(2, 12, size=(2, 5))
     labels = rng.integers(0, 3, size=2)
     step_fd_check(loraformer.make_loss_and_grad(cfg), params, ids, labels, seed=seed)
@@ -163,9 +195,9 @@ def test_loraformer_gradient_check(seed):
 def test_merge_lora_preserves_logits():
     params, forward = build_loraformer(LF_CFG, VOCAB, SEQ, seed=4)
     rng = np.random.default_rng(4)
-    noisy = {g.name: nk.Tensor(rng.normal(0, 0.2, g.tensor.shape))
-             for g in params if g.lora}
-    params = params.with_tensors(noisy)
+    vector = params.vector.copy()
+    vector[params.layout.lora] = rng.normal(0, 0.2, params.layout.lora.sum())
+    params = params.with_vector(vector)
     ids = rand_batch(rng, batch=8)
     merged = merge_lora(params, LF_CFG)
     assert not any(g.lora for g in merged)
@@ -188,7 +220,7 @@ def test_pretrain_zero_steps_is_identity():
     params, _ = build_loraformer(LF_CFG, VOCAB, SEQ, seed=5)
     out = pretrain_backbone(params, LF_CFG, replace(PRE, steps=0), TARGET, 32)
     for a, b in zip(params, out):
-        assert np.array_equal(a.tensor.data, b.tensor.data)
+        assert np.array_equal(a.tensor, b.tensor)
         assert (a.trainable, a.lora) == (b.trainable, b.lora)
 
 
@@ -202,7 +234,7 @@ def test_pretrain_ignores_lora_dropout():
         params, _ = build_loraformer(cfg, VOCAB, SEQ, seed=6)
         out.append(pretrain_backbone(params, cfg, replace(PRE, steps=5), TARGET, 32))
     for a, b in zip(*out):
-        assert a.tensor.data.tobytes() == b.tensor.data.tobytes(), a.name
+        assert a.tensor.tobytes() == b.tensor.tobytes(), a.name
 
 
 def test_pretrain_improves_probe_and_keeps_flags():
@@ -214,18 +246,20 @@ def test_pretrain_improves_probe_and_keeps_flags():
     trained = pretrain_backbone(params, LF_CFG, pre, TARGET, 32)
     for a, b in zip(params, trained):
         assert (a.name, a.trainable, a.lora) == (b.name, b.trainable, b.lora)
-    for name in ("head.weight", "head.bias"):  # the throwaway head shares only their names
-        assert trained.get(name).tensor is params.get(name).tensor
+    # the throwaway head shares only the real head's names: the trainable vector, adapters
+    # and head, is the very one passed in
+    assert trained.vector is params.vector
 
     def probe_accuracy(pset):
-        # linear probe: train only the head on proxy train, eval on proxy test
-        head = nk.FlatParams({n: t for n, t in pset.trainable_dict().items()
-                              if n.startswith("head.")}, OptimizerCfg("adamw", lr=0.05))
-        pset = pset.with_tensors(head.tensors)
+        # linear probe: train only the head on proxy train, eval on proxy test; the
+        # adapters get no gradient, so AdamW without decay leaves them as they are
+        flat = nk.FlatParams(pset.vector, pset.layout.shapes, OptimizerCfg("adamw", lr=0.05))
+        head = {n: flat.grads[n] for n in ("head.weight", "head.bias")}
+        pset = pset.with_vector(flat.vector)
         for epoch in range(5):
             for batch in td.make_batches(proxy.train, 16, epoch):
-                step(pset, batch.token_ids, batch.labels, None, head.grads)
-                adamw_step(head)
+                step(pset, batch.token_ids, batch.labels, None, head)
+                adamw_step(flat)
         correct = 0
         for batch in td.make_batches(proxy.test, 32, 0):
             preds = forward(pset, batch.token_ids).argmax(axis=1)
@@ -287,7 +321,7 @@ def test_init_determinism_both_families():
         a, _ = build_model(family, cfg, VOCAB, SEQ, seed=9)
         b, _ = build_model(family, cfg, VOCAB, SEQ, seed=9)
         for ga, gb in zip(a, b):
-            assert np.array_equal(ga.tensor.data, gb.tensor.data)
+            assert np.array_equal(ga.tensor, gb.tensor)
 
 
 def test_loss_decreases_centralized_both_families():
@@ -299,8 +333,8 @@ def test_loss_decreases_centralized_both_families():
                              ("loraformer", LF_CFG, OptimizerCfg("adamw", lr=0.01))):
         params, _ = build_model(family, cfg, ds.vocabulary.size, ds.max_seq_len, seed=10)
         step = build_loss_and_grad(family, cfg)
-        flat = nk.FlatParams(params.trainable_dict(), opt)
-        params = params.with_tensors(flat.tensors)
+        flat = nk.FlatParams(params.vector, params.layout.shapes, opt)
+        params = params.with_vector(flat.vector)
         losses = []
         for i in range(50):
             batch = td.make_batches(ds.train, 16, i)[0]

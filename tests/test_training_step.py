@@ -13,8 +13,6 @@ logits and loss are bitwise equal: its kernels run the chain's forward float ope
 in the same order.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -24,7 +22,7 @@ from fedskew import numkit as nk
 from fedskew import textdata as td
 from fedskew.models import (LoraFormerConfig, PretrainConfig, TextCnnConfig, build_loraformer,
                             build_textcnn, loraformer, pretrain_backbone, textcnn)
-from fedskew.models.params import ParamGroup, ParamSet
+from fedskew.models.params import ParamSet, build_params
 from fedskew.partition import ClientPartition, PartitionConfig, dirichlet_partition
 
 VOCAB, SEQ = 30, 10
@@ -39,9 +37,15 @@ def batch(rng, rows, pad=True):
     return ids, rng.integers(0, 4, size=rows)
 
 
+def relaid(params: ParamSet, groups) -> ParamSet:
+    """The model of `groups`, `Group`s of `params` with new arrays or flags, under a layout
+    of its own."""
+    return build_params(params.layout.model_kind, groups)
+
+
 def randomized(params: ParamSet, rng, names) -> ParamSet:
-    return params.with_tensors({n: nk.Tensor(rng.normal(0, 0.3, params.get(n).tensor.shape))
-                                for n in names})
+    draw = {n: rng.normal(0, 0.3, params.arrays[n].shape) for n in names}
+    return relaid(params, [g._replace(tensor=draw.get(g.name, g.tensor)) for g in params])
 
 
 def assert_close(got, want, name):
@@ -55,7 +59,7 @@ def assert_close(got, want, name):
 def assert_step_matches_chain(params, step, graph, ids, labels, seed=0, bitwise_loss=False):
     """The step's loss and gradients against the chain's, dropout masks drawn alike;
     returns the gradients the step wrote, by group."""
-    flat = nk.FlatParams(params.trainable_dict(), nk.OptimizerCfg("sgd", 0.1))
+    flat = nk.FlatParams(params.vector, params.layout.shapes, nk.OptimizerCfg("sgd", 0.1))
     loss = step(params, ids, labels, nk.derive(seed, "dropout"), flat.grads)
     want = nk.softmax_cross_entropy(graph(params, ids, train=True, rng=nk.derive(seed, "dropout")),
                                     labels)
@@ -64,7 +68,7 @@ def assert_step_matches_chain(params, step, graph, ids, labels, seed=0, bitwise_
     else:
         assert abs(loss - float(want.value)) <= 1e-12 * abs(float(want.value))
     grads = nk.backward(want)
-    assert sorted(grads) == sorted(flat.names) == sorted(params.trainable_dict())
+    assert sorted(grads) == sorted(flat.grads) == sorted(g.name for g in params if g.trainable)
     for name, g in grads.items():
         assert_close(flat.grads[name], g, name)
     return flat.grads
@@ -97,7 +101,7 @@ def textcnn_case(rng, widths, batch=5, seq=7, dropout=0.5, pad=True):
     values[f"conv{widths[0]}.bias"][0] = -1.0
     values["fc.weight"] = rng.standard_normal((3 * len(widths), classes))
     values["fc.bias"] = rng.standard_normal(classes)
-    params = params.with_tensors({n: nk.Tensor(v) for n, v in values.items()})
+    params = relaid(params, [g._replace(tensor=values[g.name]) for g in params])
     return cfg, params, ids, rng.integers(0, classes, size=batch)
 
 
@@ -130,7 +134,7 @@ def test_textcnn_step_and_forward_match_op_chain(widths, seq, dropout, train, pa
 def test_textcnn_step_with_frozen_groups_matches_op_chain(frozen):
     """Frozen groups get no gradient; the others get the chain's."""
     cfg, params, ids, labels = textcnn_case(np.random.default_rng(5100), (2, 3))
-    params = ParamSet([replace(g, trainable=g.name not in frozen) for g in params], "textcnn")
+    params = relaid(params, [g._replace(trainable=g.name not in frozen) for g in params])
     grads = assert_step_matches_chain(params, textcnn.make_loss_and_grad(cfg),
                                       textcnn.graph_forward(cfg), ids, labels)
     assert not set(frozen) & grads.keys()
@@ -158,8 +162,7 @@ def lora_params(cfg, rng, trainable_backbone=False):
     trained = [g.name for g in params if g.lora or g.name.startswith("head.")]
     params = randomized(params, rng, trained)
     if trainable_backbone:  # the pretraining setup: backbone and a head, no adapters
-        params = ParamSet([ParamGroup(g.name, g.tensor, True, False) for g in params if not g.lora],
-                          "loraformer")
+        params = relaid(params, [g._replace(trainable=True) for g in params if not g.lora])
     return params
 
 
@@ -218,8 +221,8 @@ def test_head_only_training_gets_only_head_gradients():
                            lora_rank=2, lora_dropout=0.0)
     rng = np.random.default_rng(43)
     params = lora_params(cfg, rng)
-    params = ParamSet([replace(g, trainable=g.name.startswith("head.")) for g in params
-                       if not g.lora], "loraformer")
+    params = relaid(params, [g._replace(trainable=g.name.startswith("head.")) for g in params
+                             if not g.lora])
     assert_step_matches_chain(params, loraformer.make_loss_and_grad(cfg),
                               loraformer.graph_forward(cfg), *batch(rng, 8), bitwise_loss=True)
 
@@ -246,7 +249,7 @@ def test_step_independent_of_call_history(family, monkeypatch):
     """The steps' scratch arrays grow and are reused; batches of 64, 32, 11 and 64
     documents in turn give bitwise what each gives on a fresh workspace."""
     def run(step, params, ids, labels):
-        flat = nk.FlatParams(params.trainable_dict(), nk.OptimizerCfg("sgd", 0.1))
+        flat = nk.FlatParams(params.vector, params.layout.shapes, nk.OptimizerCfg("sgd", 0.1))
         loss = step(params, ids, labels, nk.derive(7, "dropout"), flat.grads)
         return np.float64(loss).tobytes() + flat.grad.tobytes()
 
@@ -274,7 +277,7 @@ def test_step_writes_every_view_it_is_passed_and_no_other(family):
         params = randomized(params, rng, [g.name for g in params])
         ids, labels = batch(rng, 8)
         step = loraformer.make_loss_and_grad(cfg)
-    flat = nk.FlatParams(params.trainable_dict(), nk.OptimizerCfg("sgd", 0.1))
+    flat = nk.FlatParams(params.vector, params.layout.shapes, nk.OptimizerCfg("sgd", 0.1))
     names = list(flat.grads)
     step(params, ids, labels, nk.derive(0, "dropout"), flat.grads)
     full = flat.grad.copy()
@@ -316,9 +319,12 @@ def test_forward_matches_op_chain_logits():
 def test_step_and_forward_report_nonfinite_logits():
     cfg = TextCnnConfig(num_classes=4, embed_dim=6, filters_per_width=5)
     params, forward = build_textcnn(cfg, VOCAB, SEQ, seed=1)
-    params = params.with_tensors({"fc.weight": nk.Tensor(np.full((15, 4), 1e300)),
-                                  "embedding": nk.Tensor(np.full((VOCAB, 6), 1e300))})
-    flat = nk.FlatParams(params.trainable_dict(), nk.OptimizerCfg("sgd", 0.1))
+    vector = params.vector.copy()
+    for name, view in nk.views(vector, params.layout.shapes).items():
+        if name in ("fc.weight", "embedding"):
+            view[...] = 1e300
+    params = params.with_vector(vector)
+    flat = nk.FlatParams(params.vector, params.layout.shapes, nk.OptimizerCfg("sgd", 0.1))
     ids, labels = batch(np.random.default_rng(0), 4)
     with pytest.raises(nk.NumericError, match="^non-finite output from op 'textcnn_logits'$"), \
             np.errstate(over="ignore", invalid="ignore"):
@@ -342,12 +348,12 @@ def test_loraformer_overflow_anywhere_reports_nonfinite_logits(huge):
                            lora_rank=2, lora_dropout=0.1)
     rng = np.random.default_rng(45)
     params = lora_params(cfg, rng)
-    params = params.with_tensors({name: nk.Tensor(np.full(params.get(name).tensor.shape, value))
-                                  for name, value in huge.items()})
+    params = relaid(params, [g._replace(tensor=np.full(g.tensor.shape, huge[g.name]))
+                             if g.name in huge else g for g in params])
     ids, labels = batch(rng, 4)
     assert (ids == td.PAD_ID).any()
     opt = nk.OptimizerCfg("adamw", 0.01)
-    flat = nk.FlatParams(params.trainable_dict(), opt)
+    flat = nk.FlatParams(params.vector, params.layout.shapes, opt)
     split = td.Split(ids, labels)
     vocab = td.Vocabulary.build([[f"w{i}" for i in range(VOCAB - 2)]], VOCAB)
     data = td.Dataset(4, split, split, vocab, SEQ)
