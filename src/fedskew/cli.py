@@ -26,9 +26,10 @@ import numpy as np
 from . import metrics as mt
 from . import textdata as td
 from . import validate
-from .federation import FedConfig, run_federation
+from .federation import FedConfig, FederationError, fedavg_weights, fedavgw_weights, run_federation
 from .models import (LoraFormerConfig, PretrainConfig, TextCnnConfig, build_loraformer,
-                     check_fits, pretrain_backbone)
+                     build_params, check_fits, loraformer, merge_lora, pretrain_backbone,
+                     textcnn)
 from .numkit import OptimizerCfg
 from .partition import (PartitionConfig, PartitionError, dirichlet_partition, save_manifest,
                         skew_report)
@@ -41,8 +42,8 @@ class ConfigError(ValueError):
 class InputDataError(ValueError):
     """The data a valid config points at cannot be used: a CSV file is missing or malformed,
     no partition meets the config's constraints, a client's classes have no test documents,
-    the target has too few words for a proxy corpus, or `report` finds a summary.json it
-    cannot read."""
+    a FedAvgW beta gives every client of a partition a LoRA weight of 0, the target has too
+    few words for a proxy corpus, or `report` finds a summary.json it cannot read."""
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +360,24 @@ def run_experiments(cfg: ExperimentConfig, jobs: int = 1) -> list:
     """Run every sweep cell, `jobs` at a time (jobs > 1: `_run_forked`), and write the
     report from the cells' summary.json files, read back in plan order.  A data error
     (`load_data`, no test split, a client with data but no test documents of its classes,
-    or a target with too few words for a proxy corpus) is raised before anything is
-    written."""
+    a FedAvgW cell whose weights cannot be computed, or a target with too few words for a
+    proxy corpus) is raised before anything is written."""
     dataset, partitions_by_alpha = load_data(cfg)
     if len(dataset.test) == 0:  # every cell would fail at its first evaluation
         raise InputDataError("dataset.csv: no test split: set test_path")
     tested = set(dataset.test.labels.tolist())  # a client is scored on its classes' documents
+    betas = dict.fromkeys(r["beta"] for r in cfg.runs if r["aggregator"] == "fedavgw")
     for alpha, partitions in partitions_by_alpha.items():
         for p in partitions:
             if p.size and not p.present_classes & tested:
                 raise InputDataError(f"partition.alpha {alpha}: client {p.client_id} holds "
                                      f"classes {sorted(p.present_classes)}, none of which "
                                      "has a test document")
+        try:  # a beta at which every client's LoRA weight underflows fails every round
+            for beta in betas:
+                fedavgw_weights([p.size for p in partitions if p.size], beta)
+        except FederationError as e:
+            raise InputDataError(f"federation.aggregators: partition.alpha {alpha}: {e}") from e
     lora = cfg.model_cfgs.get("loraformer")
     pretrains = lora is not None and lora.backbone_mode == "pretrained-frozen"
     if pretrains:
@@ -554,8 +561,6 @@ def emit_report(summaries, out_dir):
 
 def selftest() -> bool:
     from . import numkit as nk
-    from .federation import fedavg_weights, fedavgw_weights
-    from .models import build_params
 
     checks = []
 
@@ -603,7 +608,6 @@ def selftest() -> bool:
             assert err <= 1e-12 * (1.0 if name.endswith("attn.bk") else np.abs(g).max()), name
 
     def textcnn_ok():
-        from .models import textcnn
         rng = np.random.default_rng(0)
         # a dead filter and one tied at its bias everywhere
         cfg = textcnn.TextCnnConfig(num_classes=2, embed_dim=4, filter_widths=(2, 3, 6),
@@ -621,7 +625,6 @@ def selftest() -> bool:
         matches_op_chain(params, textcnn.make_loss_and_grad(cfg), textcnn.graph_forward(cfg))
 
     def encoder_layer_ok():
-        from .models import LoraFormerConfig, build_loraformer, loraformer
         rng = np.random.default_rng(0)
         cfg = LoraFormerConfig(num_classes=2, layers=2, d_model=4, heads=2, ffn_dim=6,
                                lora_rank=2, lora_dropout=0.2)
@@ -639,7 +642,6 @@ def selftest() -> bool:
         assert idx == list(range(len(ds.train)))
 
     def lora_ok():
-        from .models import LoraFormerConfig, build_loraformer, merge_lora
         cfg = LoraFormerConfig(num_classes=3, layers=1, d_model=8, heads=2, ffn_dim=16,
                                lora_rank=2, lora_dropout=0.0)
         params, forward = build_loraformer(cfg, 20, 6, seed=0)

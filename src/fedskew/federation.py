@@ -12,8 +12,8 @@ sums the weighted vectors in client-id order into the next global vector, and
 every round's model shares the same frozen arrays.
 
 Each round ends with one eval-mode forward pass of the new global model over
-the test set; every client's accuracy is then read off it under
-a mask of the classes that client trains on (`metrics.evaluate_clients`).
+the test set; every client's accuracy is then a sum, over the classes that client
+trains on, of the pass's per-class counts (`metrics.evaluate_clients`).
 """
 
 from dataclasses import dataclass
@@ -23,8 +23,7 @@ import numpy as np
 from . import numkit as nk
 from . import validate
 # evaluate_client stays importable here: perfbench/tracer.py wraps it by this name
-from .metrics import (RoundLog, class_masks, evaluate_client,  # noqa: F401
-                      evaluate_clients, fairness_summary)
+from .metrics import RoundLog, evaluate_client, evaluate_clients, fairness_summary  # noqa: F401
 from .models import build_loss_and_grad, build_model, check_split
 from .models.params import ParamSet, StructuralError
 from .numkit.optim import OptimizerCfg, step
@@ -91,7 +90,11 @@ def fedavgw_weights(sizes, beta: float) -> AggregationWeights:
     n = np.array(sizes, dtype=np.float64)
     if (n <= 0).any():
         raise FederationError("fedavgw requires n_k > 0 for every participant")
-    return AggregationWeights(_normalize(n), _normalize((1.0 / n) ** beta))
+    lora = (1.0 / n) ** beta
+    if lora.max() == 0:  # _normalize would divide 0 by 0
+        raise FederationError(f"fedavgw beta {beta!r} underflows: (1/n_k)^beta is 0 for "
+                              f"every client (smallest n_k {int(n.min())})")
+    return AggregationWeights(_normalize(n), _normalize(lora))
 
 
 def aggregate(updates, weights: AggregationWeights) -> np.ndarray:
@@ -139,8 +142,7 @@ def run_federation(dataset, partitions, model_family: str, model_cfg,
                    fed_cfg: FedConfig, initial_params=None):
     """Full protocol: returns (list of RoundLog, final ParamSet).  Before round 1 it checks
     the train and test splits, orders the clients with data by id and computes their
-    aggregation weights and test-set class masks; every such client trains and is evaluated
-    every round."""
+    aggregation weights; every such client trains and is evaluated every round."""
     global_params, forward = build_model(model_family, model_cfg,
                                          dataset.vocabulary.size, dataset.max_seq_len,
                                          fed_cfg.seed)
@@ -158,12 +160,11 @@ def run_federation(dataset, partitions, model_family: str, model_cfg,
     sizes = [p.size for p in active]
     weights = (fedavg_weights(sizes) if fed_cfg.aggregator == "fedavg"
                else fedavgw_weights(sizes, fed_cfg.beta))
-    masks = class_masks(active, dataset.test)
     logs = []
     for t in range(1, fed_cfg.rounds + 1):
         updates = [local_train(global_params, loss_and_grad, p, dataset, fed_cfg, t)
                    for p in active]
         global_params = global_params.with_vector(aggregate(updates, weights))
-        evals = evaluate_clients(global_params, forward, active, dataset.test, masks)
+        evals = evaluate_clients(global_params, forward, active, dataset.test)
         logs.append(RoundLog(t, evals, fairness_summary(evals), sizes))
     return logs, global_params

@@ -46,39 +46,33 @@ class RoundLog:
     client_sizes: list  # n_k per client with data, aligned with evals
 
 
-def class_masks(partitions, test) -> list:
-    """Per client, the boolean mask of the test documents whose label is among its classes.
-    A run's clients and test split never change, so it builds them once."""
-    masks = []
-    for p in partitions:
-        if not p.present_classes:
-            raise EvalError("present_classes is empty")
-        masks.append(np.isin(test.labels, sorted(p.present_classes)))
-        if not masks[-1].any():
-            raise EvalError(f"test set has no documents for classes {sorted(p.present_classes)}")
-    return masks
-
-
-def evaluate_clients(params, forward, partitions, test, masks) -> list:
+def evaluate_clients(params, forward, partitions, test) -> list:
     """Eval-mode accuracy of one model for each client, on the test set
-    restricted to that client's classes, the `class_masks` of the clients.
+    restricted to that client's classes.
 
     Every client is scored by the same model, so one forward pass over the
     whole test set, in slices of `EVAL_BATCH_SIZE` rows in test-set order,
-    serves them all; a client's accuracy counts the correct predictions under
-    its label mask.  Argmax ties resolve to the lowest class index.
+    serves them all; a client's test documents and correct predictions are sums
+    over its classes of the per-class counts of the pass.  Argmax ties resolve
+    to the lowest class index.
     """
-    correct = np.concatenate([
+    classes = [sorted(p.present_classes) for p in partitions]
+    num_classes = max((len(p.label_histogram) for p in partitions), default=0)
+    docs = np.bincount(test.labels, minlength=num_classes)
+    for c in classes:
+        if not docs[c].any():
+            raise EvalError(f"test set has no documents for classes {c}")
+    preds = np.concatenate([
         forward(params, test.token_ids[i : i + EVAL_BATCH_SIZE]).argmax(axis=1)
-        for i in range(0, len(test), EVAL_BATCH_SIZE)]) == test.labels
-    return [ClientEval(p.client_id, int(m.sum()), int((correct & m).sum()))
-            for p, m in zip(partitions, masks)]
+        for i in range(0, len(test), EVAL_BATCH_SIZE)])
+    correct = np.bincount(test.labels[preds == test.labels], minlength=len(docs))
+    return [ClientEval(p.client_id, int(docs[c].sum()), int(correct[c].sum()))
+            for p, c in zip(partitions, classes)]
 
 
 def evaluate_client(params, forward, client_partition, test) -> ClientEval:
     """`evaluate_clients` for a single client."""
-    return evaluate_clients(params, forward, [client_partition], test,
-                            class_masks([client_partition], test))[0]
+    return evaluate_clients(params, forward, [client_partition], test)[0]
 
 
 def fairness_summary(evals) -> FairnessSummary:

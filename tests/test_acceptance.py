@@ -332,6 +332,19 @@ def test_criterion_08_fedavgw_sweep_harness(tmp_path):
     note(8, f"3-aggregator sweep shares partitions; worst-acc delta vs FedAvg: {direction}")
 
 
+def test_fedavgw_beta_that_underflows_exits_1_before_any_cell(tmp_path, capsys):
+    """At alpha 5.0 every desk client holds over 100 documents, so (1/n_k)^150 is 0 for
+    each: the FedAvgW cell has no weights, and the sweep stops before it writes anything."""
+    cfg = desk_config(tmp_path / "out", aggregators=("fedavg", "fedavgw:150"), alphas=(5.0,))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("data error: federation.aggregators: partition.alpha 5.0: fedavgw "
+                          "beta 150.0 underflows: "), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_criterion_09_end_to_end_determinism(desk_sweep, tmp_path):
     base_out = desk_sweep["out"]
     run_ids = [s["run_id"] for s in desk_sweep["summaries"]]

@@ -50,6 +50,15 @@ def test_fedavgw_weights():
         fed.AggregationWeights(np.array([0.5, 0.5]), np.array([np.nan, np.nan]))
 
 
+def test_fedavgw_weights_reject_a_beta_that_underflows():
+    """A beta at which (1/n_k)^beta is 0 for every client has no weights to normalize; one
+    at which only the larger clients' underflow gives them LoRA weight 0."""
+    with pytest.raises(fed.FederationError, match=r"^fedavgw beta 150\.0 underflows: .*"
+                                                  r"\(smallest n_k 200\)$"):
+        fed.fedavgw_weights([300, 200, 250], 150.0)
+    np.testing.assert_array_equal(fed.fedavgw_weights([100, 300], 150.0).lora, [1.0, 0.0])
+
+
 def test_weights_sum_to_one_and_monotone():
     ns = [3, 917, 40, 40, 12000]
     for beta in (0.0, 0.1, 0.5, 1.0):
@@ -339,19 +348,3 @@ def test_run_federation_takes_initial_params_of_the_models_layout():
                                                   "layout$"):
             fed.run_federation(DESK, parts, "textcnn", CNN_CFG, fed_cfg(rounds=1),
                                initial_params=wrong)
-
-
-def test_run_federation_builds_the_class_masks_once(monkeypatch):
-    """The test-set masks of the clients' classes are a per-run value, built before round 1
-    for the clients with data in client-id order."""
-    parts = dirichlet_partition(DESK, PartitionConfig(3, 1.0, seed=5))
-    real, calls = fed.class_masks, []
-
-    def spy(partitions, test):
-        calls.append([p.client_id for p in partitions])
-        return real(partitions, test)
-
-    monkeypatch.setattr(fed, "class_masks", spy)
-    logs, _ = fed.run_federation(DESK, parts[::-1], "textcnn", CNN_CFG, fed_cfg(rounds=3))
-    assert calls == [sorted(p.client_id for p in parts if p.size)]
-    assert len(logs) == 3

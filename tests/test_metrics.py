@@ -38,6 +38,11 @@ def predicts(cls):
     return lambda params, ids: np.eye(6)[np.full(len(ids), cls)]
 
 
+def by_id(params, ids):
+    """A forward whose prediction differs from row to row: (first id * 7) mod 6."""
+    return np.eye(6)[(ids[:, 0] * 7) % 6]
+
+
 def test_restriction_full_and_single_class():
     test = balanced_test()
     full = mt.evaluate_client(None, predicts(0), client({0, 1, 2, 3}), test)
@@ -57,26 +62,22 @@ def test_restriction_matches_brute_force():
              if label in present]
     fast = restricted(test, present)
     assert list(zip(fast.labels.tolist(), map(tuple, fast.token_ids.tolist()))) == brute
-
-    def by_id(params, ids):  # a prediction that differs from row to row
-        return np.eye(6)[(ids[:, 0] * 7) % 6]
-
     ev = mt.evaluate_client(None, by_id, client(present), test)
     assert ev.eval_size == len(brute)
     assert ev.correct_count == sum((ids[0] * 7) % 6 == label for label, ids in brute)
 
 
 def test_restriction_errors():
-    with pytest.raises(mt.EvalError, match="present_classes is empty"):
-        mt.class_masks([client(set())], balanced_test())
+    with pytest.raises(mt.EvalError, match=r"test set has no documents for classes \[\]"):
+        mt.evaluate_client(None, predicts(0), client(set()), balanced_test())
     with pytest.raises(mt.EvalError, match=r"test set has no documents for classes \[3\]"):
-        mt.class_masks([client({3})], balanced_test(num_classes=2))
+        mt.evaluate_client(None, predicts(0), client({3}), balanced_test(num_classes=2))
 
 
 def test_restriction_monotone():
     test = balanced_test()
     parts = [client({0}), client({0, 2})]
-    a, b = mt.evaluate_clients(None, predicts(0), parts, test, mt.class_masks(parts, test))
+    a, b = mt.evaluate_clients(None, predicts(0), parts, test)
     assert b.eval_size >= a.eval_size
 
 
@@ -138,7 +139,6 @@ def test_evaluate_clients_matches_per_client_forward(seed):
         hist = [int(n) for n in rng.integers(0, 3, size=num_classes)]
         hist[int(rng.integers(0, num_classes))] += 1
         parts.append(ClientPartition(cid, [0], hist))
-    masks = mt.class_masks(parts, test)
     for params in (trained, zero_head):  # zero head: all-zero logits, ties go to class 0
         calls = []
 
@@ -146,27 +146,40 @@ def test_evaluate_clients_matches_per_client_forward(seed):
             calls.append(np.array(token_ids))
             return forward(model, token_ids)
 
-        fast = mt.evaluate_clients(params, recording, parts, test, masks)
+        fast = mt.evaluate_clients(params, recording, parts, test)
         # the test set once, in order, in slices of at most EVAL_BATCH_SIZE rows
         assert all(len(ids) <= mt.EVAL_BATCH_SIZE for ids in calls)
         assert np.array_equal(np.concatenate(calls), test.token_ids)
         brute = [per_client_forward_eval(params, forward, p, test) for p in parts]
         assert fast == brute
         assert [mt.evaluate_client(params, forward, p, test) for p in parts] == brute
-    zero = mt.evaluate_clients(zero_head, forward, parts[:3], test, masks[:3])
+    zero = mt.evaluate_clients(zero_head, forward, parts[:3], test)
     share0 = sum(label == 0 for label in labels) / len(test)
     assert [e.accuracy for e in zero] == [1.0, 0.0, share0]
 
 
-def test_class_masks_errors():
+def test_evaluate_clients_errors():
     test = balanced_test(num_classes=2)
     ok = ClientPartition(0, [0], [1, 1, 0, 0])
     for bad in (ClientPartition(1, [0], [0, 0, 0, 0]),  # no present classes
                 ClientPartition(1, [0], [0, 0, 0, 2])):  # class without test documents
         with pytest.raises(mt.EvalError):
-            mt.class_masks([ok, bad], test)
+            mt.evaluate_clients(None, predicts(0), [ok, bad], test)
     with pytest.raises(mt.EvalError):
-        mt.class_masks([ok], test.take([]))
+        mt.evaluate_client(None, predicts(0), ok, test.take([]))
+
+
+def test_clients_scored_from_per_class_counts():
+    """A single-class client's accuracy is the model's accuracy on that class; a client
+    whose classes include one without test documents is scored on the rest."""
+    rng = np.random.default_rng(3)
+    test = padded(rng.integers(0, 3, size=300), [(2 + i,) for i in range(300)], 1)
+    preds = by_id(None, test.token_ids).argmax(axis=1)
+    for c in range(3):
+        ev = mt.evaluate_client(None, by_id, client({c}), test)
+        assert ev.accuracy == np.mean(preds[test.labels == c] == c)
+    untested = mt.evaluate_client(None, by_id, client({1, 4}), test)  # class 4: no documents
+    assert untested == mt.evaluate_client(None, by_id, client({1}), test)
 
 
 def ev(cid, acc):
