@@ -12,7 +12,6 @@ Exit codes: 0 ok, 1 config or data error, 2 run failure, 3 selftest failure.
 import argparse
 import hashlib
 import json
-import os
 import signal
 import sys
 import time
@@ -43,7 +42,7 @@ class InputDataError(ValueError):
     """The data a valid config points at cannot be used: a CSV file is missing or malformed,
     no partition meets the config's constraints, a client's classes have no test documents,
     a FedAvgW beta gives every client of a partition a LoRA weight of 0, the target has too
-    few words for a proxy corpus, or `report` finds a summary.json it cannot read."""
+    few words for a proxy corpus, `out_dir` cannot be made, or `report` cannot read a summary."""
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +155,7 @@ class _TopLevel:
     one JSON object per section."""
     dataset: dict
     seed: int = 42
-    out_dir: str = field(default_factory=lambda: os.environ.get("FEDSKEW_OUT", "out"))
+    out_dir: str = "out"
     models: list = field(default_factory=lambda: ["textcnn"])
     textcnn: dict = field(default_factory=dict)
     loraformer: dict = field(default_factory=dict)
@@ -356,12 +355,22 @@ def load_data(cfg: ExperimentConfig):
     return dataset, partitions_by_alpha
 
 
+def make_out_root(cfg: ExperimentConfig) -> Path:
+    """`cfg.out_dir`, created; InputDataError when it cannot be (it names a file, say)."""
+    out_root = Path(cfg.out_dir)
+    try:
+        out_root.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise InputDataError(f"out_dir: {e.strerror}: {out_root}") from e
+    return out_root
+
+
 def run_experiments(cfg: ExperimentConfig, jobs: int = 1) -> list:
     """Run every sweep cell, `jobs` at a time (jobs > 1: `_run_forked`), and write the
     report from the cells' summary.json files, read back in plan order.  A data error
     (`load_data`, no test split, a client with data but no test documents of its classes,
-    a FedAvgW cell whose weights cannot be computed, or a target with too few words for a
-    proxy corpus) is raised before anything is written."""
+    a FedAvgW cell whose weights cannot be computed, a target with too few words for a
+    proxy corpus, or an `out_dir` that cannot be made) is raised before anything is written."""
     dataset, partitions_by_alpha = load_data(cfg)
     if len(dataset.test) == 0:  # every cell would fail at its first evaluation
         raise InputDataError("dataset.csv: no test split: set test_path")
@@ -385,8 +394,7 @@ def run_experiments(cfg: ExperimentConfig, jobs: int = 1) -> list:
             cfg.pretrain_cfg.proxy_spec(dataset)  # raises if the target has too few words
         except ValueError as e:
             raise InputDataError(f"pretrain: {e}") from e
-    out_root = Path(cfg.out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
+    out_root = make_out_root(cfg)
     try:
         initial = pretrained_initial(cfg, dataset) if pretrains else None
     except Exception as e:  # recorded by every loraformer run, like its own failures
@@ -448,6 +456,8 @@ def read_summary(path: Path) -> dict:
                 "final": {"avg": number, "worst": number, "gap": number}}
     try:
         summary = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as e:  # a directory, or a file this user may not read
+        raise InputDataError(f"{path}: {e.strerror}") from e
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise InputDataError(f"{path}: not valid JSON: {e}") from e
     if not isinstance(summary, dict):
@@ -681,7 +691,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a sweep config")
     p_run.add_argument("config")
     p_run.add_argument("--jobs", type=int, default=1)
-    p_run.add_argument("--rounds", type=int, default=None)
 
     p_part = sub.add_parser("partition", help="partition-only audit")
     p_part.add_argument("config")
@@ -712,12 +721,7 @@ def main(argv=None) -> int:
     try:
         if args.verb == "run" and args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
-        raw = read_config(args.config)
-        if args.verb == "run" and isinstance(raw, dict):  # --rounds overrides the file
-            fed = raw.setdefault("federation", {})
-            if args.rounds is not None and isinstance(fed, dict):
-                fed["rounds"] = args.rounds
-        cfg = ExperimentConfig(raw)
+        cfg = ExperimentConfig(read_config(args.config))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
@@ -725,8 +729,7 @@ def main(argv=None) -> int:
     try:
         if args.verb == "partition":
             _, partitions_by_alpha = load_data(cfg)
-            out_root = Path(cfg.out_dir)
-            out_root.mkdir(parents=True, exist_ok=True)
+            out_root = make_out_root(cfg)
             for alpha, parts in partitions_by_alpha.items():
                 path = out_root / f"partition_alpha{alpha}.json"
                 save_manifest(parts, cfg.partition_cfgs[alpha], path)

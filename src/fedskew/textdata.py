@@ -4,9 +4,10 @@ Tokenization is deliberately simple (lowercase, punctuation stripped,
 whitespace split) so runs are reproducible from raw CSV alone.  The
 vocabulary is built from training text only.
 
-A split holds its documents as two arrays (`Split`): token ids truncated to
-`max_seq_len` and right-padded with PAD, and labels.  The loaders pad once;
-a batch is a row gather of a split.
+A split holds its documents as two arrays (`Split`): token ids, one row of
+`max_seq_len` per document, and labels.  The CSV loader truncates each document
+to `max_seq_len` and right-pads it with PAD once; a synthetic document fills its
+row.  A batch is a row gather of a split.
 """
 
 import csv
@@ -74,15 +75,6 @@ class Split:
         return Split(self.token_ids[index], self.labels[index])
 
 
-def _pad(labels, id_rows, max_seq_len: int) -> Split:
-    """A Split of documents given as label and id sequences, truncated to `max_seq_len`."""
-    token_ids = np.full((len(id_rows), max_seq_len), PAD_ID, dtype=np.int64)
-    for row, ids in zip(token_ids, id_rows):
-        ids = ids[:max_seq_len]
-        row[: len(ids)] = ids
-    return Split(token_ids, np.asarray(labels, dtype=np.int64))
-
-
 @dataclass
 class Dataset:
     num_classes: int
@@ -121,10 +113,12 @@ def load_csv(schema: CsvSchema) -> Dataset:
     test_rows = _read_rows(schema.test_path, schema) if schema.test_path else []
     vocab = Vocabulary.build((toks for _, toks in train_rows), MAX_VOCAB_SIZE)
 
-    def to_split(rows):
-        return _pad([label for label, _ in rows],
-                    [vocab.encode(toks) for _, toks in rows],
-                    schema.max_seq_len)
+    def to_split(rows):  # each document truncated to max_seq_len and right-padded with PAD
+        token_ids = np.full((len(rows), schema.max_seq_len), PAD_ID, dtype=np.int64)
+        for row, (_, toks) in zip(token_ids, rows):
+            ids = vocab.encode(toks[: schema.max_seq_len])
+            row[: len(ids)] = ids
+        return Split(token_ids, np.array([label for label, _ in rows], dtype=np.int64))
 
     return Dataset(schema.num_classes, to_split(train_rows), to_split(test_rows), vocab,
                    schema.max_seq_len)
@@ -161,7 +155,11 @@ class SyntheticSpec:
     doc_length: int
     topic_concentration: float
     seed: int
-    max_seq_len: int = None  # None: doc_length
+
+    @property
+    def max_seq_len(self) -> int:
+        """Every synthetic document is `doc_length` tokens and fills its row."""
+        return self.doc_length
 
     def __post_init__(self):
         for name in ("num_classes", "vocab_size", "train_docs_per_class",
@@ -169,16 +167,12 @@ class SyntheticSpec:
             validate.integer(name, getattr(self, name))
         validate.positive("topic_concentration", self.topic_concentration)
         validate.integer("seed", self.seed, minimum=None)
-        if self.max_seq_len is None:
-            object.__setattr__(self, "max_seq_len", self.doc_length)
-        validate.integer("max_seq_len", self.max_seq_len)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Balanced corpus with class-conditional unigram topics drawn from a
     symmetric Dirichlet; small concentration gives near-disjoint classes.
-    Each document is `spec.doc_length` tokens, stored in `spec.max_seq_len`
-    columns."""
+    Each document is `spec.doc_length` tokens and fills its row: no PAD."""
     id_to_token = ["<pad>", "<unk>"] + [f"w{i}" for i in range(spec.vocab_size)]
     vocab = Vocabulary({t: i for i, t in enumerate(id_to_token)}, id_to_token)
 
@@ -191,8 +185,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         ids = [derive(spec.seed, "synthetic-docs", split, c)
                .choice(spec.vocab_size, size=(per_class, spec.doc_length), p=topics[c]) + 2
                for c in range(spec.num_classes)]
-        return _pad(np.repeat(np.arange(spec.num_classes), per_class), np.concatenate(ids),
-                    spec.max_seq_len)
+        labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), per_class)
+        return Split(np.concatenate(ids), labels)
 
     return Dataset(spec.num_classes,
                    sample_split("train", spec.train_docs_per_class),

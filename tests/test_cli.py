@@ -88,8 +88,6 @@ def test_missing_required_and_bad_values(tmp_path):
              "dataset.synthetic: topic_concentration: must be a finite number > 0"),
             (lambda c: c["dataset"]["synthetic"].update(seed=1.5),
              "dataset.synthetic: seed: must be an integer, got 1.5"),
-            (lambda c: c["dataset"]["synthetic"].update(max_seq_len=0),
-             "dataset.synthetic: max_seq_len: must be an integer >= 1, got 0"),
             (lambda c: c.update(seed="x"), "seed: must be an integer, got 'x'"),
             (lambda c: c.update(out_dir=0), "out_dir: must be a nonempty path"),
             # the paper's convergence rule is fixed, so no config section sets it
@@ -206,6 +204,16 @@ def test_data_errors_exit_1_before_any_cell(tmp_path, capsys, verb):
         err = capsys.readouterr().err
         assert err.startswith(message) and "Traceback" not in err, err
         assert not out.exists()
+    # an out_dir that cannot be created: a file, or a path below one
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    for out, reason in ((taken, "File exists"), (taken / "out", "Not a directory")):
+        path = write_config(tmp_path, base_config(out_dir=str(out)))
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main([verb, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"data error: out_dir: {reason}: {out}\n", err
+        assert sorted(tmp_path.rglob("*")) == before and taken.read_text() == "a file\n"
 
 
 def test_train_only_csv_partitions_but_does_not_run(tmp_path, capsys):
@@ -594,8 +602,9 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text("{}")
     assert cli.main(["run", str(bad)]) == 1
     cfg = base_config(out_dir=str(tmp_path / "out"))
+    cfg["federation"]["rounds"] = 1
     path = write_config(tmp_path, cfg)
-    assert cli.main(["run", str(path), "--rounds", "1"]) == 0
+    assert cli.main(["run", str(path)]) == 0
     assert cli.main(["report", str(tmp_path / "out")]) == 0
     assert cli.main(["report", str(tmp_path / "empty")]) == 1
     assert cli.main(["partition", str(path)]) == 0
@@ -648,14 +657,19 @@ def test_report_rewrites_the_sweep_files_byte_for_byte(tmp_path, monkeypatch, ca
     # emit_report sorts the failed runs by run_id, which an int beside a str would break
     ('{"run_id": 1, "status": "error", "error": "boom", "config": {"alpha": 0.1, '
      '"model": "textcnn", "aggregator": "fedavg", "beta": 0.0}}',
-     "run_id: must be a string, got 1")])
+     "run_id: must be a string, got 1"),
+    (None, "Is a directory")])  # None: a directory named summary.json
 def test_report_on_a_bad_summary_exits_1(tmp_path, capsys, text, message):
-    """A summary.json that a killed run truncated, or one that lacks a key the report reads
-    or holds it as another JSON type, is a data error that names the file, not a traceback,
-    and leaves the report files of an earlier run as they were."""
+    """A summary.json that a killed run truncated, one that lacks a key the report reads
+    or holds it as another JSON type, or one that cannot be read, is a data error that
+    names the file, not a traceback, and leaves the report files of an earlier run as
+    they were."""
     path = tmp_path / "out" / "x" / "summary.json"
     path.parent.mkdir(parents=True)
-    path.write_text(text)
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
     assert cli.main(["report", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {path}: {message}") and err.count("\n") == 1, err
@@ -682,33 +696,27 @@ def test_emit_report_builds_both_texts_before_writing_either(tmp_path):
     assert {name: (tmp_path / name).read_bytes() for name in earlier} == earlier
 
 
-def test_cli_rounds_flag(tmp_path):
-    cfg = base_config(out_dir=str(tmp_path / "out"))
-    path = write_config(tmp_path, cfg)
-    assert cli.main(["run", str(path), "--rounds", "1"]) == 0
-    summaries = sorted((tmp_path / "out").glob("*/summary.json"))
-    data = json.loads(summaries[0].read_text())
-    assert data["config"]["rounds"] == 1
-
-
-def test_seed_flag_is_unknown(tmp_path, capsys):
-    """The seed is the config's `seed` key; `run` has no flag that overrides it."""
+@pytest.mark.parametrize("flag", [["--seed", "99"], ["--rounds", "1"]], ids=["seed", "rounds"])
+def test_seed_flag_is_unknown(tmp_path, capsys, flag):
+    """The seed and the round budget are the config's `seed` and `federation.rounds`
+    keys; `run` has no flag that overrides them."""
     path = write_config(tmp_path, base_config(out_dir=str(tmp_path / "out")))
     with pytest.raises(SystemExit) as exit_:
-        cli.main(["run", str(path), "--seed", "99"])
+        cli.main(["run", str(path), *flag])
     assert exit_.value.code == 2
-    assert "error: unrecognized arguments: --seed 99" in capsys.readouterr().err
+    assert f"error: unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("where,key,value", [
     ("federation", "participation", 0.5), ("loraformer", "lora_scaling", 16.0),
     ("pretrain", "vocab_size", 40), ("pretrain", "doc_length", 6), ("pretrain", "seed", 12),
-    ("dataset.csv", "max_vocab_size", 2)])
+    ("dataset.csv", "max_vocab_size", 2), ("dataset.synthetic", "max_seq_len", 16)])
 def test_removed_setting_is_an_unknown_key(tmp_path, capsys, where, key, value):
     """Every client trains every round, the LoRA alpha is 32, the proxy corpus takes the
-    target's words and length and the sweep seed + 1, and a CSV vocabulary keeps at most
-    `textdata.MAX_VOCAB_SIZE` words: the keys that set them exit 1 before any work."""
+    target's words and length and the sweep seed + 1, a CSV vocabulary keeps at most
+    `textdata.MAX_VOCAB_SIZE` words, and a synthetic document fills its row: the keys
+    that set them exit 1 before any work."""
     cfg = pretrained_sweep_config(tmp_path / "out")
     if where == "dataset.csv":
         cfg["dataset"] = {"csv": {"train_path": "train.csv", "label_column": 0,
@@ -720,14 +728,6 @@ def test_removed_setting_is_an_unknown_key(tmp_path, capsys, where, key, value):
     assert cli.main(["run", str(write_config(tmp_path, cfg))]) == 1
     assert capsys.readouterr().err == f"config error: {where}: unknown keys ['{key}']\n"
     assert not (tmp_path / "out").exists()
-
-
-def test_env_var_out_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("FEDSKEW_OUT", str(tmp_path / "envout"))
-    cfg = base_config()
-    cfg.pop("out_dir", None)
-    parsed = cli.parse_config(write_config(tmp_path, cfg))
-    assert parsed.out_dir == str(tmp_path / "envout")
 
 
 def test_selftest_passes():
