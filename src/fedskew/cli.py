@@ -10,8 +10,10 @@ Exit codes: 0 ok, 1 config or data error, 2 run failure, 3 selftest failure.
 """
 
 import argparse
+import errno
 import hashlib
 import json
+import os
 import signal
 import sys
 import time
@@ -42,7 +44,7 @@ class InputDataError(ValueError):
     """The data a valid config points at cannot be used: a CSV file is missing or malformed,
     no partition meets the config's constraints, a client's classes have no test documents,
     a FedAvgW beta gives every client of a partition a LoRA weight of 0, the target has too
-    few words for a proxy corpus, `out_dir` cannot be made, or `report` cannot read a summary."""
+    few words for a proxy corpus, an output path is taken, or `report` cannot read a summary."""
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +58,8 @@ PAPER_OPTIMIZERS = {
 PAPER_EPOCHS = {"textcnn": 5, "loraformer": 1}
 MODEL_CONFIGS = {"textcnn": TextCnnConfig, "loraformer": LoraFormerConfig}
 DATASET_SPECS = {"synthetic": td.SyntheticSpec, "csv": td.CsvSchema}
+RUN_FILES = ("partition.json", "rounds.csv", "summary.json")  # in each run's directory
+REPORT_FILES = ("report.md", "gap_vs_alpha.csv")  # in out_dir
 
 
 @contextmanager
@@ -298,9 +302,9 @@ def pretrained_initial(cfg: ExperimentConfig, dataset):
 def execute_run(cfg: ExperimentConfig, run: dict, dataset, partitions, out_root: Path,
                 initial=None) -> dict:
     """One sweep cell.  `initial` is None or, for a loraformer run, the starting
-    params from `pretrained_initial` or the exception that computing them raised."""
+    params from `pretrained_initial` or the exception that computing them raised.  Its
+    run directory exists (`make_out_root`)."""
     run_dir = out_root / run["run_id"]
-    run_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     summary = {"run_id": run["run_id"], "config": run, "status": "ok"}
     try:
@@ -331,9 +335,8 @@ def execute_run(cfg: ExperimentConfig, run: dict, dataset, partitions, out_root:
 
 
 def _write_summary(summary: dict, out_root: Path):
-    run_dir = out_root / summary["run_id"]
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "summary.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
+    path = out_root / summary["run_id"] / "summary.json"
+    path.write_text(json.dumps(summary, indent=2), encoding="utf-8")
 
 
 def load_data(cfg: ExperimentConfig):
@@ -355,13 +358,29 @@ def load_data(cfg: ExperimentConfig):
     return dataset, partitions_by_alpha
 
 
-def make_out_root(cfg: ExperimentConfig) -> Path:
-    """`cfg.out_dir`, created; InputDataError when it cannot be (it names a file, say)."""
+def check_out_paths(dirs=(), files=()):
+    """InputDataError, naming the path, for the first of `dirs` that is a file or of `files`
+    that is a directory: what `mkdir` or a write would raise, found before either runs."""
+    for path in dirs:
+        if path.exists() and not path.is_dir():
+            raise InputDataError(f"out_dir: {os.strerror(errno.EEXIST)}: {path}")
+    for path in files:
+        if path.is_dir():
+            raise InputDataError(f"out_dir: {os.strerror(errno.EISDIR)}: {path}")
+
+
+def make_out_root(cfg: ExperimentConfig, run_ids=(), files=()) -> Path:
+    """`cfg.out_dir` and a directory in it per run id, created once `check_out_paths`
+    passes them and `files`, the paths under `out_dir` the verb writes; InputDataError when
+    one is taken or cannot be made (`out_dir` names a file, say)."""
     out_root = Path(cfg.out_dir)
-    try:
-        out_root.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise InputDataError(f"out_dir: {e.strerror}: {out_root}") from e
+    run_dirs = [out_root / r for r in run_ids]
+    check_out_paths(run_dirs, [out_root / f for f in files])
+    for path in [out_root, *run_dirs]:
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise InputDataError(f"out_dir: {e.strerror}: {path}") from e
     return out_root
 
 
@@ -370,7 +389,8 @@ def run_experiments(cfg: ExperimentConfig, jobs: int = 1) -> list:
     report from the cells' summary.json files, read back in plan order.  A data error
     (`load_data`, no test split, a client with data but no test documents of its classes,
     a FedAvgW cell whose weights cannot be computed, a target with too few words for a
-    proxy corpus, or an `out_dir` that cannot be made) is raised before anything is written."""
+    proxy corpus, or an output path that is taken) is raised before anything is written;
+    every run directory is made before pretraining or any cell starts."""
     dataset, partitions_by_alpha = load_data(cfg)
     if len(dataset.test) == 0:  # every cell would fail at its first evaluation
         raise InputDataError("dataset.csv: no test split: set test_path")
@@ -394,7 +414,9 @@ def run_experiments(cfg: ExperimentConfig, jobs: int = 1) -> list:
             cfg.pretrain_cfg.proxy_spec(dataset)  # raises if the target has too few words
         except ValueError as e:
             raise InputDataError(f"pretrain: {e}") from e
-    out_root = make_out_root(cfg)
+    run_ids = [r["run_id"] for r in cfg.runs]
+    files = [*REPORT_FILES, *(f"{r}/{name}" for r in run_ids for name in RUN_FILES)]
+    out_root = make_out_root(cfg, run_ids, files)
     try:
         initial = pretrained_initial(cfg, dataset) if pretrains else None
     except Exception as e:  # recorded by every loraformer run, like its own failures
@@ -706,16 +728,18 @@ def main(argv=None) -> int:
         return 0 if selftest() else 3
 
     if args.verb == "report":
+        out_root = Path(args.out_dir)
         try:
-            summaries = [read_summary(p) for p in sorted(Path(args.out_dir).glob("*/summary.json"))]
+            summaries = [read_summary(p) for p in sorted(out_root.glob("*/summary.json"))]
+            check_out_paths(files=[out_root / f for f in REPORT_FILES])
         except InputDataError as e:
             print(f"data error: {e}", file=sys.stderr)
             return 1
         if not summaries:
             print(f"no summary.json files under {args.out_dir}", file=sys.stderr)
             return 1
-        emit_report(summaries, args.out_dir)
-        print(f"wrote {Path(args.out_dir) / 'report.md'}")
+        emit_report(summaries, out_root)
+        print(f"wrote {out_root / 'report.md'}")
         return 0
 
     try:
@@ -729,9 +753,10 @@ def main(argv=None) -> int:
     try:
         if args.verb == "partition":
             _, partitions_by_alpha = load_data(cfg)
-            out_root = make_out_root(cfg)
+            names = {alpha: f"partition_alpha{alpha}.json" for alpha in partitions_by_alpha}
+            out_root = make_out_root(cfg, files=names.values())
             for alpha, parts in partitions_by_alpha.items():
-                path = out_root / f"partition_alpha{alpha}.json"
+                path = out_root / names[alpha]
                 save_manifest(parts, cfg.partition_cfgs[alpha], path)
                 ratio = skew_report(parts).max_min_ratio or float("inf")  # None: an empty client
                 print(f"alpha={alpha}: sizes={[p.size for p in parts]} max/min={ratio:.1f} -> {path}")

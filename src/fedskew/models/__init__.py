@@ -14,17 +14,11 @@ _FAMILIES = {"textcnn": (build_textcnn, textcnn.make_loss_and_grad),
              "loraformer": (build_loraformer, loraformer.make_loss_and_grad)}
 
 
-def _family(family: str) -> tuple:
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown model family {family!r}")
-    return _FAMILIES[family]
-
-
 def build_model(family: str, cfg, vocab_size: int, max_seq_len: int, seed: int):
     """Dispatch on model family name; returns (ParamSet, forward)."""
-    return _family(family)[0](cfg, vocab_size, max_seq_len, seed)
+    return _FAMILIES[family][0](cfg, vocab_size, max_seq_len, seed)
 
 
 def build_loss_and_grad(family: str, cfg):
     """The family's `make_loss_and_grad(cfg)`: its whole training step as one function."""
-    return _family(family)[1](cfg)
+    return _FAMILIES[family][1](cfg)

@@ -17,7 +17,7 @@ from ..numkit import kernels as kn
 from .. import validate
 from ..numkit.optim import OptimizerCfg, adamw_step
 from ..textdata import PAD_ID, SyntheticSpec, generate_synthetic, make_batches
-from .params import Group, ParamSet, StructuralError, build_params, check_split
+from .params import Group, ParamSet, StructuralError, build_params
 
 PRETRAIN_WEIGHT_DECAY = 0.01  # AdamW's decoupled weight decay while the backbone pretrains
 LORA_ALPHA = 32.0  # an adapter's update is scaled by LORA_ALPHA / lora_rank
@@ -288,7 +288,6 @@ def pretrain_backbone(params: ParamSet, cfg: LoraFormerConfig, pre: PretrainConf
     work = build_params("loraformer", backbone + _head_groups(cfg.d_model, proxy.num_classes))
     flat = nk.FlatParams(work.vector, work.layout.shapes, pre.optimizer)
     work = work.with_vector(flat.vector)
-    check_split(work, proxy.train)  # so each batch needs no check
     loss_and_grad = make_loss_and_grad(cfg)
 
     # epoch after epoch of reshuffled batches, each epoch batched only once it is reached

@@ -68,7 +68,7 @@ class FlatParams:
 
 def sgd_step(flat: FlatParams):
     """vector <- vector - lr * grad, in place."""
-    _begin(flat, "sgd")
+    _begin(flat)
     flat.vector -= np.multiply(flat.grad, flat.cfg.lr, out=flat._work)
     _check_finite(flat.vector)
 
@@ -81,7 +81,7 @@ def adamw_step(flat: FlatParams):
         vector = vector - lr (m / (1 - BETA1^t)) / (sqrt(v / (1 - BETA2^t)) + EPSILON)
                  - lr weight_decay vector
     """
-    _begin(flat, "adamw")
+    _begin(flat)
     t, lr, vec, m, v, grad = flat.step_count, flat.cfg.lr, flat.vector, flat.m, flat.v, flat.grad
     m *= BETA1
     m += grad * (1 - BETA1)
@@ -99,9 +99,7 @@ def step(flat: FlatParams):
     (sgd_step if flat.cfg.kind == "sgd" else adamw_step)(flat)
 
 
-def _begin(flat: FlatParams, kind: str):
-    if flat.cfg.kind != kind:
-        raise ContractError(f"{kind}_step called on {flat.cfg.kind} parameters")
+def _begin(flat: FlatParams):
     if not np.isfinite(flat.grad).all():
         bad = next(n for n, view in flat.grads.items() if not np.isfinite(view).all())
         raise NumericError(f"non-finite gradient for {bad!r}")

@@ -216,6 +216,40 @@ def test_data_errors_exit_1_before_any_cell(tmp_path, capsys, verb):
         assert sorted(tmp_path.rglob("*")) == before and taken.read_text() == "a file\n"
 
 
+@pytest.mark.parametrize("argv,taken,reason", [
+    (["run", "--jobs", "1"], "RUN_ID", "File exists"),
+    (["run", "--jobs", "2"], "RUN_ID", "File exists"),
+    (["run"], "report.md", "Is a directory"),
+    (["report"], "gap_vs_alpha.csv", "Is a directory"),
+    (["partition"], "partition_alpha1.0.json", "Is a directory")],
+    ids=["run-id-file-jobs1", "run-id-file-jobs2", "report-md-dir", "report-csv-dir",
+         "manifest-dir"])
+def test_taken_output_path_exits_1_before_any_work(tmp_path, capsys, argv, taken, reason):
+    """A file where a run's directory goes, or a directory where a report or manifest
+    goes, exits 1 with a data error naming it before any cell runs: no traceback, and
+    nothing written or made (the taken run id is the last cell's)."""
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(
+        out_dir=str(out), partition={"num_clients": 3, "alpha": [0.5, 1.0]}))
+    if argv[0] == "report":  # a finished sweep whose report files are gone
+        assert cli.main(["run", str(path)]) == 0
+        for name in ("report.md", "gap_vs_alpha.csv"):
+            (out / name).unlink()
+        capsys.readouterr()
+    if taken == "RUN_ID":
+        taken = cli.parse_config(path).runs[-1]["run_id"]
+        out.mkdir()
+        (out / taken).write_text("a file\n")
+    else:
+        (out / taken).mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    target = out if argv[0] == "report" else path
+    assert cli.main([argv[0], str(target), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err == f"data error: out_dir: {reason}: {out / taken}\n", err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_train_only_csv_partitions_but_does_not_run(tmp_path, capsys):
     """Without `test_path` a CSV corpus has no test split: `partition` still works, but
     `run` exits 1 before any cell, each of which would fail at its first evaluation."""

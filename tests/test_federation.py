@@ -46,8 +46,6 @@ def test_fedavgw_weights():
     for beta in (-0.1, float("nan"), float("inf")):  # checked once, by the run's config
         with pytest.raises(ValueError, match=f"^beta: must be a finite number >= 0, got {beta}$"):
             fed_cfg(aggregator="fedavgw", beta=beta)
-    with pytest.raises(ValueError, match="lora weights must be finite and nonnegative"):
-        fed.AggregationWeights(np.array([0.5, 0.5]), np.array([np.nan, np.nan]))
 
 
 def test_fedavgw_weights_reject_a_beta_that_underflows():
@@ -318,6 +316,21 @@ def test_run_federation_computes_its_weights_once(aggregator, rule, monkeypatch)
     sizes = [p.size for p in sorted(parts, key=lambda p: p.client_id)]
     assert calls == [sizes]
     assert [log.client_sizes for log in logs] == [sizes] * 3
+
+
+@pytest.mark.parametrize("aggregator", ["fedavg", "fedavgw"])
+def test_run_federation_without_data_raises_before_any_weight(aggregator, monkeypatch):
+    """With every partition empty there is no client to weight: `run_federation` raises
+    before it calls a weight rule, so neither rule is ever given an empty client."""
+    def no_weights(*args):
+        raise AssertionError(f"weights computed for {args}")
+
+    monkeypatch.setattr(fed, "fedavg_weights", no_weights)
+    monkeypatch.setattr(fed, "fedavgw_weights", no_weights)
+    empty = [ClientPartition(k, [], [0, 0, 0, 0]) for k in range(3)]
+    with pytest.raises(fed.FederationError, match="^no client has data$"):
+        fed.run_federation(DESK, empty, "textcnn", CNN_CFG,
+                           fed_cfg(rounds=1, aggregator=aggregator, beta=0.5))
 
 
 def test_run_federation_does_not_depend_on_partition_order():

@@ -46,19 +46,6 @@ def test_sgd_linearity_for_constant_gradient():
     np.testing.assert_allclose(twice["p"], once["p"])
 
 
-def test_step_rejects_parameters_of_the_other_kind():
-    adamw = FlatParams(np.array([1.0]), {"p": (1,)}, OptimizerCfg("adamw", lr=0.1))
-    adamw.grad[...] = 0.5
-    with pytest.raises(nk.ContractError, match="sgd_step called on adamw parameters"):
-        sgd_step(adamw)
-    sgd = FlatParams(np.array([1.0]), {"p": (1,)}, OptimizerCfg("sgd", lr=0.1))
-    sgd.grad[...] = 0.5
-    with pytest.raises(nk.ContractError, match="adamw_step called on sgd parameters"):
-        adamw_step(sgd)
-    assert adamw.step_count == sgd.step_count == 0
-    assert adamw.vector[0] == sgd.vector[0] == 1.0
-
-
 def test_adamw_first_step_magnitude():
     cfg = OptimizerCfg("adamw", lr=0.05, weight_decay=0.0)
     out = stepped(adamw_step, cfg, {"p": np.array([1.0])}, {"p": np.array([0.37])})
