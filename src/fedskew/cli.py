@@ -169,8 +169,8 @@ class _TopLevel:
 
     def __post_init__(self):
         validate.integer("seed", self.seed, minimum=None)
-        if not isinstance(self.out_dir, str) or not self.out_dir:
-            raise ValueError(f"out_dir: must be a nonempty path, got {self.out_dir!r}")
+        if not isinstance(self.out_dir, str) or not self.out_dir or "\0" in self.out_dir:
+            raise ValueError(f"out_dir: must be a nonempty path with no NUL, got {self.out_dir!r}")
 
 
 class ExperimentConfig:
@@ -274,7 +274,9 @@ def read_config(path):
         raise ConfigError(f"config file not found: {path}")
     except OSError as e:  # a directory, or a file this user may not read
         raise ConfigError(f"config file unreadable: {e.strerror}: {path}")
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    # ValueError: text that is not UTF-8 or not JSON, or an integer literal past Python's
+    # 4,300-digit limit; RecursionError: arrays or objects nested too deep
+    except (ValueError, RecursionError) as e:
         raise ConfigError(f"config is not valid JSON: {e}")
 
 
@@ -480,7 +482,7 @@ def read_summary(path: Path) -> dict:
         summary = json.loads(path.read_text(encoding="utf-8"))
     except OSError as e:  # a directory, or a file this user may not read
         raise InputDataError(f"{path}: {e.strerror}") from e
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # as in `read_config`
         raise InputDataError(f"{path}: not valid JSON: {e}") from e
     if not isinstance(summary, dict):
         raise InputDataError(f"{path}: must be a JSON object")
@@ -500,6 +502,11 @@ def read_summary(path: Path) -> dict:
             value = summary[key][name]
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise InputDataError(f"{path}: {key}.{name}: must be {what}, got {value!r}")
+            if isinstance(value, int):  # the report formats a number as a float
+                try:
+                    float(value)
+                except OverflowError as e:
+                    raise InputDataError(f"{path}: {key}.{name}: {e}") from e
     return summary
 
 

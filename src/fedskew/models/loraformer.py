@@ -106,7 +106,7 @@ def _layer_names(params: ParamSet, cfg: LoraFormerConfig) -> list:
             for i in range(cfg.layers)]
 
 
-def _run(cfg: LoraFormerConfig, params: ParamSet, ids, keep_prob, rng, train, caches=None):
+def _run(cfg: LoraFormerConfig, params: ParamSet, ids, keep_prob, rng, caches=None):
     """The logits of a forward pass over in-range `ids`; with a `caches` list, it appends
     what the backward pass reads.  Non-finite logits raise `NumericError` for the op
     `loraformer_logits`: an inf or NaN anywhere upstream, PAD positions included, reaches
@@ -119,7 +119,7 @@ def _run(cfg: LoraFormerConfig, params: ParamSet, ids, keep_prob, rng, train, ca
     for i, names in enumerate(_layer_names(params, cfg)):
         h, cache = kn.encoder_layer_forward(h, {k: v[name] for k, name in names.items()},
                                             cfg.heads, mask_bias, cfg.lora_scale, keep_prob, rng,
-                                            train, kn.scratch(f"layer{i}"))
+                                            kn.scratch(f"layer{i}"))
         if caches is not None:
             caches.append((names, cache))
     fin, xhat, inv = kn.layernorm(h, v["ln_f.gain"], v["ln_f.bias"])
@@ -136,7 +136,7 @@ def make_forward(cfg: LoraFormerConfig):
     """forward(params, token_ids) -> eval-mode logits, an array; no caches kept.  Ids must
     be in range (`check_split`)."""
     def forward(params: ParamSet, token_ids):
-        return _run(cfg, params, token_ids, 1.0, None, False)
+        return _run(cfg, params, token_ids, 1.0, None)
 
     return forward
 
@@ -153,7 +153,7 @@ def make_loss_and_grad(cfg: LoraFormerConfig):
 
     def loss_and_grad(params: ParamSet, token_ids, labels, rng, grads: dict) -> float:
         caches = []
-        logits = _run(cfg, params, token_ids, keep, rng, True, caches)
+        logits = _run(cfg, params, token_ids, keep, rng, caches)
         loss, g = kn.cross_entropy(logits, labels)
         kn.finite("softmax_cross_entropy", loss)
         (mask, counts, xhat, inv, pooled), layers = caches[-1], caches[:-1]

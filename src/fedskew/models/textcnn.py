@@ -1,5 +1,6 @@
 """TextCNN: embedding, parallel n-gram Conv1D banks with max-over-time, dropout and a
-linear head, run by `numkit.kernels.textcnn_forward` and `textcnn_backward`."""
+linear head, run by `numkit.kernels.textcnn_forward` and `textcnn_backward` on its groups,
+each read from `ParamSet.arrays` and its gradient written into `grads` by name."""
 
 from dataclasses import dataclass
 
@@ -54,26 +55,11 @@ def build_textcnn(cfg: TextCnnConfig, vocab_size: int, max_seq_len: int, seed: i
     return build_params("textcnn", groups), make_forward(cfg)
 
 
-def _group_names(cfg: TextCnnConfig) -> list:
-    """The groups in the operand order of `textcnn_forward`."""
-    return ["embedding", *(f"conv{w}.kernel" for w in cfg.filter_widths),
-            *(f"conv{w}.bias" for w in cfg.filter_widths), "fc.weight", "fc.bias"]
-
-
-def _operands(params: ParamSet, names: list, widths: int) -> tuple:
-    """(table, kernels, biases, head weight, head bias) as arrays."""
-    v = [params.arrays[name] for name in names]
-    return v[0], v[1 : 1 + widths], v[1 + widths : 1 + 2 * widths], v[-2], v[-1]
-
-
 def make_forward(cfg: TextCnnConfig):
     """forward(params, token_ids) -> eval-mode logits, an array; no dropout, no caches kept.
     Ids must be in range (`models.check_split`)."""
-    names, widths = _group_names(cfg), len(cfg.filter_widths)
-
     def forward(params: ParamSet, token_ids):
-        table, *rest = _operands(params, names, widths)
-        logits, _ = kn.textcnn_forward(table, token_ids, PAD_ID, *rest)
+        logits, _ = kn.textcnn_forward(params.arrays, token_ids, PAD_ID, cfg.filter_widths)
         return kn.finite("textcnn_logits", logits)
 
     return forward
@@ -84,15 +70,14 @@ def make_loss_and_grad(cfg: TextCnnConfig):
     cross-entropy, with dropout masks drawn from `rng`.  It writes the gradient of every
     group named in `grads` into that writable array (a `FlatParams.grads` view); the
     other groups are frozen.  Ids and labels must be in range (`models.check_split`)."""
-    names, widths, keep = _group_names(cfg), len(cfg.filter_widths), 1.0 - cfg.dropout
+    keep = 1.0 - cfg.dropout
 
     def loss_and_grad(params: ParamSet, token_ids, labels, rng, grads: dict) -> float:
-        table, kernels, biases, weight, bias = _operands(params, names, widths)
-        logits, cache = kn.textcnn_forward(table, token_ids, PAD_ID, kernels, biases, weight,
-                                           bias, keep, rng, True)
+        logits, cache = kn.textcnn_forward(params.arrays, token_ids, PAD_ID, cfg.filter_widths,
+                                           keep, rng)
         loss, dlogits = kn.cross_entropy(kn.finite("textcnn_logits", logits), labels)
         kn.finite("softmax_cross_entropy", loss)
-        kn.textcnn_backward(cache, dlogits, [grads.get(name) for name in names])
+        kn.textcnn_backward(cache, dlogits, grads)
         return loss
 
     return loss_and_grad
@@ -105,9 +90,6 @@ def graph_forward(cfg: TextCnnConfig):
 
     def forward(params: ParamSet, token_ids, train: bool = False, rng=None):
         p = {g.name: nk.leaf(g.tensor, name=g.name, trainable=g.trainable) for g in params}
-        return nk.textcnn_logits_ops(p["embedding"], token_ids, PAD_ID,
-                                     [p[f"conv{w}.kernel"] for w in cfg.filter_widths],
-                                     [p[f"conv{w}.bias"] for w in cfg.filter_widths],
-                                     p["fc.weight"], p["fc.bias"], keep, rng, train)
+        return nk.textcnn_logits_ops(p, token_ids, PAD_ID, cfg.filter_widths, keep, rng, train)
 
     return forward

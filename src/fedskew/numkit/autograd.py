@@ -217,15 +217,15 @@ def max_over_time(x) -> GradNode:
     return _node("max_over_time", xv[b, idx, c], (x,), backward)
 
 
-def textcnn_logits_ops(table, ids, pad_id: int, kernels, biases, weight, bias,
-                       keep_prob: float = 1.0, rng=None, train: bool = False) -> GradNode:
-    """TextCNN's logits as a chain of the ops below: the reference of
-    `kernels.textcnn_forward`, which documents the model, and of `textcnn_backward`."""
-    x = embedding_lookup(table, ids)
+def textcnn_logits_ops(p: dict, ids, pad_id: int, widths, keep_prob: float = 1.0, rng=None,
+                       train: bool = False) -> GradNode:
+    """TextCNN's logits as a chain of the ops below, over the groups `p` maps names to: the
+    reference of `kernels.textcnn_forward`, which documents the model, and `textcnn_backward`."""
+    x = embedding_lookup(p["embedding"], ids)
     x = mul(x, np.broadcast_to((np.asarray(ids) != pad_id)[:, :, None], x.shape) * 1.0)
-    features = concat_last([max_over_time(relu(add(conv1d_valid(x, k), b)))
-                            for k, b in zip(kernels, biases)])
-    return add(matmul(dropout(features, keep_prob, rng, train), weight), bias)
+    features = concat_last([max_over_time(relu(add(conv1d_valid(x, p[f"conv{w}.kernel"]),
+                                                   p[f"conv{w}.bias"]))) for w in widths])
+    return add(matmul(dropout(features, keep_prob, rng, train), p["fc.weight"]), p["fc.bias"])
 
 
 def layernorm(x, gain, bias, eps: float = kn.LAYERNORM_EPS) -> GradNode:

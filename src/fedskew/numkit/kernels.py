@@ -1,8 +1,9 @@
 """Plain-array forward and backward passes: what a training step and an evaluation run.
 
-No graph and no gradient wrappers: a forward pass returns its output and a cache; a
-backward pass writes each weight's gradient into its `FlatParams.grads` view.  Tests
-compare each model's step built from them with its op chain in `autograd` under `backward`.
+No graph and no gradient wrappers: a forward pass reads each weight by name from a map and
+returns its output and a cache; a backward pass writes each trained weight's gradient into the
+`FlatParams.grads` view a map holds under that name.  Dropout runs where the keep probability
+is below 1.  Tests compare each model's step with its op chain in `autograd` under `backward`.
 """
 
 import functools
@@ -179,17 +180,18 @@ def pool_indices(n, seq, widths, cols):
     return arrays
 
 
-def textcnn_forward(table, ids, pad_id, kernels, biases, weight, bias, keep_prob=1.0,
-                    rng=None, train=False):
-    """TextCNN's logits and the cache `textcnn_backward` reads: x = table[ids] zeroed where
-    ids == pad_id, features = concat over widths of max_over_time(relu(conv1d_valid(x,
-    kernel) + bias)), logits = dropout(features) @ weight + bias.
+def textcnn_forward(v, ids, pad_id, widths, keep_prob=1.0, rng=None):
+    """TextCNN's logits and the cache `textcnn_backward` reads, for the groups `v` maps names
+    to: x = embedding[ids] zeroed where ids == pad_id, features = concat over `widths` of
+    max_over_time(relu(conv1d_valid(x, conv{w}.kernel) + conv{w}.bias)), logits =
+    dropout(features) @ fc.weight + fc.bias, dropout (masks from `rng`) where keep_prob < 1.
 
     The filter banks are one gemm of the window matrix, row (document, position) holding the
     next max-width positions zero-padded past the end, against the kernels stacked with zero
     rows below each width; positions past a width's range never win the max, and ties go to
-    the first position.  Operands are arrays of consistent shapes and ids are in range."""
-    (n, seq), ch, widths = ids.shape, table.shape[1], tuple(len(k) for k in kernels)
+    the first position.  Arrays are of consistent shapes and ids are in range."""
+    table, kernels = v["embedding"], [v[f"conv{w}.kernel"] for w in widths]
+    (n, seq), ch = ids.shape, table.shape[1]
     cols = (0, *itertools.accumulate(k.shape[2] for k in kernels))
     span, total = max(widths), cols[-1]
     keep = (ids != pad_id)[:, :, None]
@@ -203,25 +205,25 @@ def textcnn_forward(table, ids, pad_id, kernels, biases, weight, bias, keep_prob
         stacked[: w * ch, lo:hi] = k.reshape(w * ch, hi - lo)
     act = np.matmul(windows.reshape(n * seq, span * ch), stacked,
                     out=zeros("act", (n * seq, total))).reshape(n, seq, total)
-    act += np.concatenate(biases)
+    act += np.concatenate([v[f"conv{w}.bias"] for w in widths])
     act *= act > 0
     np.copyto(act, -1.0, where=past)  # below every relu output
     flat = (rows + act.argmax(axis=1)) * total + filters  # each (document, filter)'s first max
     features = act.reshape(-1)[flat]
     alive = features > 0  # the relu mask at the winning position
     mask = None
-    if train and keep_prob < 1.0:
+    if keep_prob < 1.0:
         mask = (rng.random(features.shape) < keep_prob) / keep_prob
         features *= mask
-    logits = features @ weight + bias
+    logits = features @ v["fc.weight"] + v["fc.bias"]
     return logits, (ids, table.shape, keep, x, stacked, widths, cols, flat, features, alive,
-                    mask, weight)
+                    mask, v["fc.weight"])
 
 
 def textcnn_backward(cache, g, out):
-    """Write the gradients of the `textcnn_forward` operands but ids into `out`, their
-    views in its order (the table, the kernels, the biases, the head weight and bias),
-    None for a frozen operand.  The kernel and input gradients take one gemm each."""
+    """Write the gradient of each group `textcnn_forward` read into the view `out` maps its
+    name to; a group `out` does not name is frozen.  The kernel and input gradients take one
+    gemm each."""
     ids, table_shape, keep, x, stacked, widths, cols, flat, features, alive, mask, weight = cache
     (n, seq), ch, span, total = ids.shape, table_shape[1], max(widths), cols[-1]
     gpre = ((g @ weight.T) * mask if mask is not None else g @ weight.T) * alive
@@ -236,18 +238,17 @@ def textcnn_backward(cache, g, out):
     gstacked = (x.reshape(n * seq, ch).T @ shifted).reshape(ch, span, total)
     by_shift = stacked.reshape(span, ch, total).transpose(0, 2, 1).reshape(span * total, ch)
     gx = (shifted @ by_shift).reshape(n, seq, ch)
-    if out[0] is not None:
-        out[0][...] = row_sums(ids, gx * keep, table_shape)
-    for view, w, lo, hi in zip(out[1:], widths, cols, cols[1:]):
-        if view is not None:
-            view[...] = gstacked[:, :w, lo:hi].transpose(1, 0, 2)
-    for view, lo, hi in zip(out[1 + len(widths) :], cols, cols[1:]):
-        if view is not None:
-            np.add.reduce(gpre[:, lo:hi], axis=0, out=view)
-    if out[-2] is not None:
-        np.matmul(features.T, g, out=out[-2])
-    if out[-1] is not None:
-        np.add.reduce(g, axis=0, out=out[-1])
+    if "embedding" in out:
+        out["embedding"][...] = row_sums(ids, gx * keep, table_shape)
+    for w, lo, hi in zip(widths, cols, cols[1:]):
+        if f"conv{w}.kernel" in out:
+            out[f"conv{w}.kernel"][...] = gstacked[:, :w, lo:hi].transpose(1, 0, 2)
+        if f"conv{w}.bias" in out:
+            np.add.reduce(gpre[:, lo:hi], axis=0, out=out[f"conv{w}.bias"])
+    if "fc.weight" in out:
+        np.matmul(features.T, g, out=out["fc.weight"])
+    if "fc.bias" in out:
+        np.add.reduce(g, axis=0, out=out["fc.bias"])
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +262,18 @@ def key_mask_bias(key_mask) -> np.ndarray:
     return np.where(key_mask, 0.0, -1e30)[:, None, None, :]
 
 
-def encoder_layer_forward(x, val: dict, heads: int, mask_bias, scaling, keep_prob, rng, train,
-                          buf):
+def encoder_layer_forward(x, val: dict, heads: int, mask_bias, scaling, keep_prob, rng, buf):
     """One pre-LN transformer encoder layer with LoRA on q and v (see
     `autograd.encoder_layer_ops`), on arrays: (output, cache for `encoder_layer_backward`).
-    `val` maps the layer's keys to arrays; an adapter is there when its A is.
+    `val` maps the layer's keys to arrays; an adapter is there when its A is.  Adapter
+    dropout, its masks drawn from `rng`, q's before v's, runs where keep_prob < 1.
     `mask_bias` is `key_mask_bias` of the batch's key mask.  The attention scores and the
     FFN's hidden activations, the largest arrays of both passes, and their gradients are
     written into arrays from `buf`, a `scratch` slot, which the cache keeps until the
     backward pass."""
     n, s, d = x.shape
     adapters = [p for p in "qv" if f"attn.{p}_lora.A" in val]
-    drop = train and keep_prob < 1.0
+    drop = keep_prob < 1.0
     dh = d // heads
     c = 1.0 / math.sqrt(dh)
 

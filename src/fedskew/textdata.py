@@ -97,8 +97,9 @@ class CsvSchema:
 
     def __post_init__(self):
         for name, path in (("train_path", self.train_path), ("test_path", self.test_path)):
-            if not isinstance(path, (str, PurePath)) and (name, path) != ("test_path", None):
-                raise ValueError(f"{name}: must be a path, got {path!r}")
+            if ((not isinstance(path, (str, PurePath)) or "\0" in str(path))
+                    and (name, path) != ("test_path", None)):
+                raise ValueError(f"{name}: must be a path with no NUL, got {path!r}")
         if not isinstance(self.text_columns, tuple) or not self.text_columns:
             raise ValueError(f"text_columns: must be a nonempty list, got {self.text_columns!r}")
         for column in (self.label_column, *self.text_columns):
@@ -124,10 +125,20 @@ def load_csv(schema: CsvSchema) -> Dataset:
                    schema.max_seq_len)
 
 
+def _csv_rows(f, path):
+    """The rows of CSV file `f`; a csv.Error (a field over csv.field_size_limit(), or a NUL
+    byte before Python 3.11) as a DataError naming the line."""
+    reader = csv.reader(f)
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise DataError(f"{path}:{reader.line_num}: {e}") from e
+
+
 def _read_rows(path, schema: CsvSchema):
     rows = []
     with open(path, newline="", encoding="utf-8") as f:
-        for lineno, row in enumerate(csv.reader(f), 1):
+        for lineno, row in enumerate(_csv_rows(f, path), 1):
             if not row:
                 continue
             needed = max(schema.label_column, *schema.text_columns)

@@ -189,12 +189,16 @@ def test_data_errors_exit_1_before_any_cell(tmp_path, capsys, verb):
             "num_classes": 3, "max_seq_len": 6}})
 
     (tmp_path / "bad.csv").write_text("1,a b c\nx,d e f\n")
+    (tmp_path / "long.csv").write_text("1,a b c\n2," + "d" * 131073 + "\n")
     too_many = base_config()
     too_many["partition"]["min_samples_per_client"] = 1000
     cases = [(csv_config("absent.csv"), "data error: dataset.csv: No such file or directory: "
                                         f"{tmp_path / 'absent.csv'}\n"),
              (csv_config("bad.csv"), f"data error: dataset.csv: {tmp_path / 'bad.csv'}:2: "
                                      "non-integer label 'x'\n"),
+             # csv.field_size_limit() is 131,072 characters
+             (csv_config("long.csv"), f"data error: dataset.csv: {tmp_path / 'long.csv'}:2: "
+                                      "field larger than field limit (131072)\n"),
              (too_many, "data error: partition.alpha 0.5: no partition met "
                         "min_samples_per_client=1000 after 100 redraws")]
     for i, (cfg, message) in enumerate(cases):
@@ -322,6 +326,39 @@ def test_not_json_and_missing_file(tmp_path, capsys):
         assert cli.main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("verb", ["run", "partition"])
+@pytest.mark.parametrize("fault,message", [
+    ("digits", "config is not valid JSON: Exceeds the limit (4300 digits)"),
+    ("nesting", "config is not valid JSON: maximum recursion depth exceeded"),
+    ("out_dir", "out_dir: must be a nonempty path with no NUL, got "),
+    ("train_path", "dataset.csv: train_path: must be a path with no NUL, got "),
+    ("test_path", "dataset.csv: test_path: must be a path with no NUL, got ")],
+    ids=["digits", "nesting", "out_dir", "train_path", "test_path"])
+def test_unparsable_config_or_nul_path_exits_1_before_any_work(tmp_path, capsys, verb,
+                                                                fault, message):
+    """JSON that `json.loads` cannot turn into values (an integer literal past Python's
+    4,300-digit limit, arrays nested too deep) and a path with a NUL character, which no
+    file can have, are config errors: exit 1 with no traceback, and nothing made."""
+    for split in ("train", "test"):
+        (tmp_path / f"{split}.csv").write_text("".join(f'{i % 3 + 1},"w{i % 3} w{i % 5}"\n'
+                                                       for i in range(30)))
+    cfg = base_config(out_dir=str(tmp_path / "out"), dataset={"csv": {
+        "train_path": str(tmp_path / "train.csv"), "test_path": str(tmp_path / "test.csv"),
+        "label_column": 0, "text_columns": [1], "num_classes": 3, "max_seq_len": 6}})
+    if fault == "out_dir":
+        cfg["out_dir"] += "\0"
+    elif fault.endswith("_path"):
+        cfg["dataset"]["csv"][fault] += "\0"
+    seed = {"digits": "1" + "0" * 4999, "nesting": "[" * 100000 + "]" * 100000}.get(fault, "11")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"seed": 11', f'"seed": {seed}'))
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main([verb, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_run_id_stable_under_key_order(tmp_path):
@@ -692,6 +729,15 @@ def test_report_rewrites_the_sweep_files_byte_for_byte(tmp_path, monkeypatch, ca
     ('{"run_id": 1, "status": "error", "error": "boom", "config": {"alpha": 0.1, '
      '"model": "textcnn", "aggregator": "fedavg", "beta": 0.0}}',
      "run_id: must be a string, got 1"),
+    # JSON that json.loads cannot turn into values, and a number the report cannot format
+    pytest.param('{"run_id": ' + "1" * 5000 + "}",
+                 "not valid JSON: Exceeds the limit (4300 digits)", id="digits"),
+    pytest.param("[" * 100000 + "]" * 100000,
+                 "not valid JSON: maximum recursion depth exceeded", id="nesting"),
+    pytest.param('{"run_id": "a", "status": "ok", "config": {"alpha": 0.1, "model": "textcnn", '
+                 '"aggregator": "fedavg", "beta": 0.0}, "final": {"avg": 0.5, "worst": 0.5, '
+                 '"gap": 1' + "0" * 400 + "}}",
+                 "final.gap: int too large to convert to float", id="overflow"),
     (None, "Is a directory")])  # None: a directory named summary.json
 def test_report_on_a_bad_summary_exits_1(tmp_path, capsys, text, message):
     """A summary.json that a killed run truncated, one that lacks a key the report reads
@@ -771,7 +817,7 @@ def test_selftest_passes():
 def scaled_textcnn_backward(real):
     def backward(cache, g, out):
         real(cache, g, out)
-        out[-2] *= 1 + 1e-6  # the view of the head weight, fc.weight
+        out["fc.weight"] *= 1 + 1e-6
     return backward
 
 

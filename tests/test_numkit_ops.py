@@ -129,7 +129,8 @@ OP_CASES = [
                                       r.standard_normal(3), r.standard_normal((5, 2)),
                                       r.standard_normal(2)],
      lambda t, k2, k4, b2, b4, w, b: nk.ssum(nk.mul(*[nk.textcnn_logits_ops(
-         t, FD_IDS, 0, [k2, k4], [b2, b4], w, b)] * 2))),
+         {"embedding": t, "conv2.kernel": k2, "conv4.kernel": k4, "conv2.bias": b2,
+          "conv4.bias": b4, "fc.weight": w, "fc.bias": b}, FD_IDS, 0, (2, 4))] * 2))),
     ("encoder_layer_ops",
      lambda r: [r.standard_normal((2, 3, 4))] + [encoder_weights(r)[k] for k in FD_KEYS],
      encoder_fd_loss),
