@@ -3,10 +3,12 @@ on the attention query/value projections.
 
 The backbone (embeddings, attention, FFN, layernorms) never trains in the
 federated phase; only the rank-r adapters and the classifier head do.
-Adapters start at exactly zero effect (B = 0).  Each encoder layer runs
-`numkit.kernels.encoder_layer_forward` and `encoder_layer_backward`.
+Adapters start at exactly zero effect (B = 0).  The features pass, under the
+linear head `head`, is the embeddings, the encoder layers (each
+`numkit.kernels.encoder_layer_forward`), `ln_f` and the masked mean pool.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -17,7 +19,7 @@ from ..numkit import kernels as kn
 from .. import validate
 from ..numkit.optim import OptimizerCfg, adamw_step
 from ..textdata import PAD_ID, SyntheticSpec, generate_synthetic, make_batches
-from .params import Group, ParamSet, StructuralError, build_params
+from .params import Group, ParamSet, StructuralError, build_params, eval_forward, train_step
 
 PRETRAIN_WEIGHT_DECAY = 0.01  # AdamW's decoupled weight decay while the backbone pretrains
 LORA_ALPHA = 32.0  # an adapter's update is scaled by LORA_ALPHA / lora_rank
@@ -99,93 +101,65 @@ def build_loraformer(cfg: LoraFormerConfig, vocab_size: int, max_seq_len: int, s
     return build_params("loraformer", groups), make_forward(cfg)
 
 
-def _layer_names(params: ParamSet, cfg: LoraFormerConfig) -> list:
+def _layer_names(v: dict, cfg: LoraFormerConfig) -> list:
     """Per layer, {layer key: group name}; the adapter keys only where the group exists."""
     keys = kn.ENCODER_LAYER_KEYS + kn.ENCODER_ADAPTER_KEYS
-    return [{k: f"layer{i}.{k}" for k in keys if f"layer{i}.{k}" in params.arrays}
+    return [{k: f"layer{i}.{k}" for k in keys if f"layer{i}.{k}" in v}
             for i in range(cfg.layers)]
 
 
-def _run(cfg: LoraFormerConfig, params: ParamSet, ids, keep_prob, rng, caches=None):
-    """The logits of a forward pass over in-range `ids`; with a `caches` list, it appends
-    what the backward pass reads.  Non-finite logits raise `NumericError` for the op
-    `loraformer_logits`: an inf or NaN anywhere upstream, PAD positions included, reaches
-    them as inf or NaN, so they are the one place checked."""
-    v = params.arrays
-    n, s = ids.shape
+def _features(cfg: LoraFormerConfig, v, ids, keep_prob, rng):
+    """ln_f of the encoder's output, mean-pooled over each document's non-PAD positions."""
     pad_mask = ids != PAD_ID
-    h = v["tok_emb"][ids] + v["pos_emb"][:s]
+    h = v["tok_emb"][ids] + v["pos_emb"][: ids.shape[1]]
     mask_bias = kn.key_mask_bias(pad_mask)
-    for i, names in enumerate(_layer_names(params, cfg)):
+    layers = []
+    for i, names in enumerate(_layer_names(v, cfg)):
         h, cache = kn.encoder_layer_forward(h, {k: v[name] for k, name in names.items()},
                                             cfg.heads, mask_bias, cfg.lora_scale, keep_prob, rng,
                                             kn.scratch(f"layer{i}"))
-        if caches is not None:
-            caches.append((names, cache))
+        layers.append((names, cache))
     fin, xhat, inv = kn.layernorm(h, v["ln_f.gain"], v["ln_f.bias"])
     mask = pad_mask.astype(np.float64)
     counts = np.maximum(mask.sum(axis=1), 1.0)
     pooled = (fin * mask[:, :, None]).sum(axis=1) / counts[:, None]
-    logits = kn.finite("loraformer_logits", pooled @ v["head.weight"] + v["head.bias"])
-    if caches is not None:
-        caches.append((mask, counts, xhat, inv, pooled))
-    return logits
+    return pooled, (ids, v["ln_f.gain"], layers, mask, counts, xhat, inv)
+
+
+def _features_backward(cache, g, grads: dict):
+    """The pass stops below the lowest layer with a trained group, and computes a layer's
+    key and first-layernorm gradients only where a trained group needs them."""
+    ids, gain, layers, mask, counts, xhat, inv = cache
+    # whether the input of each layer carries a gradient
+    reaches = [bool({"tok_emb", "pos_emb"} & grads.keys())]
+    for names, _ in layers[:-1]:
+        reaches.append(reaches[-1] or any(name in grads for name in names.values()))
+    g = mask[:, :, None] * (g / counts[:, None])[:, None, :]
+    if "ln_f.gain" in grads:
+        np.add.reduce(g * xhat, axis=(0, 1), out=grads["ln_f.gain"])
+    if "ln_f.bias" in grads:
+        np.add.reduce(g, axis=(0, 1), out=grads["ln_f.bias"])
+    g = kn.layernorm_dx(g, gain, xhat, inv)
+    for i in reversed(range(len(layers))):
+        names, layer = layers[i]
+        out = {k: grads[name] for k, name in names.items() if name in grads}
+        g = kn.encoder_layer_backward(layer, g, out, reaches[i])
+        if g is None:
+            return
+    if "tok_emb" in grads:
+        grads["tok_emb"][...] = kn.row_sums(ids, g, grads["tok_emb"].shape)
+    if "pos_emb" in grads:  # row_sums' sum over documents: from 0.0, in document order
+        np.add.reduce(g, axis=0, initial=0.0, out=grads["pos_emb"][: g.shape[1]])
+        grads["pos_emb"][g.shape[1] :] = 0.0
 
 
 def make_forward(cfg: LoraFormerConfig):
-    """forward(params, token_ids) -> eval-mode logits, an array; no caches kept.  Ids must
-    be in range (`check_split`)."""
-    def forward(params: ParamSet, token_ids):
-        return _run(cfg, params, token_ids, 1.0, None)
-
-    return forward
+    return eval_forward(functools.partial(_features, cfg))
 
 
 def make_loss_and_grad(cfg: LoraFormerConfig):
-    """loss_and_grad(params, token_ids, labels, rng, grads) -> one training step's mean
-    cross-entropy; adapter dropout masks are drawn from `rng`, q's before v's, layer by
-    layer.  It writes the gradient of every group named in `grads` into that writable
-    array (a `FlatParams.grads` view); the other groups are frozen.  The backward pass
-    stops below the lowest layer with a trained group, and computes a layer's key and
-    first-layernorm gradients only where a trained group needs them.  Ids and labels must
-    be in range (`check_split`)."""
-    keep = 1.0 - cfg.lora_dropout
-
-    def loss_and_grad(params: ParamSet, token_ids, labels, rng, grads: dict) -> float:
-        caches = []
-        logits = _run(cfg, params, token_ids, keep, rng, caches)
-        loss, g = kn.cross_entropy(logits, labels)
-        kn.finite("softmax_cross_entropy", loss)
-        (mask, counts, xhat, inv, pooled), layers = caches[-1], caches[:-1]
-        # whether the input of each layer carries a gradient
-        reaches = [bool({"tok_emb", "pos_emb"} & grads.keys())]
-        for names, _ in layers[:-1]:
-            reaches.append(reaches[-1] or any(name in grads for name in names.values()))
-        if "head.bias" in grads:
-            np.add.reduce(g, axis=0, out=grads["head.bias"])
-        if "head.weight" in grads:
-            np.matmul(pooled.T, g, out=grads["head.weight"])
-        g = g @ params.arrays["head.weight"].T
-        g = mask[:, :, None] * (g / counts[:, None])[:, None, :]
-        if "ln_f.gain" in grads:
-            np.add.reduce(g * xhat, axis=(0, 1), out=grads["ln_f.gain"])
-        if "ln_f.bias" in grads:
-            np.add.reduce(g, axis=(0, 1), out=grads["ln_f.bias"])
-        g = kn.layernorm_dx(g, params.arrays["ln_f.gain"], xhat, inv)
-        for i in reversed(range(len(layers))):
-            names, cache = layers[i]
-            out = {k: grads[name] for k, name in names.items() if name in grads}
-            g = kn.encoder_layer_backward(cache, g, out, reaches[i])
-            if g is None:
-                return loss
-        if "tok_emb" in grads:
-            grads["tok_emb"][...] = kn.row_sums(token_ids, g, grads["tok_emb"].shape)
-        if "pos_emb" in grads:  # row_sums' sum over documents: from 0.0, in document order
-            np.add.reduce(g, axis=0, initial=0.0, out=grads["pos_emb"][: g.shape[1]])
-            grads["pos_emb"][g.shape[1] :] = 0.0
-        return loss
-
-    return loss_and_grad
+    """Adapter dropout masks are drawn q's before v's, layer by layer."""
+    return train_step(functools.partial(_features, cfg), _features_backward, 1.0 - cfg.lora_dropout)
 
 
 def graph_forward(cfg: LoraFormerConfig):
@@ -202,7 +176,7 @@ def graph_forward(cfg: LoraFormerConfig):
         pos_ids = np.broadcast_to(np.arange(seq), (batch, seq))
         h = nk.add(nk.embedding_lookup(leaves["tok_emb"], ids),
                    nk.embedding_lookup(leaves["pos_emb"], pos_ids))
-        for names in _layer_names(params, cfg):
+        for names in _layer_names(params.arrays, cfg):
             h = nk.encoder_layer_ops(h, {k: leaves[name] for k, name in names.items()},
                                      cfg.heads, pad_mask, cfg.lora_scale, keep, rng=rng,
                                      train=train)

@@ -1,5 +1,7 @@
 """A model's parameters: a static layout of named groups, the frozen groups' arrays, and one
-float64 vector of the trainable groups, the unit broadcast and aggregated each round."""
+float64 vector of the trainable groups, the unit broadcast and aggregated each round.  Every
+model is a features pass under one linear head, which `eval_forward` and `train_step` run
+for both families."""
 
 import math
 from dataclasses import dataclass
@@ -9,8 +11,8 @@ import numpy as np
 
 from ..numkit import ContractError, NumericError, kernels as kn, views
 
-# per model kind: the embedding table, which the token ids index, and the head bias, one per label
-_INPUT_GROUPS = {"textcnn": ("embedding", "fc.bias"), "loraformer": ("tok_emb", "head.bias")}
+# per model kind: the embedding table, which the token ids index, and the head's prefix
+MODEL_ENDS = {"textcnn": ("embedding", "fc"), "loraformer": ("tok_emb", "head")}
 
 
 class StructuralError(ValueError):
@@ -93,8 +95,36 @@ def build_params(model_kind: str, groups) -> ParamSet:
 def check_split(params: ParamSet, split):
     """Check once that every token id of `split` picks a row of the model's embedding table
     and every label a logit, so that no batch of it needs a check of its own."""
-    table, head = _INPUT_GROUPS[params.layout.model_kind]
+    table, head = MODEL_ENDS[params.layout.model_kind]
     kn.check_ids(split.token_ids, len(params.arrays[table]))
-    labels, classes = split.labels, len(params.arrays[head])
+    labels, classes = split.labels, len(params.arrays[f"{head}.bias"])
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= classes:
         raise ContractError("label out of range")
+
+
+def _logits(features, params: ParamSet, ids, keep_prob, rng):
+    """(logits, features, cache, head) under the kind's head; logits checked as `{kind}_logits`."""
+    kind, (f, cache) = params.layout.model_kind, features(params.arrays, ids, keep_prob, rng)
+    head = MODEL_ENDS[kind][1]
+    return kn.finite(f"{kind}_logits", kn.head_forward(params.arrays, f, head)), f, cache, head
+
+
+def eval_forward(features):
+    """forward(params, token_ids) -> eval-mode logits, an array, of features(arrays, ids,
+    keep_prob, rng) -> (features, cache) at keep_prob 1.  Ids must be in range."""
+    return lambda params, token_ids: _logits(features, params, token_ids, 1.0, None)[0]
+
+
+def train_step(features, features_backward, keep_prob: float):
+    """loss_and_grad(params, token_ids, labels, rng, grads) -> one training step's mean
+    cross-entropy, dropout masks drawn from `rng` where `keep_prob` < 1.  It writes the
+    gradient of each group `grads` names into that `FlatParams.grads` view, the others
+    frozen; features_backward(cache, g, grads) takes the features' gradient `g`."""
+    def loss_and_grad(params: ParamSet, token_ids, labels, rng, grads: dict) -> float:
+        logits, f, cache, head = _logits(features, params, token_ids, keep_prob, rng)
+        loss, g = kn.cross_entropy(logits, labels)
+        kn.finite("softmax_cross_entropy", loss)
+        features_backward(cache, kn.head_backward(params.arrays, f, g, grads, head), grads)
+        return loss
+
+    return loss_and_grad

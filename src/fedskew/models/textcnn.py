@@ -1,7 +1,8 @@
-"""TextCNN: embedding, parallel n-gram Conv1D banks with max-over-time, dropout and a
-linear head, run by `numkit.kernels.textcnn_forward` and `textcnn_backward` on its groups,
-each read from `ParamSet.arrays` and its gradient written into `grads` by name."""
+"""TextCNN: a features pass of embedding, parallel n-gram Conv1D banks with max-over-time
+and dropout, `numkit.kernels.textcnn_forward` and `textcnn_backward`, under the linear head
+`fc`; each group is read from `ParamSet.arrays` and its gradient written by name."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +11,7 @@ from .. import numkit as nk
 from ..numkit import kernels as kn
 from .. import validate
 from ..textdata import PAD_ID
-from .params import Group, ParamSet, build_params
+from .params import Group, ParamSet, build_params, eval_forward, train_step
 
 
 @dataclass(frozen=True)
@@ -55,32 +56,16 @@ def build_textcnn(cfg: TextCnnConfig, vocab_size: int, max_seq_len: int, seed: i
     return build_params("textcnn", groups), make_forward(cfg)
 
 
-def make_forward(cfg: TextCnnConfig):
-    """forward(params, token_ids) -> eval-mode logits, an array; no dropout, no caches kept.
-    Ids must be in range (`models.check_split`)."""
-    def forward(params: ParamSet, token_ids):
-        logits, _ = kn.textcnn_forward(params.arrays, token_ids, PAD_ID, cfg.filter_widths)
-        return kn.finite("textcnn_logits", logits)
+def _features(cfg: TextCnnConfig, v, ids, keep_prob, rng):
+    return kn.textcnn_forward(v, ids, PAD_ID, cfg.filter_widths, keep_prob, rng)
 
-    return forward
+
+def make_forward(cfg: TextCnnConfig):
+    return eval_forward(functools.partial(_features, cfg))
 
 
 def make_loss_and_grad(cfg: TextCnnConfig):
-    """loss_and_grad(params, token_ids, labels, rng, grads) -> one training step's mean
-    cross-entropy, with dropout masks drawn from `rng`.  It writes the gradient of every
-    group named in `grads` into that writable array (a `FlatParams.grads` view); the
-    other groups are frozen.  Ids and labels must be in range (`models.check_split`)."""
-    keep = 1.0 - cfg.dropout
-
-    def loss_and_grad(params: ParamSet, token_ids, labels, rng, grads: dict) -> float:
-        logits, cache = kn.textcnn_forward(params.arrays, token_ids, PAD_ID, cfg.filter_widths,
-                                           keep, rng)
-        loss, dlogits = kn.cross_entropy(kn.finite("textcnn_logits", logits), labels)
-        kn.finite("softmax_cross_entropy", loss)
-        kn.textcnn_backward(cache, dlogits, grads)
-        return loss
-
-    return loss_and_grad
+    return train_step(functools.partial(_features, cfg), kn.textcnn_backward, 1.0 - cfg.dropout)
 
 
 def graph_forward(cfg: TextCnnConfig):

@@ -220,7 +220,8 @@ def max_over_time(x) -> GradNode:
 def textcnn_logits_ops(p: dict, ids, pad_id: int, widths, keep_prob: float = 1.0, rng=None,
                        train: bool = False) -> GradNode:
     """TextCNN's logits as a chain of the ops below, over the groups `p` maps names to: the
-    reference of `kernels.textcnn_forward`, which documents the model, and `textcnn_backward`."""
+    reference of `kernels.textcnn_forward` and `textcnn_backward`, which document its features,
+    under the head of `head_forward` and `head_backward`."""
     x = embedding_lookup(p["embedding"], ids)
     x = mul(x, np.broadcast_to((np.asarray(ids) != pad_id)[:, :, None], x.shape) * 1.0)
     features = concat_last([max_over_time(relu(add(conv1d_valid(x, p[f"conv{w}.kernel"]),

@@ -2,8 +2,8 @@
 
 No graph and no gradient wrappers: a forward pass reads each weight by name from a map and
 returns its output and a cache; a backward pass writes each trained weight's gradient into the
-`FlatParams.grads` view a map holds under that name.  Dropout runs where the keep probability
-is below 1.  Tests compare each model's step with its op chain in `autograd` under `backward`.
+`FlatParams.grads` view a map holds under that name.  Dropout runs where keep_prob < 1.  Each
+model is a features pass under the one linear head; tests compare its step with its op chain.
 """
 
 import functools
@@ -165,6 +165,21 @@ def cross_entropy(logits, labels):
     return loss, probs
 
 
+def head_forward(v, f, head):
+    """f @ W + b, the logits of the linear head W = v[f"{head}.weight"], b = v[f"{head}.bias"]."""
+    return f @ v[f"{head}.weight"] + v[f"{head}.bias"]
+
+
+def head_backward(v, f, g, out, head):
+    """Write f^T g and g's column sums, W's and b's gradients, into the views `out` maps their
+    names to, where it does; return g W^T, the features' gradient, for logits gradient `g`."""
+    if f"{head}.weight" in out:
+        np.matmul(f.T, g, out=out[f"{head}.weight"])
+    if f"{head}.bias" in out:
+        np.add.reduce(g, axis=0, out=out[f"{head}.bias"])
+    return g @ v[f"{head}.weight"].T
+
+
 # ---------------------------------------------------------------------------
 # TextCNN
 # ---------------------------------------------------------------------------
@@ -181,10 +196,10 @@ def pool_indices(n, seq, widths, cols):
 
 
 def textcnn_forward(v, ids, pad_id, widths, keep_prob=1.0, rng=None):
-    """TextCNN's logits and the cache `textcnn_backward` reads, for the groups `v` maps names
-    to: x = embedding[ids] zeroed where ids == pad_id, features = concat over `widths` of
-    max_over_time(relu(conv1d_valid(x, conv{w}.kernel) + conv{w}.bias)), logits =
-    dropout(features) @ fc.weight + fc.bias, dropout (masks from `rng`) where keep_prob < 1.
+    """TextCNN's features and the cache `textcnn_backward` reads, for the groups `v` maps
+    names to: x = embedding[ids] zeroed where ids == pad_id, features = dropout(concat over
+    `widths` of max_over_time(relu(conv1d_valid(x, conv{w}.kernel) + conv{w}.bias))),
+    dropout (masks from `rng`) where keep_prob < 1.
 
     The filter banks are one gemm of the window matrix, row (document, position) holding the
     next max-width positions zero-padded past the end, against the kernels stacked with zero
@@ -215,18 +230,16 @@ def textcnn_forward(v, ids, pad_id, widths, keep_prob=1.0, rng=None):
     if keep_prob < 1.0:
         mask = (rng.random(features.shape) < keep_prob) / keep_prob
         features *= mask
-    logits = features @ v["fc.weight"] + v["fc.bias"]
-    return logits, (ids, table.shape, keep, x, stacked, widths, cols, flat, features, alive,
-                    mask, v["fc.weight"])
+    return features, (ids, table.shape, keep, x, stacked, widths, cols, flat, alive, mask)
 
 
 def textcnn_backward(cache, g, out):
-    """Write the gradient of each group `textcnn_forward` read into the view `out` maps its
-    name to; a group `out` does not name is frozen.  The kernel and input gradients take one
-    gemm each."""
-    ids, table_shape, keep, x, stacked, widths, cols, flat, features, alive, mask, weight = cache
+    """Write the gradient of each group `textcnn_forward` read, for features gradient `g`,
+    into the view `out` maps its name to; a group `out` does not name is frozen.  The kernel
+    and input gradients take one gemm each."""
+    ids, table_shape, keep, x, stacked, widths, cols, flat, alive, mask = cache
     (n, seq), ch, span, total = ids.shape, table_shape[1], max(widths), cols[-1]
-    gpre = ((g @ weight.T) * mask if mask is not None else g @ weight.T) * alive
+    gpre = (g * mask if mask is not None else g) * alive
     scattered = zeros("scattered", (n, seq, total))
     scattered.reshape(-1)[flat] = gpre
     # the gradient of window (document, p - s) at row (document, p), shift s
@@ -245,10 +258,6 @@ def textcnn_backward(cache, g, out):
             out[f"conv{w}.kernel"][...] = gstacked[:, :w, lo:hi].transpose(1, 0, 2)
         if f"conv{w}.bias" in out:
             np.add.reduce(gpre[:, lo:hi], axis=0, out=out[f"conv{w}.bias"])
-    if "fc.weight" in out:
-        np.matmul(features.T, g, out=out["fc.weight"])
-    if "fc.bias" in out:
-        np.add.reduce(g, axis=0, out=out["fc.bias"])
 
 
 # ---------------------------------------------------------------------------

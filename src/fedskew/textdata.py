@@ -126,11 +126,13 @@ def load_csv(schema: CsvSchema) -> Dataset:
 
 
 def _csv_rows(f, path):
-    """The rows of CSV file `f`; a csv.Error (a field over csv.field_size_limit(), or a NUL
-    byte before Python 3.11) as a DataError naming the line."""
+    """(line, row) of each row of CSV file `f`, `line` the physical line it ends on, which a
+    quoted field with a newline puts past its row count; a csv.Error (a field over
+    csv.field_size_limit(), or a NUL byte before Python 3.11) as a DataError naming the line."""
     reader = csv.reader(f)
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as e:
         raise DataError(f"{path}:{reader.line_num}: {e}") from e
 
@@ -138,7 +140,7 @@ def _csv_rows(f, path):
 def _read_rows(path, schema: CsvSchema):
     rows = []
     with open(path, newline="", encoding="utf-8") as f:
-        for lineno, row in enumerate(_csv_rows(f, path), 1):
+        for lineno, row in _csv_rows(f, path):
             if not row:
                 continue
             needed = max(schema.label_column, *schema.text_columns)

@@ -6,12 +6,19 @@ import math
 from numbers import Integral, Real
 
 
+# the largest size, count or index a config may set: far past any desk-scale run, and far
+# below the integers that overflow a C long or a numpy array size
+MAX_INTEGER = 2**31 - 1
+
+
 def integer(name: str, value, minimum=1):
-    """An int (not a bool) >= `minimum`; any int when `minimum` is None."""
+    """An int (not a bool) in [`minimum`, MAX_INTEGER]; any int when `minimum` is None."""
     if (isinstance(value, bool) or not isinstance(value, Integral)
             or (minimum is not None and value < minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{name}: must be an integer{bound}, got {value!r}")
+    if minimum is not None and value > MAX_INTEGER:
+        raise ValueError(f"{name}: must be an integer <= {MAX_INTEGER}, got {value!r}")
     return value
 
 

@@ -334,13 +334,19 @@ def test_not_json_and_missing_file(tmp_path, capsys):
     ("nesting", "config is not valid JSON: maximum recursion depth exceeded"),
     ("out_dir", "out_dir: must be a nonempty path with no NUL, got "),
     ("train_path", "dataset.csv: train_path: must be a path with no NUL, got "),
-    ("test_path", "dataset.csv: test_path: must be a path with no NUL, got ")],
-    ids=["digits", "nesting", "out_dir", "train_path", "test_path"])
+    ("test_path", "dataset.csv: test_path: must be a path with no NUL, got "),
+    ("test_docs_per_class", "dataset.synthetic: test_docs_per_class: must be an integer "
+                            f"<= 2147483647, got {10**30}"),
+    ("embed_dim", f"textcnn: embed_dim: must be an integer <= 2147483647, got {10**30}")],
+    ids=["digits", "nesting", "out_dir", "train_path", "test_path", "test_docs_per_class",
+         "embed_dim"])
 def test_unparsable_config_or_nul_path_exits_1_before_any_work(tmp_path, capsys, verb,
                                                                 fault, message):
     """JSON that `json.loads` cannot turn into values (an integer literal past Python's
-    4,300-digit limit, arrays nested too deep) and a path with a NUL character, which no
-    file can have, are config errors: exit 1 with no traceback, and nothing made."""
+    4,300-digit limit, arrays nested too deep), a path with a NUL character, which no file
+    can have, and a size past `validate.MAX_INTEGER` (which overflowed the partitioner's
+    sizes, or numpy's array dimensions) are config errors: exit 1 with no traceback, and
+    nothing made."""
     for split in ("train", "test"):
         (tmp_path / f"{split}.csv").write_text("".join(f'{i % 3 + 1},"w{i % 3} w{i % 5}"\n'
                                                        for i in range(30)))
@@ -351,6 +357,11 @@ def test_unparsable_config_or_nul_path_exits_1_before_any_work(tmp_path, capsys,
         cfg["out_dir"] += "\0"
     elif fault.endswith("_path"):
         cfg["dataset"]["csv"][fault] += "\0"
+    elif fault == "test_docs_per_class":
+        cfg["dataset"] = base_config()["dataset"]
+        cfg["dataset"]["synthetic"][fault] = 10**30
+    elif fault == "embed_dim":
+        cfg["textcnn"][fault] = 10**30
     seed = {"digits": "1" + "0" * 4999, "nesting": "[" * 100000 + "]" * 100000}.get(fault, "11")
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg).replace('"seed": 11', f'"seed": {seed}'))
@@ -358,6 +369,7 @@ def test_unparsable_config_or_nul_path_exits_1_before_any_work(tmp_path, capsys,
     assert cli.main([verb, str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
+    assert "Traceback" not in err
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -817,7 +829,15 @@ def test_selftest_passes():
 def scaled_textcnn_backward(real):
     def backward(cache, g, out):
         real(cache, g, out)
-        out["fc.weight"] *= 1 + 1e-6
+        out["conv3.kernel"] *= 1 + 1e-6
+    return backward
+
+
+def scaled_head_backward(real):
+    def backward(v, f, g, out, head):
+        gf = real(v, f, g, out, head)
+        out[f"{head}.weight"] *= 1 + 1e-6
+        return gf
     return backward
 
 
@@ -830,23 +850,32 @@ def scaled_encoder_layer_backward(real):
     return backward
 
 
-@pytest.mark.parametrize("kernel,wrong,check,group", [
-    ("textcnn_backward", scaled_textcnn_backward, "TextCNN training step matches its op chain",
-     r"fc\.weight"),
+CNN_CHECK = "TextCNN training step matches its op chain"
+ENCODER_CHECK = "encoder training step matches its op chain"
+
+
+@pytest.mark.parametrize("kernel,wrong,failures", [
+    ("textcnn_backward", scaled_textcnn_backward, {CNN_CHECK: r"conv3\.kernel"}),
+    ("head_backward", scaled_head_backward,
+     {CNN_CHECK: r"fc\.weight", ENCODER_CHECK: r"head\.weight"}),
     ("encoder_layer_backward", scaled_encoder_layer_backward,
-     "encoder training step matches its op chain", r"layer[01]\.attn\.q_lora\.B")])
-def test_selftest_catches_a_wrong_kernel_gradient(kernel, wrong, check, group, monkeypatch,
+     {ENCODER_CHECK: r"layer[01]\.attn\.q_lora\.B"})],
+    ids=["textcnn_backward", "head_backward", "encoder_layer_backward"])
+def test_selftest_catches_a_wrong_kernel_gradient(kernel, wrong, failures, monkeypatch,
                                                   capsys):
-    """One group's gradient off by a relative 1e-6 fails the one check that compares that
-    kernel with its op chain, naming that group, and no other."""
+    """One group's gradient off by a relative 1e-6 fails each check that compares that
+    kernel with its op chain, naming that group, and no other: the head kernel fails both
+    models' checks."""
     from fedskew.numkit import kernels
     monkeypatch.setattr(kernels, kernel, wrong(getattr(kernels, kernel)))
     assert cli.selftest() is False
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 7
     failed = [line for line in lines if not line.startswith("[PASS] ")]
-    assert len(failed) == 1 and re.fullmatch(rf"\[FAIL\] {check}: {group}", failed[0]), failed
-    assert sum(line.startswith("[PASS] ") for line in lines) == 6
+    assert len(failed) == len(failures), failed
+    for line, (check, group) in zip(failed, failures.items()):
+        assert re.fullmatch(rf"\[FAIL\] {check}: {group}", line), failed
+    assert sum(line.startswith("[PASS] ") for line in lines) == 7 - len(failures)
 
 
 def test_console_entry_point(tmp_path):

@@ -61,6 +61,13 @@ def test_load_csv_errors(tmp_path):
     empty.write_text("")
     with pytest.raises(td.DataError, match="no rows"):
         td.load_csv(schema(empty))
+    # a row's fault names the physical line it ends on, past the row count where a quoted
+    # field spans lines, as a csv.Error's does
+    multi = tmp_path / "multi.csv"
+    write_csv(multi, ['1,"good\nfine","y"', '2,"bad\nsad","y"', 'x,"poor","y"'])
+    with pytest.raises(td.DataError,
+                       match=rf"^{re.escape(str(multi))}:5: non-integer label 'x'$"):
+        td.load_csv(schema(multi))
 
 
 def test_vocabulary_never_sees_test_text(tmp_path):
